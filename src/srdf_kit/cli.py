@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,26 +31,20 @@ from .field import (
     TabulatedKernel,
     field_gram,
     field_max_distortion,
-    field_min_distortion,
-    field_spectrum,
-    field_srdf,
+    field_srdf_spectrum,
     optimize_placement,
 )
 from .model import CovarianceModel, SamplingSet, partition
 from .setopt import best_fixed_set
 from .simulate import SimConfig, two_step_code, universal_two_step
-from .srdf import (
-    distortion_rate,
-    max_distortion,
-    min_distortion,
-    srdf,
-    srdf_eigenvalues,
-)
+from .srdf import max_distortion, srdf_spectrum
 from .universal import (
     affine_family,
-    bayes_usrdf,
+    bayes_atom_data,
+    bayes_curve,
     fixed_var_corr_family,
-    nonbayes_usrdf,
+    nonbayes_curve,
+    nonbayes_spectra,
     project_family,
 )
 
@@ -138,6 +133,8 @@ def _parse_grid(cfg: dict, key: str = "grid") -> np.ndarray:
         count = int(block["count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"'{key}' needs numeric min, max and integer count: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigParse(f"'{key}' needs finite min and max, got {lo} and {hi}")
     if count < 1 or hi < lo:
         raise ConfigParse(f"'{key}' must have count >= 1 and max >= min")
     return np.linspace(lo, hi, count)
@@ -248,43 +245,25 @@ def _meta(task: str, seed) -> dict:
     return {"task": task, "tool": "srdf-kit", "version": __version__, "seed": seed}
 
 
-def _run_srdf(cfg, base, out, args):
+def _run_known_law(cfg, base, out, args, task: str):
+    """``srdf`` and ``distrate``: one spectrum, then the whole grid through it."""
     model = _parse_model(cfg, base)
     ss = _parse_sampling(cfg)
-    deltas = _parse_grid(cfg)
-    bp = partition(model, ss)
-    points = [srdf(model, ss, float(d)) for d in deltas]
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], [(p.delta, p.rate_bits) for p in points])
-    summary = _meta("srdf", args.seed)
+    grid = _parse_grid(cfg)
+    spec = srdf_spectrum(partition(model, ss))
+    if task == "srdf":
+        _write_csv(out / "curve.csv", ["delta", "rate_bits"], zip(grid, spec.rate(grid)))
+    else:
+        _write_csv(out / "curve.csv", ["rate_bits", "delta"], zip(grid, spec.distortion(grid)))
+    summary = _meta(task, args.seed)
     summary.update(
         {
             "m": model.m,
             "sampling": list(ss.indices),
-            "delta_min": min_distortion(bp),
+            "delta_min": spec.delta_min,
             "delta_max": max_distortion(model),
-            "eigenvalues": [float(x) for x in srdf_eigenvalues(bp)],
-            "points": len(points),
-        }
-    )
-    _write_json(out / "summary.json", summary)
-
-
-def _run_distrate(cfg, base, out, args):
-    model = _parse_model(cfg, base)
-    ss = _parse_sampling(cfg)
-    rates = _parse_grid(cfg)
-    bp = partition(model, ss)
-    rows = [(float(r), distortion_rate(model, ss, float(r))) for r in rates]
-    _write_csv(out / "curve.csv", ["rate_bits", "delta"], rows)
-    summary = _meta("distrate", args.seed)
-    summary.update(
-        {
-            "m": model.m,
-            "sampling": list(ss.indices),
-            "delta_min": min_distortion(bp),
-            "delta_max": max_distortion(model),
-            "eigenvalues": [float(x) for x in srdf_eigenvalues(bp)],
-            "points": len(rows),
+            "eigenvalues": [float(x) for x in spec.lambdas],
+            "points": len(grid),
         }
     )
     _write_json(out / "summary.json", summary)
@@ -294,15 +273,15 @@ def _run_gmf_srdf(cfg, base, out, args):
     fm = _parse_field(cfg, base)
     pts = _parse_points(cfg)
     deltas = _parse_grid(cfg)
-    points = [field_srdf(fm, pts, float(d)) for d in deltas]
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], [(p.delta, p.rate_bits) for p in points])
+    spec = field_srdf_spectrum(fm, pts)
+    _write_csv(out / "curve.csv", ["delta", "rate_bits"], zip(deltas, spec.rate(deltas)))
     summary = _meta("gmf-srdf", args.seed)
     summary.update(
         {
             "points_sampled": list(pts.points),
-            "delta_min": field_min_distortion(fm, pts),
+            "delta_min": spec.delta_min,
             "delta_max": field_max_distortion(fm),
-            "eigenvalues": [float(x) for x in field_spectrum(fm, pts)],
+            "eigenvalues": [float(x) for x in spec.lambdas],
             "gram": [[float(v) for v in row] for row in field_gram(fm, pts)],
             "quad_points": fm.quad_points,
         }
@@ -372,8 +351,11 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
     family = _parse_family(cfg, base)
     ss = _parse_sampling(cfg)
     deltas = _parse_grid(cfg)
-    fn = bayes_usrdf if bayes else nonbayes_usrdf
-    points = [fn(family, ss, float(d)) for d in deltas]
+    part = project_family(family, ss)
+    if bayes:
+        points = bayes_curve([bayes_atom_data(family, ss, atom) for atom in part.atoms], deltas)
+    else:
+        points = nonbayes_curve(nonbayes_spectra(family, ss, part), deltas)
     _write_csv(out / "curve.csv", ["delta", "rate_bits"], [(p.delta, p.rate_bits) for p in points])
     if bayes:
         _write_csv(
@@ -385,7 +367,6 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
                 for i, alloc in enumerate(p.per_atom_delta)
             ],
         )
-    part = project_family(family, ss)
     task = "usrdf-bayes" if bayes else "usrdf-nonbayes"
     summary = _meta(task, args.seed)
     summary.update(
@@ -430,8 +411,8 @@ def _run_usim(cfg, base, out, args):
 
 
 _HANDLERS = {
-    "srdf": _run_srdf,
-    "distrate": _run_distrate,
+    "srdf": lambda cfg, base, out, args: _run_known_law(cfg, base, out, args, "srdf"),
+    "distrate": lambda cfg, base, out, args: _run_known_law(cfg, base, out, args, "distrate"),
     "gmf-srdf": _run_gmf_srdf,
     "optimize-set": _run_optimize_set,
     "place": _run_place,

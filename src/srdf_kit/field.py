@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureUnderResolved
+from .errors import DomainError, QuadratureUnderResolved, SrdfKitError
 from .model import validate_covariance
-from .srdf import SrdfPoint, _srdf_from_spectrum, congruent_spectrum, waterfill_inverse
+from .srdf import SrdfPoint, Spectrum, _srdf_point, congruent_spectrum
 
 QUAD_POINTS_DEFAULT = 2048
 QUAD_CONSISTENCY_TOL = 1e-7   # relative gap allowed between full and half resolution
@@ -229,18 +229,20 @@ def field_spectrum(field: FieldModel, points) -> np.ndarray:
     return congruent_spectrum(field_gram(field, fp), field_weight_matrix(field, fp))
 
 
-def field_srdf(field: FieldModel, points, delta: float) -> SrdfPoint:
-    """Rate distortion function of the field sampled at ``points``."""
+def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
+    """Floor and weighted spectrum of the field sampled at ``points``: its whole curve."""
     fp = _as_field_points(points)
     lam = field_spectrum(field, fp)
-    dmin = field_min_distortion(field, fp)
-    return _srdf_from_spectrum(lam, dmin, delta)
+    return Spectrum(field_min_distortion(field, fp), lam)
+
+
+def field_srdf(field: FieldModel, points, delta: float) -> SrdfPoint:
+    """Rate distortion function of the field sampled at ``points``."""
+    return _srdf_point(field_srdf_spectrum(field, points), delta)
 
 
 def field_distortion_rate(field: FieldModel, points, rate_bits: float) -> float:
-    fp = _as_field_points(points)
-    lam = field_spectrum(field, fp)
-    return field_min_distortion(field, fp) + waterfill_inverse(lam, rate_bits)
+    return field_srdf_spectrum(field, points).distortion(rate_bits)
 
 
 def gm_segment_explained(p: float, length: float) -> float:
@@ -319,7 +321,7 @@ def _placement_objective(field: FieldModel, objective):
         def fn(pts):
             try:
                 return field_srdf(field, pts, delta).rate_bits
-            except Exception:
+            except SrdfKitError:
                 return math.inf
         return fn, f"min_rate_at:{delta:.9g}"
     raise DomainError(f"unknown placement objective {objective!r}")

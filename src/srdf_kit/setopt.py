@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .errors import IndexOutOfRange, TooManySubsets, ValidationError
 from .model import CovarianceModel, SamplingSet, partition
-from .srdf import min_distortion, srdf_eigenvalues, waterfill
+from .srdf import min_distortion, srdf_spectrum
 
 SUBSET_CAP = 1_000_000
 
@@ -26,16 +26,6 @@ class SetSearchResult:
     value: float
     objective: str
     rows: tuple[SubsetRow, ...]
-
-
-def _rate_at(delta: float, dmin: float, lam) -> float:
-    if delta <= dmin:
-        return math.inf
-    total = float(sum(lam))
-    budget = delta - dmin
-    if budget >= total * (1.0 - 1e-12):
-        return 0.0
-    return waterfill(lam, budget).rate_bits
 
 
 def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min", threads: int = 1) -> SetSearchResult:
@@ -62,12 +52,12 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min", th
 
     def evaluate(subset):
         bp = partition(model, subset)
-        dmin = min_distortion(bp)
         if delta is None:
+            dmin = min_distortion(bp)
             return SubsetRow(indices=subset, delta_min=dmin, rate_bits=None), dmin
-        lam = srdf_eigenvalues(bp)
-        rate = _rate_at(delta, dmin, lam)
-        return SubsetRow(indices=subset, delta_min=dmin, rate_bits=rate), rate
+        spec = srdf_spectrum(bp)
+        rate = math.inf if delta <= spec.delta_min else spec.rate(delta)
+        return SubsetRow(indices=subset, delta_min=spec.delta_min, rate_bits=rate), rate
 
     subsets = list(combinations(range(1, model.m + 1), k))
     if threads > 1:

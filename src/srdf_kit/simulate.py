@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import CodebookTooLarge, DimensionMismatch, TrainingDiverged, ValidationError
 from .model import BlockPartition, CovarianceModel, as_sampling_set, partition
-from .srdf import min_distortion, srdf_eigenvalues, waterfill_inverse, weight_matrix
+from .srdf import Spectrum, srdf_spectrum, weight_matrix
 from .universal import ParamFamily, bayes_atom_data, project_family
 
 CODEBOOK_CAP = 2 ** 18
@@ -280,8 +280,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     ss = as_sampling_set(sampled)
     bp = partition(model, ss)
     g = weight_matrix(bp)
-    dmin = min_distortion(bp)
-    lam = srdf_eigenvalues(bp)
+    spec = srdf_spectrum(bp)
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     rate_actual = math.log2(j) / cfg.n
@@ -315,8 +314,8 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
         seed=cfg.seed,
         train_blocks=train_blocks,
         eval_blocks=cfg.eval_blocks,
-        delta_min=dmin,
-        analytic_distortion_at_rate=dmin + waterfill_inverse(lam, rate_actual),
+        delta_min=spec.delta_min,
+        analytic_distortion_at_rate=spec.distortion(rate_actual),
         total_mse=_mean_ci(total_b),
         weighted_mse=_mean_ci(weighted_b),
         lift_mse=_mean_ci(lift_b),
@@ -407,7 +406,7 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     bad_cap = math.sqrt(bad_mass * float(np.mean(total_t ** 2)))
     overhead = math.log2(len(data)) / cfg.est_length if len(data) > 1 else 0.0
     code_rate = math.log2(j) / cfg.n
-    analytic = sum(d.weight * (d.delta_min + waterfill_inverse(d.lambdas, code_rate)) for d in data)
+    analytic = sum(d.weight * Spectrum(d.delta_min, d.lambdas).distortion(code_rate) for d in data)
 
     trace = None
     if cfg.trace:

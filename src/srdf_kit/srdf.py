@@ -5,13 +5,16 @@ sampled block, so the mean squared error over the full vector splits into an
 irreducible estimation floor plus a weighted error on the sampled block.  The
 weight matrix below carries that reduction, and the rate distortion function
 is a reverse waterfill over the eigenvalues of the weighted sampled
-covariance.  All rates are in bits.
+covariance.  Neither the floor nor the eigenvalues depend on the distortion,
+so one ``Spectrum`` value holds a whole curve; it solves the waterfill
+exactly from prefix sums of the sorted eigenvalues.  All rates are in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +28,6 @@ from .errors import (
 from .model import BlockPartition, CovarianceModel, partition
 
 RATE_CAP_BITS = 64.0        # rates above this are treated as "distortion floor reached"
-_WF_MAX_ITER = 200
-_WF_INTERVAL_TOL = 1e-14    # relative to the largest eigenvalue
 
 
 def _solve_sigma_a(sigma_a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -85,6 +86,107 @@ def srdf_eigenvalues(bp: BlockPartition) -> np.ndarray:
     return congruent_spectrum(bp.sigma_a, weight_matrix(bp))
 
 
+def _scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Estimation floor plus weighted spectrum: all a rate distortion curve depends on.
+
+    ``lambdas`` holds the eigenvalues along its last axis (stored descending);
+    leading axes stack independent spectra, such as one per ambiguity atom,
+    with ``delta_min`` of the stack's shape.  ``rate`` and ``distortion``
+    broadcast their argument against the stack, so one call evaluates a whole
+    grid, and a scalar argument on a single spectrum returns a float.
+
+    Both directions of the reverse waterfill (Cover & Thomas, Elements of
+    Information Theory, section 10.3) are exact.  Forward, keeping the t
+    smallest modes whole and levelling the rest gives the candidate level
+    (budget - sum of the t smallest) / (k - t); inverse, levelling the j
+    largest modes at rate R gives 2^((sum_{i<=j} log2 lambda_i - 2R) / j).
+    Every candidate is at most the true level, and the candidate of the
+    right prefix (the first whose level does not pass the next eigenvalue)
+    equals it, so the level is the largest candidate.
+    """
+
+    delta_min: float | np.ndarray
+    lambdas: np.ndarray
+
+    def __post_init__(self) -> None:
+        asc = np.sort(np.atleast_1d(np.asarray(self.lambdas, dtype=float)), axis=-1)
+        # sorting puts the smallest entry first and any NaN last
+        if asc.shape[-1] == 0 or not ((asc[..., 0] > 0.0).all() and (asc[..., -1] < math.inf).all()):
+            raise EigenFailure(f"eigenvalues must be finite and positive, got {self.lambdas}")
+        lam = asc[..., ::-1].copy()
+        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "delta_min", _scalar(np.asarray(self.delta_min, dtype=float)))
+        object.__setattr__(self, "total", _scalar(lam.sum(axis=-1)))
+
+    @cached_property
+    def _forward(self):
+        """Sum of the t smallest modes and the count of the rest, t = 0..k-1."""
+        asc = self.lambdas[..., ::-1]
+        kept = np.zeros_like(asc)
+        np.cumsum(asc[..., :-1], axis=-1, out=kept[..., 1:])
+        return kept, np.arange(asc.shape[-1], 0, -1, dtype=float)
+
+    @cached_property
+    def _inverse(self):
+        """Sum of log2 of the j largest modes and j, j = 1..k."""
+        return np.cumsum(np.log2(self.lambdas), axis=-1), np.arange(1, self.lambdas.shape[-1] + 1, dtype=float)
+
+    @property
+    def delta_max(self):
+        """Zero-rate distortion: the floor plus every mode left whole."""
+        return self.delta_min + self.total
+
+    def level(self, budget):
+        """Water level alpha with sum_i min(alpha, lambda_i) = ``budget`` (> 0)."""
+        kept, left = self._forward
+        return _scalar(((np.asarray(budget, dtype=float)[..., None] - kept) / left).max(axis=-1))
+
+    def rate(self, delta):
+        """Bits needed for total distortion ``delta``; zero from delta_max on."""
+        budget = np.asarray(delta, dtype=float) - self.delta_min
+        if not np.isfinite(budget).all():
+            raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
+        if (budget <= 0.0).any():
+            raise InfeasibleDistortion(
+                f"delta {np.min(delta)} is at or below the estimation floor {np.max(self.delta_min)};"
+                " feasible range is open at the floor"
+            )
+        alpha = np.asarray(self.level(budget))[..., None]
+        bits = 0.5 * np.log2(np.maximum(self.lambdas / alpha, 1.0)).sum(axis=-1)
+        return _scalar(np.where(budget >= self.total * (1.0 - 1e-12), 0.0, bits))
+
+    def distortion(self, rate_bits):
+        """Total distortion at ``rate_bits``, the floor from RATE_CAP_BITS on; inverse of ``rate``."""
+        r = np.asarray(rate_bits, dtype=float)
+        if not np.isfinite(r).all() or (r < 0.0).any():
+            raise BudgetOutOfRange(f"rate must be finite and nonnegative, got {rate_bits}")
+        logs, count = self._inverse
+        alpha = np.exp2(((logs - 2.0 * r[..., None]) / count).max(axis=-1))
+        weighted = np.minimum(alpha[..., None], self.lambdas).sum(axis=-1)
+        weighted = np.where(r == 0.0, self.total, np.where(r >= RATE_CAP_BITS, 0.0, weighted))
+        return _scalar(self.delta_min + weighted)
+
+
+def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac: float):
+    """(Spectrum, weight matrix) of a sampled block with cross covariance ``cross``
+    to the unsampled components, whose variances sum to ``trace_ac``."""
+    b = _solve_sigma_a(sigma_a, cross)
+    g = np.eye(len(sigma_a)) + b @ b.T
+    g = 0.5 * (g + g.T)
+    floor = max(0.0, trace_ac - float(np.sum(cross * b)))
+    return Spectrum(floor, congruent_spectrum(sigma_a, g)), g
+
+
+def srdf_spectrum(bp: BlockPartition) -> Spectrum:
+    """Floor and weighted spectrum of a sampling set: its whole rate distortion curve."""
+    return _block_spectrum(bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac)))[0]
+
+
 @dataclass(frozen=True)
 class WaterfillSolution:
     alpha: float
@@ -95,66 +197,24 @@ class WaterfillSolution:
 def waterfill(lambdas, budget: float) -> WaterfillSolution:
     """Reverse waterfill: spend ``budget`` distortion across eigenvalue modes.
 
-    The water level alpha solves sum_i min(alpha, lambda_i) = budget by
-    bisection; each mode contributes (1/2) log2(lambda_i / alpha) bits when
-    lambda_i is above the level and nothing otherwise.
+    The water level alpha solves sum_i min(alpha, lambda_i) = budget exactly
+    (see ``Spectrum``); each mode contributes (1/2) log2(lambda_i / alpha)
+    bits when lambda_i is above the level and nothing otherwise.
     """
-    lams = [float(x) for x in np.atleast_1d(np.asarray(lambdas, dtype=float))]
-    if len(lams) == 0 or min(lams) <= 0.0:
-        raise ValueError(f"eigenvalues must be positive, got {lams}")
-    total = sum(lams)
-    top = max(lams)
+    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    spec = Spectrum(0.0, lams)
     if not budget > 0.0:
         raise BudgetOutOfRange(f"distortion budget must be positive, got {budget}")
-    if budget > total * (1.0 + 1e-9):
-        raise BudgetOutOfRange(f"budget {budget} exceeds the spectrum total {total}")
-    if budget >= total:
-        return WaterfillSolution(alpha=top, per_mode_distortion=tuple(lams), rate_bits=0.0)
-    lo = budget / len(lams) * 1e-6
-    hi = top
-    for _ in range(_WF_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if sum(min(mid, lam) for lam in lams) < budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _WF_INTERVAL_TOL * top:
-            break
-    alpha = 0.5 * (lo + hi)
-    dist = tuple(min(alpha, lam) for lam in lams)
-    rate = sum(0.5 * math.log2(lam / alpha) for lam in lams if lam > alpha)
-    return WaterfillSolution(alpha=alpha, per_mode_distortion=dist, rate_bits=rate)
+    if budget > spec.total * (1.0 + 1e-9):
+        raise BudgetOutOfRange(f"budget {budget} exceeds the spectrum total {spec.total}")
+    alpha = float(spec.lambdas[0]) if budget >= spec.total else spec.level(budget)
+    dist = tuple(min(alpha, float(lam)) for lam in lams)
+    return WaterfillSolution(alpha=alpha, per_mode_distortion=dist, rate_bits=spec.rate(budget))
 
 
 def waterfill_inverse(lambdas, rate_bits: float) -> float:
-    """Weighted distortion achieved at ``rate_bits``; inverse of the waterfill rate.
-
-    Returns sum_i min(alpha, lambda_i) where alpha is the level whose
-    waterfill rate equals ``rate_bits``.  Rates at or above RATE_CAP_BITS
-    collapse to zero weighted distortion.
-    """
-    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if rate_bits < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate_bits}")
-    top = float(np.max(lams))
-    if rate_bits == 0.0:
-        return float(np.sum(lams))
-    if rate_bits >= RATE_CAP_BITS:
-        return 0.0
-    lo = math.log2(top) - 2.0 * (rate_bits + 1.0)
-    hi = math.log2(top)
-    for _ in range(_WF_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        alpha = 2.0 ** mid
-        rate = float(np.sum(0.5 * np.log2(np.maximum(lams / alpha, 1.0))))
-        if rate > rate_bits:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    alpha = 2.0 ** (0.5 * (lo + hi))
-    return float(np.sum(np.minimum(alpha, lams)))
+    """Weighted distortion sum_i min(alpha, lambda_i) left at ``rate_bits``; inverse of the waterfill rate."""
+    return Spectrum(0.0, lambdas).distortion(rate_bits)
 
 
 @dataclass(frozen=True)
@@ -164,31 +224,19 @@ class SrdfPoint:
     trivial: bool = False   # set when delta >= the zero-rate distortion
 
 
-def _srdf_from_spectrum(lambdas: np.ndarray, dmin: float, delta: float) -> SrdfPoint:
-    if delta <= dmin:
-        raise InfeasibleDistortion(
-            f"delta {delta} is at or below the estimation floor {dmin}; feasible range is open at the floor"
-        )
-    total = float(np.sum(lambdas))
-    budget = delta - dmin
-    if budget >= total * (1.0 - 1e-12):
-        return SrdfPoint(delta=delta, rate_bits=0.0, trivial=True)
-    sol = waterfill(lambdas, budget)
-    return SrdfPoint(delta=delta, rate_bits=sol.rate_bits)
+def _srdf_point(spec: Spectrum, delta: float) -> SrdfPoint:
+    rate = spec.rate(delta)
+    return SrdfPoint(delta=delta, rate_bits=rate, trivial=rate == 0.0)
 
 
 def srdf(model: CovarianceModel, sampled, delta: float) -> SrdfPoint:
     """Rate distortion function at distortion ``delta``, sampling set fixed."""
-    bp = partition(model, sampled)
-    return _srdf_from_spectrum(srdf_eigenvalues(bp), min_distortion(bp), delta)
+    return _srdf_point(srdf_spectrum(partition(model, sampled)), delta)
 
 
 def distortion_rate(model: CovarianceModel, sampled, rate_bits: float) -> float:
     """Distortion achieved at ``rate_bits``; inverse of srdf along the same curve."""
-    bp = partition(model, sampled)
-    dmin = min_distortion(bp)
-    lam = srdf_eigenvalues(bp)
-    return dmin + waterfill_inverse(lam, rate_bits)
+    return srdf_spectrum(partition(model, sampled)).distortion(rate_bits)
 
 
 def eval_da(g: np.ndarray, x, y) -> float:

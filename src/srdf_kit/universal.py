@@ -12,12 +12,12 @@ non-Bayesian curve guards the worst member.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BudgetOutOfRange,
     EmptyAtom,
     EmptyGrid,
     GridTooLarge,
@@ -26,12 +26,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .model import as_sampling_set, validate_covariance
-from .srdf import (
-    RATE_CAP_BITS,
-    congruent_spectrum,
-    waterfill,
-    waterfill_inverse,
-)
+from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
 
 GRID_RES_DEFAULT = 33
 ATOM_TOL = 1e-8          # max-norm radius for "same sampled block"
@@ -235,38 +230,26 @@ def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesA
     sigma_a = 0.5 * (sigma_a + sigma_a.T)
     cross = np.tensordot(w, sig[:, a[:, None], ac[None, :]], axes=(0, 0))
     var_ac = np.tensordot(w, sig[:, ac, ac], axes=(0, 0))
-    b = np.linalg.solve(sigma_a, cross)
-    g = np.eye(len(a)) + b @ b.T
-    g = 0.5 * (g + g.T)
-    dmin = max(0.0, float(np.sum(var_ac)) - float(np.sum(cross * b)))
-    lam = congruent_spectrum(sigma_a, g)
+    spec, g = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
     return BayesAtomData(
         sigma_a=sigma_a,
         sigma_a_ac_bar=cross,
         var_ac_bar=np.atleast_1d(var_ac),
         g_tau1=g,
-        delta_min=dmin,
-        lambdas=lam,
+        delta_min=spec.delta_min,
+        lambdas=spec.lambdas,
         weight=float(atom.weight),
     )
 
 
 def rho_bayes(data: BayesAtomData, delta: float) -> float:
     """Bayesian rate of one atom at per-atom distortion ``delta``."""
-    if delta <= data.delta_min:
-        raise InfeasibleDistortion(
-            f"atom distortion {delta} is at or below its floor {data.delta_min}"
-        )
-    budget = delta - data.delta_min
-    total = float(np.sum(data.lambdas))
-    if budget >= total * (1.0 - 1e-12):
-        return 0.0
-    return waterfill(data.lambdas, budget).rate_bits
+    return Spectrum(data.delta_min, data.lambdas).rate(delta)
 
 
 def atom_distortion_at_rate(data: BayesAtomData, rate_bits: float) -> float:
     """Inverse of rho_bayes: per-atom distortion when the atom spends ``rate_bits``."""
-    return data.delta_min + waterfill_inverse(data.lambdas, rate_bits)
+    return Spectrum(data.delta_min, data.lambdas).distortion(rate_bits)
 
 
 @dataclass(frozen=True)
@@ -279,102 +262,83 @@ class UsrdfPoint:
     trivial: bool = False
 
 
+def _stack(spectra) -> Spectrum:
+    """One stacked Spectrum from items with ``delta_min`` and ``lambdas`` of one size."""
+    return Spectrum(np.array([s.delta_min for s in spectra]), np.stack([s.lambdas for s in spectra]))
+
+
+def bayes_curve(data, deltas) -> list[UsrdfPoint]:
+    """Bayesian universal curve at each of ``deltas``, from one family's atom data.
+
+    The optimal split gives every atom the distortion it reaches at a shared
+    rate r, so r solves sum_atoms weight * distortion_at_rate(r) = delta.
+    The bisection on r (see ``bayes_usrdf``) runs for every delta in lockstep,
+    and each of its steps is one exact evaluation over all atoms and deltas.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if not np.all(np.isfinite(deltas)):
+        raise BudgetOutOfRange(f"distortion must be finite, got {deltas}")
+    atoms = _stack(data)
+    w = np.array([d.weight for d in data])
+    dmin = sum(d.weight * d.delta_min for d in data)
+    dmax = sum(d.weight * d.delta_max for d in data)
+    if np.any(deltas <= dmin):
+        raise InfeasibleDistortion(
+            f"delta {np.min(deltas)} is at or below the prior-averaged floor {dmin}"
+        )
+
+    def avg_distortion(r):
+        return np.sum(w * atoms.distortion(r[:, None]), axis=-1)
+
+    lo, hi = np.zeros(len(deltas)), np.full(len(deltas), RATE_CAP_BITS)
+    capped = avg_distortion(hi) >= deltas
+    for _ in range(200):
+        live = hi - lo >= USRDF_RATE_TOL
+        if not np.any(live):
+            break
+        mid = 0.5 * (lo + hi)
+        above = avg_distortion(mid) > deltas
+        lo, hi = np.where(live & above, mid, lo), np.where(live & ~above, mid, hi)
+    trivial = deltas >= dmax * (1.0 - 1e-12)
+    rates = np.where(trivial, 0.0, np.where(capped, RATE_CAP_BITS, 0.5 * (lo + hi)))
+    alloc = np.where(trivial[:, None], atoms.delta_max, atoms.distortion(rates[:, None]))
+    return [
+        UsrdfPoint(float(d), float(r), tuple(float(x) for x in per), dmin, dmax, bool(t))
+        for d, r, per, t in zip(deltas, rates, alloc, trivial)
+    ]
+
+
 def bayes_usrdf(family: ParamFamily, sampled, delta: float, atom_tol: float = ATOM_TOL) -> UsrdfPoint:
     """Bayesian universal curve: prior-average distortion ``delta``, common rate equalized.
 
-    The optimal split gives every atom the distortion it reaches at a shared
-    rate r, so r is found by bisection on the decreasing map
-    r -> sum_atoms weight * distortion_at_rate(r).
+    The common rate is the midpoint of a bisection on [0, RATE_CAP_BITS]
+    stopped at a USRDF_RATE_TOL (1e-9 bit) interval, not an exact root: across
+    atoms the averaged distortion mixes exponentials in r of different rates,
+    and the shipped Bayes golden curve pins this midpoint to 9 digits.
     """
     part = project_family(family, sampled, atom_tol)
-    data = [bayes_atom_data(family, sampled, atom) for atom in part.atoms]
-    dmin = sum(d.weight * d.delta_min for d in data)
-    dmax = sum(d.weight * d.delta_max for d in data)
-    if delta <= dmin:
-        raise InfeasibleDistortion(
-            f"delta {delta} is at or below the prior-averaged floor {dmin}"
-        )
-    if delta >= dmax * (1.0 - 1e-12):
-        return UsrdfPoint(
-            delta=delta,
-            rate_bits=0.0,
-            per_atom_delta=tuple(d.delta_max for d in data),
-            delta_min=dmin,
-            delta_max=dmax,
-            trivial=True,
-        )
-
-    def avg_distortion(r: float) -> float:
-        return sum(d.weight * atom_distortion_at_rate(d, r) for d in data)
-
-    lo, hi = 0.0, RATE_CAP_BITS
-    if avg_distortion(hi) >= delta:
-        rate = hi
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if avg_distortion(mid) > delta:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < USRDF_RATE_TOL:
-                break
-        rate = 0.5 * (lo + hi)
-    alloc = tuple(atom_distortion_at_rate(d, rate) for d in data)
-    return UsrdfPoint(
-        delta=delta,
-        rate_bits=rate,
-        per_atom_delta=alloc,
-        delta_min=dmin,
-        delta_max=dmax,
-    )
+    return bayes_curve([bayes_atom_data(family, sampled, atom) for atom in part.atoms], [delta])[0]
 
 
-def nonbayes_usrdf(family: ParamFamily, sampled, delta: float, atom_tol: float = ATOM_TOL) -> UsrdfPoint:
-    """Non-Bayesian universal curve: worst-case rate over ambiguity atoms.
+def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spectrum:
+    """One spectrum per atom, stacked; the worst-case curve is their largest rate.
 
-    Supported exactly when every atom is a single member (the worst-case rate
-    is then the largest member rate), or for the fixed-variance single
-    correlation family, whose worst member is the least correlated one.
+    Supported exactly when every atom is a single member (each atom then has
+    its own known spectrum), or for the fixed-variance single correlation
+    family, whose worst member is the least correlated one: a single mode
+    sigma2 (1 + r_lo^2) above the floor sigma2 (1 - r_lo^2).
     """
-    part = project_family(family, sampled, atom_tol)
+    ss = as_sampling_set(sampled)
     if all(len(atom.members) == 1 for atom in part.atoms):
-        ss = as_sampling_set(sampled)
         a = ss.zero_based()
         ac = ss.complement(family.m)
-        per = []
-        for atom in part.atoms:
-            sig = family.node_sigmas[atom.members[0]]
-            sigma_a = sig[np.ix_(a, a)]
-            cross = sig[np.ix_(a, ac)]
-            b = np.linalg.solve(sigma_a, cross)
-            g = np.eye(len(a)) + b @ b.T
-            dmin_t = max(0.0, float(np.trace(sig[np.ix_(ac, ac)])) - float(np.sum(cross * b)))
-            lam = congruent_spectrum(sigma_a, 0.5 * (g + g.T))
-            per.append((dmin_t, lam))
-        dmin = max(p[0] for p in per)
-        dmax = max(p[0] + float(np.sum(p[1])) for p in per)
-        if delta <= dmin:
-            raise InfeasibleDistortion(
-                f"delta {delta} is at or below the worst-member floor {dmin}"
-            )
-        rates = []
-        for dmin_t, lam in per:
-            budget = delta - dmin_t
-            total = float(np.sum(lam))
-            rates.append(0.0 if budget >= total * (1.0 - 1e-12) else waterfill(lam, budget).rate_bits)
-        rate = max(rates)
-        return UsrdfPoint(
-            delta=delta,
-            rate_bits=rate,
-            per_atom_delta=tuple(delta for _ in per),
-            delta_min=dmin,
-            delta_max=dmax,
-            trivial=rate == 0.0 and delta >= dmax * (1.0 - 1e-12),
-        )
+        sigs = [family.node_sigmas[atom.members[0]] for atom in part.atoms]
+        return _stack([
+            _block_spectrum(sig[np.ix_(a, a)], sig[np.ix_(a, ac)], float(np.trace(sig[np.ix_(ac, ac)])))[0]
+            for sig in sigs
+        ])
     if family.template and family.template[0] == "fixed_var_corr":
         sigma2 = float(family.template[1])
-        ss = as_sampling_set(sampled)
         if family.m != 2 or ss.k != 1:
             raise UnsupportedFamily(
                 "the fixed-variance correlation family supports m=2 with one sampled component"
@@ -382,18 +346,30 @@ def nonbayes_usrdf(family: ParamFamily, sampled, delta: float, atom_tol: float =
         r_lo = family.box[0][0]
         if r_lo <= 0.0:
             raise UnsupportedFamily("the closed form needs strictly positive correlations")
-        dmin = sigma2 * (1.0 - r_lo ** 2)
-        dmax = 2.0 * sigma2
-        if delta <= dmin:
-            raise InfeasibleDistortion(f"delta {delta} is at or below the floor {dmin}")
-        if delta >= dmax:
-            return UsrdfPoint(delta, 0.0, (delta,), dmin, dmax, trivial=True)
-        rate = 0.5 * math.log2(sigma2 * (1.0 + r_lo ** 2) / (delta - dmin))
-        return UsrdfPoint(delta, max(0.0, rate), (delta,), dmin, dmax)
+        return Spectrum(np.array([sigma2 * (1.0 - r_lo ** 2)]), np.array([[sigma2 * (1.0 + r_lo ** 2)]]))
     raise UnsupportedFamily(
         "worst-case curve is implemented for all-singleton atoms or the fixed-variance"
         " correlation family only"
     )
+
+
+def nonbayes_curve(spectra: Spectrum, deltas) -> list[UsrdfPoint]:
+    """Worst-case universal curve at each of ``deltas`` over stacked atom spectra."""
+    deltas = np.asarray(deltas, dtype=float)
+    dmin = float(np.max(spectra.delta_min))
+    dmax = float(np.max(spectra.delta_max))
+    rates = np.max(spectra.rate(deltas[:, None]), axis=-1)
+    atoms = len(spectra.delta_min)
+    return [
+        UsrdfPoint(float(d), float(r), (float(d),) * atoms, dmin, dmax, bool(r == 0.0 and d >= dmax * (1.0 - 1e-12)))
+        for d, r in zip(deltas, rates)
+    ]
+
+
+def nonbayes_usrdf(family: ParamFamily, sampled, delta: float, atom_tol: float = ATOM_TOL) -> UsrdfPoint:
+    """Non-Bayesian universal curve: worst-case rate over ambiguity atoms (see nonbayes_spectra)."""
+    part = project_family(family, sampled, atom_tol)
+    return nonbayes_curve(nonbayes_spectra(family, sampled, part), [delta])[0]
 
 
 def fixed_var_corr_family(

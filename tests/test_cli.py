@@ -150,6 +150,21 @@ class TestExitCodes:
         assert run("gmf-srdf", cfg, tmp_path) == 3
         assert "field.quadrature_under_resolved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["srdf", "distrate"])
+    @pytest.mark.parametrize("bounds", ["min: .nan, max: 2.0", "min: 0.5, max: .inf"])
+    def test_non_finite_grid_bounds(self, tmp_path, capsys, task, bounds):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(
+            "model:\n  sigma: [[1.0, 0.5], [0.5, 1.0]]\nsampling: [1]\n"
+            f"grid: {{{bounds}, count: 3}}\n",
+            encoding="utf-8",
+        )
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "curve.csv").exists()
+
     def test_unknown_family_template(self, tmp_path):
         cfg = tmp_path / "fam.yaml"
         cfg.write_text(

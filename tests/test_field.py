@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import srdf_kit.field
 from srdf_kit import (
     DomainError,
     FieldModel,
@@ -218,3 +219,19 @@ class TestPlacement:
         res = optimize_placement(fm, 1, ("min_rate_at", 0.6), restarts=3, seed=1)
         assert res.points[0] == pytest.approx(0.5, abs=5e-3)
         assert res.objective.startswith("min_rate_at")
+
+    def test_objective_reports_package_errors_as_infinite(self, monkeypatch):
+        def infeasible(field, points, delta):
+            raise InfeasibleDistortion("below the floor")
+
+        monkeypatch.setattr(srdf_kit.field, "field_srdf", infeasible)
+        res = optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)
+        assert res.value == math.inf
+
+    def test_objective_lets_other_errors_through(self, monkeypatch):
+        def broken(field, points, delta):
+            raise RuntimeError("bug in the objective")
+
+        monkeypatch.setattr(srdf_kit.field, "field_srdf", broken)
+        with pytest.raises(RuntimeError, match="bug in the objective"):
+            optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)

@@ -6,7 +6,9 @@ import pytest
 from srdf_kit import (
     BudgetOutOfRange,
     CovarianceModel,
+    EigenFailure,
     InfeasibleDistortion,
+    Spectrum,
     correlation_model,
     distortion_rate,
     eval_da,
@@ -130,6 +132,66 @@ class TestWaterfill:
         assert waterfill_inverse(lams, 0.0) == pytest.approx(3.0)
         assert waterfill_inverse(lams, 64.0) == 0.0
 
+    def test_nan_eigenvalue_is_eigen_failure(self):
+        with pytest.raises(EigenFailure):
+            waterfill([math.nan, 1.0], 0.5)
+
+    def test_infinite_eigenvalue_is_eigen_failure(self):
+        with pytest.raises(EigenFailure):
+            waterfill([math.inf, 1.0], 0.5)
+
+    def test_negative_eigenvalue_is_eigen_failure(self):
+        with pytest.raises(EigenFailure):
+            waterfill_inverse([-1.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.5])
+    def test_inverse_rejects_bad_rate(self, rate):
+        with pytest.raises(BudgetOutOfRange):
+            waterfill_inverse(np.array([2.0, 1.0]), rate)
+
+    def test_nan_budget_is_out_of_range(self):
+        with pytest.raises(BudgetOutOfRange):
+            waterfill(np.array([2.0, 1.0]), math.nan)
+
+
+class TestSpectrum:
+    def test_exact_levels_on_known_cases(self):
+        spec = Spectrum(0.0, [1.0, 4.0])
+        assert np.array_equal(spec.lambdas, [4.0, 1.0])
+        # budget 2 levels at 1 with the small mode kept whole; budget 1 splits evenly
+        assert spec.level(2.0) == 1.0
+        assert spec.level(1.0) == 0.5
+        # inverse: one bit spent on the top mode alone leaves level 1
+        assert spec.distortion(1.0) == pytest.approx(2.0, abs=1e-15)
+
+    def test_grid_matches_points(self):
+        rng = np.random.default_rng(21)
+        spec = Spectrum(0.3, rng.uniform(0.1, 5.0, size=30))
+        deltas = np.linspace(0.31, spec.delta_max, 50)
+        rates = spec.rate(deltas)
+        assert [spec.rate(float(d)) for d in deltas] == list(rates)
+        assert rates[-1] == 0.0
+        grid = np.linspace(0.0, 12.0, 40)
+        assert [spec.distortion(float(r)) for r in grid] == list(spec.distortion(grid))
+
+    def test_stacked_rows_match_single_spectra(self):
+        rng = np.random.default_rng(22)
+        lams = rng.uniform(0.1, 3.0, size=(4, 3))
+        floors = rng.uniform(0.0, 1.0, size=4)
+        stack = Spectrum(floors, lams)
+        singles = [Spectrum(f, lam) for f, lam in zip(floors, lams)]
+        delta = float(np.max(floors)) + 0.5
+        assert list(stack.rate(delta)) == [s.rate(delta) for s in singles]
+        assert list(stack.distortion(1.5)) == [s.distortion(1.5) for s in singles]
+        assert stack.rate(np.array([[delta], [delta + 1.0]])).shape == (2, 4)
+
+    def test_rate_rejects_infeasible_and_non_finite(self):
+        spec = Spectrum(1.0, [2.0, 1.0])
+        with pytest.raises(InfeasibleDistortion):
+            spec.rate(np.array([0.5, 2.0]))
+        with pytest.raises(BudgetOutOfRange):
+            spec.rate(math.nan)
+
 
 class TestSrdfCore:
     def test_weight_matrix_identity_when_independent(self):
@@ -180,6 +242,13 @@ class TestSrdfCore:
             delta = dmin + f * (dmax - dmin)
             rate = srdf(model, [2, 4], delta).rate_bits
             assert distortion_rate(model, [2, 4], rate) == pytest.approx(delta, rel=1e-8)
+
+    def test_non_finite_inputs_are_out_of_range(self):
+        model = CovarianceModel(np.array([[1.0, 0.6], [0.6, 1.0]]))
+        with pytest.raises(BudgetOutOfRange):
+            distortion_rate(model, [1], math.nan)
+        with pytest.raises(BudgetOutOfRange):
+            srdf(model, [1], math.nan)
 
     def test_eval_da_quadratic_form(self):
         g = np.array([[2.0, 0.5], [0.5, 1.0]])
