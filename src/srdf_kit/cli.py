@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import operator
 import sys
 from pathlib import Path
 
@@ -84,6 +84,30 @@ def _need(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
+def _scalar(block: dict, key: str, kind, default=None):
+    """``block[key]``, or ``default`` when given and the key is absent, as a float
+    (``kind`` float), an integer (``kind`` int, whole numbers only) or a bool."""
+    if key not in block and default is None:
+        raise ConfigParse(f"config is missing '{key}'")
+    value = block.get(key, default)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigParse(f"'{key}' must be true or false, got {value!r}")
+        return value
+    try:
+        return operator.index(value) if kind is int else float(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigParse(f"'{key}' must be {what}, got {value!r}") from exc
+
+
+def _floats(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"{what} must be numeric and rectangular: {exc}") from exc
+
+
 def _load_config(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -99,7 +123,7 @@ def _load_config(path: Path) -> dict:
 
 def _load_matrix(block: dict, base: Path, inline_key: str, csv_key: str) -> np.ndarray:
     if inline_key in block:
-        return np.asarray(block[inline_key], dtype=float)
+        return _floats(block[inline_key], f"'{inline_key}'")
     if csv_key in block:
         path = base / str(block[csv_key])
         try:
@@ -130,7 +154,7 @@ def _parse_grid(cfg: dict, key: str = "grid") -> np.ndarray:
     try:
         lo = float(block["min"])
         hi = float(block["max"])
-        count = int(block["count"])
+        count = operator.index(block["count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParse(f"'{key}' needs numeric min, max and integer count: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -159,15 +183,17 @@ def _parse_field(cfg: dict, base: Path) -> FieldModel:
         kernel = TabulatedKernel.from_mesh_csv(base / str(kb["mesh_csv"]))
     else:
         raise ConfigParse(f"unknown kernel type {ktype!r}")
-    quad_points = int(block.get("quad_points", QUAD_POINTS_DEFAULT))
-    return FieldModel(kernel=kernel, quad_points=quad_points)
+    return FieldModel(kernel=kernel, quad_points=_scalar(block, "quad_points", int, QUAD_POINTS_DEFAULT))
 
 
 def _parse_points(cfg: dict) -> FieldSamplingSet:
     block = _need(cfg, "points")
     if not isinstance(block, (list, tuple)):
         raise ConfigParse("'points' must be a list of positions in [0, 1]")
-    return FieldSamplingSet(tuple(float(p) for p in block))
+    try:
+        return FieldSamplingSet(tuple(float(p) for p in block))
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"'points' must be numbers: {exc}") from exc
 
 
 def _parse_family(cfg: dict, base: Path):
@@ -178,7 +204,7 @@ def _parse_family(cfg: dict, base: Path):
     prior = block.get("prior")
     if prior is not None and prior != "uniform":
         raise ConfigParse("config priors support 'uniform' or omit for none")
-    grid_res = int(block.get("grid_res", 33))
+    grid_res = _scalar(block, "grid_res", int, 33)
     if template == "fixed-var-corr":
         try:
             box = block["box"]
@@ -200,10 +226,14 @@ def _parse_family(cfg: dict, base: Path):
         box = block.get("box")
         if not isinstance(box, list):
             raise ConfigParse("affine family needs 'box' as a list of [lo, hi] pairs")
+        try:
+            bounds = [(float(lo), float(hi)) for lo, hi in box]
+        except (TypeError, ValueError) as exc:
+            raise ConfigParse(f"affine family needs 'box' as a list of numeric [lo, hi] pairs: {exc}") from exc
         return affine_family(
             base=base_mat,
-            directions=[np.asarray(d, dtype=float) for d in dirs],
-            box=[(float(lo), float(hi)) for lo, hi in box],
+            directions=[_floats(d, "affine 'directions'") for d in dirs],
+            box=bounds,
             prior=prior,
             grid_res=grid_res,
         )
@@ -217,7 +247,7 @@ def _parse_objective(block: dict):
     if name == "min_rate_at":
         if "delta" not in block:
             raise ConfigParse("objective min_rate_at needs 'delta'")
-        return ("min_rate_at", float(block["delta"]))
+        return ("min_rate_at", _scalar(block, "delta", float))
     raise ConfigParse(f"unknown objective {name!r}")
 
 
@@ -232,7 +262,12 @@ def _parse_sim(cfg: dict, seed_override: int | None) -> SimConfig:
     unknown = set(block) - allowed
     if unknown:
         raise ConfigParse(f"unknown sim keys: {sorted(unknown)}")
-    merged = dict(block)
+    kinds = dict.fromkeys(("n", "train_blocks", "eval_blocks", "seed", "lbg_iters", "est_length"), int)
+    kinds["trace"] = bool
+    merged = {
+        key: _scalar(block, key, kinds[key]) if key in kinds and value is not None else value
+        for key, value in block.items()
+    }
     if seed_override is not None:
         merged["seed"] = seed_override
     try:
@@ -295,7 +330,7 @@ def _run_optimize_set(cfg, base, out, args):
     if not isinstance(block, dict) or "k" not in block:
         raise ConfigParse("'search' must be a mapping with 'k'")
     objective = _parse_objective(block)
-    result = best_fixed_set(model, int(block["k"]), objective, threads=args.threads)
+    result = best_fixed_set(model, _scalar(block, "k", int), objective)
     rows = [
         (
             " ".join(str(i) for i in row.indices),
@@ -326,12 +361,11 @@ def _run_place(cfg, base, out, args):
     objective = _parse_objective(block)
     result = optimize_placement(
         fm,
-        int(block["k"]),
+        _scalar(block, "k", int),
         objective,
-        restarts=int(block.get("restarts", 16)),
-        pin_endpoints=bool(block.get("pin_endpoints", False)),
-        seed=args.seed if args.seed is not None else int(block.get("seed", 0)),
-        threads=args.threads,
+        restarts=_scalar(block, "restarts", int, 16),
+        pin_endpoints=_scalar(block, "pin_endpoints", bool, False),
+        seed=args.seed if args.seed is not None else _scalar(block, "seed", int, 0),
     )
     _write_csv(out / "points.csv", ["index", "position"], list(enumerate(result.points)))
     summary = _meta("place", args.seed)
@@ -432,18 +466,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="YAML config file")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for searches (default: SRDF_KIT_THREADS or 1)",
-    )
     args = parser.parse_args(argv)
-    if args.threads is None:
-        try:
-            args.threads = max(1, int(os.environ.get("SRDF_KIT_THREADS", "1")))
-        except ValueError:
-            args.threads = 1
 
     try:
         config_path = Path(args.config)

@@ -334,7 +334,6 @@ def optimize_placement(
     restarts: int = 16,
     pin_endpoints: bool = False,
     seed: int = 0,
-    threads: int = 1,
 ) -> PlacementResult:
     """Place k sampling points by multi-start coordinate descent.
 
@@ -387,14 +386,7 @@ def optimize_placement(
                 break
         return tuple(pts), value
 
-    if threads > 1 and restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, range(restarts)))
-    else:
-        outcomes = [run_restart(r) for r in range(restarts)]
-
+    outcomes = [run_restart(r) for r in range(restarts)]
     best_pts, best_val = outcomes[0]
     for pts, val in outcomes[1:]:
         if val < best_val:

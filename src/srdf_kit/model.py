@@ -7,6 +7,7 @@ Component labels are 1-based at the API surface (components are numbered
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
     m = sigma.shape[0]
     if m == 0:
         raise NotSquare("covariance must be nonempty")
+    if not np.isfinite(sigma).all():
+        raise NotPositiveDefinite("covariance has a non-finite entry")
     scale = np.max(np.abs(sigma))
     if scale == 0.0:
         raise NotPositiveDefinite("covariance is identically zero")
@@ -81,7 +84,10 @@ class SamplingSet:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        try:
+            object.__setattr__(self, "indices", tuple(operator.index(i) for i in self.indices))
+        except TypeError as exc:
+            raise IndexOutOfRange(f"component labels must be integers, got {self.indices}") from exc
         if len(self.indices) == 0:
             raise IndexOutOfRange("sampling set must be nonempty")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):

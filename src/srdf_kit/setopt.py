@@ -28,7 +28,7 @@ class SetSearchResult:
     rows: tuple[SubsetRow, ...]
 
 
-def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min", threads: int = 1) -> SetSearchResult:
+def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") -> SetSearchResult:
     """Enumerate all size-k subsets and keep the best under the objective.
 
     Objectives: ``"min_delta_min"`` picks the lowest estimation floor;
@@ -50,29 +50,19 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min", th
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 
-    def evaluate(subset):
-        bp = partition(model, subset)
-        if delta is None:
-            dmin = min_distortion(bp)
-            return SubsetRow(indices=subset, delta_min=dmin, rate_bits=None), dmin
-        spec = srdf_spectrum(bp)
-        rate = math.inf if delta <= spec.delta_min else spec.rate(delta)
-        return SubsetRow(indices=subset, delta_min=spec.delta_min, rate_bits=rate), rate
-
     subsets = list(combinations(range(1, model.m + 1), k))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(evaluate, subsets))
-    else:
-        outcomes = [evaluate(s) for s in subsets]
-
     rows = []
     best_idx = 0
     best_val = math.inf
-    for i, (row, val) in enumerate(outcomes):
-        rows.append(row)
+    for i, subset in enumerate(subsets):
+        bp = partition(model, subset)
+        if delta is None:
+            val = min_distortion(bp)
+            rows.append(SubsetRow(indices=subset, delta_min=val, rate_bits=None))
+        else:
+            spec = srdf_spectrum(bp)
+            val = math.inf if delta <= spec.delta_min else spec.rate(delta)
+            rows.append(SubsetRow(indices=subset, delta_min=spec.delta_min, rate_bits=val))
         if val < best_val:
             best_idx, best_val = i, val
     return SetSearchResult(

@@ -18,11 +18,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import CodebookTooLarge, DimensionMismatch, TrainingDiverged, ValidationError
-from .model import BlockPartition, CovarianceModel, as_sampling_set, partition
-from .srdf import Spectrum, srdf_spectrum, weight_matrix
+from .model import CovarianceModel, as_sampling_set, partition
+from .srdf import Spectrum, _block_spectrum
 from .universal import ParamFamily, bayes_atom_data, project_family
 
 CODEBOOK_CAP = 2 ** 18
@@ -52,6 +51,9 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if name != "trace" and value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
         if self.rate_bits < 0.0:
@@ -133,19 +135,6 @@ def _sample_cov(chol: np.ndarray, n: int, blocks: int, seed: int, stream: tuple)
     rng = _rng(seed, *stream)
     z = rng.standard_normal((blocks, chol.shape[0], n))
     return np.einsum("ij,bjt->bit", chol, z)
-
-
-def mmse_lift(bp: BlockPartition, y_a: np.ndarray) -> np.ndarray:
-    """Linear estimate of the unsampled components from a sampled reproduction.
-
-    Accepts one slot (k,) or a block (k, n); returns matching shape over the
-    complement.
-    """
-    y = np.asarray(y_a, dtype=float)
-    if y.shape[0] != bp.k:
-        raise DimensionMismatch(f"expected leading dimension {bp.k}, got {y.shape}")
-    w = np.linalg.solve(bp.sigma_a, bp.sigma_a_ac).T
-    return w @ y
 
 
 def ml_cov_estimate(x_a: np.ndarray) -> np.ndarray:
@@ -263,7 +252,7 @@ def build_code(
     train_t = np.einsum("ij,bjt->bit", t, train).transpose(0, 2, 1).reshape(train_blocks, n * k)
     cb_t, iters_run, dist = _train_codebook(train_t, j, lbg_iters, _rng(seed, _STREAM_INIT, *stream))
     flat = cb_t.reshape(j * n, k).T
-    blocks = solve_triangular(t, flat, lower=False).reshape(k, j, n).transpose(1, 0, 2)
+    blocks = np.linalg.solve(t, flat).reshape(k, j, n).transpose(1, 0, 2)
     return TrainedCode(
         transform=t,
         codebook_whitened=cb_t,
@@ -279,8 +268,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     """Train, encode, lift, and report the distortion split for one fixed source."""
     ss = as_sampling_set(sampled)
     bp = partition(model, ss)
-    g = weight_matrix(bp)
-    spec = srdf_spectrum(bp)
+    spec, g, b = _block_spectrum(bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac)))
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     rate_actual = math.log2(j) / cfg.n
@@ -293,8 +281,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     x_ac = x[:, ac, :]
     idx, d2 = code.encode(x_a)
     y_a = code.decode(idx)
-    w = np.linalg.solve(bp.sigma_a, bp.sigma_a_ac).T
-    y_ac = np.einsum("ij,bjt->bit", w, y_a)
+    y_ac = np.einsum("ij,bjt->bit", b.T, y_a)
     weighted_b = d2 / cfg.n
     samp_b = np.sum((x_a - y_a) ** 2, axis=(1, 2)) / cfg.n
     lift_b = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / cfg.n
@@ -325,25 +312,6 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     )
 
 
-def universal_encode(codes, reps: np.ndarray, x_a: np.ndarray):
-    """Estimate the sampled block, pick the nearest grid atom, encode with its code.
-
-    ``reps`` stacks the atom representatives (n_atoms, k, k).  Returns
-    (atom index, codeword index); the estimate is clamped to the grid by the
-    argmin, so far-off blocks still select a valid atom.  Ties keep the
-    lowest atom index.
-    """
-    x = np.asarray(x_a, dtype=float)
-    theta_hat = ml_cov_estimate(x)
-    dists = np.linalg.norm(reps - theta_hat[None, :, :], axis=(1, 2))
-    sel = int(np.argmin(dists))
-    code = codes[sel]
-    if x.shape != (code.k, code.n):
-        raise DimensionMismatch(f"block shape {x.shape} does not match the code ({code.k}, {code.n})")
-    idx, _ = code.encode(x[None, :, :])
-    return sel, int(idx[0])
-
-
 def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimReport:
     """Universal two-step coding over a family: estimate the atom, then code within it.
 
@@ -368,7 +336,6 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         build_code(d.sigma_a, d.g_tau1, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
         for i, d in enumerate(data)
     ]
-    lifts = [np.linalg.solve(d.sigma_a, d.sigma_a_ac_bar).T for d in data]
     reps = np.stack([d.sigma_a for d in data])
 
     nodes_n = len(family.nodes)
@@ -388,13 +355,13 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         x = chols[node] @ rng.standard_normal((family.m, cfg.est_length))
         x_a = x[a]
         x_ac = x[ac]
-        theta_hat = x_a @ x_a.T / cfg.est_length
+        theta_hat = ml_cov_estimate(x_a)
         sel = int(np.argmin(np.linalg.norm(reps - theta_hat[None, :, :], axis=(1, 2))))
         hits[t] = float(np.linalg.norm(theta_hat - node_block[node])) <= 2.0 * cfg.grid_delta
         xb = x_a.reshape(ss.k, blocks_per_trial, cfg.n).transpose(1, 0, 2)
         idx, d2 = codes[sel].encode(xb)
         y_a = codes[sel].decode(idx).transpose(1, 0, 2).reshape(ss.k, cfg.est_length)
-        y_ac = lifts[sel] @ y_a
+        y_ac = data[sel].lift.T @ y_a
         weighted_t[t] = float(np.sum(d2)) / cfg.est_length
         samp = float(np.sum((x_a - y_a) ** 2))
         lift_t[t] = float(np.sum((x_ac - y_ac) ** 2)) / cfg.est_length

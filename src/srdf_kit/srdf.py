@@ -173,13 +173,17 @@ class Spectrum:
 
 
 def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac: float):
-    """(Spectrum, weight matrix) of a sampled block with cross covariance ``cross``
-    to the unsampled components, whose variances sum to ``trace_ac``."""
+    """(Spectrum, weight matrix, lift) of a sampled block with cross covariance
+    ``cross`` to the unsampled components, whose variances sum to ``trace_ac``.
+
+    The lift b = Sigma_A^{-1} cross is the linear estimate's coefficient: the
+    unsampled components are estimated as b^T times the sampled block.
+    """
     b = _solve_sigma_a(sigma_a, cross)
     g = np.eye(len(sigma_a)) + b @ b.T
     g = 0.5 * (g + g.T)
     floor = max(0.0, trace_ac - float(np.sum(cross * b)))
-    return Spectrum(floor, congruent_spectrum(sigma_a, g)), g
+    return Spectrum(floor, congruent_spectrum(sigma_a, g)), g, b
 
 
 def srdf_spectrum(bp: BlockPartition) -> Spectrum:

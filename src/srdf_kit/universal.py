@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BudgetOutOfRange,
+    DimensionMismatch,
     EmptyAtom,
     EmptyGrid,
     GridTooLarge,
@@ -105,8 +106,8 @@ def _materialize(box, prior, grid_res):
         raw = vol.copy()
     elif callable(prior):
         dens = np.array([float(prior(tuple(t))) for t in nodes])
-        if np.min(dens) < 0.0:
-            raise NoPrior("prior density must be nonnegative")
+        if not (np.isfinite(dens).all() and np.min(dens) >= 0.0):
+            raise NoPrior("prior density must be finite and nonnegative")
         raw = dens * vol
     else:
         raise NoPrior(f"prior must be None, 'uniform', or a callable density, got {prior!r}")
@@ -199,12 +200,12 @@ class BayesAtomData:
 
     The cross block and unsampled variances are prior-weighted averages over
     the atom's members; within the atom the sampled block is common, so the
-    best unsampled estimate is linear with these averaged coefficients.
+    best unsampled estimate is linear, b^T times the sampled block, with
+    ``lift`` b = Sigma_A^{-1} times the averaged cross block.
     """
 
     sigma_a: np.ndarray
-    sigma_a_ac_bar: np.ndarray
-    var_ac_bar: np.ndarray
+    lift: np.ndarray
     g_tau1: np.ndarray
     delta_min: float
     lambdas: np.ndarray
@@ -230,11 +231,10 @@ def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesA
     sigma_a = 0.5 * (sigma_a + sigma_a.T)
     cross = np.tensordot(w, sig[:, a[:, None], ac[None, :]], axes=(0, 0))
     var_ac = np.tensordot(w, sig[:, ac, ac], axes=(0, 0))
-    spec, g = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
+    spec, g, b = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
     return BayesAtomData(
         sigma_a=sigma_a,
-        sigma_a_ac_bar=cross,
-        var_ac_bar=np.atleast_1d(var_ac),
+        lift=b,
         g_tau1=g,
         delta_min=spec.delta_min,
         lambdas=spec.lambdas,
@@ -242,13 +242,8 @@ def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesA
     )
 
 
-def rho_bayes(data: BayesAtomData, delta: float) -> float:
-    """Bayesian rate of one atom at per-atom distortion ``delta``."""
-    return Spectrum(data.delta_min, data.lambdas).rate(delta)
-
-
 def atom_distortion_at_rate(data: BayesAtomData, rate_bits: float) -> float:
-    """Inverse of rho_bayes: per-atom distortion when the atom spends ``rate_bits``."""
+    """Per-atom distortion when the atom spends ``rate_bits``."""
     return Spectrum(data.delta_min, data.lambdas).distortion(rate_bits)
 
 
@@ -411,6 +406,8 @@ def affine_family(
         raise UnsupportedFamily(
             f"got {len(dirs)} direction matrices for a {len(box)}-dimensional box"
         )
+    if any(d.shape != base.shape for d in dirs):
+        raise DimensionMismatch(f"every direction matrix must have the base's shape {base.shape}")
 
     def cov_at(tau):
         s = base.copy()

@@ -15,6 +15,11 @@ CONFIGS = REPO / "configs"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+MODEL = "model:\n  sigma: [[1.0, 0.5], [0.5, 1.0]]\n"
+FIELD = "field:\n  kernel: {type: gauss-markov, p: 0.5}\n"
+GRID = "grid: {min: 1.0, max: 1.5, count: 2}\n"
+
+
 def run(task, config, out, extra=()):
     return main([task, "--config", str(config), "--out", str(out), *extra])
 
@@ -165,6 +170,40 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "curve.csv").exists()
 
+    @pytest.mark.parametrize(
+        "task,config",
+        [
+            pytest.param("usrdf-bayes", "family: {template: fixed-var-corr, sigma2: 1.0, box: [[0.2, 0.8]],"
+                         f" prior: uniform, grid_res: many}}\nsampling: [1]\n{GRID}", id="family.grid_res"),
+            pytest.param("gmf-srdf", f"{FIELD}  quad_points: lots\npoints: [0.5]\n{GRID}", id="field.quad_points"),
+            pytest.param("optimize-set", f"{MODEL}search: {{k: two}}\n", id="search.k"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: few}}\n", id="placement.restarts"),
+            pytest.param("optimize-set", f"{MODEL}search: {{k: 1, objective: min_rate_at, delta: big}}\n",
+                         id="objective.delta"),
+            pytest.param("gmf-srdf", f"{FIELD}points: [0.2, abc]\n{GRID}", id="points"),
+            pytest.param("srdf", f"{MODEL}sampling: [one]\n{GRID}", id="sampling"),
+            pytest.param("srdf", f"{MODEL}sampling: [1.5]\n{GRID}", id="sampling-fraction"),
+            pytest.param("srdf", f"model:\n  sigma: [[1.0, 0.5], [0.5]]\nsampling: [1]\n{GRID}", id="model.sigma"),
+            pytest.param("srdf", f"model:\n  sigma: [[.nan, 0.0], [0.0, 1.0]]\nsampling: [1]\n{GRID}",
+                         id="model.sigma-nan"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{rate_bits: .nan}}\n", id="sim.rate_bits"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{lbg_iters: 2.5}}\n", id="sim.lbg_iters"),
+            pytest.param("srdf", f"{MODEL}sampling: [1]\ngrid: {{min: 1.0, max: 1.5, count: 2.7}}\n", id="grid.count"),
+            pytest.param("place", f"{FIELD}placement: {{k: 3, pin_endpoints: 'false'}}\n", id="placement.pin_endpoints"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{trace: 'no'}}\n", id="sim.trace"),
+            pytest.param("usrdf-bayes", "family: {template: affine, base: [[1.0, 0.3], [0.3, 1.0]],"
+                         " directions: [[[1.0]]], box: [[0.0, 0.4]], prior: uniform, grid_res: 3}\n"
+                         f"sampling: [1]\n{GRID}", id="family.directions"),
+        ],
+    )
+    def test_malformed_config_value_is_validation(self, tmp_path, capsys, task, config):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error ["), err
+        assert "Traceback" not in err
+
     def test_unknown_family_template(self, tmp_path):
         cfg = tmp_path / "fam.yaml"
         cfg.write_text(
@@ -242,6 +281,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "curve.csv").exists()
+
+    def test_cli_import_leaves_out_removed_dependencies(self):
+        probe = "import sys, srdf_kit.cli; print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

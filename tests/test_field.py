@@ -208,12 +208,6 @@ class TestPlacement:
         r2 = optimize_placement(fm, 2, "min_delta_min", restarts=3, seed=5)
         assert r1.points == r2.points and r1.value == r2.value
 
-    def test_threads_match_serial(self):
-        fm = gm_field(0.5, quad_points=256)
-        r1 = optimize_placement(fm, 2, "min_delta_min", restarts=4, seed=2, threads=1)
-        r2 = optimize_placement(fm, 2, "min_delta_min", restarts=4, seed=2, threads=4)
-        assert r1.points == r2.points
-
     def test_min_rate_objective(self):
         fm = gm_field(0.5, quad_points=256)
         res = optimize_placement(fm, 1, ("min_rate_at", 0.6), restarts=3, seed=1)

@@ -55,6 +55,13 @@ class TestValidateCovariance:
         with pytest.raises(NotPositiveDefinite):
             validate_covariance(v @ v.T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotPositiveDefinite):
+            validate_covariance(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            CovarianceModel(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestCovarianceModel:
     def test_frozen_and_readonly(self):
@@ -86,7 +93,7 @@ class TestSamplingSet:
         assert as_sampling_set(ss) is ss
         assert as_sampling_set([1, 2]).indices == (1, 2)
 
-    @pytest.mark.parametrize("bad", [(), (0,), (2, 1), (1, 1), (-1,)])
+    @pytest.mark.parametrize("bad", [(), (0,), (2, 1), (1, 1), (-1,), (1.5,), (1, 2.0), ("one",)])
     def test_rejects_bad_sets(self, bad):
         with pytest.raises(IndexOutOfRange):
             SamplingSet(bad)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srdf_kit import (
@@ -24,6 +24,7 @@ from srdf_kit import (
     nonbayes_usrdf,
     partition,
     srdf,
+    srdf_spectrum,
     waterfill,
 )
 from srdf_kit.cli import main
@@ -95,6 +96,29 @@ def test_rate_is_monotone_and_convex(lams, floor):
     tol = 1e-9 * max(1.0, float(np.max(rates)))
     assert np.all(np.diff(rates) <= tol)
     assert np.all(np.diff(rates, 2) >= -tol)
+
+
+@PROPERTY
+@given(seeds, st.floats(0.01, 1.05))
+def test_adding_a_sample_never_hurts(seed, fraction):
+    model, sampled = case(seed)
+    rest = sorted(set(range(1, model.m + 1)) - set(sampled))
+    assume(rest)
+    fewer = srdf_spectrum(partition(model, sampled))
+    more = srdf_spectrum(partition(model, sorted(sampled + [rest[seed % len(rest)]])))
+    assert more.delta_min <= fewer.delta_min + 1e-9
+    delta = fewer.delta_min + fraction * (max_distortion(model) - fewer.delta_min)
+    assert more.rate(delta) <= fewer.rate(delta) + 1e-9
+
+
+@PROPERTY
+@given(seeds, st.floats(0.01, 1.05))
+def test_sampled_curve_lies_on_or_above_the_fully_observed_curve(seed, fraction):
+    model, sampled = case(seed)
+    spec = srdf_spectrum(partition(model, sampled))
+    full = srdf_spectrum(partition(model, range(1, model.m + 1)))
+    delta = spec.delta_min + fraction * (max_distortion(model) - spec.delta_min)
+    assert spec.rate(delta) >= full.rate(delta) - 1e-9
 
 
 @CLI_PROPERTY

@@ -82,13 +82,6 @@ class TestBestFixedSet:
         res = best_fixed_set(model, 1, "min_delta_min")
         assert res.best.indices == (1,)
 
-    def test_threads_match_serial(self):
-        rng = np.random.default_rng(42)
-        model = random_model(rng, 5)
-        a = best_fixed_set(model, 2, "min_delta_min", threads=1)
-        b = best_fixed_set(model, 2, "min_delta_min", threads=4)
-        assert a.best.indices == b.best.indices and a.value == b.value
-
     def test_all_infeasible_keeps_first(self):
         model = CovarianceModel(np.eye(3))
         res = best_fixed_set(model, 1, ("min_rate_at", 0.5))

@@ -1,8 +1,8 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from srdf_kit import (
     CodebookTooLarge,
@@ -15,23 +15,26 @@ from srdf_kit import (
     max_distortion,
     min_distortion,
     ml_cov_estimate,
-    mmse_lift,
     partition,
     sample_gmms,
     two_step_code,
     universal_two_step,
 )
+from srdf_kit.srdf import _block_spectrum
 
 from conftest import random_model
+
+NORM = NormalDist()
 
 
 def lloyd_max_mse(levels, iters=300):
     """Optimal scalar quantizer MSE for N(0,1) by fixed-point iteration."""
-    c = norm.ppf((np.arange(levels) + 0.5) / levels)
+    ppf, cdf, pdf = (np.vectorize(f) for f in (NORM.inv_cdf, NORM.cdf, NORM.pdf))
+    c = ppf((np.arange(levels) + 0.5) / levels)
     for _ in range(iters):
         t = np.concatenate(([-np.inf], 0.5 * (c[:-1] + c[1:]), [np.inf]))
-        prob = norm.cdf(t[1:]) - norm.cdf(t[:-1])
-        c = (norm.pdf(t[:-1]) - norm.pdf(t[1:])) / prob
+        prob = cdf(t[1:]) - cdf(t[:-1])
+        c = (pdf(t[:-1]) - pdf(t[1:])) / prob
     return 1.0 - float(np.sum(prob * c ** 2))
 
 
@@ -58,6 +61,12 @@ class TestConfig:
             {"lbg_iters": 0},
             {"grid_delta": 0.0},
             {"est_length": 0},
+            {"rate_bits": math.nan},
+            {"rate_bits": math.inf},
+            {"grid_delta": math.nan},
+            {"n": math.nan},
+            {"eval_blocks": math.inf},
+            {"train_blocks": math.nan},
         ],
     )
     def test_field_validation(self, kwargs):
@@ -81,11 +90,12 @@ class TestBuildingBlocks:
         c = sample_gmms(model, 3, 10, seed=10)
         assert not np.array_equal(a, c)
 
-    def test_mmse_lift_coefficients(self):
+    def test_block_lift_coefficients(self):
         sig = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.3], [0.6, 0.3, 1.0]])
         bp = partition(CovarianceModel(sig), [1, 2])
+        _, _, lift = _block_spectrum(bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac)))
         y = np.array([2.0, -1.0])
-        assert mmse_lift(bp, y) == pytest.approx([0.6 * 2.0 + 0.3 * -1.0])
+        assert lift.T @ y == pytest.approx([0.6 * 2.0 + 0.3 * -1.0])
 
     def test_ml_cov_estimate(self):
         rng = np.random.default_rng(4)

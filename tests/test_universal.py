@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srdf_kit import (
+    DimensionMismatch,
     InfeasibleDistortion,
     NoPrior,
     UnsupportedFamily,
@@ -55,6 +56,15 @@ class TestFamilyGrid:
         assert fam.m == 2
         got = fam.cov_at((0.4, 0.0))
         assert np.allclose(got, BASE + 0.4 * E1)
+
+    @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
+    def test_bad_prior_density_is_no_prior(self, density):
+        with pytest.raises(NoPrior):
+            affine_family(BASE, [E1], [(0.0, 0.4)], prior=lambda tau: density, grid_res=3)
+
+    def test_direction_shape_must_match_base(self):
+        with pytest.raises(DimensionMismatch):
+            affine_family(BASE, [np.eye(3)], [(0.0, 0.4)], prior="uniform", grid_res=3)
 
     def test_no_prior_means_no_weights(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
