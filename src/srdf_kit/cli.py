@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigParse, NumericalError, SrdfKitError, ValidationError
+from .errors import ConfigParse, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
 from .field import (
     QUAD_POINTS_DEFAULT,
     FieldModel,
@@ -247,7 +247,10 @@ def _parse_objective(block: dict):
     if name == "min_rate_at":
         if "delta" not in block:
             raise ConfigParse("objective min_rate_at needs 'delta'")
-        return ("min_rate_at", _scalar(block, "delta", float))
+        delta = _scalar(block, "delta", float)
+        if not math.isfinite(delta):
+            raise ConfigParse(f"objective min_rate_at needs a finite 'delta', got {delta}")
+        return ("min_rate_at", delta)
     raise ConfigParse(f"unknown objective {name!r}")
 
 
@@ -331,6 +334,8 @@ def _run_optimize_set(cfg, base, out, args):
         raise ConfigParse("'search' must be a mapping with 'k'")
     objective = _parse_objective(block)
     result = best_fixed_set(model, _scalar(block, "k", int), objective)
+    if math.isinf(result.value):
+        raise InfeasibleDistortion(f"no subset meets the objective {result.objective}")
     rows = [
         (
             " ".join(str(i) for i in row.indices),
@@ -367,6 +372,8 @@ def _run_place(cfg, base, out, args):
         pin_endpoints=_scalar(block, "pin_endpoints", bool, False),
         seed=args.seed if args.seed is not None else _scalar(block, "seed", int, 0),
     )
+    if math.isinf(result.value):
+        raise InfeasibleDistortion(f"no placement meets the objective {result.objective}")
     _write_csv(out / "points.csv", ["index", "position"], list(enumerate(result.points)))
     summary = _meta("place", args.seed)
     summary.update(

@@ -89,6 +89,8 @@ class TabulatedKernel:
             n = int(rows[0][0])
         except (ValueError, IndexError) as exc:
             raise DomainError(f"mesh file {path} must start with a header line holding N") from exc
+        if n < 2:
+            raise DomainError(f"mesh file {path} must have N >= 2, got {n}")
         if len(rows) - 1 != n * n:
             raise DomainError(f"mesh file {path} must hold N*N={n * n} rows, got {len(rows) - 1}")
         vals = np.full((n, n), np.nan)
@@ -159,18 +161,19 @@ def _segment_nodes_weights(points: tuple[float, ...], n_panels: int, min_panels:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _quad_pair(field: FieldModel, points, integrand):
-    """Evaluate ``integrand(u) @ weights`` at full and half resolution.
+def _quad_pair(field: FieldModel, points, integrals):
+    """``integrals(u, w)`` on the full- and on the half-resolution nodes u with weights w.
 
-    Raises when the two disagree beyond the relative consistency tolerance;
-    returns the full-resolution value.
+    ``_resolved`` checks each full-resolution result against its half.
     """
-    results = []
-    for n_panels, min_panels in ((field.quad_points, 8), (field.quad_points // 2, 4)):
-        u, w = _segment_nodes_weights(points, n_panels, min_panels)
-        vals = integrand(u)
-        results.append(np.tensordot(w, vals, axes=(0, 0)))
-    full, half = results
+    return [
+        integrals(*_segment_nodes_weights(points, n_panels, min_panels))
+        for n_panels, min_panels in ((field.quad_points, 8), (field.quad_points // 2, 4))
+    ]
+
+
+def _resolved(field: FieldModel, full, half):
+    """``full``, once it agrees with ``half`` within the relative consistency tolerance."""
     scale = max(1e-300, float(np.max(np.abs(full))))
     gap = float(np.max(np.abs(full - half)))
     if gap > QUAD_CONSISTENCY_TOL * scale:
@@ -188,61 +191,53 @@ def field_gram(field: FieldModel, points) -> np.ndarray:
     return validate_covariance(gram)
 
 
-def field_weight_matrix(field: FieldModel, points) -> np.ndarray:
-    """Weight matrix on the sampled block, with the cross mass integrated over u."""
+def _field_block(field: FieldModel, points):
+    """(Sigma_A, M, floor) of the field sampled at ``points``, from one quadrature pair.
+
+    M = integral of c(u) c(u)^T du is the cross mass, with c(u) the kernel
+    between u and the samples, and the floor is the integrated variance
+    left after the linear estimate, integral of var(u) du - tr(Sigma_A^{-1} M).
+    Both are checked at half resolution.
+    """
     fp = _as_field_points(points)
     pts = np.asarray(fp.points)
     sigma_a = field_gram(field, fp)
 
-    def integrand(u):
+    def integrals(u, w):
         c = field.kernel.corr(u[:, None], pts[None, :])
-        return c[:, :, None] * c[:, None, :]
+        m_mat = np.tensordot(w, c[:, :, None] * c[:, None, :], axes=(0, 0))
+        explained = float(np.trace(np.linalg.solve(sigma_a, m_mat)))
+        return m_mat, float(w @ field.kernel.corr(u, u)) - explained
 
-    m_mat = _quad_pair(field, fp.points, integrand)
-    inv_m = np.linalg.solve(sigma_a, np.linalg.solve(sigma_a, m_mat).T)
-    return 0.5 * (inv_m + inv_m.T)
+    full, half = _quad_pair(field, fp.points, integrals)
+    m_mat, floor = (_resolved(field, f, h) for f, h in zip(full, half))
+    return sigma_a, m_mat, max(0.0, floor)
 
 
 def field_min_distortion(field: FieldModel, points) -> float:
     """Estimation floor: integrated variance left after conditioning on the samples."""
-    fp = _as_field_points(points)
-    pts = np.asarray(fp.points)
-    sigma_a = field_gram(field, fp)
-
-    def integrand(u):
-        c = field.kernel.corr(u[:, None], pts[None, :])
-        q = np.einsum("ui,iu->u", c, np.linalg.solve(sigma_a, c.T))
-        resid = field.kernel.corr(u, u) - q
-        return np.maximum(resid, 0.0)
-
-    return max(0.0, float(_quad_pair(field, fp.points, integrand)))
+    return _field_block(field, points)[2]
 
 
 def field_max_distortion(field: FieldModel) -> float:
     """Integrated variance of the field; the zero-rate distortion."""
-    return float(_quad_pair(field, (), lambda u: field.kernel.corr(u, u)))
-
-
-def field_spectrum(field: FieldModel, points) -> np.ndarray:
-    """Eigenvalues of the weighted sampled covariance, descending."""
-    fp = _as_field_points(points)
-    return congruent_spectrum(field_gram(field, fp), field_weight_matrix(field, fp))
+    full, half = _quad_pair(field, (), lambda u, w: np.tensordot(w, field.kernel.corr(u, u), axes=(0, 0)))
+    return float(_resolved(field, full, half))
 
 
 def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
-    """Floor and weighted spectrum of the field sampled at ``points``: its whole curve."""
-    fp = _as_field_points(points)
-    lam = field_spectrum(field, fp)
-    return Spectrum(field_min_distortion(field, fp), lam)
+    """Floor and weighted spectrum of the field sampled at ``points``: its whole curve.
+
+    The weight on the sampled block is G = Sigma_A^{-1} M Sigma_A^{-1}.
+    """
+    sigma_a, m_mat, floor = _field_block(field, points)
+    g = np.linalg.solve(sigma_a, np.linalg.solve(sigma_a, m_mat).T)
+    return Spectrum(floor, congruent_spectrum(sigma_a, 0.5 * (g + g.T)))
 
 
 def field_srdf(field: FieldModel, points, delta: float) -> SrdfPoint:
     """Rate distortion function of the field sampled at ``points``."""
     return _srdf_point(field_srdf_spectrum(field, points), delta)
-
-
-def field_distortion_rate(field: FieldModel, points, rate_bits: float) -> float:
-    return field_srdf_spectrum(field, points).distortion(rate_bits)
 
 
 def gm_segment_explained(p: float, length: float) -> float:
@@ -347,6 +342,8 @@ def optimize_placement(
         raise DomainError(f"need at least one point, got k={k}")
     if pin_endpoints and k < 2:
         raise DomainError("pinned placement needs k >= 2")
+    if restarts < 1:
+        raise DomainError(f"need at least one restart, got restarts={restarts}")
     obj_fn, obj_name = _placement_objective(field, objective)
 
     def run_restart(r: int):

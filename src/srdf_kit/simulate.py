@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CodebookTooLarge, DimensionMismatch, TrainingDiverged, ValidationError
 from .model import CovarianceModel, as_sampling_set, partition
-from .srdf import Spectrum, _block_spectrum
+from .srdf import _block_spectrum, _blocks
 from .universal import ParamFamily, bayes_atom_data, project_family
 
 CODEBOOK_CAP = 2 ** 18
@@ -268,7 +268,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     """Train, encode, lift, and report the distortion split for one fixed source."""
     ss = as_sampling_set(sampled)
     bp = partition(model, ss)
-    spec, g, b = _block_spectrum(bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac)))
+    spec, g, b = _block_spectrum(*_blocks(bp))
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     rate_actual = math.log2(j) / cfg.n
@@ -373,7 +373,7 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     bad_cap = math.sqrt(bad_mass * float(np.mean(total_t ** 2)))
     overhead = math.log2(len(data)) / cfg.est_length if len(data) > 1 else 0.0
     code_rate = math.log2(j) / cfg.n
-    analytic = sum(d.weight * Spectrum(d.delta_min, d.lambdas).distortion(code_rate) for d in data)
+    analytic = sum(d.weight * d.spectrum.distortion(code_rate) for d in data)
 
     trace = None
     if cfg.trace:
@@ -389,7 +389,7 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         seed=cfg.seed,
         train_blocks=train_blocks,
         eval_blocks=trials,
-        delta_min=sum(d.weight * d.delta_min for d in data),
+        delta_min=sum(d.weight * d.spectrum.delta_min for d in data),
         analytic_distortion_at_rate=analytic,
         total_mse=_mean_ci(total_t),
         weighted_mse=_mean_ci(weighted_t),

@@ -37,6 +37,22 @@ def _solve_sigma_a(sigma_a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSigmaA(f"sampled-block covariance is singular: {exc}") from exc
 
 
+def _lift(sigma_a: np.ndarray, cross: np.ndarray, trace_ac: float):
+    """(lift, floor) of a sampled block with cross covariance ``cross`` to the
+    unsampled components, whose variances sum to ``trace_ac``.
+
+    The lift b = Sigma_A^{-1} cross is the linear estimate's coefficient: the
+    unsampled components are estimated as b^T times the sampled block, which
+    leaves the floor trace_ac - <cross, b> of their variance unexplained.
+    """
+    b = _solve_sigma_a(sigma_a, cross)
+    return b, max(0.0, trace_ac - float(np.sum(cross * b)))
+
+
+def _blocks(bp: BlockPartition):
+    return bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac))
+
+
 def weight_matrix(bp: BlockPartition) -> np.ndarray:
     """Distortion weight on the sampled block.
 
@@ -44,16 +60,12 @@ def weight_matrix(bp: BlockPartition) -> np.ndarray:
     the sampled reproduction under G accounts for the error the linear
     estimate of the unsampled components inherits from it.
     """
-    b = _solve_sigma_a(bp.sigma_a, bp.sigma_a_ac)
-    g = np.eye(bp.k) + b @ b.T
-    return 0.5 * (g + g.T)
+    return _block_spectrum(*_blocks(bp))[1]
 
 
 def min_distortion(bp: BlockPartition) -> float:
     """Estimation floor: total MSE of the best unsampled-from-sampled estimate."""
-    b = _solve_sigma_a(bp.sigma_a, bp.sigma_a_ac)
-    explained = float(np.sum(bp.sigma_a_ac * b))
-    return max(0.0, float(np.trace(bp.sigma_ac)) - explained)
+    return _lift(*_blocks(bp))[1]
 
 
 def max_distortion(model: CovarianceModel) -> float:
@@ -83,7 +95,7 @@ def congruent_spectrum(sigma_a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def srdf_eigenvalues(bp: BlockPartition) -> np.ndarray:
     """Eigenvalues of G_A Sigma_A, descending; real and positive by construction."""
-    return congruent_spectrum(bp.sigma_a, weight_matrix(bp))
+    return srdf_spectrum(bp).lambdas
 
 
 def _scalar(x):
@@ -173,22 +185,16 @@ class Spectrum:
 
 
 def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac: float):
-    """(Spectrum, weight matrix, lift) of a sampled block with cross covariance
-    ``cross`` to the unsampled components, whose variances sum to ``trace_ac``.
-
-    The lift b = Sigma_A^{-1} cross is the linear estimate's coefficient: the
-    unsampled components are estimated as b^T times the sampled block.
-    """
-    b = _solve_sigma_a(sigma_a, cross)
+    """(Spectrum, weight matrix, lift) of a sampled block; arguments as in ``_lift``."""
+    b, floor = _lift(sigma_a, cross, trace_ac)
     g = np.eye(len(sigma_a)) + b @ b.T
     g = 0.5 * (g + g.T)
-    floor = max(0.0, trace_ac - float(np.sum(cross * b)))
     return Spectrum(floor, congruent_spectrum(sigma_a, g)), g, b
 
 
 def srdf_spectrum(bp: BlockPartition) -> Spectrum:
     """Floor and weighted spectrum of a sampling set: its whole rate distortion curve."""
-    return _block_spectrum(bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac)))[0]
+    return _block_spectrum(*_blocks(bp))[0]
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,8 @@ class BayesAtomData:
     sigma_a: np.ndarray
     lift: np.ndarray
     g_tau1: np.ndarray
-    delta_min: float
-    lambdas: np.ndarray
+    spectrum: Spectrum
     weight: float
-
-    @property
-    def delta_max(self) -> float:
-        return self.delta_min + float(np.sum(self.lambdas))
 
 
 def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesAtomData:
@@ -232,19 +227,7 @@ def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesA
     cross = np.tensordot(w, sig[:, a[:, None], ac[None, :]], axes=(0, 0))
     var_ac = np.tensordot(w, sig[:, ac, ac], axes=(0, 0))
     spec, g, b = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
-    return BayesAtomData(
-        sigma_a=sigma_a,
-        lift=b,
-        g_tau1=g,
-        delta_min=spec.delta_min,
-        lambdas=spec.lambdas,
-        weight=float(atom.weight),
-    )
-
-
-def atom_distortion_at_rate(data: BayesAtomData, rate_bits: float) -> float:
-    """Per-atom distortion when the atom spends ``rate_bits``."""
-    return Spectrum(data.delta_min, data.lambdas).distortion(rate_bits)
+    return BayesAtomData(sigma_a=sigma_a, lift=b, g_tau1=g, spectrum=spec, weight=float(atom.weight))
 
 
 @dataclass(frozen=True)
@@ -258,7 +241,7 @@ class UsrdfPoint:
 
 
 def _stack(spectra) -> Spectrum:
-    """One stacked Spectrum from items with ``delta_min`` and ``lambdas`` of one size."""
+    """One stacked Spectrum from single spectra with the same number of modes."""
     return Spectrum(np.array([s.delta_min for s in spectra]), np.stack([s.lambdas for s in spectra]))
 
 
@@ -273,10 +256,10 @@ def bayes_curve(data, deltas) -> list[UsrdfPoint]:
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.isfinite(deltas)):
         raise BudgetOutOfRange(f"distortion must be finite, got {deltas}")
-    atoms = _stack(data)
+    atoms = _stack([d.spectrum for d in data])
     w = np.array([d.weight for d in data])
-    dmin = sum(d.weight * d.delta_min for d in data)
-    dmax = sum(d.weight * d.delta_max for d in data)
+    dmin = sum(d.weight * d.spectrum.delta_min for d in data)
+    dmax = sum(d.weight * d.spectrum.delta_max for d in data)
     if np.any(deltas <= dmin):
         raise InfeasibleDistortion(
             f"delta {np.min(deltas)} is at or below the prior-averaged floor {dmin}"

@@ -178,6 +178,8 @@ class TestExitCodes:
             pytest.param("gmf-srdf", f"{FIELD}  quad_points: lots\npoints: [0.5]\n{GRID}", id="field.quad_points"),
             pytest.param("optimize-set", f"{MODEL}search: {{k: two}}\n", id="search.k"),
             pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: few}}\n", id="placement.restarts"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: 0}}\n", id="placement.restarts-zero"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: -3}}\n", id="placement.restarts-negative"),
             pytest.param("optimize-set", f"{MODEL}search: {{k: 1, objective: min_rate_at, delta: big}}\n",
                          id="objective.delta"),
             pytest.param("gmf-srdf", f"{FIELD}points: [0.2, abc]\n{GRID}", id="points"),
@@ -204,6 +206,38 @@ class TestExitCodes:
         assert err.startswith("error ["), err
         assert "Traceback" not in err
 
+    def test_negative_mesh_size_is_validation(self, tmp_path, capsys):
+        (tmp_path / "mesh.csv").write_text("-2\n0,0,1.0\n0,1,0.5\n1,0,0.5\n1,1,1.0\n", encoding="utf-8")
+        cfg = tmp_path / "mesh.yaml"
+        cfg.write_text(f"field:\n  kernel: {{type: tabulated, mesh_csv: mesh.csv}}\npoints: [0.5]\n{GRID}",
+                       encoding="utf-8")
+        assert run("gmf-srdf", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [field.domain_error]"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "task,config,code",
+        [
+            pytest.param("place", f"{FIELD}  quad_points: 256\n"
+                         "placement: {k: 2, restarts: 1, objective: min_rate_at, delta: .nan}\n",
+                         "cli.config_parse", id="place-nan-delta"),
+            pytest.param("optimize-set", f"{MODEL}search: {{k: 1, objective: min_rate_at, delta: 0.1}}\n",
+                         "srdf.infeasible_distortion", id="optimize-set-below-every-floor"),
+            pytest.param("place", f"{FIELD}  quad_points: 256\n"
+                         "placement: {k: 2, restarts: 1, objective: min_rate_at, delta: 0.01}\n",
+                         "srdf.infeasible_distortion", id="place-below-every-floor"),
+        ],
+    )
+    def test_unmet_objective_writes_nothing(self, tmp_path, capsys, task, config, code):
+        cfg = tmp_path / "target.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{code}]"), err
+        assert "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_unknown_family_template(self, tmp_path):
         cfg = tmp_path / "fam.yaml"
         cfg.write_text(
@@ -214,6 +248,7 @@ class TestExitCodes:
 
 
 SCRIPT = "srdf-kit"
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 def child_env():
@@ -305,3 +340,10 @@ class TestEntryPoint:
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

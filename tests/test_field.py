@@ -11,12 +11,11 @@ from srdf_kit import (
     GaussMarkovKernel,
     InfeasibleDistortion,
     TabulatedKernel,
-    field_distortion_rate,
     field_gram,
     field_max_distortion,
     field_min_distortion,
-    field_spectrum,
     field_srdf,
+    field_srdf_spectrum,
     gm_min_distortion_pinned,
     gm_min_distortion_single,
     gm_segment_explained,
@@ -75,6 +74,13 @@ class TestKernels:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         kern = TabulatedKernel.from_mesh_csv(path)
         assert np.allclose(kern.values, vals)
+
+    def test_mesh_csv_negative_size(self, tmp_path):
+        # four rows match N*N = 4, so only the size check stops the file
+        path = tmp_path / "mesh.csv"
+        path.write_text("-2\n0,0,1.0\n0,1,0.5\n1,0,0.5\n1,1,1.0\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="N >= 2"):
+            TabulatedKernel.from_mesh_csv(path)
 
     def test_mesh_csv_missing_entry(self, tmp_path):
         path = tmp_path / "mesh.csv"
@@ -147,7 +153,7 @@ class TestFieldSrdfProperties:
     def test_spectrum_sum_identity(self):
         fm = gm_field(0.4)
         pts = FieldSamplingSet((0.2, 0.7))
-        lams = field_spectrum(fm, pts)
+        lams = field_srdf_spectrum(fm, pts).lambdas
         total = field_max_distortion(fm) - field_min_distortion(fm, pts)
         assert float(np.sum(lams)) == pytest.approx(total, rel=1e-8)
 
@@ -171,7 +177,21 @@ class TestFieldSrdfProperties:
         pts = FieldSamplingSet((0.25, 0.8))
         delta = 0.5
         rate = field_srdf(fm, pts, delta).rate_bits
-        assert field_distortion_rate(fm, pts, rate) == pytest.approx(delta, rel=1e-7)
+        assert field_srdf_spectrum(fm, pts).distortion(rate) == pytest.approx(delta, rel=1e-7)
+
+    def test_one_quadrature_pair_per_point_set(self, monkeypatch):
+        calls = {"_segment_nodes_weights": 0, "validate_covariance": 0}
+        for name in calls:
+            original = getattr(srdf_kit.field, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(srdf_kit.field, name, counted)
+        field_srdf_spectrum(gm_field(0.5, quad_points=256), FieldSamplingSet((0.1, 0.4, 0.8)))
+        # one Gram matrix, and the full- and half-resolution node sets once each
+        assert calls == {"_segment_nodes_weights": 2, "validate_covariance": 1}
 
     def test_under_resolved_quadrature_raises(self):
         # near-delta kernel: the Richardson pair must disagree at a tiny budget
@@ -213,6 +233,11 @@ class TestPlacement:
         res = optimize_placement(fm, 1, ("min_rate_at", 0.6), restarts=3, seed=1)
         assert res.points[0] == pytest.approx(0.5, abs=5e-3)
         assert res.objective.startswith("min_rate_at")
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(DomainError, match="restart"):
+            optimize_placement(gm_field(0.5, quad_points=256), 2, restarts=restarts)
 
     def test_objective_reports_package_errors_as_infinite(self, monkeypatch):
         def infeasible(field, points, delta):

@@ -14,11 +14,18 @@ from hypothesis import strategies as st
 
 from srdf_kit import (
     CovarianceModel,
+    FieldModel,
+    GaussMarkovKernel,
     Spectrum,
+    TabulatedKernel,
     affine_family,
     bayes_usrdf,
     distortion_rate,
+    field_max_distortion,
+    field_min_distortion,
+    field_srdf_spectrum,
     fixed_var_corr_family,
+    gm_min_distortion_pinned,
     max_distortion,
     min_distortion,
     nonbayes_usrdf,
@@ -26,6 +33,7 @@ from srdf_kit import (
     srdf,
     srdf_spectrum,
     waterfill,
+    weight_matrix,
 )
 from srdf_kit.cli import main
 
@@ -44,6 +52,28 @@ def case(seed):
     k = int(rng.integers(1, m + 1))
     sampled = sorted(int(i) + 1 for i in rng.choice(m, size=k, replace=False))
     return CovarianceModel(a @ a.T + 0.5 * np.eye(m)), sampled
+
+
+def singleton_family(rng):
+    """(family, sampling set): affine, uniform prior, every grid node its own atom.
+
+    The direction moves the first component's variance, which every sampling
+    set below observes.
+    """
+    a = rng.standard_normal((3, 5))
+    base = a @ a.T / 5 + 0.3 * np.eye(3)
+    direction = np.zeros((3, 3))
+    direction[0, 0] = 1.0
+    family = affine_family(base, [direction], [(0.0, float(rng.uniform(0.1, 1.0)))], prior="uniform", grid_res=5)
+    return family, [1] if rng.uniform() < 0.5 else [1, 2]
+
+
+def field_points(rng, k):
+    """k sorted points in [0, 1] at least 0.02 apart."""
+    while True:
+        pts = np.sort(rng.uniform(0.0, 1.0, k))
+        if np.all(np.diff(pts) >= 0.02):
+            return tuple(float(p) for p in pts)
 
 
 def fmt(x):
@@ -119,6 +149,76 @@ def test_sampled_curve_lies_on_or_above_the_fully_observed_curve(seed, fraction)
     full = srdf_spectrum(partition(model, range(1, model.m + 1)))
     delta = spec.delta_min + fraction * (max_distortion(model) - spec.delta_min)
     assert spec.rate(delta) >= full.rate(delta) - 1e-9
+
+
+@PROPERTY
+@given(seeds, st.floats(0.01, 1.05))
+def test_nonbayes_curve_lies_on_or_above_the_bayes_curve(seed, fraction):
+    family, sampled = singleton_family(np.random.default_rng(seed))
+    worst = nonbayes_usrdf(family, sampled, 1e9)
+    bayes = bayes_usrdf(family, sampled, 1e9)
+    # above the worst atom's floor both curves are finite
+    top = max(worst.delta_max, bayes.delta_max)
+    delta = worst.delta_min + fraction * (top - worst.delta_min)
+    assert nonbayes_usrdf(family, sampled, delta).rate_bits >= bayes_usrdf(family, sampled, delta).rate_bits - 1e-8
+
+
+@PROPERTY
+@given(seeds)
+def test_mse_of_a_linear_code_splits_into_weighted_error_plus_floor(seed):
+    model, sampled = case(seed)
+    rng = np.random.default_rng(seed + 1)
+    a = [i - 1 for i in sampled]
+    ac = [i for i in range(model.m) if i not in a]
+    k = len(a)
+    # reproduce the sampled block as y_a = L x_a and the rest as b^T y_a, with b
+    # the least-squares coefficients of x_ac on x_a
+    lin = rng.standard_normal((k, k))
+    sigma = model.sigma
+    b = np.linalg.lstsq(sigma[np.ix_(a, a)], sigma[np.ix_(a, ac)], rcond=None)[0]
+    error = np.zeros((model.m, model.m))
+    error[np.ix_(a, a)] = np.eye(k) - lin
+    error[np.ix_(ac, a)] = -b.T @ lin
+    error[np.ix_(ac, ac)] = np.eye(len(ac))
+    total = float(np.trace(error @ sigma @ error.T))
+    bp = partition(model, sampled)
+    resid = (np.eye(k) - lin) @ bp.sigma_a @ (np.eye(k) - lin).T
+    split = float(np.trace(resid @ weight_matrix(bp))) + min_distortion(bp)
+    assert split == pytest.approx(total, rel=1e-10)
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_field_spectrum_and_floor_add_up_to_the_field_variance(seed, tabulated):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    if tabulated:
+        # points on mesh lines: Simpson panels then never straddle a kink of the
+        # bilinear kernel, which the consistency check would reject
+        grid = np.linspace(0.0, 1.0, 17)
+        lag = np.abs(grid[:, None] - grid[None, :])
+        mix = rng.uniform(0.3, 0.7)
+        kernel = TabulatedKernel(mix * rng.uniform(0.2, 0.5) ** lag + (1 - mix) * rng.uniform(0.6, 0.9) ** lag)
+        points = tuple(float(x) for x in np.sort(rng.choice(grid, size=k, replace=False)))
+    else:
+        kernel = GaussMarkovKernel(float(rng.uniform(0.2, 0.9)))
+        points = field_points(rng, k)
+    field = FieldModel(kernel, quad_points=1024)
+    spec = field_srdf_spectrum(field, points)
+    # the trace of G Sigma_A is tr(Sigma_A^{-1} M): the variance the samples explain
+    assert spec.delta_max == pytest.approx(field_max_distortion(field), rel=1e-6 if tabulated else 1e-9)
+
+
+@PROPERTY
+@given(seeds)
+def test_pinned_gauss_markov_floor_matches_its_closed_form(seed):
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.2, 0.9))
+    inner = field_points(rng, int(rng.integers(1, 5)))
+    assume(inner[0] >= 0.02 and inner[-1] <= 0.98)
+    points = (0.0, *inner, 1.0)
+    got = field_min_distortion(FieldModel(GaussMarkovKernel(p), quad_points=2048), points)
+    assert got == pytest.approx(gm_min_distortion_pinned(p, points), abs=1e-9)
 
 
 @CLI_PROPERTY

@@ -9,7 +9,6 @@ from srdf_kit import (
     NoPrior,
     UnsupportedFamily,
     affine_family,
-    atom_distortion_at_rate,
     bayes_atom_data,
     bayes_usrdf,
     fixed_var_corr_family,
@@ -111,9 +110,9 @@ class TestAtoms:
         part = project_family(fam, [1])
         data = bayes_atom_data(fam, [1], part.atoms[0])
         # averaged coefficients explain less than the best member could
-        assert data.delta_min == pytest.approx(0.75, abs=1e-12)
+        assert data.spectrum.delta_min == pytest.approx(0.75, abs=1e-12)
         assert data.g_tau1 == pytest.approx(np.array([[1.25]]))
-        assert data.delta_max == pytest.approx(2.0, abs=1e-12)
+        assert data.spectrum.delta_max == pytest.approx(2.0, abs=1e-12)
 
     def test_atom_data_needs_prior(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
@@ -143,7 +142,7 @@ class TestBayesCurve:
         weighted = sum(d.weight * x for d, x in zip(datas, pt.per_atom_delta))
         assert weighted == pytest.approx(1.1, abs=1e-7)
         for d, x in zip(datas, pt.per_atom_delta):
-            back = atom_distortion_at_rate(d, pt.rate_bits)
+            back = d.spectrum.distortion(pt.rate_bits)
             assert back == pytest.approx(x, rel=1e-6, abs=1e-9)
 
     def test_infeasible_and_trivial(self):
