@@ -23,7 +23,7 @@ P = 0.5
 
 
 def main():
-    field = FieldModel(GaussMarkovKernel(P), quad_points=1024)
+    field = FieldModel(GaussMarkovKernel(P))
 
     print(f"single sensor on the p={P} field: floor by position")
     for a in np.linspace(0.1, 0.9, 9):
@@ -35,12 +35,12 @@ def main():
 
     res3 = optimize_placement(field, 3, "min_delta_min", restarts=4, pin_endpoints=True, seed=0)
     print(f"\nthree sensors, endpoints pinned: {[round(p, 4) for p in res3.points]}")
-    quad = field_min_distortion(field, FieldSamplingSet(res3.points))
+    floor = field_min_distortion(field, FieldSamplingSet(res3.points))
     seg = gm_min_distortion_pinned(P, res3.points)
-    print(f"floor by quadrature {quad:.8f} vs per-segment identity {seg:.8f}")
+    print(f"floor from the cross mass {floor:.8f} vs per-segment identity {seg:.8f}")
 
     print("\nrate curve with the three optimized sensors:")
-    for delta in np.linspace(quad + 0.02, 0.9, 6):
+    for delta in np.linspace(floor + 0.02, 0.9, 6):
         pt = field_srdf(field, FieldSamplingSet(res3.points), float(delta))
         print(f"  delta={delta:.3f}  rate={pt.rate_bits:.5f} bits/slot")
 

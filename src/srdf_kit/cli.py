@@ -186,6 +186,13 @@ def _parse_field(cfg: dict, base: Path) -> FieldModel:
     return FieldModel(kernel=kernel, quad_points=_scalar(block, "quad_points", int, QUAD_POINTS_DEFAULT))
 
 
+def _integrals(fm: FieldModel) -> dict:
+    """Which integration path ran, with its resolution when that was quadrature."""
+    if fm.integrals == "closed-form":
+        return {"integrals": "closed-form"}
+    return {"integrals": "quadrature", "quad_points": fm.quad_points}
+
+
 def _parse_points(cfg: dict) -> FieldSamplingSet:
     block = _need(cfg, "points")
     if not isinstance(block, (list, tuple)):
@@ -321,7 +328,7 @@ def _run_gmf_srdf(cfg, base, out, args):
             "delta_max": field_max_distortion(fm),
             "eigenvalues": [float(x) for x in spec.lambdas],
             "gram": [[float(v) for v in row] for row in field_gram(fm, pts)],
-            "quad_points": fm.quad_points,
+            **_integrals(fm),
         }
     )
     _write_json(out / "summary.json", summary)
@@ -382,7 +389,7 @@ def _run_place(cfg, base, out, args):
             "points": [float(p) for p in result.points],
             "value": result.value,
             "restarts": result.restarts,
-            "quad_points": fm.quad_points,
+            **_integrals(fm),
         }
     )
     _write_json(out / "summary.json", summary)

@@ -2,10 +2,11 @@
 
 The sampled covariance is the kernel Gram matrix, the weight matrix and the
 estimation floor become kernel integrals, and the rate distortion function is
-the same reverse waterfill as in the finite case.  Integrals use composite
-Simpson panels aligned to the sampling points, because the correlation
-kernels below have derivative creases exactly there; a half-resolution
-consistency check guards every quadrature result.
+the same reverse waterfill as in the finite case.  For the Gauss-Markov
+kernel the integrals are exact sums of exponentials over the segments
+between sampling points.  A tabulated kernel uses composite Simpson panels
+aligned to the sampling points, where the kernel has derivative creases, and
+a half-resolution consistency check guards every quadrature result.
 """
 
 from __future__ import annotations
@@ -81,8 +82,11 @@ class TabulatedKernel:
     @classmethod
     def from_mesh_csv(cls, path) -> "TabulatedKernel":
         """Read the mesh format: a header line with N, then N*N rows ``i,j,value``."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise DomainError(f"cannot read mesh file {path}: {exc}") from exc
         if not rows:
             raise DomainError(f"mesh file {path} is empty")
         try:
@@ -109,12 +113,19 @@ class TabulatedKernel:
 
 @dataclass(frozen=True)
 class FieldModel:
+    """A field on [0, 1]; ``quad_points`` sets the quadrature of tabulated kernels only."""
+
     kernel: GaussMarkovKernel | TabulatedKernel
     quad_points: int = QUAD_POINTS_DEFAULT
 
     def __post_init__(self) -> None:
         if self.quad_points < 8 or self.quad_points % 2 != 0:
             raise DomainError(f"quad_points must be an even integer >= 8, got {self.quad_points}")
+
+    @property
+    def integrals(self) -> str:
+        """How the field integrals are evaluated: "closed-form" or "quadrature"."""
+        return "closed-form" if isinstance(self.kernel, GaussMarkovKernel) else "quadrature"
 
 
 @dataclass(frozen=True)
@@ -191,26 +202,53 @@ def field_gram(field: FieldModel, points) -> np.ndarray:
     return validate_covariance(gram)
 
 
+def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
+    """M_ij = integral over [0, 1] of p^(|u - a_i| + |u - a_j|) du for sorted points a, exactly.
+
+    The knots {0, a, 1} cut [0, 1] into k+1 segments, each free of sampling
+    points.  On a segment of length h at distances d_i, d_j from a_i, a_j:
+    with both points on one side the exponent grows by 2 per unit away from
+    the nearer end, giving p^(d_i+d_j) (1 - p^(2h)) / (-2 ln p); with the
+    segment between them it is constant, giving h p^(d_i+d_j+h).
+    """
+    k = len(pts)
+    knots = np.concatenate(([0.0], pts, [1.0]))
+    lo, hi = knots[:-1, None], knots[1:, None]
+    h = hi - lo
+    near = p ** np.maximum(lo - pts, pts - hi)               # (k+1, k): p^(distance to segment)
+    left = np.arange(k + 1)[:, None] > np.arange(k)          # a_i lies left of segment s
+    two_lp = 2.0 * math.log(p)
+    one_side = np.expm1(two_lp * h) / two_lp                 # (1 - p^(2h)) / (-2 ln p)
+    weight = np.where(left[:, :, None] == left[:, None, :], one_side[:, :, None], (h * p ** h)[:, :, None])
+    return np.einsum("si,sj,sij->ij", near, near, weight)
+
+
 def _field_block(field: FieldModel, points):
-    """(Sigma_A, M, floor) of the field sampled at ``points``, from one quadrature pair.
+    """(Sigma_A, M, floor) of the field sampled at ``points``.
 
     M = integral of c(u) c(u)^T du is the cross mass, with c(u) the kernel
     between u and the samples, and the floor is the integrated variance
     left after the linear estimate, integral of var(u) du - tr(Sigma_A^{-1} M).
-    Both are checked at half resolution.
+    A Gauss-Markov field has unit variance and M in closed form; a tabulated
+    one takes both from one quadrature pair, each checked at half resolution.
     """
     fp = _as_field_points(points)
     pts = np.asarray(fp.points)
     sigma_a = field_gram(field, fp)
 
-    def integrals(u, w):
-        c = field.kernel.corr(u[:, None], pts[None, :])
-        m_mat = np.tensordot(w, c[:, :, None] * c[:, None, :], axes=(0, 0))
-        explained = float(np.trace(np.linalg.solve(sigma_a, m_mat)))
-        return m_mat, float(w @ field.kernel.corr(u, u)) - explained
+    def with_floor(m_mat, variance):
+        return m_mat, variance - float(np.trace(np.linalg.solve(sigma_a, m_mat)))
 
-    full, half = _quad_pair(field, fp.points, integrals)
-    m_mat, floor = (_resolved(field, f, h) for f, h in zip(full, half))
+    if field.integrals == "closed-form":
+        m_mat, floor = with_floor(_gm_cross_mass(field.kernel.p, pts), 1.0)
+    else:
+        def integrals(u, w):
+            c = field.kernel.corr(u[:, None], pts[None, :])
+            return with_floor(np.tensordot(w, c[:, :, None] * c[:, None, :], axes=(0, 0)),
+                              float(w @ field.kernel.corr(u, u)))
+
+        full, half = _quad_pair(field, fp.points, integrals)
+        m_mat, floor = (_resolved(field, f, h) for f, h in zip(full, half))
     return sigma_a, m_mat, max(0.0, floor)
 
 
@@ -221,6 +259,8 @@ def field_min_distortion(field: FieldModel, points) -> float:
 
 def field_max_distortion(field: FieldModel) -> float:
     """Integrated variance of the field; the zero-rate distortion."""
+    if field.integrals == "closed-form":
+        return 1.0
     full, half = _quad_pair(field, (), lambda u, w: np.tensordot(w, field.kernel.corr(u, u), axes=(0, 0)))
     return float(_resolved(field, full, half))
 

@@ -37,16 +37,17 @@ def _solve_sigma_a(sigma_a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSigmaA(f"sampled-block covariance is singular: {exc}") from exc
 
 
-def _lift(sigma_a: np.ndarray, cross: np.ndarray, trace_ac: float):
+def _lift(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
     """(lift, floor) of a sampled block with cross covariance ``cross`` to the
     unsampled components, whose variances sum to ``trace_ac``.
 
     The lift b = Sigma_A^{-1} cross is the linear estimate's coefficient: the
     unsampled components are estimated as b^T times the sampled block, which
     leaves the floor trace_ac - <cross, b> of their variance unexplained.
+    Leading axes stack independent blocks, with ``trace_ac`` of their shape.
     """
     b = _solve_sigma_a(sigma_a, cross)
-    return b, max(0.0, trace_ac - float(np.sum(cross * b)))
+    return b, _scalar(np.maximum(0.0, trace_ac - np.sum(cross * b, axis=(-2, -1))))
 
 
 def _blocks(bp: BlockPartition):
@@ -74,23 +75,26 @@ def max_distortion(model: CovarianceModel) -> float:
 
 
 def congruent_spectrum(sigma_a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of G Sigma_A via the symmetric form Sigma_A^{1/2} G Sigma_A^{1/2}, descending."""
+    """Eigenvalues of G Sigma_A via the symmetric form Sigma_A^{1/2} G Sigma_A^{1/2}, descending.
+
+    Leading axes stack independent blocks; each check covers the whole stack.
+    """
     try:
         w, v = np.linalg.eigh(sigma_a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigendecomposition of sampled block failed: {exc}") from exc
     if np.min(w) <= 0.0:
         raise SingularSigmaA(f"sampled block has nonpositive eigenvalue {np.min(w):.3e}")
-    root = (v * np.sqrt(w)) @ v.T
+    root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     s = root @ g @ root
-    s = 0.5 * (s + s.T)
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
     try:
         lam = np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigendecomposition of weighted form failed: {exc}") from exc
     if np.min(lam) <= 0.0:
         raise EigenFailure(f"weighted spectrum has nonpositive eigenvalue {np.min(lam):.3e}")
-    return lam[::-1].copy()
+    return lam[..., ::-1].copy()
 
 
 def srdf_eigenvalues(bp: BlockPartition) -> np.ndarray:
@@ -184,11 +188,11 @@ class Spectrum:
         return _scalar(self.delta_min + weighted)
 
 
-def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac: float):
-    """(Spectrum, weight matrix, lift) of a sampled block; arguments as in ``_lift``."""
+def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
+    """(Spectrum, weight matrix, lift) of a sampled block; arguments, stacking included, as in ``_lift``."""
     b, floor = _lift(sigma_a, cross, trace_ac)
-    g = np.eye(len(sigma_a)) + b @ b.T
-    g = 0.5 * (g + g.T)
+    g = np.eye(sigma_a.shape[-1]) + b @ np.swapaxes(b, -1, -2)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
     return Spectrum(floor, congruent_spectrum(sigma_a, g)), g, b
 
 

@@ -24,6 +24,12 @@ def run(task, config, out, extra=()):
     return main([task, "--config", str(config), "--out", str(out), *extra])
 
 
+def write_mesh(path, n, p=0.5):
+    """Write the p^|s-u| kernel tabulated on an n-knot mesh in the mesh CSV format."""
+    lines = [str(n)] + [f"{i},{j},{p ** (abs(i - j) / (n - 1))!r}" for i in range(n) for j in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestArtifacts:
     def test_srdf_outputs(self, tmp_path):
         assert run("srdf", CONFIGS / "three_component_srdf.yaml", tmp_path) == 0
@@ -78,6 +84,25 @@ class TestArtifacts:
         pts = summary["points"]
         assert pts[0] == 0.0 and pts[-1] == 1.0
         assert pts[1] == pytest.approx(0.5, abs=1e-2)
+
+    @pytest.mark.parametrize("task", ["gmf-srdf", "place"])
+    @pytest.mark.parametrize("kernel", ["gauss-markov", "tabulated"])
+    def test_summary_names_the_integration_path(self, tmp_path, task, kernel):
+        # one mesh cell: the bilinear kernel has no mesh-line kinks for a point to straddle
+        write_mesh(tmp_path / "mesh.csv", 2)
+        block = {"gauss-markov": "{type: gauss-markov, p: 0.5}",
+                 "tabulated": "{type: tabulated, mesh_csv: mesh.csv}"}[kernel]
+        body = "points: [0.5]\n" + GRID if task == "gmf-srdf" else "placement: {k: 1, restarts: 1}\n"
+        cfg = tmp_path / "field.yaml"
+        cfg.write_text(f"field:\n  kernel: {block}\n  quad_points: 512\n{body}", encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        if kernel == "gauss-markov":
+            assert summary["integrals"] == "closed-form"
+            assert "quad_points" not in summary
+        else:
+            assert summary["integrals"] == "quadrature"
+            assert summary["quad_points"] == 512
 
     def test_simulate_outputs(self, tmp_path):
         assert run("simulate", CONFIGS / "two_step_sim.yaml", tmp_path) == 0
@@ -146,9 +171,10 @@ class TestExitCodes:
         assert run("srdf", cfg, tmp_path) == 2
 
     def test_under_resolved_quadrature_is_numerical(self, tmp_path, capsys):
+        write_mesh(tmp_path / "mesh.csv", 5)
         cfg = tmp_path / "rough.yaml"
         cfg.write_text(
-            "field:\n  kernel: {type: gauss-markov, p: 1.0e-6}\n  quad_points: 16\n"
+            "field:\n  kernel: {type: tabulated, mesh_csv: mesh.csv}\n  quad_points: 16\n"
             "points: [0.37]\ngrid: {min: 0.95, max: 0.99, count: 2}\n",
             encoding="utf-8",
         )
@@ -214,6 +240,16 @@ class TestExitCodes:
         assert run("gmf-srdf", cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error [field.domain_error]"), err
+        assert "Traceback" not in err
+
+    def test_missing_mesh_file_is_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "mesh.yaml"
+        cfg.write_text(f"field:\n  kernel: {{type: tabulated, mesh_csv: nope.csv}}\npoints: [0.5]\n{GRID}",
+                       encoding="utf-8")
+        assert run("gmf-srdf", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [field.domain_error]"), err
+        assert "nope.csv" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -27,6 +27,12 @@ def gm_field(p, quad_points=2048):
     return FieldModel(GaussMarkovKernel(p), quad_points=quad_points)
 
 
+def half_lag_mesh(n):
+    """The 0.5^|s-u| kernel tabulated on an n-knot mesh."""
+    grid = np.linspace(0.0, 1.0, n)
+    return 0.5 ** np.abs(grid[:, None] - grid[None, :])
+
+
 class TestKernels:
     def test_gauss_markov_values(self):
         kern = GaussMarkovKernel(0.5)
@@ -189,15 +195,21 @@ class TestFieldSrdfProperties:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(srdf_kit.field, name, counted)
-        field_srdf_spectrum(gm_field(0.5, quad_points=256), FieldSamplingSet((0.1, 0.4, 0.8)))
+        points = FieldSamplingSet((0.125, 0.375, 0.75))
+        field_srdf_spectrum(gm_field(0.5, quad_points=256), points)
+        # Gauss-Markov integrals are closed form: one Gram matrix, no nodes
+        assert calls == {"_segment_nodes_weights": 0, "validate_covariance": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        field_srdf_spectrum(FieldModel(TabulatedKernel(half_lag_mesh(9)), quad_points=256), points)
         # one Gram matrix, and the full- and half-resolution node sets once each
         assert calls == {"_segment_nodes_weights": 2, "validate_covariance": 1}
 
     def test_under_resolved_quadrature_raises(self):
-        # near-delta kernel: the Richardson pair must disagree at a tiny budget
+        # a coarse bilinear kernel sampled off its mesh: the Richardson pair
+        # must disagree at a tiny budget
         from srdf_kit import QuadratureUnderResolved
 
-        fm = FieldModel(GaussMarkovKernel(1e-6), quad_points=16)
+        fm = FieldModel(TabulatedKernel(half_lag_mesh(5)), quad_points=16)
         with pytest.raises(QuadratureUnderResolved):
             field_min_distortion(fm, FieldSamplingSet((0.37,)))
 

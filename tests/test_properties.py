@@ -12,20 +12,25 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from itertools import combinations
+
 from srdf_kit import (
     CovarianceModel,
     FieldModel,
     GaussMarkovKernel,
+    InfeasibleDistortion,
     Spectrum,
     TabulatedKernel,
     affine_family,
     bayes_usrdf,
+    best_fixed_set,
     distortion_rate,
     field_max_distortion,
     field_min_distortion,
     field_srdf_spectrum,
     fixed_var_corr_family,
     gm_min_distortion_pinned,
+    gm_min_distortion_single,
     max_distortion,
     min_distortion,
     nonbayes_usrdf,
@@ -36,6 +41,7 @@ from srdf_kit import (
     weight_matrix,
 )
 from srdf_kit.cli import main
+from srdf_kit.field import _field_block
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 CLI_PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
@@ -219,6 +225,94 @@ def test_pinned_gauss_markov_floor_matches_its_closed_form(seed):
     points = (0.0, *inner, 1.0)
     got = field_min_distortion(FieldModel(GaussMarkovKernel(p), quad_points=2048), points)
     assert got == pytest.approx(gm_min_distortion_pinned(p, points), abs=1e-9)
+
+
+def knot_simpson_cross_mass(p, points, panels=2000):
+    """Integral of c(u) c(u)^T for the p^|s-u| kernel by Simpson's rule, panels aligned to {0, points, 1}."""
+    pts = np.asarray(points)
+    knots = np.unique(np.concatenate(([0.0], pts, [1.0])))
+    total = np.zeros((len(pts), len(pts)))
+    for lo, hi in zip(knots, knots[1:]):
+        u = np.linspace(lo, hi, 2 * panels + 1)
+        w = np.full(u.size, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        c = p ** np.abs(u[:, None] - pts[None, :])
+        total += (c * (w * (hi - lo) / (6 * panels))[:, None]).T @ c
+    return total
+
+
+@PROPERTY
+@given(seeds)
+def test_gauss_markov_cross_mass_matches_fine_quadrature(seed):
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.05, 0.95))
+    points = field_points(rng, int(rng.integers(1, 7)))
+    if rng.uniform() < 0.3:
+        points = (0.0, *points[1:-1], 1.0) if len(points) > 1 else (float(rng.choice([0.0, 1.0])),)
+    got = _field_block(FieldModel(GaussMarkovKernel(p)), points)[1]
+    np.testing.assert_allclose(got, knot_simpson_cross_mass(p, points), rtol=1e-9, atol=0.0)
+
+
+@PROPERTY
+@given(seeds)
+def test_gauss_markov_floor_matches_its_closed_forms(seed):
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.2, 0.9))
+    field = FieldModel(GaussMarkovKernel(p))
+    a = float(rng.uniform(0.0, 1.0))
+    assert field_min_distortion(field, (a,)) == pytest.approx(gm_min_distortion_single(p, a), abs=1e-12)
+    inner = field_points(rng, int(rng.integers(1, 5)))
+    assume(inner[0] >= 0.02 and inner[-1] <= 0.98)
+    points = (0.0, *inner, 1.0)
+    assert field_min_distortion(field, points) == pytest.approx(gm_min_distortion_pinned(p, points), abs=1e-12)
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_stacked_subset_search_matches_per_subset_evaluation(seed, rate_objective):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 8))
+    k = int(rng.integers(1, m + 1))
+    # components 1 and 2 are exchangeable, so (1, rest) and (2, rest) tie exactly
+    a = rng.standard_normal((m, m))
+    a[0] *= 2.0
+    a[1] = a[0]
+    d = rng.uniform(0.3, 1.0, m)
+    d[1] = d[0]
+    model = CovarianceModel(a @ a.T + np.diag(d))
+    subsets = list(combinations(range(1, m + 1), k))
+    specs = [srdf_spectrum(partition(model, s)) for s in subsets]
+    floors = np.array([spec.delta_min for spec in specs])
+    delta = None
+    if rate_objective:
+        # the median floor: about half the subsets cannot reach it
+        delta = float(np.median(floors))
+        want = []
+        for spec in specs:
+            try:
+                want.append(spec.rate(delta))
+            except InfeasibleDistortion:
+                want.append(np.inf)
+        want = np.array(want)
+    res = best_fixed_set(model, k, ("min_rate_at", delta) if rate_objective else "min_delta_min")
+    assert [row.indices for row in res.rows] == subsets
+    got_floors = np.array([row.delta_min for row in res.rows])
+    np.testing.assert_allclose(got_floors, floors, rtol=1e-12, atol=1e-13)
+    values = got_floors
+    if rate_objective:
+        values = np.array([row.rate_bits for row in res.rows])
+        assert np.array_equal(np.isinf(values), np.isinf(want))
+        np.testing.assert_allclose(values[np.isfinite(values)], want[np.isfinite(want)], rtol=1e-12, atol=1e-13)
+    else:
+        assert all(row.rate_bits is None for row in res.rows)
+    for i, s in enumerate(subsets):
+        if s[0] == 2:
+            assert values[i] == values[subsets.index((1, *s[1:]))]
+    first = int(np.argmin(values))
+    assert res.best.indices == subsets[first] and res.value == values[first]
+    # a best subset that starts with 2 ties its twin starting with 1, which comes first
+    assert res.best.indices[0] != 2
 
 
 @CLI_PROPERTY

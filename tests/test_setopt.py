@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import srdf_kit.setopt
 from srdf_kit import (
     CovarianceModel,
     IndexOutOfRange,
@@ -81,6 +82,21 @@ class TestBestFixedSet:
         model = CovarianceModel(np.eye(3))
         res = best_fixed_set(model, 1, "min_delta_min")
         assert res.best.indices == (1,)
+
+    @pytest.mark.parametrize("objective", ["min_delta_min", ("min_rate_at", 10.0)])
+    def test_stacks_of_any_size_agree(self, monkeypatch, objective):
+        # 20 subsets in stacks of 3: six full stacks and a partial one; at
+        # delta 10 half of them are infeasible
+        model = random_model(np.random.default_rng(7), 6)
+        whole = best_fixed_set(model, 3, objective)
+        monkeypatch.setattr(srdf_kit.setopt, "SUBSET_CHUNK", 3)
+        assert best_fixed_set(model, 3, objective) == whole
+
+    def test_tie_across_stacks_keeps_first(self, monkeypatch):
+        monkeypatch.setattr(srdf_kit.setopt, "SUBSET_CHUNK", 2)
+        res = best_fixed_set(CovarianceModel(np.eye(5)), 2, "min_delta_min")
+        assert res.best.indices == (1, 2)
+        assert len({r.delta_min for r in res.rows}) == 1
 
     def test_all_infeasible_keeps_first(self):
         model = CovarianceModel(np.eye(3))
