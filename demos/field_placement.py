@@ -30,10 +30,10 @@ def main():
         bar = "#" * int(60 * gm_min_distortion_single(P, float(a)))
         print(f"  a={a:.1f}  floor={gm_min_distortion_single(P, float(a)):.6f}  {bar}")
 
-    res = optimize_placement(field, 1, "min_delta_min", restarts=4, seed=0)
+    res = optimize_placement(field, 1, "min_delta_min")
     print(f"\noptimizer picks a* = {res.points[0]:.6f} (floor {res.value:.6f})")
 
-    res3 = optimize_placement(field, 3, "min_delta_min", restarts=4, pin_endpoints=True, seed=0)
+    res3 = optimize_placement(field, 3, "min_delta_min", pin_endpoints=True)
     print(f"\nthree sensors, endpoints pinned: {[round(p, 4) for p in res3.points]}")
     floor = field_min_distortion(field, FieldSamplingSet(res3.points))
     seg = gm_min_distortion_pinned(P, res3.points)

@@ -388,7 +388,8 @@ def _run_place(cfg, base, out, args):
             "objective": result.objective,
             "points": [float(p) for p in result.points],
             "value": result.value,
-            "restarts": result.restarts,
+            "solver": result.solver,
+            **({"restarts": result.restarts} if result.solver == "search" else {}),
             **_integrals(fm),
         }
     )

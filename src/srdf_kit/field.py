@@ -4,9 +4,10 @@ The sampled covariance is the kernel Gram matrix, the weight matrix and the
 estimation floor become kernel integrals, and the rate distortion function is
 the same reverse waterfill as in the finite case.  For the Gauss-Markov
 kernel the integrals are exact sums of exponentials over the segments
-between sampling points.  A tabulated kernel uses composite Simpson panels
-aligned to the sampling points, where the kernel has derivative creases, and
-a half-resolution consistency check guards every quadrature result.
+between sampling points, and its floor-minimizing placement is solved
+exactly.  A tabulated kernel uses composite Simpson panels aligned to the
+sampling points, where the kernel has derivative creases, and a
+half-resolution consistency check guards every quadrature result.
 """
 
 from __future__ import annotations
@@ -183,9 +184,12 @@ def _quad_pair(field: FieldModel, points, integrals):
     ]
 
 
-def _resolved(field: FieldModel, full, half):
-    """``full``, once it agrees with ``half`` within the relative consistency tolerance."""
-    scale = max(1e-300, float(np.max(np.abs(full))))
+def _resolved(field: FieldModel, full, half, scale=None):
+    """``full``, once it agrees with ``half`` within the relative consistency tolerance.
+
+    The gap is judged against ``scale``, by default the largest entry of ``full``.
+    """
+    scale = max(1e-300, float(np.max(np.abs(full))) if scale is None else scale)
     gap = float(np.max(np.abs(full - half)))
     if gap > QUAD_CONSISTENCY_TOL * scale:
         raise QuadratureUnderResolved(
@@ -244,11 +248,14 @@ def _field_block(field: FieldModel, points):
     else:
         def integrals(u, w):
             c = field.kernel.corr(u[:, None], pts[None, :])
-            return with_floor(np.tensordot(w, c[:, :, None] * c[:, None, :], axes=(0, 0)),
-                              float(w @ field.kernel.corr(u, u)))
+            mass = np.tensordot(w, c[:, :, None] * c[:, None, :], axes=(0, 0))
+            variance = float(w @ field.kernel.corr(u, u))
+            return (*with_floor(mass, variance), variance)
 
         full, half = _quad_pair(field, fp.points, integrals)
-        m_mat, floor = (_resolved(field, f, h) for f, h in zip(full, half))
+        m_mat = _resolved(field, full[0], half[0])
+        # a floor near zero is resolved once it is small against the variance it is part of
+        floor = _resolved(field, full[1], half[1], scale=full[2])
     return sigma_a, m_mat, max(0.0, floor)
 
 
@@ -337,12 +344,65 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-6):
     return x, fn(x)
 
 
+def _expm1_tail(x: float) -> float:
+    """expm1(x) - x - x^2/2, by its Taylor series where the subtraction would cancel."""
+    if abs(x) > 0.1:
+        return math.expm1(x) - x - 0.5 * x * x
+    return sum(x ** n / math.factorial(n) for n in range(3, 12))
+
+
+def _gm_optimal_points(p: float, k: int, pin_endpoints: bool) -> np.ndarray:
+    """The k points with the lowest Gauss-Markov floor, exactly.
+
+    The floor splits at the samples into psi(e) = e - (1 - p^(2e))/(-2 ln p)
+    for each end gap e and phi(g) = g - gm_segment_explained(p, g) for each
+    interior gap g.  Both are convex, so the optimum has equal end gaps and
+    equal interior gaps: pinned, the uniform spacing; one free point, the
+    centre; otherwise 2e + (k-1) g = 1 with e the root of the strictly
+    decreasing p^(2e) - E'(g), where E'(g) = 2q (q - 1 - 2g ln p) / (1 - q)^2
+    with q = p^(2g) is the slope of the explained mass.  The root is
+    bisected on [0, 1/2] down to rounding.  As p -> 1 both terms tend to 1,
+    so there the slope is formed from their complements, 1 - E'(g) =
+    -(2t + d^2) / (q - 1)^2 with d = q - 1 - 2g ln p and t = d - (2g ln p)^2 / 2.
+    """
+    if pin_endpoints:
+        return np.linspace(0.0, 1.0, k)
+    if k == 1:
+        return np.array([0.5])
+    two_lp = 2.0 * math.log(p)
+
+    def interior_gap(e):
+        return (1.0 - 2.0 * e) / (k - 1)
+
+    def slope(e):
+        x = two_lp * interior_gap(e)
+        m = math.expm1(x)
+        t = _expm1_tail(x)
+        d = t + 0.5 * x * x
+        explained = 2.0 * (1.0 + m) * d / (m * m)
+        if explained < 0.5:
+            return math.exp(two_lp * e) - explained
+        return math.expm1(two_lp * e) - (2.0 * t + d * d) / (m * m)
+
+    lo, hi = 0.0, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo + interior_gap(lo) * np.arange(k)
+
+
 @dataclass(frozen=True)
 class PlacementResult:
     points: tuple[float, ...]
     value: float
     objective: str
     restarts: int
+    solver: str        # "exact" (Gauss-Markov min_delta_min) or "search"
 
 
 def _placement_objective(field: FieldModel, objective):
@@ -370,13 +430,15 @@ def optimize_placement(
     pin_endpoints: bool = False,
     seed: int = 0,
 ) -> PlacementResult:
-    """Place k sampling points by multi-start coordinate descent.
+    """Place k sampling points: exactly where the maths allows, else by multi-start search.
 
-    Each restart runs golden-section line searches coordinate by coordinate,
-    keeping points sorted and separated by SEP_TOL.  Restart 0 starts from the
-    equispaced layout; the rest start from sorted uniform draws on
-    deterministic per-restart streams.  With ``pin_endpoints`` the first and
-    last points are fixed at 0 and 1 and only the interior moves.
+    A Gauss-Markov field under ``min_delta_min`` is solved exactly
+    (``_gm_optimal_points``), and ``restarts`` and ``seed`` go unused.
+    Otherwise each restart runs golden-section line searches coordinate by
+    coordinate, keeping points sorted and separated by SEP_TOL.  Restart 0
+    starts from the equispaced layout; the rest start from sorted uniform
+    draws on deterministic per-restart streams.  With ``pin_endpoints`` the
+    first and last points are fixed at 0 and 1 and only the interior moves.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
@@ -385,6 +447,10 @@ def optimize_placement(
     if restarts < 1:
         raise DomainError(f"need at least one restart, got restarts={restarts}")
     obj_fn, obj_name = _placement_objective(field, objective)
+    if field.integrals == "closed-form" and obj_name == "min_delta_min":
+        pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
+        return PlacementResult(points=pts, value=float(obj_fn(pts)), objective=obj_name,
+                               restarts=restarts, solver="exact")
 
     def run_restart(r: int):
         if r == 0:
@@ -429,4 +495,5 @@ def optimize_placement(
         if val < best_val:
             best_pts, best_val = pts, val
     best_pts = tuple(float(p) for p in best_pts)
-    return PlacementResult(points=best_pts, value=float(best_val), objective=obj_name, restarts=restarts)
+    return PlacementResult(points=best_pts, value=float(best_val), objective=obj_name, restarts=restarts,
+                           solver="search")

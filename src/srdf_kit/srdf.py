@@ -61,7 +61,7 @@ def weight_matrix(bp: BlockPartition) -> np.ndarray:
     the sampled reproduction under G accounts for the error the linear
     estimate of the unsampled components inherits from it.
     """
-    return _block_spectrum(*_blocks(bp))[1]
+    return _weight(_lift(*_blocks(bp))[0])
 
 
 def min_distortion(bp: BlockPartition) -> float:
@@ -188,11 +188,16 @@ class Spectrum:
         return _scalar(self.delta_min + weighted)
 
 
+def _weight(b: np.ndarray) -> np.ndarray:
+    """Weight matrix G = I + b b^T of a lift b, symmetrized; leading axes stack as in ``_lift``."""
+    g = np.eye(b.shape[-2]) + b @ np.swapaxes(b, -1, -2)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
 def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
     """(Spectrum, weight matrix, lift) of a sampled block; arguments, stacking included, as in ``_lift``."""
     b, floor = _lift(sigma_a, cross, trace_ac)
-    g = np.eye(sigma_a.shape[-1]) + b @ np.swapaxes(b, -1, -2)
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    g = _weight(b)
     return Spectrum(floor, congruent_spectrum(sigma_a, g)), g, b
 
 

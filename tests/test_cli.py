@@ -103,6 +103,21 @@ class TestArtifacts:
         else:
             assert summary["integrals"] == "quadrature"
             assert summary["quad_points"] == 512
+        if task == "place":
+            # the Gauss-Markov floor is minimized exactly; restarts only counts for the search
+            solver = "exact" if kernel == "gauss-markov" else "search"
+            assert summary["solver"] == solver
+            assert summary.get("restarts") == (1 if solver == "search" else None)
+
+    def test_determined_tabulated_field_is_resolved(self, tmp_path):
+        # two samples on one mesh cell leave a floor of rounding noise
+        write_mesh(tmp_path / "mesh.csv", 2)
+        cfg = tmp_path / "cell.yaml"
+        cfg.write_text("field:\n  kernel: {type: tabulated, mesh_csv: mesh.csv}\n  quad_points: 512\n"
+                       "points: [0.25, 0.75]\ngrid: {min: 0.2, max: 0.6, count: 2}\n", encoding="utf-8")
+        assert run("gmf-srdf", cfg, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["delta_min"] == pytest.approx(0.0, abs=1e-12)
 
     def test_simulate_outputs(self, tmp_path):
         assert run("simulate", CONFIGS / "two_step_sim.yaml", tmp_path) == 0
@@ -206,6 +221,7 @@ class TestExitCodes:
             pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: few}}\n", id="placement.restarts"),
             pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: 0}}\n", id="placement.restarts-zero"),
             pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: -3}}\n", id="placement.restarts-negative"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, seed: soon}}\n", id="placement.seed"),
             pytest.param("optimize-set", f"{MODEL}search: {{k: 1, objective: min_rate_at, delta: big}}\n",
                          id="objective.delta"),
             pytest.param("gmf-srdf", f"{FIELD}points: [0.2, abc]\n{GRID}", id="points"),

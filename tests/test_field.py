@@ -213,6 +213,12 @@ class TestFieldSrdfProperties:
         with pytest.raises(QuadratureUnderResolved):
             field_min_distortion(fm, FieldSamplingSet((0.37,)))
 
+    def test_floor_of_a_determined_field_is_resolved(self):
+        # on one mesh cell two samples determine the bilinear field: the floor is
+        # rounding noise, which is judged against the variance, not against itself
+        fm = FieldModel(TabulatedKernel(half_lag_mesh(2)), quad_points=512)
+        assert field_min_distortion(fm, FieldSamplingSet((0.25, 0.75))) == pytest.approx(0.0, abs=1e-12)
+
     def test_point_set_validation(self):
         with pytest.raises(DomainError):
             FieldSamplingSet((0.5, 0.5))
@@ -239,6 +245,42 @@ class TestPlacement:
         r1 = optimize_placement(fm, 2, "min_delta_min", restarts=3, seed=5)
         r2 = optimize_placement(fm, 2, "min_delta_min", restarts=3, seed=5)
         assert r1.points == r2.points and r1.value == r2.value
+
+    @pytest.mark.parametrize("k, pin", [(1, False), (2, False), (5, False), (2, True), (5, True)])
+    def test_gauss_markov_min_delta_min_is_exact(self, monkeypatch, k, pin):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the coordinate search ran")
+
+        monkeypatch.setattr(srdf_kit.field, "_golden_section", no_search)
+        fm = gm_field(0.4)
+        res = optimize_placement(fm, k, "min_delta_min", restarts=2, pin_endpoints=pin, seed=3)
+        assert res.solver == "exact" and res.restarts == 2
+        assert res.value == field_min_distortion(fm, res.points)
+        if pin:
+            assert res.points == tuple(np.linspace(0.0, 1.0, k))
+
+    @pytest.mark.parametrize("k", [2, 8, 50])
+    def test_end_gap_tends_to_a_third_of_the_interior_gap_as_p_tends_to_one(self, k):
+        # near p = 1, psi'(e) ~ 2e|ln p| and phi'(g) ~ 2g|ln p|/3, and the optimum equates them
+        pts = optimize_placement(gm_field(1.0 - 1e-9), k, "min_delta_min").points
+        assert pts[0] / (pts[1] - pts[0]) == pytest.approx(1.0 / 3.0, rel=1e-8)
+
+    @pytest.mark.parametrize("k, pin, message", [(0, False, "at least one point"), (1, True, "k >= 2")])
+    def test_point_count_checked_before_the_exact_solve(self, k, pin, message):
+        with pytest.raises(DomainError, match=message):
+            optimize_placement(gm_field(0.5), k, "min_delta_min", pin_endpoints=pin)
+
+    def test_search_is_deterministic(self):
+        fm = gm_field(0.5)
+        runs = [optimize_placement(fm, 3, ("min_rate_at", 0.4), restarts=3, pin_endpoints=True, seed=7)
+                for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0].solver == "search"
+
+    def test_search_no_worse_than_the_equispaced_start(self):
+        fm = gm_field(0.45)
+        res = optimize_placement(fm, 3, ("min_rate_at", 0.5), restarts=2, pin_endpoints=True, seed=11)
+        assert res.points[0] == 0.0 and res.points[-1] == 1.0
+        assert res.value <= field_srdf(fm, (0.0, 0.5, 1.0), 0.5).rate_bits
 
     def test_min_rate_objective(self):
         fm = gm_field(0.5, quad_points=256)

@@ -31,9 +31,11 @@ from srdf_kit import (
     fixed_var_corr_family,
     gm_min_distortion_pinned,
     gm_min_distortion_single,
+    gm_segment_explained,
     max_distortion,
     min_distortion,
     nonbayes_usrdf,
+    optimize_placement,
     partition,
     srdf,
     srdf_spectrum,
@@ -266,6 +268,59 @@ def test_gauss_markov_floor_matches_its_closed_forms(seed):
     assume(inner[0] >= 0.02 and inner[-1] <= 0.98)
     points = (0.0, *inner, 1.0)
     assert field_min_distortion(field, points) == pytest.approx(gm_min_distortion_pinned(p, points), abs=1e-12)
+
+
+def end_gap_floor(p, e):
+    """psi(e): the Gauss-Markov floor of an end gap of length e, left after its one bounding sample."""
+    return e - (1.0 - p ** (2.0 * e)) / (-2.0 * np.log(p))
+
+
+def interior_gap_floor(p, g):
+    """phi(g): the Gauss-Markov floor of a gap of length g between two samples."""
+    return g - gm_segment_explained(p, g)
+
+
+@PROPERTY
+@given(st.floats(0.01, 0.99), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.floats(0.0, 1.0))
+def test_gauss_markov_gap_floors_are_convex(p, x, y, mix):
+    assume(abs(x - y) >= 1e-2)
+    mid = mix * x + (1.0 - mix) * y
+    for gap_floor in (end_gap_floor, interior_gap_floor):
+        chord = mix * gap_floor(p, x) + (1.0 - mix) * gap_floor(p, y)
+        assert gap_floor(p, mid) <= chord + 1e-12
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_exact_gauss_markov_placement_beats_any_point_set(seed, pin):
+    rng = np.random.default_rng(seed)
+    field = FieldModel(GaussMarkovKernel(float(rng.uniform(0.01, 0.99))))
+    k = int(rng.integers(2 if pin else 1, 9))
+    if pin:
+        inner = field_points(rng, k - 2) if k > 2 else ()
+        assume(not inner or (inner[0] >= 0.02 and inner[-1] <= 0.98))
+        points = (0.0, *inner, 1.0)
+    else:
+        points = field_points(rng, k)
+    best = optimize_placement(field, k, "min_delta_min", pin_endpoints=pin)
+    assert best.value <= field_min_distortion(field, points) + 1e-12
+
+
+@PROPERTY
+@given(st.floats(0.01, 0.99), st.integers(2, 8), st.sampled_from([-1e-3, 1e-3]))
+def test_free_gauss_markov_optimum_is_a_minimum_among_equal_gap_layouts(p, k, step):
+    field = FieldModel(GaussMarkovKernel(p))
+    best = optimize_placement(field, k, "min_delta_min")
+    end = best.points[0] + step
+    moved = end + (1.0 - 2.0 * end) / (k - 1) * np.arange(k)
+    assert best.value <= field_min_distortion(field, tuple(moved)) + 1e-12
+
+
+@PROPERTY
+@given(st.floats(0.01, 0.99), st.integers(1, 12))
+def test_free_gauss_markov_optimum_is_symmetric(p, k):
+    points = np.array(optimize_placement(FieldModel(GaussMarkovKernel(p)), k, "min_delta_min").points)
+    np.testing.assert_allclose(points + points[::-1], 1.0, rtol=0.0, atol=1e-12)
 
 
 @PROPERTY
