@@ -186,13 +186,6 @@ def _parse_field(cfg: dict, base: Path) -> FieldModel:
     return FieldModel(kernel=kernel, quad_points=_scalar(block, "quad_points", int, QUAD_POINTS_DEFAULT))
 
 
-def _integrals(fm: FieldModel) -> dict:
-    """Which integration path ran, with its resolution when that was quadrature."""
-    if fm.integrals == "closed-form":
-        return {"integrals": "closed-form"}
-    return {"integrals": "quadrature", "quad_points": fm.quad_points}
-
-
 def _parse_points(cfg: dict) -> FieldSamplingSet:
     block = _need(cfg, "points")
     if not isinstance(block, (list, tuple)):
@@ -328,7 +321,7 @@ def _run_gmf_srdf(cfg, base, out, args):
             "delta_max": field_max_distortion(fm),
             "eigenvalues": [float(x) for x in spec.lambdas],
             "gram": [[float(v) for v in row] for row in field_gram(fm, pts)],
-            **_integrals(fm),
+            "integrals": fm.integrals,
         }
     )
     _write_json(out / "summary.json", summary)
@@ -390,7 +383,7 @@ def _run_place(cfg, base, out, args):
             "value": result.value,
             "solver": result.solver,
             **({"restarts": result.restarts} if result.solver == "search" else {}),
-            **_integrals(fm),
+            "integrals": fm.integrals,
         }
     )
     _write_json(out / "summary.json", summary)

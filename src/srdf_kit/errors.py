@@ -65,10 +65,6 @@ class DomainError(ValidationError):
     code = "field.domain_error"
 
 
-class QuadratureUnderResolved(NumericalError):
-    code = "field.quadrature_under_resolved"
-
-
 class GridTooLarge(ValidationError):
     code = "universal.grid_too_large"
 

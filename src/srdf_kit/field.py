@@ -2,12 +2,12 @@
 
 The sampled covariance is the kernel Gram matrix, the weight matrix and the
 estimation floor become kernel integrals, and the rate distortion function is
-the same reverse waterfill as in the finite case.  For the Gauss-Markov
-kernel the integrals are exact sums of exponentials over the segments
-between sampling points, and its floor-minimizing placement is solved
-exactly.  A tabulated kernel uses composite Simpson panels aligned to the
-sampling points, where the kernel has derivative creases, and a
-half-resolution consistency check guards every quadrature result.
+the same reverse waterfill as in the finite case.  Both kernels give these
+integrals exactly.  For the Gauss-Markov kernel they are sums of exponentials
+over the segments between sampling points, and its floor-minimizing placement
+is solved exactly.  A tabulated kernel is bilinear, so for a fixed sample it
+is linear in u inside each mesh cell and the integrands are quadratic there:
+Simpson's rule with one panel per mesh cell is exact wherever the samples lie.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureUnderResolved, SrdfKitError
+from .errors import DomainError, SrdfKitError
 from .model import validate_covariance
 from .srdf import SrdfPoint, Spectrum, _srdf_point, congruent_spectrum
 
 QUAD_POINTS_DEFAULT = 2048
-QUAD_CONSISTENCY_TOL = 1e-7   # relative gap allowed between full and half resolution
-SEP_TOL = 1e-6                # minimum spacing kept between optimized points
+SEP_TOL = 1e-6  # minimum spacing kept between optimized points
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ class TabulatedKernel:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
             raise DomainError(f"mesh must be square with N >= 2, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("mesh values must be finite")
         scale = max(1e-300, float(np.max(np.abs(vals))))
         if np.max(np.abs(vals - vals.T)) > 1e-9 * scale:
             raise DomainError("mesh must be symmetric")
@@ -98,7 +99,8 @@ class TabulatedKernel:
             raise DomainError(f"mesh file {path} must have N >= 2, got {n}")
         if len(rows) - 1 != n * n:
             raise DomainError(f"mesh file {path} must hold N*N={n * n} rows, got {len(rows) - 1}")
-        vals = np.full((n, n), np.nan)
+        vals = np.zeros((n, n))
+        unset = np.ones((n, n), dtype=bool)
         for row in rows[1:]:
             try:
                 i, j, v = int(row[0]), int(row[1]), float(row[2])
@@ -107,14 +109,20 @@ class TabulatedKernel:
             if not (0 <= i < n and 0 <= j < n):
                 raise DomainError(f"mesh indices {i},{j} outside 0..{n - 1} in {path}")
             vals[i, j] = v
-        if np.any(np.isnan(vals)):
+            unset[i, j] = False
+        if np.any(unset):
             raise DomainError(f"mesh file {path} leaves entries unset")
         return cls(vals)
 
 
 @dataclass(frozen=True)
 class FieldModel:
-    """A field on [0, 1]; ``quad_points`` sets the quadrature of tabulated kernels only."""
+    """A field on [0, 1].
+
+    Every field integral is exact, so ``quad_points`` sets nothing any more.
+    It is still accepted and checked, so that configs and callers that pass
+    it, positionally included, keep working.
+    """
 
     kernel: GaussMarkovKernel | TabulatedKernel
     quad_points: int = QUAD_POINTS_DEFAULT
@@ -125,8 +133,8 @@ class FieldModel:
 
     @property
     def integrals(self) -> str:
-        """How the field integrals are evaluated: "closed-form" or "quadrature"."""
-        return "closed-form" if isinstance(self.kernel, GaussMarkovKernel) else "quadrature"
+        """How the field integrals are evaluated: "closed-form" or "mesh-simpson"."""
+        return "closed-form" if isinstance(self.kernel, GaussMarkovKernel) else "mesh-simpson"
 
 
 @dataclass(frozen=True)
@@ -153,50 +161,13 @@ def _as_field_points(spec) -> FieldSamplingSet:
     return spec if isinstance(spec, FieldSamplingSet) else FieldSamplingSet(spec)
 
 
-def _segment_nodes_weights(points: tuple[float, ...], n_panels: int, min_panels: int = 8):
-    """Simpson nodes/weights over [0, 1], panels aligned to the sampling points."""
-    knots = sorted({0.0, 1.0, *points})
-    segs = [(a, b) for a, b in zip(knots, knots[1:]) if b - a > 1e-13]
-    lengths = [b - a for a, b in segs]
-    total = sum(lengths)
-    nodes, weights = [], []
-    for (a, b), length in zip(segs, lengths):
-        panels = max(min_panels, 2 * int(round(n_panels * length / total / 2.0)))
-        h = (b - a) / panels
-        u = a + h * np.arange(panels + 1)
-        w = np.full(panels + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= h / 3.0
-        nodes.append(u)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _quad_pair(field: FieldModel, points, integrals):
-    """``integrals(u, w)`` on the full- and on the half-resolution nodes u with weights w.
-
-    ``_resolved`` checks each full-resolution result against its half.
-    """
-    return [
-        integrals(*_segment_nodes_weights(points, n_panels, min_panels))
-        for n_panels, min_panels in ((field.quad_points, 8), (field.quad_points // 2, 4))
-    ]
-
-
-def _resolved(field: FieldModel, full, half, scale=None):
-    """``full``, once it agrees with ``half`` within the relative consistency tolerance.
-
-    The gap is judged against ``scale``, by default the largest entry of ``full``.
-    """
-    scale = max(1e-300, float(np.max(np.abs(full))) if scale is None else scale)
-    gap = float(np.max(np.abs(full - half)))
-    if gap > QUAD_CONSISTENCY_TOL * scale:
-        raise QuadratureUnderResolved(
-            f"quadrature gap {gap:.3e} exceeds {QUAD_CONSISTENCY_TOL:.0e} * scale {scale:.3e};"
-            f" raise quad_points (currently {field.quad_points})"
-        )
-    return full
+def _mesh_simpson(n: int):
+    """Simpson nodes and weights over [0, 1] with one panel per cell of the n-knot mesh."""
+    u = np.linspace(0.0, 1.0, 2 * n - 1)
+    w = np.full(u.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return u, w / (6.0 * (n - 1))
 
 
 def field_gram(field: FieldModel, points) -> np.ndarray:
@@ -234,28 +205,18 @@ def _field_block(field: FieldModel, points):
     between u and the samples, and the floor is the integrated variance
     left after the linear estimate, integral of var(u) du - tr(Sigma_A^{-1} M).
     A Gauss-Markov field has unit variance and M in closed form; a tabulated
-    one takes both from one quadrature pair, each checked at half resolution.
+    one takes both from the per-cell Simpson rule, exact for its integrands.
     """
     fp = _as_field_points(points)
     pts = np.asarray(fp.points)
     sigma_a = field_gram(field, fp)
-
-    def with_floor(m_mat, variance):
-        return m_mat, variance - float(np.trace(np.linalg.solve(sigma_a, m_mat)))
-
     if field.integrals == "closed-form":
-        m_mat, floor = with_floor(_gm_cross_mass(field.kernel.p, pts), 1.0)
+        m_mat, variance = _gm_cross_mass(field.kernel.p, pts), 1.0
     else:
-        def integrals(u, w):
-            c = field.kernel.corr(u[:, None], pts[None, :])
-            mass = np.tensordot(w, c[:, :, None] * c[:, None, :], axes=(0, 0))
-            variance = float(w @ field.kernel.corr(u, u))
-            return (*with_floor(mass, variance), variance)
-
-        full, half = _quad_pair(field, fp.points, integrals)
-        m_mat = _resolved(field, full[0], half[0])
-        # a floor near zero is resolved once it is small against the variance it is part of
-        floor = _resolved(field, full[1], half[1], scale=full[2])
+        u, w = _mesh_simpson(field.kernel.mesh_n)
+        c = field.kernel.corr(u[:, None], pts[None, :])
+        m_mat, variance = (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u))
+    floor = variance - float(np.trace(np.linalg.solve(sigma_a, m_mat)))
     return sigma_a, m_mat, max(0.0, floor)
 
 
@@ -268,8 +229,8 @@ def field_max_distortion(field: FieldModel) -> float:
     """Integrated variance of the field; the zero-rate distortion."""
     if field.integrals == "closed-form":
         return 1.0
-    full, half = _quad_pair(field, (), lambda u, w: np.tensordot(w, field.kernel.corr(u, u), axes=(0, 0)))
-    return float(_resolved(field, full, half))
+    u, w = _mesh_simpson(field.kernel.mesh_n)
+    return float(w @ field.kernel.corr(u, u))
 
 
 def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:

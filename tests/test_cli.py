@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import srdf_kit
 from srdf_kit.cli import main
+
+from conftest import knot_simpson
 
 REPO = Path(__file__).parent.parent
 CONFIGS = REPO / "configs"
@@ -88,7 +91,6 @@ class TestArtifacts:
     @pytest.mark.parametrize("task", ["gmf-srdf", "place"])
     @pytest.mark.parametrize("kernel", ["gauss-markov", "tabulated"])
     def test_summary_names_the_integration_path(self, tmp_path, task, kernel):
-        # one mesh cell: the bilinear kernel has no mesh-line kinks for a point to straddle
         write_mesh(tmp_path / "mesh.csv", 2)
         block = {"gauss-markov": "{type: gauss-markov, p: 0.5}",
                  "tabulated": "{type: tabulated, mesh_csv: mesh.csv}"}[kernel]
@@ -97,12 +99,9 @@ class TestArtifacts:
         cfg.write_text(f"field:\n  kernel: {block}\n  quad_points: 512\n{body}", encoding="utf-8")
         assert run(task, cfg, tmp_path / "out") == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
-        if kernel == "gauss-markov":
-            assert summary["integrals"] == "closed-form"
-            assert "quad_points" not in summary
-        else:
-            assert summary["integrals"] == "quadrature"
-            assert summary["quad_points"] == 512
+        assert summary["integrals"] == {"gauss-markov": "closed-form", "tabulated": "mesh-simpson"}[kernel]
+        # both paths are exact, so the accepted quad_points is never reported
+        assert "quad_points" not in summary
         if task == "place":
             # the Gauss-Markov floor is minimized exactly; restarts only counts for the search
             solver = "exact" if kernel == "gauss-markov" else "search"
@@ -118,6 +117,20 @@ class TestArtifacts:
         assert run("gmf-srdf", cfg, tmp_path / "out") == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
         assert summary["delta_min"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_off_mesh_tabulated_field_is_exact(self, tmp_path):
+        write_mesh(tmp_path / "mesh.csv", 17)
+        cfg = tmp_path / "off.yaml"
+        cfg.write_text("field:\n  kernel: {type: tabulated, mesh_csv: mesh.csv}\n  quad_points: 2048\n"
+                       "points: [0.23, 0.61]\ngrid: {min: 0.2, max: 0.6, count: 2}\n", encoding="utf-8")
+        assert run("gmf-srdf", cfg, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        # oracle: a fine Simpson rule with knots at the mesh lines, where the integrands crease
+        kernel = srdf_kit.TabulatedKernel.from_mesh_csv(tmp_path / "mesh.csv")
+        mass, variance = knot_simpson(kernel, [0.23, 0.61], np.linspace(0.0, 1.0, 17), panels=64)
+        floor = variance - float(np.trace(np.linalg.solve(summary["gram"], mass)))
+        assert summary["delta_min"] == pytest.approx(floor, rel=1e-12)
+        assert summary["delta_max"] == pytest.approx(variance, rel=1e-12)
 
     def test_simulate_outputs(self, tmp_path):
         assert run("simulate", CONFIGS / "two_step_sim.yaml", tmp_path) == 0
@@ -185,16 +198,15 @@ class TestExitCodes:
         )
         assert run("srdf", cfg, tmp_path) == 2
 
-    def test_under_resolved_quadrature_is_numerical(self, tmp_path, capsys):
-        write_mesh(tmp_path / "mesh.csv", 5)
-        cfg = tmp_path / "rough.yaml"
-        cfg.write_text(
-            "field:\n  kernel: {type: tabulated, mesh_csv: mesh.csv}\n  quad_points: 16\n"
-            "points: [0.37]\ngrid: {min: 0.95, max: 0.99, count: 2}\n",
-            encoding="utf-8",
-        )
-        assert run("gmf-srdf", cfg, tmp_path) == 3
-        assert "field.quadrature_under_resolved" in capsys.readouterr().err
+    def test_nearly_coincident_samples_are_numerical(self, tmp_path, capsys):
+        # two samples 1e-11 apart: the weighted spectrum rounds to a negative eigenvalue
+        cfg = tmp_path / "twin.yaml"
+        cfg.write_text(f"{FIELD}points: [0.3, 0.30000000001]\n{GRID}", encoding="utf-8")
+        assert run("gmf-srdf", cfg, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [srdf.eigen_failure]"), err
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("task", ["srdf", "distrate"])
     @pytest.mark.parametrize("bounds", ["min: .nan, max: 2.0", "min: 0.5, max: .inf"])
@@ -257,6 +269,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [field.domain_error]"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry,value", [((0, 2), "nan"), ((1, 1), "inf")], ids=["nan", "inf"])
+    def test_non_finite_mesh_value_is_validation(self, tmp_path, capsys, entry, value):
+        write_mesh(tmp_path / "mesh.csv", 3)
+        rows = (tmp_path / "mesh.csv").read_text(encoding="utf-8").splitlines()
+        for i, j in {entry, entry[::-1]}:
+            rows[1 + 3 * i + j] = f"{i},{j},{value}"
+        (tmp_path / "mesh.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = tmp_path / "mesh.yaml"
+        cfg.write_text(f"field:\n  kernel: {{type: tabulated, mesh_csv: mesh.csv}}\npoints: [0.5]\n{GRID}",
+                       encoding="utf-8")
+        assert run("gmf-srdf", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [field.domain_error]"), err
+        assert "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_missing_mesh_file_is_validation(self, tmp_path, capsys):
         cfg = tmp_path / "mesh.yaml"

@@ -22,6 +22,8 @@ from srdf_kit import (
     optimize_placement,
 )
 
+from conftest import knot_simpson
+
 
 def gm_field(p, quad_points=2048):
     return FieldModel(GaussMarkovKernel(p), quad_points=quad_points)
@@ -67,6 +69,13 @@ class TestKernels:
         vals = np.eye(4)
         vals[0, 1] = 0.5
         with pytest.raises(DomainError):
+            TabulatedKernel(vals)
+
+    @pytest.mark.parametrize("entry,value", [((0, 2), math.nan), ((1, 1), math.inf)], ids=["nan", "inf"])
+    def test_tabulated_rejects_non_finite(self, entry, value):
+        vals = half_lag_mesh(3)
+        vals[entry] = vals[entry[::-1]] = value
+        with pytest.raises(DomainError, match="finite"):
             TabulatedKernel(vals)
 
     def test_mesh_csv_round_trip(self, tmp_path):
@@ -185,8 +194,8 @@ class TestFieldSrdfProperties:
         rate = field_srdf(fm, pts, delta).rate_bits
         assert field_srdf_spectrum(fm, pts).distortion(rate) == pytest.approx(delta, rel=1e-7)
 
-    def test_one_quadrature_pair_per_point_set(self, monkeypatch):
-        calls = {"_segment_nodes_weights": 0, "validate_covariance": 0}
+    def test_one_gram_matrix_and_node_set_per_point_set(self, monkeypatch):
+        calls = {"_mesh_simpson": 0, "validate_covariance": 0}
         for name in calls:
             original = getattr(srdf_kit.field, name)
 
@@ -198,20 +207,25 @@ class TestFieldSrdfProperties:
         points = FieldSamplingSet((0.125, 0.375, 0.75))
         field_srdf_spectrum(gm_field(0.5, quad_points=256), points)
         # Gauss-Markov integrals are closed form: one Gram matrix, no nodes
-        assert calls == {"_segment_nodes_weights": 0, "validate_covariance": 1}
+        assert calls == {"_mesh_simpson": 0, "validate_covariance": 1}
         calls.update(dict.fromkeys(calls, 0))
         field_srdf_spectrum(FieldModel(TabulatedKernel(half_lag_mesh(9)), quad_points=256), points)
-        # one Gram matrix, and the full- and half-resolution node sets once each
-        assert calls == {"_segment_nodes_weights": 2, "validate_covariance": 1}
+        # one Gram matrix and one node set, one Simpson panel per mesh cell
+        assert calls == {"_mesh_simpson": 1, "validate_covariance": 1}
 
-    def test_under_resolved_quadrature_raises(self):
-        # a coarse bilinear kernel sampled off its mesh: the Richardson pair
-        # must disagree at a tiny budget
-        from srdf_kit import QuadratureUnderResolved
-
-        fm = FieldModel(TabulatedKernel(half_lag_mesh(5)), quad_points=16)
-        with pytest.raises(QuadratureUnderResolved):
-            field_min_distortion(fm, FieldSamplingSet((0.37,)))
+    @pytest.mark.parametrize("quad_points", [16, 512, 2048])
+    def test_off_mesh_tabulated_floor_is_exact(self, quad_points):
+        # samples between mesh lines; quad_points sets nothing any more
+        kernel = TabulatedKernel(half_lag_mesh(17))
+        points = (0.23, 0.61)
+        # oracle: the integrated variance less tr(Sigma_A^{-1} M), both by a fine
+        # Simpson rule with knots at the mesh lines, where the integrands crease
+        mass, variance = knot_simpson(kernel, points, np.linspace(0.0, 1.0, 17), panels=64)
+        gram = kernel.corr(np.array(points)[:, None], np.array(points)[None, :])
+        want = variance - float(np.trace(np.linalg.solve(gram, mass)))
+        fm = FieldModel(kernel, quad_points=quad_points)
+        assert field_min_distortion(fm, points) == pytest.approx(want, rel=1e-12)
+        assert field_max_distortion(fm) == pytest.approx(variance, rel=1e-12)
 
     def test_floor_of_a_determined_field_is_resolved(self):
         # on one mesh cell two samples determine the bilinear field: the floor is

@@ -45,6 +45,8 @@ from srdf_kit import (
 from srdf_kit.cli import main
 from srdf_kit.field import _field_block
 
+from conftest import knot_simpson
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 CLI_PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
 
@@ -82,6 +84,16 @@ def field_points(rng, k):
         pts = np.sort(rng.uniform(0.0, 1.0, k))
         if np.all(np.diff(pts) >= 0.02):
             return tuple(float(p) for p in pts)
+
+
+def tabulated_field(rng, n, k):
+    """A two-scale kernel on an n-knot mesh and k points off its mesh lines, one per cell at most."""
+    grid = np.linspace(0.0, 1.0, n)
+    lag = np.abs(grid[:, None] - grid[None, :])
+    mix = rng.uniform(0.3, 0.7)
+    kernel = TabulatedKernel(mix * rng.uniform(0.2, 0.5) ** lag + (1 - mix) * rng.uniform(0.6, 0.9) ** lag)
+    cells = np.sort(rng.choice(n - 1, size=k, replace=False))
+    return kernel, tuple(float(x) for x in (cells + rng.uniform(0.1, 0.9, size=k)) / (n - 1))
 
 
 def fmt(x):
@@ -201,20 +213,14 @@ def test_field_spectrum_and_floor_add_up_to_the_field_variance(seed, tabulated):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 6))
     if tabulated:
-        # points on mesh lines: Simpson panels then never straddle a kink of the
-        # bilinear kernel, which the consistency check would reject
-        grid = np.linspace(0.0, 1.0, 17)
-        lag = np.abs(grid[:, None] - grid[None, :])
-        mix = rng.uniform(0.3, 0.7)
-        kernel = TabulatedKernel(mix * rng.uniform(0.2, 0.5) ** lag + (1 - mix) * rng.uniform(0.6, 0.9) ** lag)
-        points = tuple(float(x) for x in np.sort(rng.choice(grid, size=k, replace=False)))
+        kernel, points = tabulated_field(rng, 17, k)
     else:
         kernel = GaussMarkovKernel(float(rng.uniform(0.2, 0.9)))
         points = field_points(rng, k)
     field = FieldModel(kernel, quad_points=1024)
     spec = field_srdf_spectrum(field, points)
     # the trace of G Sigma_A is tr(Sigma_A^{-1} M): the variance the samples explain
-    assert spec.delta_max == pytest.approx(field_max_distortion(field), rel=1e-6 if tabulated else 1e-9)
+    assert spec.delta_max == pytest.approx(field_max_distortion(field), rel=1e-9)
 
 
 @PROPERTY
@@ -229,31 +235,26 @@ def test_pinned_gauss_markov_floor_matches_its_closed_form(seed):
     assert got == pytest.approx(gm_min_distortion_pinned(p, points), abs=1e-9)
 
 
-def knot_simpson_cross_mass(p, points, panels=2000):
-    """Integral of c(u) c(u)^T for the p^|s-u| kernel by Simpson's rule, panels aligned to {0, points, 1}."""
-    pts = np.asarray(points)
-    knots = np.unique(np.concatenate(([0.0], pts, [1.0])))
-    total = np.zeros((len(pts), len(pts)))
-    for lo, hi in zip(knots, knots[1:]):
-        u = np.linspace(lo, hi, 2 * panels + 1)
-        w = np.full(u.size, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        c = p ** np.abs(u[:, None] - pts[None, :])
-        total += (c * (w * (hi - lo) / (6 * panels))[:, None]).T @ c
-    return total
-
-
 @PROPERTY
-@given(seeds)
-def test_gauss_markov_cross_mass_matches_fine_quadrature(seed):
+@given(seeds, st.booleans())
+def test_cross_mass_matches_fine_quadrature(seed, tabulated):
+    # the oracle's knots hold every crease: the points for p^|s-u|, the mesh lines
+    # (and, redundantly, the points) for a bilinear mesh
     rng = np.random.default_rng(seed)
-    p = float(rng.uniform(0.05, 0.95))
-    points = field_points(rng, int(rng.integers(1, 7)))
-    if rng.uniform() < 0.3:
-        points = (0.0, *points[1:-1], 1.0) if len(points) > 1 else (float(rng.choice([0.0, 1.0])),)
-    got = _field_block(FieldModel(GaussMarkovKernel(p)), points)[1]
-    np.testing.assert_allclose(got, knot_simpson_cross_mass(p, points), rtol=1e-9, atol=0.0)
+    if tabulated:
+        n = int(rng.integers(2, 41))
+        kernel, points = tabulated_field(rng, n, int(rng.integers(1, min(6, n - 1) + 1)))
+        knots = (*np.linspace(0.0, 1.0, n), *points)
+    else:
+        kernel = GaussMarkovKernel(float(rng.uniform(0.05, 0.95)))
+        points = field_points(rng, int(rng.integers(1, 7)))
+        if rng.uniform() < 0.3:
+            points = (0.0, *points[1:-1], 1.0) if len(points) > 1 else (float(rng.choice([0.0, 1.0])),)
+        knots = points
+    field = FieldModel(kernel)
+    mass, variance = knot_simpson(kernel, points, knots)
+    np.testing.assert_allclose(_field_block(field, points)[1], mass, rtol=1e-9, atol=0.0)
+    assert field_max_distortion(field) == pytest.approx(variance, rel=1e-9)
 
 
 @PROPERTY
