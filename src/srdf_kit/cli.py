@@ -382,7 +382,11 @@ def _run_place(cfg, base, out, args):
             "points": [float(p) for p in result.points],
             "value": result.value,
             "solver": result.solver,
-            **({"restarts": result.restarts} if result.solver == "search" else {}),
+            **({"restarts": result.restarts,
+                "objective_calls": result.objective_calls,
+                # an infeasible restart is written as null
+                "restart_values": [v if math.isfinite(v) else None for v in result.restart_values]}
+               if result.solver == "search" else {}),
             "integrals": fm.integrals,
         }
     )

@@ -285,24 +285,55 @@ def gm_min_distortion_pinned(p: float, points) -> float:
     return 1.0 - sum(gm_segment_explained(p, b - a) for a, b in zip(pts, pts[1:]))
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-6):
-    """Minimize a unimodal scalar function on [lo, hi]; returns (x, fn(x))."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+def _brent(fn, lo: float, hi: float, x: float, fx: float, tol: float = 1e-6):
+    """Minimize a unimodal scalar function on [lo, hi] from x, where fn(x) = fx; returns (x, fn(x)).
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): a parabola through the three best points when it is usable and
+    all three values are finite, else a golden-section step.  The known start
+    costs no call; an x not strictly inside (lo, hi) is replaced by the golden
+    point, but is still returned if nothing better is found.  Stops once the
+    bracket is tol wide; the value returned is the one already evaluated.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    step = tol / 4.0   # smallest step; the loop ends once x is within 2 steps of both ends
+    start = (x, fx)
     a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
+    if not a < x < b:
+        x = a + golden * (b - a)
+        fx = fn(x)
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while max(x - a, b - x) > 2.0 * step:
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if x + d - a < 2.0 * step or b - x - d < 2.0 * step:
+                    d = math.copysign(step, mid - x)
+        if not parabolic:
+            e = (a - x) if x >= mid else (b - x)
+            d = golden * e
+        u = x + (d if abs(d) >= step else math.copysign(step, d))
+        fu = fn(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return start if start[1] <= fx else (x, fx)
 
 
 def _expm1_tail(x: float) -> float:
@@ -364,6 +395,8 @@ class PlacementResult:
     objective: str
     restarts: int
     solver: str        # "exact" (Gauss-Markov min_delta_min) or "search"
+    objective_calls: int
+    restart_values: tuple[float, ...]   # each restart's final value; empty for "exact"
 
 
 def _placement_objective(field: FieldModel, objective):
@@ -395,11 +428,14 @@ def optimize_placement(
 
     A Gauss-Markov field under ``min_delta_min`` is solved exactly
     (``_gm_optimal_points``), and ``restarts`` and ``seed`` go unused.
-    Otherwise each restart runs golden-section line searches coordinate by
-    coordinate, keeping points sorted and separated by SEP_TOL.  Restart 0
-    starts from the equispaced layout; the rest start from sorted uniform
-    draws on deterministic per-restart streams.  With ``pin_endpoints`` the
-    first and last points are fixed at 0 and 1 and only the interior moves.
+    Otherwise each restart runs Brent line searches (``_brent``) coordinate
+    by coordinate, each started from the point's current position and value,
+    keeping points sorted and separated by SEP_TOL.  Restart 0 starts from the
+    equispaced layout or, for a free Gauss-Markov field, from the exact floor
+    optimum when that scores lower; the rest start from sorted uniform draws
+    on deterministic per-restart streams.  With ``pin_endpoints`` the first
+    and last points are fixed at 0 and 1 and only the interior moves.  The
+    result counts the objective calls and keeps each restart's final value.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
@@ -411,11 +447,21 @@ def optimize_placement(
     if field.integrals == "closed-form" and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
         return PlacementResult(points=pts, value=float(obj_fn(pts)), objective=obj_name,
-                               restarts=restarts, solver="exact")
+                               restarts=restarts, solver="exact", objective_calls=1, restart_values=())
+    calls = 0
+
+    def objective_at(pts):
+        nonlocal calls
+        calls += 1
+        return obj_fn(tuple(pts))
 
     def run_restart(r: int):
         if r == 0:
-            pts = np.linspace(0.0, 1.0, k) if pin_endpoints else (np.arange(k) + 0.5) / k
+            layouts = [np.linspace(0.0, 1.0, k) if pin_endpoints else (np.arange(k) + 0.5) / k]
+            if field.integrals == "closed-form" and not pin_endpoints:
+                # an equispaced start can sit on the infeasible plateau of min_rate_at
+                layouts.append(_gm_optimal_points(field.kernel.p, k, False))
+            pts, value = min(((list(a), objective_at(a)) for a in layouts), key=lambda start: start[1])
         else:
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
@@ -425,9 +471,8 @@ def optimize_placement(
                 pts = np.concatenate([[0.0], inner, [1.0]])
             else:
                 pts = np.sort(rng.uniform(0.0, 1.0, size=k))
-        pts = list(pts)
+            pts, value = list(pts), objective_at(pts)
         free = range(1, k - 1) if pin_endpoints else range(k)
-        value = obj_fn(tuple(pts))
         for _ in range(40):
             largest_move = 0.0
             for i in free:
@@ -439,9 +484,9 @@ def optimize_placement(
                 def line(x, i=i):
                     cand = list(pts)
                     cand[i] = x
-                    return obj_fn(tuple(cand))
+                    return objective_at(cand)
 
-                x, fx = _golden_section(line, lo, hi)
+                x, fx = _brent(line, lo, hi, pts[i], value)
                 if fx < value:
                     largest_move = max(largest_move, abs(x - pts[i]))
                     pts[i] = x
@@ -457,4 +502,5 @@ def optimize_placement(
             best_pts, best_val = pts, val
     best_pts = tuple(float(p) for p in best_pts)
     return PlacementResult(points=best_pts, value=float(best_val), objective=obj_name, restarts=restarts,
-                           solver="search")
+                           solver="search", objective_calls=calls,
+                           restart_values=tuple(float(val) for _, val in outcomes))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,25 @@ class TestArtifacts:
             solver = "exact" if kernel == "gauss-markov" else "search"
             assert summary["solver"] == solver
             assert summary.get("restarts") == (1 if solver == "search" else None)
+            # so do the search's objective calls and per-restart values
+            if solver == "search":
+                assert isinstance(summary["objective_calls"], int) and summary["objective_calls"] > 1
+                assert summary["restart_values"] == [summary["value"]]
+            else:
+                assert "objective_calls" not in summary and "restart_values" not in summary
+
+    def test_free_rate_placement_leaves_an_infeasible_equispaced_start(self, tmp_path, capsys):
+        # the equispaced start (0.25, 0.75) has floor 0.1347, above delta
+        cfg = tmp_path / "place.yaml"
+        cfg.write_text(FIELD + "placement: {k: 2, objective: min_rate_at, delta: 0.1336, restarts: 4}\n",
+                       encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("place", cfg, tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["value"] == pytest.approx(8.87, abs=5e-3)
+        assert len(summary["restart_values"]) == 4 and summary["value"] in summary["restart_values"]
 
     def test_determined_tabulated_field_is_resolved(self, tmp_path):
         # two samples on one mesh cell leave a floor of rounding noise
@@ -173,6 +193,17 @@ class TestDeterminism:
         files2 = sorted(p.name for p in d2.iterdir())
         assert files1 == files2 and files1
         for name in files1:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_search_placement_reruns_are_byte_identical(self, tmp_path):
+        # the search's summary carries its objective calls and per-restart values
+        cfg = tmp_path / "place.yaml"
+        cfg.write_text(FIELD + "placement: {k: 3, objective: min_rate_at, delta: 0.3, restarts: 3, seed: 4}\n",
+                       encoding="utf-8")
+        d1, d2 = tmp_path / "r1", tmp_path / "r2"
+        assert run("place", cfg, d1) == 0 and run("place", cfg, d2) == 0
+        assert "restart_values" in json.loads((d1 / "summary.json").read_text(encoding="utf-8"))
+        for name in ("points.csv", "summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from srdf_kit import (
     gm_segment_explained,
     optimize_placement,
 )
+from srdf_kit.field import _brent, _gm_optimal_points
 
 from conftest import knot_simpson
 
@@ -265,13 +267,17 @@ class TestPlacement:
         def no_search(*args, **kwargs):
             raise AssertionError("the coordinate search ran")
 
-        monkeypatch.setattr(srdf_kit.field, "_golden_section", no_search)
+        monkeypatch.setattr(srdf_kit.field, "_brent", no_search)
         fm = gm_field(0.4)
         res = optimize_placement(fm, k, "min_delta_min", restarts=2, pin_endpoints=pin, seed=3)
         assert res.solver == "exact" and res.restarts == 2
         assert res.value == field_min_distortion(fm, res.points)
         if pin:
             assert res.points == tuple(np.linspace(0.0, 1.0, k))
+
+    def test_exact_path_reports_one_call_and_no_restarts(self):
+        res = optimize_placement(gm_field(0.4), 3, "min_delta_min", restarts=2)
+        assert res.objective_calls == 1 and res.restart_values == ()
 
     @pytest.mark.parametrize("k", [2, 8, 50])
     def test_end_gap_tends_to_a_third_of_the_interior_gap_as_p_tends_to_one(self, k):
@@ -295,6 +301,33 @@ class TestPlacement:
         res = optimize_placement(fm, 3, ("min_rate_at", 0.5), restarts=2, pin_endpoints=True, seed=11)
         assert res.points[0] == 0.0 and res.points[-1] == 1.0
         assert res.value <= field_srdf(fm, (0.0, 0.5, 1.0), 0.5).rate_bits
+
+    def test_search_reports_calls_and_restart_values(self, monkeypatch):
+        calls = 0
+        original = srdf_kit.field.field_srdf
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(srdf_kit.field, "field_srdf", counted)
+        # the shape of the benchmark's largest min_rate_at placement, where the
+        # golden-section line search made 933 objective calls
+        res = optimize_placement(gm_field(0.4577), 4, ("min_rate_at", 0.5642), restarts=2,
+                                 pin_endpoints=True, seed=649339510)
+        assert res.objective_calls == calls <= 300
+        assert len(res.restart_values) == 2 and res.value == min(res.restart_values)
+
+    def test_free_search_leaves_an_infeasible_equispaced_start(self):
+        # the floor at (0.25, 0.75) is 0.1347, above delta; the floor optimum meets delta
+        fm, delta = gm_field(0.5), 0.1336
+        with pytest.raises(InfeasibleDistortion):
+            field_srdf(fm, (0.25, 0.75), delta)
+        optimum = tuple(_gm_optimal_points(0.5, 2, False))
+        res = optimize_placement(fm, 2, ("min_rate_at", delta), restarts=4)
+        assert math.isfinite(res.value) and res.value <= field_srdf(fm, optimum, delta).rate_bits
+        assert res.value == pytest.approx(8.87, abs=5e-3)
 
     def test_min_rate_objective(self):
         fm = gm_field(0.5, quad_points=256)
@@ -322,3 +355,62 @@ class TestPlacement:
         monkeypatch.setattr(srdf_kit.field, "field_srdf", broken)
         with pytest.raises(RuntimeError, match="bug in the objective"):
             optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)
+
+
+class TestBrent:
+    SHAPES = {
+        "parabola": lambda x, c: (x - c) ** 2 + 1.0,
+        "kink": lambda x, c: abs(x - c),
+        "cusp": lambda x, c: math.sqrt(abs(x - c)),
+        "quartic": lambda x, c: (x - c) ** 4,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("x0", [0.3, 0.95, 1.0])
+    def test_lands_within_tol_of_the_minimizer(self, shape, x0):
+        # x0 = 1.0 is an end of the bracket, so the search starts from the golden point.
+        # It stops with x within tol/2 of both ends of a bracket holding the minimizer.
+        for c in np.linspace(0.0137, 0.9863, 25):
+            def fn(x):
+                return self.SHAPES[shape](x, c)
+
+            x, fx = _brent(fn, 0.0, 1.0, x0, fn(x0), tol=1e-6)
+            assert abs(x - c) <= 0.5e-6 and fx == fn(x)
+
+    @pytest.mark.parametrize("x0", np.linspace(0.0, 1.0, 21))
+    def test_never_returns_more_than_the_start(self, x0):
+        # several valleys: the search may settle in any of them, never above the start
+        def fn(x):
+            return math.cos(12.0 * x) + 0.1 * x
+
+        x, fx = _brent(fn, 0.0, 1.0, x0, fn(x0))
+        assert fx <= fn(x0) and fx == fn(x)
+
+    @pytest.mark.parametrize("x0, fn", [(0.0, lambda x: x), (1.0, lambda x: -x)], ids=["rising", "falling"])
+    def test_keeps_a_start_at_the_end_that_beats_the_inside(self, x0, fn):
+        assert _brent(fn, 0.0, 1.0, x0, fn(x0)) == (x0, fn(x0))
+
+    def test_spends_no_call_on_the_start(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return (x - 0.3) ** 2
+
+        x, _ = _brent(fn, 0.0, 1.0, 0.7, 0.16)
+        assert 0.7 not in seen and abs(x - 0.3) <= 1e-6
+        # a parabola is found in a few steps, where golden section takes about 31
+        assert len(seen) <= 12
+
+    @pytest.mark.parametrize("edge", [0.3, 0.6])
+    @pytest.mark.parametrize("x0", [0.1, 0.9])
+    def test_stays_finite_where_the_function_is_infinite(self, edge, x0):
+        # infinite left of the edge, as min_rate_at is where a layout's floor passes delta;
+        # numpy scalars turn inf - inf into a RuntimeWarning
+        def fn(x):
+            return np.float64(np.inf) if x < edge else np.float64((x - 0.5) ** 2)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, fx = _brent(fn, 0.0, 1.0, x0, fn(x0))
+        assert math.isfinite(fx) and abs(x - max(edge, 0.5)) <= 1e-6

@@ -3,6 +3,7 @@
 Every test is derandomized, so a run draws the same examples each time.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from srdf_kit import (
     distortion_rate,
     field_max_distortion,
     field_min_distortion,
+    field_srdf,
     field_srdf_spectrum,
     fixed_var_corr_family,
     gm_min_distortion_pinned,
@@ -43,7 +45,8 @@ from srdf_kit import (
     weight_matrix,
 )
 from srdf_kit.cli import main
-from srdf_kit.field import _field_block
+from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
+from srdf_kit.srdf import congruent_spectrum
 
 from conftest import knot_simpson
 
@@ -322,6 +325,57 @@ def test_free_gauss_markov_optimum_is_a_minimum_among_equal_gap_layouts(p, k, st
 def test_free_gauss_markov_optimum_is_symmetric(p, k):
     points = np.array(optimize_placement(FieldModel(GaussMarkovKernel(p)), k, "min_delta_min").points)
     np.testing.assert_allclose(points + points[::-1], 1.0, rtol=0.0, atol=1e-12)
+
+
+def rate_or_inf(field, points, delta):
+    try:
+        return field_srdf(field, tuple(points), delta).rate_bits
+    except InfeasibleDistortion:
+        return math.inf
+
+
+@CLI_PROPERTY
+@given(st.floats(0.05, 0.95), st.integers(1, 4), st.floats(1e-3, 0.5), st.integers(1, 2), seeds)
+def test_free_rate_placement_beats_both_start_layouts(p, k, slack, restarts, seed):
+    field = FieldModel(GaussMarkovKernel(p))
+    optimum = _gm_optimal_points(p, k, False)
+    # just above the lowest floor, the equispaced layout is often infeasible
+    floor = field_min_distortion(field, tuple(optimum))
+    delta = floor + slack * (1.0 - floor)
+    res = optimize_placement(field, k, ("min_rate_at", delta), restarts=restarts, seed=seed)
+    assert math.isfinite(res.value)
+    assert res.value <= rate_or_inf(field, (np.arange(k) + 0.5) / k, delta)
+    assert res.value <= rate_or_inf(field, optimum, delta)
+
+
+def pinned_three_point_rates(p, delta, middle):
+    """min_rate_at objective of (0, a, 1) for every a in ``middle``, as one stack; inf below the floor."""
+    pts = np.stack([np.zeros_like(middle), middle, np.ones_like(middle)], axis=-1)
+    sigma = p ** np.abs(pts[:, :, None] - pts[:, None, :])
+    mass = np.array([_gm_cross_mass(p, row) for row in pts])
+    lift = np.linalg.solve(sigma, mass)
+    floors = 1.0 - np.trace(lift, axis1=1, axis2=2)
+    g = np.linalg.solve(sigma, np.swapaxes(lift, 1, 2))
+    lambdas = congruent_spectrum(sigma, 0.5 * (g + np.swapaxes(g, 1, 2)))
+    rates = np.full(middle.size, math.inf)
+    feasible = floors < delta
+    rates[feasible] = Spectrum(floors[feasible], lambdas[feasible]).rate(delta)
+    return rates
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.floats(0.02, 0.98), st.floats(1e-3, 0.9), seeds)
+def test_pinned_three_point_rate_placement_matches_a_fine_grid(p, slack, seed):
+    # one free coordinate: each restart is a single line search
+    field = FieldModel(GaussMarkovKernel(p))
+    floor = field_min_distortion(field, (0.0, 0.5, 1.0))
+    delta = floor + slack * (1.0 - floor)
+    res = optimize_placement(field, 3, ("min_rate_at", delta), restarts=3, pin_endpoints=True, seed=seed)
+    grid_min = float(pinned_three_point_rates(p, delta, np.linspace(0.0, 1.0, 10**4 + 1)[1:-1]).min())
+    assert res.value <= grid_min + 1e-10
+    if delta > field_min_distortion(field, (0.0, 1.0)):
+        # then no layout is infeasible, and a random start finds the minimum too
+        assert max(res.restart_values) <= grid_min + 1e-10
 
 
 @PROPERTY
