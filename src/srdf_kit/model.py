@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     NotPositiveDefinite,
     NotSquare,
@@ -155,9 +154,3 @@ def partition(model: CovarianceModel, sampled) -> BlockPartition:
         sampled=sampled,
     )
 
-
-def check_vector(x, dim: int, name: str = "vector") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise DimensionMismatch(f"{name} must have shape ({dim},), got {x.shape}")
-    return x

@@ -54,16 +54,6 @@ def _blocks(bp: BlockPartition):
     return bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac))
 
 
-def weight_matrix(bp: BlockPartition) -> np.ndarray:
-    """Distortion weight on the sampled block.
-
-    G = I + Sigma_A^{-1} Sigma_{AA^c} Sigma_{AA^c}^T Sigma_A^{-1}; measuring
-    the sampled reproduction under G accounts for the error the linear
-    estimate of the unsampled components inherits from it.
-    """
-    return _weight(_lift(*_blocks(bp))[0])
-
-
 def min_distortion(bp: BlockPartition) -> float:
     """Estimation floor: total MSE of the best unsampled-from-sampled estimate."""
     return _lift(*_blocks(bp))[1]
@@ -95,11 +85,6 @@ def congruent_spectrum(sigma_a: np.ndarray, g: np.ndarray) -> np.ndarray:
     if np.min(lam) <= 0.0:
         raise EigenFailure(f"weighted spectrum has nonpositive eigenvalue {np.min(lam):.3e}")
     return lam[..., ::-1].copy()
-
-
-def srdf_eigenvalues(bp: BlockPartition) -> np.ndarray:
-    """Eigenvalues of G_A Sigma_A, descending; real and positive by construction."""
-    return srdf_spectrum(bp).lambdas
 
 
 def _scalar(x):
@@ -209,7 +194,6 @@ def srdf_spectrum(bp: BlockPartition) -> Spectrum:
 @dataclass(frozen=True)
 class WaterfillSolution:
     alpha: float
-    per_mode_distortion: tuple[float, ...]
     rate_bits: float
 
 
@@ -227,8 +211,7 @@ def waterfill(lambdas, budget: float) -> WaterfillSolution:
     if budget > spec.total * (1.0 + 1e-9):
         raise BudgetOutOfRange(f"budget {budget} exceeds the spectrum total {spec.total}")
     alpha = float(spec.lambdas[0]) if budget >= spec.total else spec.level(budget)
-    dist = tuple(min(alpha, float(lam)) for lam in lams)
-    return WaterfillSolution(alpha=alpha, per_mode_distortion=dist, rate_bits=spec.rate(budget))
+    return WaterfillSolution(alpha=alpha, rate_bits=spec.rate(budget))
 
 
 def waterfill_inverse(lambdas, rate_bits: float) -> float:
@@ -256,18 +239,6 @@ def srdf(model: CovarianceModel, sampled, delta: float) -> SrdfPoint:
 def distortion_rate(model: CovarianceModel, sampled, rate_bits: float) -> float:
     """Distortion achieved at ``rate_bits``; inverse of srdf along the same curve."""
     return srdf_spectrum(partition(model, sampled)).distortion(rate_bits)
-
-
-def eval_da(g: np.ndarray, x, y) -> float:
-    """Weighted squared error (x - y)^T G (x - y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.shape != (g.shape[0],):
-        raise DimensionMismatch(
-            f"points must both have shape ({g.shape[0]},), got {x.shape} and {y.shape}"
-        )
-    d = x - y
-    return float(d @ g @ d)
 
 
 def correlation_model(sigmas, corr) -> CovarianceModel:

@@ -12,6 +12,7 @@ non-Bayesian curve guards the worst member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
 GRID_RES_DEFAULT = 33
 ATOM_TOL = 1e-8          # max-norm radius for "same sampled block"
 NODE_CAP = 100_000
-USRDF_RATE_TOL = 1e-9    # bisection interval on the common rate, bits
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,14 @@ class AmbiguityAtom:
 @dataclass(frozen=True)
 class AmbiguityPartition:
     atoms: tuple[AmbiguityAtom, ...]
-    atom_tol: float
 
 
-def project_family(family: ParamFamily, sampled, atom_tol: float = ATOM_TOL) -> AmbiguityPartition:
+def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
     """Split the family grid into ambiguity atoms of the sampling set.
 
     Nodes are first collapsed by rounding each sampled-block entry to a
-    quarter of the tolerance (same bucket implies distance well inside the
-    tolerance), then buckets within the tolerance in max-norm are merged.
+    quarter of ATOM_TOL (same bucket implies distance well inside it), then
+    buckets within ATOM_TOL in max-norm are merged.
     Atoms are ordered by their lowest member node, so the split is
     deterministic.
     """
@@ -148,7 +147,7 @@ def project_family(family: ParamFamily, sampled, atom_tol: float = ATOM_TOL) -> 
         raise EmptyGrid("family grid is empty")
     blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
     flat = blocks.reshape(len(blocks), -1)
-    keys = np.round(flat / (atom_tol / 4.0)).astype(np.int64)
+    keys = np.round(flat / (ATOM_TOL / 4.0)).astype(np.int64)
     _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     reps = flat[first_idx]
     n_buckets = len(first_idx)
@@ -161,7 +160,7 @@ def project_family(family: ParamFamily, sampled, atom_tol: float = ATOM_TOL) -> 
         return x
 
     for i in range(n_buckets):
-        close = np.max(np.abs(reps[i + 1:] - reps[i]), axis=1) <= atom_tol
+        close = np.max(np.abs(reps[i + 1:] - reps[i]), axis=1) <= ATOM_TOL
         for j in np.flatnonzero(close):
             ri, rj = find(i), find(int(i + 1 + j))
             if ri != rj:
@@ -191,7 +190,7 @@ def project_family(family: ParamFamily, sampled, atom_tol: float = ATOM_TOL) -> 
                 member_weights=member_w,
             )
         )
-    return AmbiguityPartition(atoms=tuple(atoms), atom_tol=atom_tol)
+    return AmbiguityPartition(atoms=tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -240,23 +239,27 @@ class UsrdfPoint:
     trivial: bool = False
 
 
-def _stack(spectra) -> Spectrum:
-    """One stacked Spectrum from single spectra with the same number of modes."""
-    return Spectrum(np.array([s.delta_min for s in spectra]), np.stack([s.lambdas for s in spectra]))
-
-
 def bayes_curve(data, deltas) -> list[UsrdfPoint]:
     """Bayesian universal curve at each of ``deltas``, from one family's atom data.
 
-    The optimal split gives every atom the distortion it reaches at a shared
-    rate r, so r solves sum_atoms weight * distortion_at_rate(r) = delta.
-    The bisection on r (see ``bayes_usrdf``) runs for every delta in lockstep,
-    and each of its steps is one exact evaluation over all atoms and deltas.
+    The optimal split gives every atom a the distortion D_a(r) it reaches at a
+    shared rate r, so r solves sum_a w_a D_a(r) = delta.  Above its floor an
+    atom keeps E_a = j alpha + T, with alpha the water level at rate r, j the
+    number of modes cut down to it and T the sum of the modes left whole.
+    So E_a' = -2 ln2 alpha is continuous across breakpoints and
+    (ln E_a)'' = (2 ln2)^2 alpha T / (j E_a^2) >= 0: each E_a is log-convex,
+    and so is their weighted sum.  Hence L(r) = ln sum_a w_a E_a(r) is convex
+    and decreasing, and Newton's method on L(r) = ln(delta - delta_min) rises
+    from r = 0 to the root without passing it; L is linear, and the step
+    exact, once every mode is cut.  A row stops when its iterate no longer
+    grows, or clamped at RATE_CAP_BITS, where only the floor is left and
+    nothing is evaluated.
     """
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.isfinite(deltas)):
         raise BudgetOutOfRange(f"distortion must be finite, got {deltas}")
-    atoms = _stack([d.spectrum for d in data])
+    floors = np.array([d.spectrum.delta_min for d in data])
+    modes = Spectrum(np.zeros(len(data)), np.stack([d.spectrum.lambdas for d in data]))
     w = np.array([d.weight for d in data])
     dmin = sum(d.weight * d.spectrum.delta_min for d in data)
     dmax = sum(d.weight * d.spectrum.delta_max for d in data)
@@ -264,37 +267,34 @@ def bayes_curve(data, deltas) -> list[UsrdfPoint]:
         raise InfeasibleDistortion(
             f"delta {np.min(deltas)} is at or below the prior-averaged floor {dmin}"
         )
-
-    def avg_distortion(r):
-        return np.sum(w * atoms.distortion(r[:, None]), axis=-1)
-
-    lo, hi = np.zeros(len(deltas)), np.full(len(deltas), RATE_CAP_BITS)
-    capped = avg_distortion(hi) >= deltas
-    for _ in range(200):
-        live = hi - lo >= USRDF_RATE_TOL
-        if not np.any(live):
-            break
-        mid = 0.5 * (lo + hi)
-        above = avg_distortion(mid) > deltas
-        lo, hi = np.where(live & above, mid, lo), np.where(live & ~above, mid, hi)
     trivial = deltas >= dmax * (1.0 - 1e-12)
-    rates = np.where(trivial, 0.0, np.where(capped, RATE_CAP_BITS, 0.5 * (lo + hi)))
-    alloc = np.where(trivial[:, None], atoms.delta_max, atoms.distortion(rates[:, None]))
+    target = deltas - dmin
+    rates = np.zeros(len(deltas))
+    live = ~trivial
+    while np.any(live):
+        r = rates[live]
+        excess = modes.distortion(r[:, None])
+        e = excess @ w
+        step = np.log(e / target[live]) * e / (2.0 * math.log(2.0) * (modes.level(excess) @ w))
+        nxt = np.minimum(r + step, RATE_CAP_BITS)
+        grew = nxt > r
+        rates[live] = np.where(grew, nxt, r)
+        live[live] = grew & (nxt < RATE_CAP_BITS)
+    alloc = floors + modes.distortion(rates[:, None])
     return [
         UsrdfPoint(float(d), float(r), tuple(float(x) for x in per), dmin, dmax, bool(t))
         for d, r, per, t in zip(deltas, rates, alloc, trivial)
     ]
 
 
-def bayes_usrdf(family: ParamFamily, sampled, delta: float, atom_tol: float = ATOM_TOL) -> UsrdfPoint:
+def bayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
     """Bayesian universal curve: prior-average distortion ``delta``, common rate equalized.
 
-    The common rate is the midpoint of a bisection on [0, RATE_CAP_BITS]
-    stopped at a USRDF_RATE_TOL (1e-9 bit) interval, not an exact root: across
-    atoms the averaged distortion mixes exponentials in r of different rates,
-    and the shipped Bayes golden curve pins this midpoint to 9 digits.
+    The common rate is the root of sum_a w_a D_a(r) = delta, found by Newton's
+    method on the logarithm of the averaged distortion above the floor, which
+    is convex in r (see ``bayes_curve``), so the iterates rise to the root.
     """
-    part = project_family(family, sampled, atom_tol)
+    part = project_family(family, sampled)
     return bayes_curve([bayes_atom_data(family, sampled, atom) for atom in part.atoms], [delta])[0]
 
 
@@ -311,10 +311,11 @@ def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> 
         a = ss.zero_based()
         ac = ss.complement(family.m)
         sigs = [family.node_sigmas[atom.members[0]] for atom in part.atoms]
-        return _stack([
+        specs = [
             _block_spectrum(sig[np.ix_(a, a)], sig[np.ix_(a, ac)], float(np.trace(sig[np.ix_(ac, ac)])))[0]
             for sig in sigs
-        ])
+        ]
+        return Spectrum(np.array([s.delta_min for s in specs]), np.stack([s.lambdas for s in specs]))
     if family.template and family.template[0] == "fixed_var_corr":
         sigma2 = float(family.template[1])
         if family.m != 2 or ss.k != 1:
@@ -344,9 +345,9 @@ def nonbayes_curve(spectra: Spectrum, deltas) -> list[UsrdfPoint]:
     ]
 
 
-def nonbayes_usrdf(family: ParamFamily, sampled, delta: float, atom_tol: float = ATOM_TOL) -> UsrdfPoint:
+def nonbayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
     """Non-Bayesian universal curve: worst-case rate over ambiguity atoms (see nonbayes_spectra)."""
-    part = project_family(family, sampled, atom_tol)
+    part = project_family(family, sampled)
     return nonbayes_curve(nonbayes_spectra(family, sampled, part), [delta])[0]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -68,6 +69,14 @@ class TestArtifacts:
         got = (tmp_path / "curve.csv").read_bytes()
         assert got == (GOLDEN / "corr_family_bayes_curve.csv").read_bytes()
         assert (tmp_path / "allocation.csv").exists()
+
+    def test_bayes_golden_is_the_one_atom_closed_form(self):
+        # one atom with a single mode 1.25 above the floor 0.75, so R = log2(1.25 / (delta - 0.75)) / 2
+        lines = (GOLDEN / "corr_family_bayes_curve.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 11
+        for line in lines[1:]:
+            delta, rate = line.split(",")
+            assert rate == f"{0.5 * math.log2(1.25 / (float(delta) - 0.75)):.9g}"
 
     def test_nonbayes_matches_golden(self, tmp_path):
         assert run("usrdf-nonbayes", CONFIGS / "corr_family_nonbayes.yaml", tmp_path) == 0

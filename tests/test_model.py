@@ -3,7 +3,6 @@ import pytest
 
 from srdf_kit import (
     CovarianceModel,
-    DimensionMismatch,
     IndexOutOfRange,
     NotPositiveDefinite,
     NotSquare,
@@ -120,12 +119,3 @@ class TestPartition:
         model = CovarianceModel(np.eye(2))
         with pytest.raises(IndexOutOfRange):
             partition(model, [3])
-
-    def test_check_vector_shape(self):
-        model = CovarianceModel(np.eye(2))
-        bp = partition(model, [1])
-        from srdf_kit.model import check_vector
-
-        check_vector(np.zeros(1), 1, "x")
-        with pytest.raises(DimensionMismatch):
-            check_vector(np.zeros(2), 1, "x")

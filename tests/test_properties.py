@@ -23,6 +23,7 @@ from srdf_kit import (
     Spectrum,
     TabulatedKernel,
     affine_family,
+    bayes_atom_data,
     bayes_usrdf,
     best_fixed_set,
     distortion_rate,
@@ -39,16 +40,17 @@ from srdf_kit import (
     nonbayes_usrdf,
     optimize_placement,
     partition,
+    project_family,
     srdf,
     srdf_spectrum,
     waterfill,
-    weight_matrix,
 )
 from srdf_kit.cli import main
 from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
-from srdf_kit.srdf import congruent_spectrum
+from srdf_kit.srdf import _block_spectrum, _blocks, congruent_spectrum
+from srdf_kit.universal import bayes_curve
 
-from conftest import knot_simpson
+from conftest import knot_simpson, multi_atom_family
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 CLI_PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
@@ -79,6 +81,30 @@ def singleton_family(rng):
     direction[0, 0] = 1.0
     family = affine_family(base, [direction], [(0.0, float(rng.uniform(0.1, 1.0)))], prior="uniform", grid_res=5)
     return family, [1] if rng.uniform() < 0.5 else [1, 2]
+
+
+def mp_bayes_rate(mp, data, delta):
+    """Common rate r with sum_a w_a D_a(r) = ``delta``, in the working precision of ``mp``.
+
+    D_a is evaluated from its active set: with the j largest modes active the
+    level is 2^((sum_{i<=j} log2 lambda_i - 2r) / j), and the right j is the
+    first whose level is at least the next mode.
+    """
+    def distortion(lams, r):
+        for j in range(1, len(lams) + 1):
+            level = mp.power(2, (mp.fsum(mp.log(x, 2) for x in lams[:j]) - 2 * r) / j)
+            if j == len(lams) or level >= lams[j]:
+                return mp.fsum(min(level, x) for x in lams)
+
+    atoms = [(mp.mpf(d.weight), mp.mpf(d.spectrum.delta_min), [mp.mpf(x) for x in d.spectrum.lambdas]) for d in data]
+
+    def excess(r):
+        return mp.fsum(w * (floor + distortion(lams, r)) for w, floor, lams in atoms) - mp.mpf(delta)
+
+    hi = mp.mpf(1)
+    while excess(hi) > 0:
+        hi *= 2
+    return mp.findroot(excess, (mp.mpf(0), hi), solver="anderson")
 
 
 def field_points(rng, k):
@@ -119,7 +145,6 @@ def test_exact_level_spends_the_budget(lams, fraction):
     budget = fraction * float(np.sum(lams))
     sol = waterfill(lams, budget)
     assert sum(min(sol.alpha, lam) for lam in lams) == pytest.approx(budget, rel=1e-12)
-    assert sum(sol.per_mode_distortion) == pytest.approx(budget, rel=1e-12)
 
 
 @PROPERTY
@@ -186,6 +211,19 @@ def test_nonbayes_curve_lies_on_or_above_the_bayes_curve(seed, fraction):
     assert nonbayes_usrdf(family, sampled, delta).rate_bits >= bayes_usrdf(family, sampled, delta).rate_bits - 1e-8
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seeds, st.integers(1, 4), st.floats(1e-2, 0.99))
+def test_bayes_rate_is_the_high_precision_root(seed, k, fraction):
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    family, sampled = multi_atom_family(np.random.default_rng(seed), k)
+    data = [bayes_atom_data(family, sampled, atom) for atom in project_family(family, sampled).atoms]
+    assert len(data) == 3
+    point = bayes_curve(data, [1e9])[0]
+    delta = point.delta_min + fraction * (point.delta_max - point.delta_min)
+    assert abs(bayes_curve(data, [delta])[0].rate_bits - float(mp_bayes_rate(mp, data, delta))) <= 1e-12
+
+
 @PROPERTY
 @given(seeds)
 def test_mse_of_a_linear_code_splits_into_weighted_error_plus_floor(seed):
@@ -206,7 +244,7 @@ def test_mse_of_a_linear_code_splits_into_weighted_error_plus_floor(seed):
     total = float(np.trace(error @ sigma @ error.T))
     bp = partition(model, sampled)
     resid = (np.eye(k) - lin) @ bp.sigma_a @ (np.eye(k) - lin).T
-    split = float(np.trace(resid @ weight_matrix(bp))) + min_distortion(bp)
+    split = float(np.trace(resid @ _block_spectrum(*_blocks(bp))[1])) + min_distortion(bp)
     assert split == pytest.approx(total, rel=1e-10)
 
 

@@ -11,18 +11,17 @@ from srdf_kit import (
     Spectrum,
     correlation_model,
     distortion_rate,
-    eval_da,
     max_distortion,
     min_distortion,
     partition,
     single_site_min_distortion,
     single_site_srdf,
     srdf,
-    srdf_eigenvalues,
+    srdf_spectrum,
     waterfill,
     waterfill_inverse,
-    weight_matrix,
 )
+from srdf_kit.srdf import _block_spectrum, _blocks
 
 from conftest import random_model
 
@@ -90,9 +89,10 @@ class TestWaterfill:
 
     def test_two_mode_known_case(self):
         # lambdas {4, 1}, budget 2: water level 1 keeps the small mode whole
-        sol = waterfill(np.array([4.0, 1.0]), 2.0)
+        lams = np.array([4.0, 1.0])
+        sol = waterfill(lams, 2.0)
         assert sol.rate_bits == pytest.approx(1.0, abs=1e-9)
-        assert sol.per_mode_distortion == pytest.approx([1.0, 1.0], abs=1e-7)
+        assert np.minimum(sol.alpha, lams) == pytest.approx([1.0, 1.0], abs=1e-7)
 
     def test_two_mode_interior_level(self):
         # budget 1.0 splits evenly below both modes: rate = 0.5 log2(4/0.5) + 0.5 log2(1/0.5)
@@ -104,13 +104,14 @@ class TestWaterfill:
         lams = np.array([3.0, 2.0, 1.0])
         sol = waterfill(lams, 6.0)
         assert sol.rate_bits == 0.0
-        assert sol.per_mode_distortion == pytest.approx(list(lams))
+        assert np.minimum(sol.alpha, lams) == pytest.approx(list(lams))
 
     def test_distortions_sum_to_budget(self):
         lams = np.array([2.5, 1.5, 0.25])
         sol = waterfill(lams, 1.3)
-        assert sum(sol.per_mode_distortion) == pytest.approx(1.3, abs=1e-9)
-        assert all(d <= l + 1e-12 for d, l in zip(sol.per_mode_distortion, lams))
+        dist = np.minimum(sol.alpha, lams)
+        assert sum(dist) == pytest.approx(1.3, abs=1e-9)
+        assert all(d <= l + 1e-12 for d, l in zip(dist, lams))
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, 100.0])
     def test_rejects_out_of_range_budget(self, budget):
@@ -197,16 +198,16 @@ class TestSrdfCore:
     def test_weight_matrix_identity_when_independent(self):
         model = CovarianceModel(np.diag([2.0, 3.0, 4.0]))
         bp = partition(model, [1, 2])
-        assert np.allclose(weight_matrix(bp), np.eye(2))
+        assert np.allclose(_block_spectrum(*_blocks(bp))[1], np.eye(2))
         assert min_distortion(bp) == pytest.approx(4.0)
 
     def test_full_sampling_reduces_to_plain_rd(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 4)
         bp = partition(model, [1, 2, 3, 4])
-        assert np.allclose(weight_matrix(bp), np.eye(4))
+        assert np.allclose(_block_spectrum(*_blocks(bp))[1], np.eye(4))
         assert min_distortion(bp) == pytest.approx(0.0, abs=1e-12)
-        lams = srdf_eigenvalues(bp)
+        lams = srdf_spectrum(bp).lambdas
         assert np.allclose(np.sort(lams), np.sort(np.linalg.eigvalsh(model.sigma)))
 
     def test_spectrum_sum_identity(self):
@@ -218,7 +219,7 @@ class TestSrdfCore:
             k = int(rng.integers(1, m + 1))
             subset = tuple(sorted(rng.choice(np.arange(1, m + 1), size=k, replace=False).tolist()))
             bp = partition(model, subset)
-            lams = srdf_eigenvalues(bp)
+            lams = srdf_spectrum(bp).lambdas
             expect = max_distortion(model) - min_distortion(bp)
             assert float(np.sum(lams)) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
@@ -249,12 +250,6 @@ class TestSrdfCore:
             distortion_rate(model, [1], math.nan)
         with pytest.raises(BudgetOutOfRange):
             srdf(model, [1], math.nan)
-
-    def test_eval_da_quadratic_form(self):
-        g = np.array([[2.0, 0.5], [0.5, 1.0]])
-        x = np.array([1.0, -1.0])
-        y = np.zeros(2)
-        assert eval_da(g, x, y) == pytest.approx(x @ g @ x)
 
 
 class TestSingleSiteClosedForm:

@@ -7,6 +7,7 @@ from srdf_kit import (
     DimensionMismatch,
     InfeasibleDistortion,
     NoPrior,
+    Spectrum,
     UnsupportedFamily,
     affine_family,
     bayes_atom_data,
@@ -15,6 +16,10 @@ from srdf_kit import (
     nonbayes_usrdf,
     project_family,
 )
+from srdf_kit.srdf import RATE_CAP_BITS
+from srdf_kit.universal import bayes_curve
+
+from conftest import multi_atom_family
 
 E1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E2 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -25,6 +30,12 @@ def bayes_rate_closed(delta, mean_r=0.5, sigma2=1.0):
     mode = sigma2 * (1.0 + mean_r ** 2)
     floor = sigma2 * (1.0 - mean_r ** 2)
     return 0.5 * math.log2(mode / (delta - floor))
+
+
+def three_mode_atoms():
+    """Bayes atom data of a drawn multi-atom family sampled at [1, 2, 3]."""
+    fam, sampled = multi_atom_family(np.random.default_rng(7), 3)
+    return [bayes_atom_data(fam, sampled, atom) for atom in project_family(fam, sampled).atoms]
 
 
 def nonbayes_rate_closed(delta, r_lo=0.2, sigma2=1.0):
@@ -156,6 +167,32 @@ class TestBayesCurve:
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=9)
         with pytest.raises(NoPrior):
             bayes_usrdf(fam, [1], 1.0)
+
+    @pytest.mark.parametrize("which", ["one-atom", "three-atom"])
+    def test_newton_needs_few_distortion_calls(self, which, monkeypatch):
+        if which == "one-atom":
+            fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=33)
+            data = [bayes_atom_data(fam, [1], atom) for atom in project_family(fam, [1]).atoms]
+        else:
+            data = three_mode_atoms()
+        dmin = sum(d.weight * d.spectrum.delta_min for d in data)
+        dmax = sum(d.weight * d.spectrum.delta_max for d in data)
+        fractions = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 1.0, 40)])
+        calls = []
+        distortion = Spectrum.distortion
+        monkeypatch.setattr(Spectrum, "distortion", lambda spec, r: calls.append(r) or distortion(spec, r))
+        points = bayes_curve(data, dmin + fractions * (dmax - dmin))
+        # one call per Newton step plus one for the allocation
+        assert 2 <= len(calls) <= 24
+        assert all(0.0 < p.rate_bits < RATE_CAP_BITS for p in points[:-1]) and points[-1].trivial
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_caps_just_above_the_floor(self):
+        data = three_mode_atoms()
+        dmin = sum(d.weight * d.spectrum.delta_min for d in data)
+        pt = bayes_curve(data, [dmin * (1.0 + 1e-14)])[0]
+        assert pt.rate_bits == RATE_CAP_BITS
+        assert pt.per_atom_delta == tuple(d.spectrum.delta_min for d in data)
 
 
 class TestNonBayesCurve:
