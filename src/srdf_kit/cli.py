@@ -12,6 +12,7 @@ procedure fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigParse, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
+from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
 from .field import (
     QUAD_POINTS_DEFAULT,
     FieldModel,
@@ -60,16 +61,27 @@ TASKS = (
     "usim",
 )
 
+GRID_CAP = 100_000  # most points a curve's grid may hold; checked before the grid is built
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header``: strings as they are, numbers as ``_fmt`` writes them.
+
+    Each column holds one kind throughout, so the first row fixes a row
+    template ("%s" for a string, "%.9g" for a number, the same formatter as
+    ``_fmt``) and one ``%`` over all cells formats the whole body.
+    """
+    rows = list(rows)
+    body = ""
+    if rows:
+        template = ",".join("%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]) + "\n"
+        body = (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -90,15 +102,22 @@ def _scalar(block: dict, key: str, kind, default=None):
     if key not in block and default is None:
         raise ConfigParse(f"config is missing '{key}'")
     value = block.get(key, default)
+    what = {bool: "true or false", int: "an integer"}.get(kind, "a number")
+    if isinstance(value, bool) != (kind is bool):   # YAML true/false are not numbers here
+        raise ConfigParse(f"'{key}' must be {what}, got {value!r}")
     if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigParse(f"'{key}' must be true or false, got {value!r}")
         return value
     try:
         return operator.index(value) if kind is int else float(value)
     except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
         raise ConfigParse(f"'{key}' must be {what}, got {value!r}") from exc
+
+
+def _seed(value):
+    """A seed from the config or the command line, which must be an integer >= 0."""
+    if value is None or value < 0:
+        raise ConfigParse(f"a seed must be a nonnegative integer, got {value}")
+    return value
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -111,8 +130,10 @@ def _floats(values, what: str) -> np.ndarray:
 def _load_config(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
-    except OSError as exc:
+            # libyaml's parser when pyyaml was built with it, else the pure-Python
+            # one; both build values with the same safe constructor and resolver
+            cfg = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigParse(f"config {path} is not valid YAML: {exc}") from exc
@@ -151,16 +172,14 @@ def _parse_grid(cfg: dict, key: str = "grid") -> np.ndarray:
     block = _need(cfg, key)
     if not isinstance(block, dict):
         raise ConfigParse(f"'{key}' must be a mapping with min, max, count")
-    try:
-        lo = float(block["min"])
-        hi = float(block["max"])
-        count = operator.index(block["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"'{key}' needs numeric min, max and integer count: {exc}") from exc
+    lo, hi = _scalar(block, "min", float), _scalar(block, "max", float)
+    count = _scalar(block, "count", int)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigParse(f"'{key}' needs finite min and max, got {lo} and {hi}")
     if count < 1 or hi < lo:
         raise ConfigParse(f"'{key}' must have count >= 1 and max >= min")
+    if count > GRID_CAP:
+        raise GridTooLarge(f"'{key}' count {count} exceeds the cap {GRID_CAP}")
     return np.linspace(lo, hi, count)
 
 
@@ -273,6 +292,7 @@ def _parse_sim(cfg: dict, seed_override: int | None) -> SimConfig:
     }
     if seed_override is not None:
         merged["seed"] = seed_override
+    _seed(merged.get("seed", 0))
     try:
         return SimConfig(**merged)
     except TypeError as exc:
@@ -370,7 +390,7 @@ def _run_place(cfg, base, out, args):
         objective,
         restarts=_scalar(block, "restarts", int, 16),
         pin_endpoints=_scalar(block, "pin_endpoints", bool, False),
-        seed=args.seed if args.seed is not None else _scalar(block, "seed", int, 0),
+        seed=args.seed if args.seed is not None else _seed(_scalar(block, "seed", int, 0)),
     )
     if math.isinf(result.value):
         raise InfeasibleDistortion(f"no placement meets the objective {result.objective}")
@@ -481,6 +501,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None:
+            _seed(args.seed)
         config_path = Path(args.config)
         cfg = _load_config(config_path)
         out = Path(args.out)

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SrdfKitError
+from .errors import DomainError, GridTooLarge, SrdfKitError
 from .model import validate_covariance
 from .srdf import SrdfPoint, Spectrum, _srdf_point, congruent_spectrum
 
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
+PLACEMENT_CAP = 128  # most points one placement places; the Gauss-Markov cross mass holds (k+1) k^2 floats
+FEASIBLE_BISECTIONS = 20  # halvings that locate an infeasible restart's first feasible point
 
 
 @dataclass(frozen=True)
@@ -433,12 +435,22 @@ def optimize_placement(
     keeping points sorted and separated by SEP_TOL.  Restart 0 starts from the
     equispaced layout or, for a free Gauss-Markov field, from the exact floor
     optimum when that scores lower; the rest start from sorted uniform draws
-    on deterministic per-restart streams.  With ``pin_endpoints`` the first
-    and last points are fixed at 0 and 1 and only the interior moves.  The
-    result counts the objective calls and keeps each restart's final value.
+    on deterministic per-restart streams.  A Gauss-Markov draw that is
+    infeasible (its floor at or above the target distortion, objective inf)
+    moves first to the first feasible point on the segment to the exact floor
+    optimum: along it the gaps change linearly and the floor, a sum of convex
+    functions of the gaps, is convex and least at the optimum, so it does not
+    rise and the feasible points form its final stretch, which bisection
+    locates to 2^-FEASIBLE_BISECTIONS of its length.  A tabulated field has no
+    known optimum, so its infeasible draws are searched from where they fall.
+    With ``pin_endpoints`` the first and last points are fixed at 0 and 1
+    and only the interior moves.  The result counts the objective calls and
+    keeps each restart's final value.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
+    if k > PLACEMENT_CAP:
+        raise GridTooLarge(f"k = {k} points exceeds the placement cap {PLACEMENT_CAP}")
     if pin_endpoints and k < 2:
         raise DomainError("pinned placement needs k >= 2")
     if restarts < 1:
@@ -454,6 +466,20 @@ def optimize_placement(
         nonlocal calls
         calls += 1
         return obj_fn(tuple(pts))
+
+    def first_feasible(start):
+        opt = _gm_optimal_points(field.kernel.p, k, pin_endpoints)
+        lo, hi, value = 0.0, 1.0, objective_at(opt)
+        if value == math.inf:
+            return start, value
+        for _ in range(FEASIBLE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            mid_value = objective_at(start + mid * (opt - start))
+            if mid_value == math.inf:
+                lo = mid
+            else:
+                hi, value = mid, mid_value
+        return start + hi * (opt - start), value
 
     def run_restart(r: int):
         if r == 0:
@@ -471,7 +497,10 @@ def optimize_placement(
                 pts = np.concatenate([[0.0], inner, [1.0]])
             else:
                 pts = np.sort(rng.uniform(0.0, 1.0, size=k))
-            pts, value = list(pts), objective_at(pts)
+            value = objective_at(pts)
+            if value == math.inf and field.integrals == "closed-form":
+                pts, value = first_feasible(pts)
+            pts = list(pts)
         free = range(1, k - 1) if pin_endpoints else range(k)
         for _ in range(40):
             largest_move = 0.0

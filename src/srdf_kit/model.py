@@ -84,7 +84,10 @@ class SamplingSet:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "indices", tuple(operator.index(i) for i in self.indices))
+            labels = tuple(self.indices)
+            if any(isinstance(i, bool) for i in labels):   # operator.index passes true/false as 1/0
+                raise TypeError("true/false is not a component label")
+            object.__setattr__(self, "indices", tuple(operator.index(i) for i in labels))
         except TypeError as exc:
             raise IndexOutOfRange(f"component labels must be integers, got {self.indices}") from exc
         if len(self.indices) == 0:

@@ -4,14 +4,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import srdf_kit
-from srdf_kit.cli import main
+from srdf_kit.cli import _write_csv, main
 
 from conftest import knot_simpson
 
@@ -216,6 +220,132 @@ class TestDeterminism:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+# one shipped config per task
+TASK_CONFIGS = [
+    ("srdf", "three_component_srdf.yaml"),
+    ("distrate", "three_component_distrate.yaml"),
+    ("gmf-srdf", "exp_field_srdf.yaml"),
+    ("optimize-set", "subset_search.yaml"),
+    ("place", "exp_field_place.yaml"),
+    ("usrdf-bayes", "corr_family_bayes.yaml"),
+    ("usrdf-nonbayes", "corr_family_nonbayes.yaml"),
+    ("simulate", "two_step_sim.yaml"),
+    ("usim", "corr_family_usim.yaml"),
+]
+LIBYAML = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml is built without libyaml")
+
+
+def typed(value):
+    """``value`` with each scalar paired with its type; floats by repr, so NaN and -0.0 compare."""
+    if isinstance(value, dict):
+        return {typed(k): typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return (repr(value) if isinstance(value, float) else value, type(value))
+
+
+def both_loaders(text):
+    return [typed(yaml.load(text, Loader=loader)) for loader in (yaml.CSafeLoader, yaml.SafeLoader)]
+
+
+yaml_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+yaml_trees = st.recursive(
+    yaml_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestConfigLoading:
+    @LIBYAML
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_loaders_agree_on_shipped_configs(self, config):
+        libyaml, pure = both_loaders(config.read_text(encoding="utf-8"))
+        assert libyaml == pure
+
+    @LIBYAML
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.dictionaries(st.text(min_size=1, max_size=6), yaml_trees, max_size=6), st.booleans())
+    def test_loaders_agree_on_random_configs(self, cfg, flow):
+        text = yaml.safe_dump(cfg, sort_keys=False, default_flow_style=flow)
+        libyaml, pure = both_loaders(text)
+        assert libyaml == pure == typed(cfg)
+
+    @pytest.mark.parametrize("task,config", TASK_CONFIGS, ids=[task for task, _ in TASK_CONFIGS])
+    def test_pure_python_loader_writes_identical_artifacts(self, tmp_path, monkeypatch, task, config):
+        assert run(task, CONFIGS / config, tmp_path / "default") == 0
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert run(task, CONFIGS / config, tmp_path / "pure") == 0
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pure").iterdir()) and names
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "pure" / name).read_bytes()
+
+    @pytest.mark.parametrize("libyaml", [pytest.param(True, marks=LIBYAML), False], ids=["libyaml", "pure"])
+    @pytest.mark.parametrize(
+        "text",
+        [b"model: [[1.0, 0.5]\n", b"model:\n  sigma: [[1.0]]\n sampling: [1]\n", b"a: b: c\n",
+         b"model: \"\x01\"\n", b"model: [[1.0]]\nmodel: [[2.0]]\n- 1\n", b"model: \xff\xfe\n", b"- [1.0]\n"],
+        ids=["unclosed", "indent", "nested-colon", "control-char", "mixed", "not-utf8", "not-a-mapping"],
+    )
+    def test_malformed_yaml_is_config_parse(self, tmp_path, monkeypatch, capsys, libyaml, text):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(text)
+        assert run("srdf", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
+        assert "Traceback" not in err
+
+
+def per_cell_csv(header, rows) -> bytes:
+    """The CSV the writer wrote cell by cell before its body became one formatted write."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else f"{float(c):.9g}" for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+csv_numbers = (
+    st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                       2.2250738585072014e-308])
+    | st.integers(-(2 ** 62), 2 ** 62)
+    | st.floats(width=32).map(np.float32)
+    | st.floats().map(np.float64)
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows): each column either numbers of every kind above or strings, 0-12 rows."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    cells = [st.text(max_size=5) if is_label else csv_numbers for is_label in kinds]
+    rows = draw(st.lists(st.tuples(*cells), max_size=12))
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+class TestCsvWriter:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(csv_tables(), st.sampled_from([list, iter]))
+    @example((["delta", "rate_bits"], []), iter)   # zero rows: the header alone
+    def test_matches_the_per_cell_writer(self, table, wrap):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            _write_csv(path, header, wrap(rows))
+            assert path.read_bytes() == per_cell_csv(header, rows)
+
+    def test_special_values(self, tmp_path):
+        values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 7, np.float32(0.1), np.float64(0.1)]
+        _write_csv(tmp_path / "t.csv", ["x", "label"], [(v, "a b") for v in values])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "inf,a b", "-inf,a b", "nan,a b", "-0,a b", "4.94065646e-324,a b", "1e+308,a b", "7,a b",
+            "0.100000001,a b", "0.1,a b",
+        ]
+
+
 class TestExitCodes:
     def test_missing_config_is_validation(self, tmp_path, capsys):
         assert run("srdf", tmp_path / "nope.yaml", tmp_path) == 2
@@ -290,6 +420,18 @@ class TestExitCodes:
             pytest.param("usrdf-bayes", "family: {template: affine, base: [[1.0, 0.3], [0.3, 1.0]],"
                          " directions: [[[1.0]]], box: [[0.0, 0.4]], prior: uniform, grid_res: 3}\n"
                          f"sampling: [1]\n{GRID}", id="family.directions"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{seed: -1}}\n", id="sim.seed-negative"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{seed: null}}\n", id="sim.seed-null"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, seed: -5}}\n", id="placement.seed-negative"),
+            pytest.param("optimize-set", f"{MODEL}search: {{k: true}}\n", id="search.k-bool"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: true}}\n", id="placement.restarts-bool"),
+            pytest.param("srdf", f"{MODEL}sampling: [true]\n{GRID}", id="sampling-bool"),
+            pytest.param("srdf", f"{MODEL}sampling: [1]\ngrid: {{min: 1.0, max: 1.5, count: true}}\n",
+                         id="grid.count-bool"),
+            pytest.param("srdf", f"{MODEL}sampling: [1]\ngrid: {{min: true, max: 1.5, count: 2}}\n",
+                         id="grid.min-bool"),
+            pytest.param("optimize-set", f"{MODEL}search: {{k: 1, objective: min_rate_at, delta: true}}\n",
+                         id="objective.delta-bool"),
         ],
     )
     def test_malformed_config_value_is_validation(self, tmp_path, capsys, task, config):
@@ -299,6 +441,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error ["), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task,config", [("simulate", "two_step_sim.yaml"), ("usim", "corr_family_usim.yaml")])
+    def test_negative_seed_override_is_config_parse(self, tmp_path, capsys, task, config):
+        assert run(task, CONFIGS / config, tmp_path / "out", ("--seed", "-3")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "task,config",
+        [
+            pytest.param("srdf", f"{MODEL}sampling: [1]\ngrid: {{min: 1.0, max: 1.5, count: 100000000000}}\n",
+                         id="grid.count"),
+            pytest.param("place", f"{FIELD}placement: {{k: 100000, pin_endpoints: true}}\n", id="placement.k"),
+        ],
+    )
+    def test_oversized_size_is_rejected_before_allocation(self, tmp_path, capsys, task, config):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [universal.grid_too_large]"), err
+        assert "exceeds the" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_negative_mesh_size_is_validation(self, tmp_path, capsys):
         (tmp_path / "mesh.csv").write_text("-2\n0,0,1.0\n0,1,0.5\n1,0,0.5\n1,1,1.0\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from srdf_kit import (
     FieldModel,
     FieldSamplingSet,
     GaussMarkovKernel,
+    GridTooLarge,
     InfeasibleDistortion,
     TabulatedKernel,
     field_gram,
@@ -22,7 +23,7 @@ from srdf_kit import (
     gm_segment_explained,
     optimize_placement,
 )
-from srdf_kit.field import _brent, _gm_optimal_points
+from srdf_kit.field import PLACEMENT_CAP, _brent, _gm_optimal_points
 
 from conftest import knot_simpson
 
@@ -328,6 +329,33 @@ class TestPlacement:
         res = optimize_placement(fm, 2, ("min_rate_at", delta), restarts=4)
         assert math.isfinite(res.value) and res.value <= field_srdf(fm, optimum, delta).rate_bits
         assert res.value == pytest.approx(8.87, abs=5e-3)
+
+    def test_infeasible_random_restarts_start_from_the_first_feasible_point(self, monkeypatch):
+        # delta sits just above the floor 0.32392 of the pinned optimum (0, 0.5, 1); the random
+        # draws of restarts 1 and 2 lie above delta, where every line search used to stay at inf
+        searches = []
+
+        def recorded(fn, lo, hi, x, fx, *args, **kwargs):
+            found = _brent(fn, lo, hi, x, fx, *args, **kwargs)
+            searches.append((x, fx, found[1]))
+            return found
+
+        monkeypatch.setattr(srdf_kit.field, "_brent", recorded)
+        fm, delta = gm_field(0.125), 0.3292
+        res = optimize_placement(fm, 3, ("min_rate_at", delta), restarts=3, pin_endpoints=True, seed=0)
+        assert res.restart_values == pytest.approx([9.70394352] * 3, rel=1e-8)
+        assert searches and all(math.isfinite(start) and found <= start for _, start, found in searches)
+        # each random restart begins at its segment's first feasible point, not at the optimum
+        margins = [delta - field_min_distortion(fm, (0.0, x, 1.0)) for x, _, _ in searches]
+        assert sum(0.0 < m < 1e-6 for m in margins) == 2
+
+    def test_placement_cap_is_checked_before_anything_is_built(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the placement was built")
+
+        monkeypatch.setattr(srdf_kit.field, "_gm_optimal_points", unreachable)
+        with pytest.raises(GridTooLarge, match="placement cap"):
+            optimize_placement(gm_field(0.5), PLACEMENT_CAP + 1, "min_delta_min", pin_endpoints=True)
 
     def test_min_rate_objective(self):
         fm = gm_field(0.5, quad_points=256)

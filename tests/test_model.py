@@ -92,7 +92,7 @@ class TestSamplingSet:
         assert as_sampling_set(ss) is ss
         assert as_sampling_set([1, 2]).indices == (1, 2)
 
-    @pytest.mark.parametrize("bad", [(), (0,), (2, 1), (1, 1), (-1,), (1.5,), (1, 2.0), ("one",)])
+    @pytest.mark.parametrize("bad", [(), (0,), (2, 1), (1, 1), (-1,), (1.5,), (1, 2.0), ("one",), (True,), (True, 2)])
     def test_rejects_bad_sets(self, bad):
         with pytest.raises(IndexOutOfRange):
             SamplingSet(bad)

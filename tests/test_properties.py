@@ -386,6 +386,18 @@ def test_free_rate_placement_beats_both_start_layouts(p, k, slack, restarts, see
     assert res.value <= rate_or_inf(field, optimum, delta)
 
 
+@CLI_PROPERTY
+@given(st.floats(0.05, 0.95), st.integers(2, 4), st.booleans(), st.floats(1e-3, 0.05), seeds)
+def test_every_gauss_markov_restart_ends_feasible(p, k, pin, slack, seed):
+    # just above the lowest floor most random draws are infeasible; each moves to the segment's
+    # first feasible point, toward the floor optimum, before its search
+    field = FieldModel(GaussMarkovKernel(p))
+    floor = field_min_distortion(field, tuple(_gm_optimal_points(p, k, pin)))
+    delta = floor + slack * (1.0 - floor)
+    res = optimize_placement(field, k, ("min_rate_at", delta), restarts=3, pin_endpoints=pin, seed=seed)
+    assert all(math.isfinite(v) for v in res.restart_values), res.restart_values
+
+
 def pinned_three_point_rates(p, delta, middle):
     """min_rate_at objective of (0, a, 1) for every a in ``middle``, as one stack; inf below the floor."""
     pts = np.stack([np.zeros_like(middle), middle, np.ones_like(middle)], axis=-1)
