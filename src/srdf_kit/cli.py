@@ -286,6 +286,9 @@ def _parse_sim(cfg: dict, seed_override: int | None) -> SimConfig:
         raise ConfigParse(f"unknown sim keys: {sorted(unknown)}")
     kinds = dict.fromkeys(("n", "train_blocks", "eval_blocks", "seed", "lbg_iters", "est_length"), int)
     kinds["trace"] = bool
+    for key in ("rate_bits", "grid_delta"):   # kept as written, so a report echoes the config
+        if isinstance(block.get(key), bool):
+            raise ConfigParse(f"'{key}' must be a number, got {block[key]!r}")
     merged = {
         key: _scalar(block, key, kinds[key]) if key in kinds and value is not None else value
         for key, value in block.items()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooLarge, SrdfKitError
 from .model import validate_covariance
-from .srdf import SrdfPoint, Spectrum, _srdf_point, congruent_spectrum
+from .srdf import SrdfPoint, Spectrum, _factor, _spectrum, _srdf_point
 
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
@@ -201,30 +201,36 @@ def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
 
 
 def _field_block(field: FieldModel, points):
-    """(Sigma_A, M, floor) of the field sampled at ``points``.
+    """(Sigma_A, M, integrated variance) of the field sampled at ``points``.
 
     M = integral of c(u) c(u)^T du is the cross mass, with c(u) the kernel
-    between u and the samples, and the floor is the integrated variance
-    left after the linear estimate, integral of var(u) du - tr(Sigma_A^{-1} M).
-    A Gauss-Markov field has unit variance and M in closed form; a tabulated
-    one takes both from the per-cell Simpson rule, exact for its integrands.
+    between u and the samples.  A Gauss-Markov field has unit variance and M
+    in closed form; a tabulated one takes both from the per-cell Simpson rule,
+    exact for its integrands.
     """
     fp = _as_field_points(points)
     pts = np.asarray(fp.points)
     sigma_a = field_gram(field, fp)
     if field.integrals == "closed-form":
-        m_mat, variance = _gm_cross_mass(field.kernel.p, pts), 1.0
-    else:
-        u, w = _mesh_simpson(field.kernel.mesh_n)
-        c = field.kernel.corr(u[:, None], pts[None, :])
-        m_mat, variance = (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u))
-    floor = variance - float(np.trace(np.linalg.solve(sigma_a, m_mat)))
-    return sigma_a, m_mat, max(0.0, floor)
+        return sigma_a, _gm_cross_mass(field.kernel.p, pts), 1.0
+    u, w = _mesh_simpson(field.kernel.mesh_n)
+    c = field.kernel.corr(u[:, None], pts[None, :])
+    return sigma_a, (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u))
+
+
+def _field_reduce(field: FieldModel, points):
+    """(floor, S) of the field sampled at ``points``: with Sigma_A = L L^T and weight
+    G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
+    left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S."""
+    sigma_a, m_mat, variance = _field_block(field, points)
+    l = _factor(sigma_a)
+    s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
+    return max(0.0, variance - float(np.trace(s))), s
 
 
 def field_min_distortion(field: FieldModel, points) -> float:
     """Estimation floor: integrated variance left after conditioning on the samples."""
-    return _field_block(field, points)[2]
+    return _field_reduce(field, points)[0]
 
 
 def field_max_distortion(field: FieldModel) -> float:
@@ -236,13 +242,8 @@ def field_max_distortion(field: FieldModel) -> float:
 
 
 def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
-    """Floor and weighted spectrum of the field sampled at ``points``: its whole curve.
-
-    The weight on the sampled block is G = Sigma_A^{-1} M Sigma_A^{-1}.
-    """
-    sigma_a, m_mat, floor = _field_block(field, points)
-    g = np.linalg.solve(sigma_a, np.linalg.solve(sigma_a, m_mat).T)
-    return Spectrum(floor, congruent_spectrum(sigma_a, 0.5 * (g + g.T)))
+    """Floor and weighted spectrum of the field sampled at ``points``: its whole curve."""
+    return _spectrum(*_field_reduce(field, points))
 
 
 def field_srdf(field: FieldModel, points, delta: float) -> SrdfPoint:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, TooManySubsets, ValidationError
 from .model import CovarianceModel, SamplingSet
-from .srdf import Spectrum, _block_spectrum, _lift
+from .srdf import Spectrum, _block_spectrum, _reduce
 
 SUBSET_CAP = 1_000_000
 SUBSET_CHUNK = 512    # subsets gathered and solved as one stack; bounds the stack's memory
@@ -49,7 +49,8 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") ->
     treating infeasible subsets as infinitely expensive.  Ties keep the
     lexicographically first subset, which is the enumeration order.  The
     subsets are evaluated in stacks of SUBSET_CHUNK: one gather of their
-    blocks, one stacked solve and, for rates, one stacked spectrum.
+    blocks, one stacked Cholesky reduction and, for rates, one stacked
+    eigendecomposition.
     """
     if not 1 <= k <= model.m:
         raise IndexOutOfRange(f"subset size k={k} must be within 1..{model.m}")
@@ -70,10 +71,10 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") ->
     while chunk := list(islice(enumeration, SUBSET_CHUNK)):
         blocks = _stacked_blocks(model.sigma, np.array(chunk) - 1)
         if delta is None:
-            vals = floors = _lift(*blocks)[1]
+            vals = floors = _reduce(*blocks)[2]
             rates = [None] * len(chunk)
         else:
-            spec = _block_spectrum(*blocks)[0]
+            spec = _block_spectrum(*blocks)
             floors = spec.delta_min
             vals = np.full(len(chunk), math.inf)
             feasible = ~(delta <= floors)   # a NaN delta goes on to rate's finiteness check

@@ -19,18 +19,24 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CodebookTooLarge, DimensionMismatch, TrainingDiverged, ValidationError
+from .errors import CodebookTooLarge, DimensionMismatch, GridTooLarge, TrainingDiverged, ValidationError
 from .model import CovarianceModel, as_sampling_set, partition
-from .srdf import _block_spectrum, _blocks
+from .srdf import _lift, _weight, srdf_spectrum
 from .universal import ParamFamily, bayes_atom_data, project_family
 
 CODEBOOK_CAP = 2 ** 18
+DRAW_CAP = 2 ** 25    # most floats one stage draws at once, or keeps per trial
 _MIN_TRAIN_PER_CODEWORD = 20
 
 _STREAM_TRAIN = 1
 _STREAM_EVAL = 2
 _STREAM_INIT = 3
 _STREAM_TRIAL = 4
+
+
+def _check_draw(what: str, floats: int) -> None:
+    if floats > DRAW_CAP:
+        raise GridTooLarge(f"{what} needs {floats} floats, which exceeds the cap {DRAW_CAP}")
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -247,6 +253,7 @@ def build_code(
     if train_blocks < j:
         raise ValidationError(f"cannot train {j} codewords from {train_blocks} blocks")
     k = sigma_a.shape[0]
+    _check_draw("train_blocks * n * k", train_blocks * n * k)
     t = np.linalg.cholesky(g).T
     train = _sample_cov(np.linalg.cholesky(sigma_a), n, train_blocks, seed, (_STREAM_TRAIN, *stream))
     train_t = np.einsum("ij,bjt->bit", t, train).transpose(0, 2, 1).reshape(train_blocks, n * k)
@@ -268,11 +275,13 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     """Train, encode, lift, and report the distortion split for one fixed source."""
     ss = as_sampling_set(sampled)
     bp = partition(model, ss)
-    spec, g, b = _block_spectrum(*_blocks(bp))
+    spec = srdf_spectrum(bp)
+    b = _lift(bp.sigma_a, bp.sigma_a_ac)
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
+    _check_draw("eval_blocks * n * m", cfg.eval_blocks * cfg.n * model.m)
     rate_actual = math.log2(j) / cfg.n
-    code = build_code(bp.sigma_a, g, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed)
+    code = build_code(bp.sigma_a, _weight(b), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed)
 
     x = sample_gmms(model, cfg.n, cfg.eval_blocks, cfg.seed, (_STREAM_EVAL,))
     a = ss.zero_based()
@@ -328,12 +337,14 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         raise ValidationError(
             f"est_length={cfg.est_length} must be a multiple of the block length n={cfg.n}"
         )
+    _check_draw("est_length * m", cfg.est_length * family.m)
+    _check_draw("eval_blocks", cfg.eval_blocks)
     part = project_family(family, ss)
     data = [bayes_atom_data(family, ss, atom) for atom in part.atoms]
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     codes = [
-        build_code(d.sigma_a, d.g_tau1, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
+        build_code(d.sigma_a, _weight(d.lift), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
         for i, d in enumerate(data)
     ]
     reps = np.stack([d.sigma_a for d in data])

@@ -3,11 +3,12 @@
 The reproduction covers all m components while the encoder sees only the
 sampled block, so the mean squared error over the full vector splits into an
 irreducible estimation floor plus a weighted error on the sampled block.  The
-weight matrix below carries that reduction, and the rate distortion function
-is a reverse waterfill over the eigenvalues of the weighted sampled
-covariance.  Neither the floor nor the eigenvalues depend on the distortion,
-so one ``Spectrum`` value holds a whole curve; it solves the waterfill
-exactly from prefix sums of the sorted eigenvalues.  All rates are in bits.
+weight matrix G carries that reduction, and the rate distortion function is a
+reverse waterfill over the eigenvalues of G Sigma_A, taken from one Cholesky
+reduction of the sampled block.  Neither the floor nor the eigenvalues depend
+on the distortion, so one ``Spectrum`` value holds a whole curve; it solves
+the waterfill exactly from prefix sums of the sorted eigenvalues.  All rates
+are in bits.
 """
 
 from __future__ import annotations
@@ -30,61 +31,33 @@ from .model import BlockPartition, CovarianceModel, partition
 RATE_CAP_BITS = 64.0        # rates above this are treated as "distortion floor reached"
 
 
-def _solve_sigma_a(sigma_a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _factor(sigma_a: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of Sigma_A = L L^T; leading axes stack independent blocks."""
     try:
-        return np.linalg.solve(sigma_a, rhs)
+        return np.linalg.cholesky(sigma_a)
     except np.linalg.LinAlgError as exc:
-        raise SingularSigmaA(f"sampled-block covariance is singular: {exc}") from exc
+        raise SingularSigmaA(f"sampled-block covariance is not positive definite: {exc}") from exc
 
 
-def _lift(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
-    """(lift, floor) of a sampled block with cross covariance ``cross`` to the
-    unsampled components, whose variances sum to ``trace_ac``.
-
-    The lift b = Sigma_A^{-1} cross is the linear estimate's coefficient: the
-    unsampled components are estimated as b^T times the sampled block, which
-    leaves the floor trace_ac - <cross, b> of their variance unexplained.
+def _reduce(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
+    """(L, W, floor) of a sampled block with cross covariance ``cross`` to the unsampled
+    components, whose variances sum to ``trace_ac``: with Sigma_A = L L^T and W = L^{-1} cross,
+    their linear estimate explains ||W||_F^2, which leaves the floor trace_ac - ||W||_F^2.
     Leading axes stack independent blocks, with ``trace_ac`` of their shape.
     """
-    b = _solve_sigma_a(sigma_a, cross)
-    return b, _scalar(np.maximum(0.0, trace_ac - np.sum(cross * b, axis=(-2, -1))))
-
-
-def _blocks(bp: BlockPartition):
-    return bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac))
+    l = _factor(sigma_a)
+    w = np.linalg.inv(l) @ cross   # one small inverse per block: faster than a solve with m-k columns
+    return l, w, _scalar(np.maximum(0.0, trace_ac - np.sum(w * w, axis=(-2, -1))))
 
 
 def min_distortion(bp: BlockPartition) -> float:
     """Estimation floor: total MSE of the best unsampled-from-sampled estimate."""
-    return _lift(*_blocks(bp))[1]
+    return _reduce(bp.sigma_a, bp.sigma_a_ac, np.trace(bp.sigma_ac))[2]
 
 
 def max_distortion(model: CovarianceModel) -> float:
     """Distortion of the all-zero reproduction; beyond it the rate is zero."""
     return float(np.trace(model.sigma))
-
-
-def congruent_spectrum(sigma_a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of G Sigma_A via the symmetric form Sigma_A^{1/2} G Sigma_A^{1/2}, descending.
-
-    Leading axes stack independent blocks; each check covers the whole stack.
-    """
-    try:
-        w, v = np.linalg.eigh(sigma_a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigendecomposition of sampled block failed: {exc}") from exc
-    if np.min(w) <= 0.0:
-        raise SingularSigmaA(f"sampled block has nonpositive eigenvalue {np.min(w):.3e}")
-    root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    s = root @ g @ root
-    s = 0.5 * (s + np.swapaxes(s, -1, -2))
-    try:
-        lam = np.linalg.eigvalsh(s)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigendecomposition of weighted form failed: {exc}") from exc
-    if np.min(lam) <= 0.0:
-        raise EigenFailure(f"weighted spectrum has nonpositive eigenvalue {np.min(lam):.3e}")
-    return lam[..., ::-1].copy()
 
 
 def _scalar(x):
@@ -173,22 +146,38 @@ class Spectrum:
         return _scalar(self.delta_min + weighted)
 
 
+def _lift(sigma_a: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Lift b = Sigma_A^{-1} cross: the unsampled components are estimated as b^T times the sampled block."""
+    return np.linalg.solve(sigma_a, cross)
+
+
 def _weight(b: np.ndarray) -> np.ndarray:
-    """Weight matrix G = I + b b^T of a lift b, symmetrized; leading axes stack as in ``_lift``."""
+    """Weight matrix G = I + b b^T of a lift b, symmetrized; the coder's metric on the sampled block."""
     g = np.eye(b.shape[-2]) + b @ np.swapaxes(b, -1, -2)
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
-    """(Spectrum, weight matrix, lift) of a sampled block; arguments, stacking included, as in ``_lift``."""
-    b, floor = _lift(sigma_a, cross, trace_ac)
-    g = _weight(b)
-    return Spectrum(floor, congruent_spectrum(sigma_a, g)), g, b
+def _spectrum(floor, s: np.ndarray) -> Spectrum:
+    """Floor and eigenvalues of S = L^T G L, whose spectrum is that of G Sigma_A (Golub & Van Loan,
+    Matrix Computations, section 8.7); the package's one eigendecomposition.  Leading axes stack
+    blocks; a failed decomposition or a nonpositive eigenvalue raises EigenFailure.
+    """
+    try:
+        lam = np.linalg.eigvalsh(s)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigendecomposition of the weighted form failed: {exc}") from exc
+    return Spectrum(floor, lam)
+
+
+def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac) -> Spectrum:
+    """Floor and weighted spectrum of a sampled block, from S = L^T L + W W^T; arguments as in ``_reduce``."""
+    l, w, floor = _reduce(sigma_a, cross, trace_ac)
+    return _spectrum(floor, np.swapaxes(l, -1, -2) @ l + w @ np.swapaxes(w, -1, -2))
 
 
 def srdf_spectrum(bp: BlockPartition) -> Spectrum:
     """Floor and weighted spectrum of a sampling set: its whole rate distortion curve."""
-    return _block_spectrum(*_blocks(bp))[0]
+    return _block_spectrum(bp.sigma_a, bp.sigma_a_ac, np.trace(bp.sigma_ac))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .model import as_sampling_set, validate_covariance
-from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
+from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum, _lift
 
 GRID_RES_DEFAULT = 33
 ATOM_TOL = 1e-8          # max-norm radius for "same sampled block"
@@ -205,7 +205,6 @@ class BayesAtomData:
 
     sigma_a: np.ndarray
     lift: np.ndarray
-    g_tau1: np.ndarray
     spectrum: Spectrum
     weight: float
 
@@ -225,8 +224,8 @@ def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesA
     sigma_a = 0.5 * (sigma_a + sigma_a.T)
     cross = np.tensordot(w, sig[:, a[:, None], ac[None, :]], axes=(0, 0))
     var_ac = np.tensordot(w, sig[:, ac, ac], axes=(0, 0))
-    spec, g, b = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
-    return BayesAtomData(sigma_a=sigma_a, lift=b, g_tau1=g, spectrum=spec, weight=float(atom.weight))
+    spec = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
+    return BayesAtomData(sigma_a=sigma_a, lift=_lift(sigma_a, cross), spectrum=spec, weight=float(atom.weight))
 
 
 @dataclass(frozen=True)
@@ -310,12 +309,8 @@ def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> 
     if all(len(atom.members) == 1 for atom in part.atoms):
         a = ss.zero_based()
         ac = ss.complement(family.m)
-        sigs = [family.node_sigmas[atom.members[0]] for atom in part.atoms]
-        specs = [
-            _block_spectrum(sig[np.ix_(a, a)], sig[np.ix_(a, ac)], float(np.trace(sig[np.ix_(ac, ac)])))[0]
-            for sig in sigs
-        ]
-        return Spectrum(np.array([s.delta_min for s in specs]), np.stack([s.lambdas for s in specs]))
+        sig = family.node_sigmas[[atom.members[0] for atom in part.atoms]]
+        return _block_spectrum(sig[:, a[:, None], a], sig[:, a[:, None], ac], sig[:, ac, ac].sum(axis=-1))
     if family.template and family.template[0] == "fixed_var_corr":
         sigma2 = float(family.template[1])
         if family.m != 2 or ss.k != 1:

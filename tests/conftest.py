@@ -53,3 +53,33 @@ def knot_simpson(kernel, points, knots, panels=2000):
         mass += (c * w[:, None]).T @ c
         variance += float(w @ kernel.corr(u, u))
     return mass, variance
+
+
+def reference_spectrum(sigma_a, g):
+    """Eigenvalues of G Sigma_A, descending, from the symmetric root: Sigma_A^{1/2} G Sigma_A^{1/2}.
+
+    An oracle independent of the package's Cholesky reduction: an
+    eigendecomposition of Sigma_A, its symmetric root, a triple product and a
+    second eigendecomposition.  Leading axes stack independent blocks.
+    """
+    w, v = np.linalg.eigh(sigma_a)
+    root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    s = root @ g @ root
+    return np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, -1, -2)))[..., ::-1]
+
+
+def reference_block(sigma, sampled):
+    """(floor, descending weighted eigenvalues) of the 1-based ``sampled`` set, by a solve and the symmetric root."""
+    a = np.asarray(sampled) - 1
+    ac = np.setdiff1d(np.arange(len(sigma)), a)
+    cross = sigma[np.ix_(a, ac)]
+    lift = np.linalg.solve(sigma[np.ix_(a, a)], cross)
+    floor = float(np.trace(sigma[np.ix_(ac, ac)]) - np.sum(cross * lift))
+    return floor, reference_spectrum(sigma[np.ix_(a, a)], np.eye(len(a)) + lift @ lift.T)
+
+
+def reference_field(sigma_a, mass, variance):
+    """(floor, descending weighted eigenvalues) of a field block, with weight G = Sigma_A^{-1} M Sigma_A^{-1}."""
+    x = np.linalg.solve(sigma_a, mass)
+    g = np.linalg.solve(sigma_a, x.T)
+    return float(variance - np.trace(x)), reference_spectrum(sigma_a, 0.5 * (g + g.T))

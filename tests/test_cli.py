@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 MODEL = "model:\n  sigma: [[1.0, 0.5], [0.5, 1.0]]\n"
 FIELD = "field:\n  kernel: {type: gauss-markov, p: 0.5}\n"
 GRID = "grid: {min: 1.0, max: 1.5, count: 2}\n"
+FAMILY = "family: {template: fixed-var-corr, sigma2: 1.0, box: [[0.2, 0.8]], prior: uniform, grid_res: 3}\nsampling: [1]\n"
 
 
 def run(task, config, out, extra=()):
@@ -432,6 +433,8 @@ class TestExitCodes:
                          id="grid.min-bool"),
             pytest.param("optimize-set", f"{MODEL}search: {{k: 1, objective: min_rate_at, delta: true}}\n",
                          id="objective.delta-bool"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{rate_bits: true}}\n", id="sim.rate_bits-bool"),
+            pytest.param("usim", f"{FAMILY}sim: {{grid_delta: true}}\n", id="sim.grid_delta-bool"),
         ],
     )
     def test_malformed_config_value_is_validation(self, tmp_path, capsys, task, config):
@@ -456,6 +459,11 @@ class TestExitCodes:
             pytest.param("srdf", f"{MODEL}sampling: [1]\ngrid: {{min: 1.0, max: 1.5, count: 100000000000}}\n",
                          id="grid.count"),
             pytest.param("place", f"{FIELD}placement: {{k: 100000, pin_endpoints: true}}\n", id="placement.k"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{eval_blocks: 100000000000}}\n", id="sim.eval_blocks"),
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{train_blocks: 100000000000}}\n",
+                         id="sim.train_blocks"),
+            pytest.param("usim", f"{FAMILY}sim: {{est_length: 100000000000}}\n", id="usim.est_length"),
+            pytest.param("usim", f"{FAMILY}sim: {{eval_blocks: 100000000000}}\n", id="usim.eval_blocks"),
         ],
     )
     def test_oversized_size_is_rejected_before_allocation(self, tmp_path, capsys, task, config):

@@ -47,10 +47,10 @@ from srdf_kit import (
 )
 from srdf_kit.cli import main
 from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
-from srdf_kit.srdf import _block_spectrum, _blocks, congruent_spectrum
+from srdf_kit.srdf import _lift, _weight
 from srdf_kit.universal import bayes_curve
 
-from conftest import knot_simpson, multi_atom_family
+from conftest import knot_simpson, multi_atom_family, reference_block, reference_field, reference_spectrum
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 CLI_PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
@@ -107,11 +107,11 @@ def mp_bayes_rate(mp, data, delta):
     return mp.findroot(excess, (mp.mpf(0), hi), solver="anderson")
 
 
-def field_points(rng, k):
-    """k sorted points in [0, 1] at least 0.02 apart."""
+def field_points(rng, k, gap=0.02):
+    """k sorted points in [0, 1] at least ``gap`` apart."""
     while True:
         pts = np.sort(rng.uniform(0.0, 1.0, k))
-        if np.all(np.diff(pts) >= 0.02):
+        if np.all(np.diff(pts) >= gap):
             return tuple(float(p) for p in pts)
 
 
@@ -244,7 +244,7 @@ def test_mse_of_a_linear_code_splits_into_weighted_error_plus_floor(seed):
     total = float(np.trace(error @ sigma @ error.T))
     bp = partition(model, sampled)
     resid = (np.eye(k) - lin) @ bp.sigma_a @ (np.eye(k) - lin).T
-    split = float(np.trace(resid @ _block_spectrum(*_blocks(bp))[1])) + min_distortion(bp)
+    split = float(np.trace(resid @ _weight(_lift(bp.sigma_a, bp.sigma_a_ac)))) + min_distortion(bp)
     assert split == pytest.approx(total, rel=1e-10)
 
 
@@ -406,7 +406,7 @@ def pinned_three_point_rates(p, delta, middle):
     lift = np.linalg.solve(sigma, mass)
     floors = 1.0 - np.trace(lift, axis1=1, axis2=2)
     g = np.linalg.solve(sigma, np.swapaxes(lift, 1, 2))
-    lambdas = congruent_spectrum(sigma, 0.5 * (g + np.swapaxes(g, 1, 2)))
+    lambdas = reference_spectrum(sigma, 0.5 * (g + np.swapaxes(g, 1, 2)))
     rates = np.full(middle.size, math.inf)
     feasible = floors < delta
     rates[feasible] = Spectrum(floors[feasible], lambdas[feasible]).rate(delta)
@@ -426,6 +426,41 @@ def test_pinned_three_point_rate_placement_matches_a_fine_grid(p, slack, seed):
     if delta > field_min_distortion(field, (0.0, 1.0)):
         # then no layout is infeasible, and a random start finds the minimum too
         assert max(res.restart_values) <= grid_min + 1e-10
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_cholesky_reduction_matches_the_symmetric_root_reference(seed, tabulated):
+    # floors within 1e-12 of the zero-rate distortion, eigenvalues within 1e-11 of the largest:
+    # on clustered field sets the smallest modes are ill-conditioned in both methods alike (each
+    # is up to about 4e-8 off a 50-digit oracle there, relative to the mode), so no bound holds per mode
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 8))
+    k = int(rng.integers(1, m + 1))
+    a = rng.standard_normal((m, m + 2))
+    model = CovarianceModel(a @ a.T)
+    scale = max_distortion(model)
+    refs = [reference_block(model.sigma, s) for s in combinations(range(1, m + 1), k)]
+    median = float(np.median([floor for floor, _ in refs]))
+    delta = median + float(rng.uniform(0.0, 0.5)) * (scale - median)
+    res = best_fixed_set(model, k, ("min_rate_at", delta))
+    for row, (floor, lam) in zip(res.rows, refs):
+        spec = srdf_spectrum(partition(model, row.indices))
+        assert abs(spec.delta_min - floor) <= 1e-12 * scale
+        assert abs(row.delta_min - floor) <= 1e-12 * scale
+        assert np.max(np.abs(spec.lambdas - lam)) <= 1e-11 * lam[0]
+        want = Spectrum(floor, lam).rate(delta) if floor < delta else math.inf
+        assert row.rate_bits == pytest.approx(want, rel=1e-9, abs=1e-9)
+    if tabulated:
+        kernel, points = tabulated_field(rng, 17, int(rng.integers(1, 7)))
+    else:
+        kernel = GaussMarkovKernel(float(rng.uniform(0.05, 0.95)))
+        points = field_points(rng, int(rng.integers(1, 7)), gap=1e-3)
+    field = FieldModel(kernel)
+    spec = field_srdf_spectrum(field, points)
+    floor, lam = reference_field(*_field_block(field, points))
+    assert abs(spec.delta_min - floor) <= 1e-12 * field_max_distortion(field)
+    assert np.max(np.abs(spec.lambdas - lam)) <= 1e-11 * lam[0]
 
 
 @PROPERTY

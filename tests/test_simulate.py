@@ -20,7 +20,7 @@ from srdf_kit import (
     two_step_code,
     universal_two_step,
 )
-from srdf_kit.srdf import _block_spectrum
+from srdf_kit.srdf import _lift
 
 from conftest import random_model
 
@@ -93,7 +93,7 @@ class TestBuildingBlocks:
     def test_block_lift_coefficients(self):
         sig = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.3], [0.6, 0.3, 1.0]])
         bp = partition(CovarianceModel(sig), [1, 2])
-        _, _, lift = _block_spectrum(bp.sigma_a, bp.sigma_a_ac, float(np.trace(bp.sigma_ac)))
+        lift = _lift(bp.sigma_a, bp.sigma_a_ac)
         y = np.array([2.0, -1.0])
         assert lift.T @ y == pytest.approx([0.6 * 2.0 + 0.3 * -1.0])
 

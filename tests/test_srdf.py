@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from srdf_kit import (
+    BlockPartition,
     BudgetOutOfRange,
     CovarianceModel,
     EigenFailure,
+    FieldModel,
+    GaussMarkovKernel,
     InfeasibleDistortion,
+    SamplingSet,
+    SingularSigmaA,
     Spectrum,
+    TabulatedKernel,
+    best_fixed_set,
     correlation_model,
     distortion_rate,
+    field_min_distortion,
+    field_srdf_spectrum,
     max_distortion,
     min_distortion,
     partition,
@@ -21,7 +30,7 @@ from srdf_kit import (
     waterfill,
     waterfill_inverse,
 )
-from srdf_kit.srdf import _block_spectrum, _blocks
+from srdf_kit.srdf import _lift, _weight
 
 from conftest import random_model
 
@@ -198,14 +207,14 @@ class TestSrdfCore:
     def test_weight_matrix_identity_when_independent(self):
         model = CovarianceModel(np.diag([2.0, 3.0, 4.0]))
         bp = partition(model, [1, 2])
-        assert np.allclose(_block_spectrum(*_blocks(bp))[1], np.eye(2))
+        assert np.allclose(_weight(_lift(bp.sigma_a, bp.sigma_a_ac)), np.eye(2))
         assert min_distortion(bp) == pytest.approx(4.0)
 
     def test_full_sampling_reduces_to_plain_rd(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 4)
         bp = partition(model, [1, 2, 3, 4])
-        assert np.allclose(_block_spectrum(*_blocks(bp))[1], np.eye(4))
+        assert np.allclose(_weight(_lift(bp.sigma_a, bp.sigma_a_ac)), np.eye(4))
         assert min_distortion(bp) == pytest.approx(0.0, abs=1e-12)
         lams = srdf_spectrum(bp).lambdas
         assert np.allclose(np.sort(lams), np.sort(np.linalg.eigvalsh(model.sigma)))
@@ -250,6 +259,62 @@ class TestSrdfCore:
             distortion_rate(model, [1], math.nan)
         with pytest.raises(BudgetOutOfRange):
             srdf(model, [1], math.nan)
+
+
+class TestOneSpectralCore:
+    """Every spectrum comes from one Cholesky reduction and one eigvalsh; a floor needs no eigenvalues."""
+
+    FIELDS = (
+        FieldModel(GaussMarkovKernel(0.4)),
+        FieldModel(TabulatedKernel(0.5 ** np.abs(np.linspace(0.0, 1.0, 9)[:, None] - np.linspace(0.0, 1.0, 9)))),
+    )
+    POINTS = (0.1, 0.45, 0.8)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_each_spectrum_takes_one_eigvalsh(self, calls):
+        model = random_model(np.random.default_rng(7), 6)
+        runs = [
+            lambda: srdf_spectrum(partition(model, [2, 5])),
+            # C(6, 3) = 20 subsets: one stack
+            lambda: best_fixed_set(model, 3, ("min_rate_at", 0.5 * max_distortion(model))),
+            *(lambda field=field: field_srdf_spectrum(field, self.POINTS) for field in self.FIELDS),
+        ]
+        for run in runs:
+            calls.update(eigh=0, eigvalsh=0)
+            run()
+            assert calls == {"eigh": 0, "eigvalsh": 1}
+
+    def test_floors_take_no_eigendecomposition(self, calls):
+        model = random_model(np.random.default_rng(7), 6)
+        min_distortion(partition(model, [2, 5]))
+        best_fixed_set(model, 3)
+        for field in self.FIELDS:
+            field_min_distortion(field, self.POINTS)
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_indefinite_sampled_block_is_singular(self):
+        bp = BlockPartition(
+            sigma_a=np.array([[1.0, 2.0], [2.0, 1.0]]),
+            sigma_a_ac=np.array([[0.5], [0.5]]),
+            sigma_ac=np.eye(1),
+            sampled=SamplingSet((1, 2)),
+        )
+        with pytest.raises(SingularSigmaA):
+            min_distortion(bp)
+        with pytest.raises(SingularSigmaA):
+            srdf_spectrum(bp)
 
 
 class TestSingleSiteClosedForm:

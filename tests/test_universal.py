@@ -16,7 +16,7 @@ from srdf_kit import (
     nonbayes_usrdf,
     project_family,
 )
-from srdf_kit.srdf import RATE_CAP_BITS
+from srdf_kit.srdf import RATE_CAP_BITS, _weight
 from srdf_kit.universal import bayes_curve
 
 from conftest import multi_atom_family
@@ -122,7 +122,7 @@ class TestAtoms:
         data = bayes_atom_data(fam, [1], part.atoms[0])
         # averaged coefficients explain less than the best member could
         assert data.spectrum.delta_min == pytest.approx(0.75, abs=1e-12)
-        assert data.g_tau1 == pytest.approx(np.array([[1.25]]))
+        assert _weight(data.lift) == pytest.approx(np.array([[1.25]]))
         assert data.spectrum.delta_max == pytest.approx(2.0, abs=1e-12)
 
     def test_atom_data_needs_prior(self):
