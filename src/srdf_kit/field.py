@@ -3,9 +3,9 @@
 The sampled covariance is the kernel Gram matrix, the weight matrix and the
 estimation floor become kernel integrals, and the rate distortion function is
 the same reverse waterfill as in the finite case.  Both kernels give these
-integrals exactly.  For the Gauss-Markov kernel they are sums of exponentials
-over the segments between sampling points, and its floor-minimizing placement
-is solved exactly.  A tabulated kernel is bilinear, so for a fixed sample it
+integrals exactly.  For the Gauss-Markov kernel each cross-mass entry is a
+closed form in its two points, and its floor-minimizing placement is solved
+exactly.  A tabulated kernel is bilinear, so for a fixed sample it
 is linear in u inside each mesh cell and the integrands are quadratic there:
 Simpson's rule with one panel per mesh cell is exact wherever the samples lie.
 """
@@ -24,7 +24,7 @@ from .srdf import SrdfPoint, Spectrum, _factor, _spectrum, _srdf_point
 
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
-PLACEMENT_CAP = 128  # most points one placement places; the Gauss-Markov cross mass holds (k+1) k^2 floats
+PLACEMENT_CAP = 128  # most points one placement places: a coordinate sweep is k line searches of O(k^3) calls
 FEASIBLE_BISECTIONS = 20  # halvings that locate an infeasible restart's first feasible point
 
 
@@ -180,24 +180,16 @@ def field_gram(field: FieldModel, points) -> np.ndarray:
 
 
 def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
-    """M_ij = integral over [0, 1] of p^(|u - a_i| + |u - a_j|) du for sorted points a, exactly.
+    """M_ij = integral over [0, 1] of p^(|u - a_i| + |u - a_j|) du for points a, exactly.
 
-    The knots {0, a, 1} cut [0, 1] into k+1 segments, each free of sampling
-    points.  On a segment of length h at distances d_i, d_j from a_i, a_j:
-    with both points on one side the exponent grows by 2 per unit away from
-    the nearer end, giving p^(d_i+d_j) (1 - p^(2h)) / (-2 ln p); with the
-    segment between them it is constant, giving h p^(d_i+d_j+h).
+    With a = min(a_i, a_j), b = max(a_i, a_j) and l = ln p the integrand is
+    p^(b-a) times p^(2(a-u)) left of a, 1 between a and b and p^(2(u-b))
+    right of b, so M_ij = p^(b-a) [(b - a) + (expm1(2la) + expm1(2l(1-b))) / (2l)].
     """
-    k = len(pts)
-    knots = np.concatenate(([0.0], pts, [1.0]))
-    lo, hi = knots[:-1, None], knots[1:, None]
-    h = hi - lo
-    near = p ** np.maximum(lo - pts, pts - hi)               # (k+1, k): p^(distance to segment)
-    left = np.arange(k + 1)[:, None] > np.arange(k)          # a_i lies left of segment s
+    lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
     two_lp = 2.0 * math.log(p)
-    one_side = np.expm1(two_lp * h) / two_lp                 # (1 - p^(2h)) / (-2 ln p)
-    weight = np.where(left[:, :, None] == left[:, None, :], one_side[:, :, None], (h * p ** h)[:, :, None])
-    return np.einsum("si,sj,sij->ij", near, near, weight)
+    gap = hi - lo
+    return p ** gap * (gap + (np.expm1(two_lp * lo) + np.expm1(two_lp * (1.0 - hi))) / two_lp)
 
 
 def _field_block(field: FieldModel, points):

@@ -9,7 +9,10 @@ sides of that identity with confidence half-widths.
 
 Randomness is counter-based: every consumer draws from its own Philox stream
 keyed by (seed, stream id), so reports are bit-reproducible and independent
-of evaluation order.
+of evaluation order.  The universal trials run in chunks of trials, but each
+trial keeps its own stream, so chunking leaves the draws unchanged; the chunk
+size is a fixed function of the shapes (m, est_length, n and the codebook
+size), so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .universal import ParamFamily, bayes_atom_data, project_family
 
 CODEBOOK_CAP = 2 ** 18
 DRAW_CAP = 2 ** 25    # most floats one stage draws at once, or keeps per trial
+# most floats one array of a chunk of universal trials holds (2 MB); numpy asks for huge pages
+# from 4 MB on, and those would keep the heap's freed chunk arrays resident
+TRIAL_CHUNK_FLOATS = 2 ** 18
 _MIN_TRAIN_PER_CODEWORD = 20
 
 _STREAM_TRAIN = 1
@@ -321,6 +327,70 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     )
 
 
+def _trial_chunk(m: int, cfg: SimConfig) -> int:
+    """Trials per chunk of the universal trial loop.
+
+    A trial's largest arrays are its (m, est_length) draw and the distances of
+    its est_length / n blocks to the codewords.  A chunk holds as many trials
+    as TRIAL_CHUNK_FLOATS allows for both, and one trial where one is larger.
+    """
+    per_trial = max(m * cfg.est_length, cfg.est_length // cfg.n * cfg.codeword_count())
+    return max(1, TRIAL_CHUNK_FLOATS // per_trial)
+
+
+def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps):
+    """The trials of ``universal_two_step``, run in chunks of trials.
+
+    Trial t draws from its own Philox stream (seed, _STREAM_TRIAL, t): first
+    its node, then its (m, est_length) block, so no draw depends on the chunk.
+    Everything after the draws runs once per chunk, stacked over its trials:
+    one encode and decode per atom present.  Returns per-trial arrays
+    (atom, hit, ML estimate, total, weighted and lift MSE).
+    """
+    m, slots, n = family.m, cfg.est_length, cfg.n
+    k = len(a)
+    blocks = slots // n
+    nodes_n = len(family.nodes)
+    chols = np.stack([np.linalg.cholesky(s) for s in family.node_sigmas])
+    node_block = family.node_sigmas[np.ix_(np.arange(nodes_n), a, a)]
+    trials = cfg.eval_blocks
+    sel = np.empty(trials, dtype=np.int64)
+    hits = np.empty(trials, dtype=bool)
+    theta = np.empty((trials, k, k))
+    total, weighted, lift = np.empty(trials), np.empty(trials), np.empty(trials)
+    chunk = _trial_chunk(m, cfg)
+    for t0 in range(0, trials, chunk):
+        c = min(chunk, trials - t0)
+        part = slice(t0, t0 + c)
+        nodes = np.empty(c, dtype=np.int64)
+        z = np.empty((c, m, slots))
+        for i in range(c):
+            rng = _rng(cfg.seed, _STREAM_TRIAL, t0 + i)
+            nodes[i] = rng.choice(nodes_n, p=family.node_weights)
+            rng.standard_normal(out=z[i])
+        x = chols[nodes] @ z
+        del z  # the heap keeps a chunk's peak, so free each array once it is used
+        x_a, x_ac = x[:, a], x[:, ac]
+        del x
+        th = theta[part] = x_a @ x_a.transpose(0, 2, 1) / slots
+        s = sel[part] = np.argmin(np.linalg.norm(reps - th[:, None], axis=(2, 3)), axis=1)
+        hits[part] = np.linalg.norm(th - node_block[nodes], axis=(1, 2)) <= 2.0 * cfg.grid_delta
+        y_a = np.empty_like(x_a)
+        d2 = np.empty((c, blocks))
+        for atom in np.unique(s):
+            rows = np.flatnonzero(s == atom)
+            xb = x_a[rows].reshape(len(rows), k, blocks, n).transpose(0, 2, 1, 3).reshape(-1, k, n)
+            idx, d2_rows = codes[atom].encode(xb)
+            d2[rows] = d2_rows.reshape(len(rows), blocks)
+            y_rows = codes[atom].decode(idx).reshape(len(rows), blocks, k, n)
+            y_a[rows] = y_rows.transpose(0, 2, 1, 3).reshape(len(rows), k, slots)
+        y_ac = lifts[s].transpose(0, 2, 1) @ y_a
+        weighted[part] = np.sum(d2, axis=1) / slots
+        lift[part] = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / slots
+        total[part] = np.sum((x_a - y_a) ** 2, axis=(1, 2)) / slots + lift[part]
+    return sel, hits, theta, total, weighted, lift
+
+
 def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimReport:
     """Universal two-step coding over a family: estimate the atom, then code within it.
 
@@ -348,35 +418,9 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         for i, d in enumerate(data)
     ]
     reps = np.stack([d.sigma_a for d in data])
-
-    nodes_n = len(family.nodes)
-    chols = np.stack([np.linalg.cholesky(s) for s in family.node_sigmas])
-    node_weights = family.node_weights
-    node_block = family.node_sigmas[np.ix_(np.arange(nodes_n), a, a)]
-    blocks_per_trial = cfg.est_length // cfg.n
-
+    lifts = np.stack([d.lift for d in data])
+    _, hits, _, total_t, weighted_t, lift_t = _usim_trials(family, a, ac, cfg, codes, lifts, reps)
     trials = cfg.eval_blocks
-    total_t = np.empty(trials)
-    weighted_t = np.empty(trials)
-    lift_t = np.empty(trials)
-    hits = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        rng = _rng(cfg.seed, _STREAM_TRIAL, t)
-        node = int(rng.choice(nodes_n, p=node_weights))
-        x = chols[node] @ rng.standard_normal((family.m, cfg.est_length))
-        x_a = x[a]
-        x_ac = x[ac]
-        theta_hat = ml_cov_estimate(x_a)
-        sel = int(np.argmin(np.linalg.norm(reps - theta_hat[None, :, :], axis=(1, 2))))
-        hits[t] = float(np.linalg.norm(theta_hat - node_block[node])) <= 2.0 * cfg.grid_delta
-        xb = x_a.reshape(ss.k, blocks_per_trial, cfg.n).transpose(1, 0, 2)
-        idx, d2 = codes[sel].encode(xb)
-        y_a = codes[sel].decode(idx).transpose(1, 0, 2).reshape(ss.k, cfg.est_length)
-        y_ac = data[sel].lift.T @ y_a
-        weighted_t[t] = float(np.sum(d2)) / cfg.est_length
-        samp = float(np.sum((x_a - y_a) ** 2))
-        lift_t[t] = float(np.sum((x_ac - y_ac) ** 2)) / cfg.est_length
-        total_t[t] = samp / cfg.est_length + lift_t[t]
 
     hit_rate = float(np.mean(hits))
     bad_mass = 1.0 - hit_rate

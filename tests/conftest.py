@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from srdf_kit import CovarianceModel, affine_family
+from srdf_kit import CovarianceModel, affine_family, ml_cov_estimate
+from srdf_kit.simulate import _STREAM_TRIAL, _rng
 
 
 def random_model(rng, m, jitter=0.5):
@@ -83,3 +85,62 @@ def reference_field(sigma_a, mass, variance):
     x = np.linalg.solve(sigma_a, mass)
     g = np.linalg.solve(sigma_a, x.T)
     return float(variance - np.trace(x)), reference_spectrum(sigma_a, 0.5 * (g + g.T))
+
+
+def reference_gm_cross_mass(p, pts):
+    """M_ij = integral over [0, 1] of p^(|u - a_i| + |u - a_j|) du for sorted points a, segment by segment.
+
+    The knots {0, a, 1} cut [0, 1] into k+1 segments, each free of sampling
+    points.  On a segment of length h at distances d_i, d_j from a_i, a_j:
+    with both points on one side the exponent grows by 2 per unit away from
+    the nearer end, giving p^(d_i+d_j) (1 - p^(2h)) / (-2 ln p); with the
+    segment between them it is constant, giving h p^(d_i+d_j+h).  Holds a
+    (k+1) k k weight array.
+    """
+    pts = np.asarray(pts, dtype=float)
+    k = len(pts)
+    knots = np.concatenate(([0.0], pts, [1.0]))
+    lo, hi = knots[:-1, None], knots[1:, None]
+    h = hi - lo
+    near = p ** np.maximum(lo - pts, pts - hi)
+    left = np.arange(k + 1)[:, None] > np.arange(k)
+    two_lp = 2.0 * math.log(p)
+    one_side = np.expm1(two_lp * h) / two_lp
+    weight = np.where(left[:, :, None] == left[:, None, :], one_side[:, :, None], (h * p ** h)[:, :, None])
+    return np.einsum("si,sj,sij->ij", near, near, weight)
+
+
+def reference_usim_trials(family, a, ac, cfg, codes, lifts, reps):
+    """The universal trials one at a time: (atom, hit, ML estimate, total, weighted, lift MSE) per trial.
+
+    Trial t draws its node and then its (m, est_length) block from the Philox
+    stream (seed, _STREAM_TRIAL, t), estimates the sampled covariance, picks the
+    atom whose representative is nearest, codes the slots as consecutive
+    n-blocks with that atom's code and lifts them to the unsampled components.
+    """
+    nodes_n = len(family.nodes)
+    chols = np.stack([np.linalg.cholesky(s) for s in family.node_sigmas])
+    node_block = family.node_sigmas[np.ix_(np.arange(nodes_n), a, a)]
+    k, slots, n = len(a), cfg.est_length, cfg.n
+    blocks = slots // n
+    trials = cfg.eval_blocks
+    sel = np.empty(trials, dtype=np.int64)
+    hits = np.empty(trials, dtype=bool)
+    theta = np.empty((trials, k, k))
+    total, weighted, lift = np.empty(trials), np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        rng = _rng(cfg.seed, _STREAM_TRIAL, t)
+        node = int(rng.choice(nodes_n, p=family.node_weights))
+        x = chols[node] @ rng.standard_normal((family.m, slots))
+        x_a, x_ac = x[a], x[ac]
+        theta[t] = ml_cov_estimate(x_a)
+        sel[t] = np.argmin(np.linalg.norm(reps - theta[t][None, :, :], axis=(1, 2)))
+        hits[t] = float(np.linalg.norm(theta[t] - node_block[node])) <= 2.0 * cfg.grid_delta
+        code = codes[sel[t]]
+        idx, d2 = code.encode(x_a.reshape(k, blocks, n).transpose(1, 0, 2))
+        y_a = code.decode(idx).transpose(1, 0, 2).reshape(k, slots)
+        y_ac = lifts[sel[t]].T @ y_a
+        weighted[t] = float(np.sum(d2)) / slots
+        lift[t] = float(np.sum((x_ac - y_ac) ** 2)) / slots
+        total[t] = float(np.sum((x_a - y_a) ** 2)) / slots + lift[t]
+    return sel, hits, theta, total, weighted, lift

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,9 +24,9 @@ from srdf_kit import (
     gm_segment_explained,
     optimize_placement,
 )
-from srdf_kit.field import PLACEMENT_CAP, _brent, _gm_optimal_points
+from srdf_kit.field import PLACEMENT_CAP, _brent, _gm_cross_mass, _gm_optimal_points
 
-from conftest import knot_simpson
+from conftest import knot_simpson, reference_gm_cross_mass
 
 
 def gm_field(p, quad_points=2048):
@@ -165,6 +166,21 @@ class TestSegments:
     def test_pinned_requires_endpoints(self):
         with pytest.raises(DomainError):
             gm_min_distortion_pinned(0.5, (0.1, 0.9))
+
+    def test_cross_mass_of_a_thousand_points_is_quadratic_in_memory(self):
+        # a (k+1) k k segment array would hold 8 GB here
+        pts = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 1000))
+        tracemalloc.start()
+        try:
+            mass = _gm_cross_mass(0.3, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        # each entry depends on its own pair of points alone
+        for i, j in ((0, 999), (17, 500), (998, 999), (400, 400)):
+            pair = reference_gm_cross_mass(0.3, pts[sorted({i, j})])
+            assert mass[i, j] == pytest.approx(pair[0, -1], rel=1e-13)
 
 
 class TestFieldSrdfProperties:

@@ -50,7 +50,14 @@ from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
 from srdf_kit.srdf import _lift, _weight
 from srdf_kit.universal import bayes_curve
 
-from conftest import knot_simpson, multi_atom_family, reference_block, reference_field, reference_spectrum
+from conftest import (
+    knot_simpson,
+    multi_atom_family,
+    reference_block,
+    reference_field,
+    reference_gm_cross_mass,
+    reference_spectrum,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 CLI_PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
@@ -396,6 +403,20 @@ def test_every_gauss_markov_restart_ends_feasible(p, k, pin, slack, seed):
     delta = floor + slack * (1.0 - floor)
     res = optimize_placement(field, k, ("min_rate_at", delta), restarts=3, pin_endpoints=pin, seed=seed)
     assert all(math.isfinite(v) for v in res.restart_values), res.restart_values
+
+
+@PROPERTY
+@given(seeds)
+def test_gm_cross_mass_matches_segment_sum(seed):
+    # p from 1e-6 up to 1 - 1e-9, points anywhere in [0, 1], endpoints included
+    rng = np.random.default_rng(seed)
+    p = float(10.0 ** rng.uniform(-6.0, -0.3)) if rng.uniform() < 0.5 else 1.0 - float(10.0 ** rng.uniform(-9.0, -0.3))
+    pts = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 13))))
+    if rng.uniform() < 0.3:
+        pts[0], pts[-1] = 0.0, 1.0
+    mass = _gm_cross_mass(p, pts)
+    np.testing.assert_allclose(mass, reference_gm_cross_mass(p, pts), rtol=1e-13, atol=0.0)
+    assert np.array_equal(mass, mass.T)
 
 
 def pinned_three_point_rates(p, delta, middle):

@@ -10,19 +10,24 @@ from srdf_kit import (
     SimConfig,
     ValidationError,
     affine_family,
+    as_sampling_set,
+    bayes_atom_data,
     build_code,
     fixed_var_corr_family,
     max_distortion,
     min_distortion,
     ml_cov_estimate,
     partition,
+    project_family,
     sample_gmms,
     two_step_code,
     universal_two_step,
 )
-from srdf_kit.srdf import _lift
+from srdf_kit import simulate
+from srdf_kit.simulate import TRIAL_CHUNK_FLOATS, TrainedCode, _trial_chunk, _usim_trials
+from srdf_kit.srdf import _lift, _weight
 
-from conftest import random_model
+from conftest import multi_atom_family, random_model, reference_usim_trials
 
 NORM = NormalDist()
 
@@ -225,3 +230,62 @@ class TestUniversalTwoStep:
         a = universal_two_step(fam, [1], cfg)
         b = universal_two_step(fam, [1], cfg)
         assert a == b
+
+
+def usim_setup(k, n, est_length, seed):
+    """(family, a, ac, cfg, codes, lifts, reps) of a three-atom family sampled at [1..k]."""
+    family, sampled = multi_atom_family(np.random.default_rng(seed), k)
+    cfg = SimConfig(n=n, rate_bits=1.0, eval_blocks=30, seed=seed, lbg_iters=10, est_length=est_length)
+    ss = as_sampling_set(sampled)
+    data = [bayes_atom_data(family, ss, atom) for atom in project_family(family, ss).atoms]
+    j = cfg.codeword_count()
+    codes = [
+        build_code(d.sigma_a, _weight(d.lift), n, j, cfg.resolved_train_blocks(), cfg.lbg_iters, seed, (i,))
+        for i, d in enumerate(data)
+    ]
+    lifts = np.stack([d.lift for d in data])
+    reps = np.stack([d.sigma_a for d in data])
+    return family, ss.zero_based(), ss.complement(family.m), cfg, codes, lifts, reps
+
+
+class TestUsimChunks:
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("est_length", [8, 64, 512])
+    def test_chunks_match_serial_trials(self, monkeypatch, chunk, n, k, est_length):
+        args = usim_setup(k, n, est_length, seed=100 * k + est_length + n)
+        family, cfg = args[0], args[3]
+        per_trial = max(family.m * est_length, est_length // n * cfg.codeword_count())
+        if chunk is not None:
+            # a budget below one trial runs trials alone; 7 trials do not divide the 30
+            monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1 if chunk == 1 else chunk * per_trial)
+        seen = []
+        encode = TrainedCode.encode
+        monkeypatch.setattr(TrainedCode, "encode", lambda code, blocks: seen.append(len(blocks)) or encode(code, blocks))
+        sel, hits, theta, total, weighted, lift = _usim_trials(*args)
+        ref = reference_usim_trials(*args)
+        assert np.array_equal(sel, ref[0])
+        assert np.array_equal(hits, ref[1])
+        assert np.array_equal(theta, ref[2])
+        for got, want in zip((total, weighted, lift), ref[3:]):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # the reference encodes one trial per call; the chunked loop at most a chunk of them
+        chunked = seen[: len(seen) - cfg.eval_blocks]
+        trials_per_call = max(chunked) // (est_length // n)
+        assert trials_per_call == 1 or trials_per_call * per_trial <= simulate.TRIAL_CHUNK_FLOATS
+        if chunk is not None:
+            assert trials_per_call <= chunk
+
+    @pytest.mark.parametrize(
+        "m, n, rate, est_length",
+        [(2, 1, 1.0, 512), (3, 1, 3.0, 1024), (4, 2, 1.0, 8), (9, 3, 2.0, 2048), (64, 1, 0.0, 8192), (2, 1, 12.0, 2**20)],
+    )
+    def test_chunk_fills_the_budget(self, m, n, rate, est_length):
+        cfg = SimConfig(n=n, rate_bits=rate, est_length=est_length)
+        c = _trial_chunk(m, cfg)
+        per_trial = max(m * est_length, est_length // n * cfg.codeword_count())
+        if per_trial > TRIAL_CHUNK_FLOATS:
+            assert c == 1
+        else:
+            assert c * per_trial <= TRIAL_CHUNK_FLOATS < (c + 1) * per_trial
