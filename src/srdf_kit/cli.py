@@ -41,7 +41,7 @@ from .simulate import SimConfig, two_step_code, universal_two_step
 from .srdf import max_distortion, srdf_spectrum
 from .universal import (
     affine_family,
-    bayes_atom_data,
+    atom_spectra,
     bayes_curve,
     fixed_var_corr_family,
     nonbayes_curve,
@@ -422,7 +422,7 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
     deltas = _parse_grid(cfg)
     part = project_family(family, ss)
     if bayes:
-        points = bayes_curve([bayes_atom_data(family, ss, atom) for atom in part.atoms], deltas)
+        points = bayes_curve(atom_spectra(family, ss, part), part.weights, deltas)
     else:
         points = nonbayes_curve(nonbayes_spectra(family, ss, part), deltas)
     _write_csv(out / "curve.csv", ["delta", "rate_bits"], [(p.delta, p.rate_bits) for p in points])
@@ -442,7 +442,7 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
         {
             "sampling": list(ss.indices),
             "atoms": len(part.atoms),
-            "atom_weights": None if part.atoms[0].weight is None else [a.weight for a in part.atoms],
+            "atom_weights": None if part.weights is None else part.weights.tolist(),
             "grid_nodes": len(family.nodes),
             "delta_min": points[0].delta_min,
             "delta_max": points[0].delta_max,

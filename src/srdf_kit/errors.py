@@ -69,10 +69,6 @@ class GridTooLarge(ValidationError):
     code = "universal.grid_too_large"
 
 
-class EmptyAtom(ValidationError):
-    code = "universal.empty_atom"
-
-
 class NoPrior(ValidationError):
     code = "universal.no_prior"
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, SrdfKitError
-from .model import validate_covariance
+from .model import _objective, validate_covariance
 from .srdf import SrdfPoint, Spectrum, _factor, _spectrum, _srdf_point
 
 QUAD_POINTS_DEFAULT = 2048
@@ -395,20 +395,17 @@ class PlacementResult:
 
 
 def _placement_objective(field: FieldModel, objective):
-    if objective == "min_delta_min" or objective is None:
+    name, delta = _objective(objective)
+    if delta is None:
         def fn(pts):
             return field_min_distortion(field, pts)
-        return fn, "min_delta_min"
-    if isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "min_rate_at":
-        delta = float(objective[1])
-
+    else:
         def fn(pts):
             try:
                 return field_srdf(field, pts, delta).rate_bits
             except SrdfKitError:
                 return math.inf
-        return fn, f"min_rate_at:{delta:.9g}"
-    raise DomainError(f"unknown placement objective {objective!r}")
+    return fn, name
 
 
 def optimize_placement(

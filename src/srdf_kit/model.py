@@ -17,6 +17,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSquare,
     NotSymmetric,
+    ValidationError,
 )
 
 SYM_TOL = 1e-9      # relative to the largest absolute entry
@@ -105,7 +106,9 @@ class SamplingSet:
         return np.asarray(self.indices, dtype=int) - 1
 
     def complement(self, m: int) -> np.ndarray:
-        """0-based indices of the unsampled components, ascending."""
+        """0-based indices of the unsampled components among 1..m, ascending; a label above m raises."""
+        if self.indices[-1] > m:
+            raise IndexOutOfRange(f"sampling set {self.indices} exceeds model dimension m={m}")
         mask = np.ones(m, dtype=bool)
         mask[self.zero_based()] = False
         return np.flatnonzero(mask)
@@ -113,6 +116,20 @@ class SamplingSet:
 
 def as_sampling_set(spec) -> SamplingSet:
     return spec if isinstance(spec, SamplingSet) else SamplingSet(spec)
+
+
+def _objective(objective) -> tuple[str, float | None]:
+    """(reported name, target distortion or None) of a sampling-set search objective.
+
+    ``"min_delta_min"`` asks for the lowest estimation floor and
+    ``("min_rate_at", delta)`` for the lowest rate at distortion delta.
+    """
+    if objective == "min_delta_min":
+        return "min_delta_min", None
+    if isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "min_rate_at":
+        delta = float(objective[1])
+        return f"min_rate_at:{delta:.9g}", delta
+    raise ValidationError(f"unknown objective {objective!r}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +161,8 @@ def partition(model: CovarianceModel, sampled) -> BlockPartition:
     matrix entries exactly; the gather never rounds.
     """
     sampled = as_sampling_set(sampled)
-    if sampled.indices[-1] > model.m:
-        raise IndexOutOfRange(
-            f"sampling set {sampled.indices} exceeds model dimension m={model.m}"
-        )
-    a = sampled.zero_based()
     ac = sampled.complement(model.m)
+    a = sampled.zero_based()
     return BlockPartition(
         sigma_a=model.sigma[np.ix_(a, a)],
         sigma_a_ac=model.sigma[np.ix_(a, ac)],

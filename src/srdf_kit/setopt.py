@@ -8,8 +8,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import IndexOutOfRange, TooManySubsets, ValidationError
-from .model import CovarianceModel, SamplingSet
+from .errors import IndexOutOfRange, TooManySubsets
+from .model import CovarianceModel, SamplingSet, _objective
 from .srdf import Spectrum, _block_spectrum, _reduce
 
 SUBSET_CAP = 1_000_000
@@ -57,14 +57,7 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") ->
     count = math.comb(model.m, k)
     if count > SUBSET_CAP:
         raise TooManySubsets(f"C({model.m},{k}) = {count} exceeds the cap {SUBSET_CAP}")
-    if objective == "min_delta_min":
-        obj_name = "min_delta_min"
-        delta = None
-    elif isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "min_rate_at":
-        obj_name = f"min_rate_at:{float(objective[1]):.9g}"
-        delta = float(objective[1])
-    else:
-        raise ValidationError(f"unknown objective {objective!r}")
+    obj_name, delta = _objective(objective)
 
     enumeration = combinations(range(1, model.m + 1), k)
     rows, values = [], []

@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CodebookTooLarge, DimensionMismatch, GridTooLarge, TrainingDiverged, ValidationError
+from .errors import CodebookTooLarge, DimensionMismatch, GridTooLarge, NoPrior, TrainingDiverged, ValidationError
 from .model import CovarianceModel, as_sampling_set, partition
 from .srdf import _lift, _weight, srdf_spectrum
-from .universal import ParamFamily, bayes_atom_data, project_family
+from .universal import ParamFamily, atom_spectra, project_family
 
 CODEBOOK_CAP = 2 ** 18
 DRAW_CAP = 2 ** 25    # most floats one stage draws at once, or keeps per trial
@@ -401,8 +401,10 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     log2(#atoms)/est_length overhead of announcing the atom.
     """
     ss = as_sampling_set(sampled)
-    a = ss.zero_based()
     ac = ss.complement(family.m)
+    a = ss.zero_based()
+    if family.node_weights is None:
+        raise NoPrior("universal coding draws members from the prior; the family has none")
     if cfg.est_length % cfg.n != 0:
         raise ValidationError(
             f"est_length={cfg.est_length} must be a multiple of the block length n={cfg.n}"
@@ -410,15 +412,17 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     _check_draw("est_length * m", cfg.est_length * family.m)
     _check_draw("eval_blocks", cfg.eval_blocks)
     part = project_family(family, ss)
-    data = [bayes_atom_data(family, ss, atom) for atom in part.atoms]
+    weights = part.weights
+    spectra = atom_spectra(family, ss, part)
+    sigma = np.stack([atom.sigma for atom in part.atoms])
+    reps = sigma[:, a[:, None], a]
+    lifts = _lift(reps, sigma[:, a[:, None], ac])
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     codes = [
-        build_code(d.sigma_a, _weight(d.lift), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
-        for i, d in enumerate(data)
+        build_code(rep, g, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
+        for i, (rep, g) in enumerate(zip(reps, _weight(lifts)))
     ]
-    reps = np.stack([d.sigma_a for d in data])
-    lifts = np.stack([d.lift for d in data])
     _, hits, _, total_t, weighted_t, lift_t = _usim_trials(family, a, ac, cfg, codes, lifts, reps)
     trials = cfg.eval_blocks
 
@@ -426,9 +430,9 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     bad_mass = 1.0 - hit_rate
     bad_mse = float(np.sum(total_t[~hits])) / trials
     bad_cap = math.sqrt(bad_mass * float(np.mean(total_t ** 2)))
-    overhead = math.log2(len(data)) / cfg.est_length if len(data) > 1 else 0.0
+    atoms = len(part.atoms)
+    overhead = math.log2(atoms) / cfg.est_length if atoms > 1 else 0.0
     code_rate = math.log2(j) / cfg.n
-    analytic = sum(d.weight * d.spectrum.distortion(code_rate) for d in data)
 
     trace = None
     if cfg.trace:
@@ -444,8 +448,8 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         seed=cfg.seed,
         train_blocks=train_blocks,
         eval_blocks=trials,
-        delta_min=sum(d.weight * d.spectrum.delta_min for d in data),
-        analytic_distortion_at_rate=analytic,
+        delta_min=float(sum(weights * spectra.delta_min)),
+        analytic_distortion_at_rate=float(sum(weights * spectra.distortion(code_rate))),
         total_mse=_mean_ci(total_t),
         weighted_mse=_mean_ci(weighted_t),
         lift_mse=_mean_ci(lift_t),
@@ -453,7 +457,7 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         train_distortion=tuple(c.train_distortion for c in codes),
         estimator_hit_rate=hit_rate,
         universal_overhead_bits=overhead,
-        grid_size=len(data),
+        grid_size=atoms,
         bad_event_mass=bad_mass,
         bad_event_mse=bad_mse,
         bad_event_mse_cap=bad_cap,

@@ -20,15 +20,15 @@ import numpy as np
 from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
-    EmptyAtom,
     EmptyGrid,
     GridTooLarge,
     InfeasibleDistortion,
     NoPrior,
+    NotSquare,
     UnsupportedFamily,
 )
 from .model import as_sampling_set, validate_covariance
-from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum, _lift
+from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
 
 GRID_RES_DEFAULT = 33
 ATOM_TOL = 1e-8          # max-norm radius for "same sampled block"
@@ -122,14 +122,19 @@ class AmbiguityAtom:
     """Members of the family sharing one sampled-block covariance."""
 
     members: tuple[int, ...]          # node indices into the family grid
-    tau1: np.ndarray                  # representative k x k sampled block
+    sigma: np.ndarray                 # m x m covariance averaged over the members, symmetrized
+    tau1: np.ndarray                  # its k x k sampled block, the atom's representative
     weight: float | None              # prior mass of the atom
-    member_weights: np.ndarray | None  # prior weights renormalized within the atom
 
 
 @dataclass(frozen=True)
 class AmbiguityPartition:
     atoms: tuple[AmbiguityAtom, ...]
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """Prior mass of each atom, or None when the family has no prior."""
+        return None if self.atoms[0].weight is None else np.array([atom.weight for atom in self.atoms])
 
 
 def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
@@ -137,11 +142,15 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
 
     Nodes are first collapsed by rounding each sampled-block entry to a
     quarter of ATOM_TOL (same bucket implies distance well inside it), then
-    buckets within ATOM_TOL in max-norm are merged.
+    buckets within ATOM_TOL in max-norm are merged.  Each atom carries its
+    members' covariance averaged once, prior-weighted or, without a prior,
+    uniformly; the sum runs member by member, so every entry is rounded alike
+    and a block of the average is the average of that block.
     Atoms are ordered by their lowest member node, so the split is
     deterministic.
     """
     ss = as_sampling_set(sampled)
+    ss.complement(family.m)   # refuses a label above m before any index is read
     a = ss.zero_based()
     if len(family.nodes) == 0:
         raise EmptyGrid("family grid is empty")
@@ -176,56 +185,37 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
             w = weights[members]
             wsum = float(np.sum(w))
             member_w = w / wsum if wsum > 0 else np.full(len(members), 1.0 / len(members))
-            tau1 = np.tensordot(member_w, blocks[members], axes=(0, 0))
+            sigma = np.sum(member_w[:, None, None] * family.node_sigmas[members], axis=0)
             atom_weight = wsum
         else:
-            member_w = None
-            tau1 = blocks[members].mean(axis=0)
+            sigma = family.node_sigmas[members].mean(axis=0)
             atom_weight = None
+        sigma = 0.5 * (sigma + sigma.T)
         atoms.append(
             AmbiguityAtom(
                 members=tuple(int(i) for i in members),
-                tau1=0.5 * (tau1 + tau1.T),
+                sigma=sigma,
+                tau1=sigma[np.ix_(a, a)],
                 weight=atom_weight,
-                member_weights=member_w,
             )
         )
     return AmbiguityPartition(atoms=tuple(atoms))
 
 
-@dataclass(frozen=True)
-class BayesAtomData:
-    """Per-atom quantities for the Bayesian curve.
+def atom_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spectrum:
+    """Floor and weighted spectrum of every atom, stacked in atom order, from one reduction.
 
-    The cross block and unsampled variances are prior-weighted averages over
-    the atom's members; within the atom the sampled block is common, so the
-    best unsampled estimate is linear, b^T times the sampled block, with
-    ``lift`` b = Sigma_A^{-1} times the averaged cross block.
+    Within an atom the sampled data cannot tell the members apart, so the
+    unsampled components are estimated linearly with the averaged cross
+    terms: each atom is the known-law problem of its averaged ``sigma``.  A
+    single-member atom's average is that member, so its row is the member's
+    own curve.
     """
-
-    sigma_a: np.ndarray
-    lift: np.ndarray
-    spectrum: Spectrum
-    weight: float
-
-
-def bayes_atom_data(family: ParamFamily, sampled, atom: AmbiguityAtom) -> BayesAtomData:
     ss = as_sampling_set(sampled)
-    a = ss.zero_based()
     ac = ss.complement(family.m)
-    if len(atom.members) == 0:
-        raise EmptyAtom("atom has no members")
-    if family.node_weights is None or atom.member_weights is None:
-        raise NoPrior("Bayesian atom data needs a prior on the family")
-    members = np.asarray(atom.members)
-    w = atom.member_weights
-    sig = family.node_sigmas[members]
-    sigma_a = np.tensordot(w, sig[:, a[:, None], a[None, :]], axes=(0, 0))
-    sigma_a = 0.5 * (sigma_a + sigma_a.T)
-    cross = np.tensordot(w, sig[:, a[:, None], ac[None, :]], axes=(0, 0))
-    var_ac = np.tensordot(w, sig[:, ac, ac], axes=(0, 0))
-    spec = _block_spectrum(sigma_a, cross, float(np.sum(var_ac)))
-    return BayesAtomData(sigma_a=sigma_a, lift=_lift(sigma_a, cross), spectrum=spec, weight=float(atom.weight))
+    a = ss.zero_based()
+    sigma = np.stack([atom.sigma for atom in part.atoms])
+    return _block_spectrum(sigma[:, a[:, None], a], sigma[:, a[:, None], ac], sigma[:, ac, ac].sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -238,8 +228,8 @@ class UsrdfPoint:
     trivial: bool = False
 
 
-def bayes_curve(data, deltas) -> list[UsrdfPoint]:
-    """Bayesian universal curve at each of ``deltas``, from one family's atom data.
+def bayes_curve(spectra: Spectrum, weights, deltas) -> list[UsrdfPoint]:
+    """Bayesian universal curve at each of ``deltas``, from stacked atom spectra and prior masses.
 
     The optimal split gives every atom a the distortion D_a(r) it reaches at a
     shared rate r, so r solves sum_a w_a D_a(r) = delta.  Above its floor an
@@ -254,14 +244,15 @@ def bayes_curve(data, deltas) -> list[UsrdfPoint]:
     grows, or clamped at RATE_CAP_BITS, where only the floor is left and
     nothing is evaluated.
     """
+    if weights is None:
+        raise NoPrior("the Bayesian curve needs a prior on the family")
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.isfinite(deltas)):
         raise BudgetOutOfRange(f"distortion must be finite, got {deltas}")
-    floors = np.array([d.spectrum.delta_min for d in data])
-    modes = Spectrum(np.zeros(len(data)), np.stack([d.spectrum.lambdas for d in data]))
-    w = np.array([d.weight for d in data])
-    dmin = sum(d.weight * d.spectrum.delta_min for d in data)
-    dmax = sum(d.weight * d.spectrum.delta_max for d in data)
+    w = np.asarray(weights, dtype=float)
+    modes = Spectrum(0.0, spectra.lambdas)   # each atom's distortion above its floor
+    dmin = float(sum(w * spectra.delta_min))
+    dmax = float(sum(w * spectra.delta_max))
     if np.any(deltas <= dmin):
         raise InfeasibleDistortion(
             f"delta {np.min(deltas)} is at or below the prior-averaged floor {dmin}"
@@ -279,7 +270,7 @@ def bayes_curve(data, deltas) -> list[UsrdfPoint]:
         grew = nxt > r
         rates[live] = np.where(grew, nxt, r)
         live[live] = grew & (nxt < RATE_CAP_BITS)
-    alloc = floors + modes.distortion(rates[:, None])
+    alloc = spectra.distortion(rates[:, None])
     return [
         UsrdfPoint(float(d), float(r), tuple(float(x) for x in per), dmin, dmax, bool(t))
         for d, r, per, t in zip(deltas, rates, alloc, trivial)
@@ -294,7 +285,7 @@ def bayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
     is convex in r (see ``bayes_curve``), so the iterates rise to the root.
     """
     part = project_family(family, sampled)
-    return bayes_curve([bayes_atom_data(family, sampled, atom) for atom in part.atoms], [delta])[0]
+    return bayes_curve(atom_spectra(family, sampled, part), part.weights, [delta])[0]
 
 
 def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spectrum:
@@ -305,12 +296,9 @@ def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> 
     family, whose worst member is the least correlated one: a single mode
     sigma2 (1 + r_lo^2) above the floor sigma2 (1 - r_lo^2).
     """
-    ss = as_sampling_set(sampled)
     if all(len(atom.members) == 1 for atom in part.atoms):
-        a = ss.zero_based()
-        ac = ss.complement(family.m)
-        sig = family.node_sigmas[[atom.members[0] for atom in part.atoms]]
-        return _block_spectrum(sig[:, a[:, None], a], sig[:, a[:, None], ac], sig[:, ac, ac].sum(axis=-1))
+        return atom_spectra(family, sampled, part)
+    ss = as_sampling_set(sampled)
     if family.template and family.template[0] == "fixed_var_corr":
         sigma2 = float(family.template[1])
         if family.m != 2 or ss.k != 1:
@@ -380,6 +368,8 @@ def affine_family(
 ) -> ParamFamily:
     """Family sigma(tau) = base + sum_d tau_d * directions[d]; every node must stay PD."""
     base = np.asarray(base, dtype=float)
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise NotSquare(f"base must be a square matrix, got shape {base.shape}")
     dirs = [np.asarray(d, dtype=float) for d in directions]
     if len(dirs) != len(box):
         raise UnsupportedFamily(

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -187,6 +188,23 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert payload["seed"] == 99
         assert payload["report"]["seed"] == 99
+
+    @pytest.mark.parametrize(
+        "task,tail",
+        [("usrdf-bayes", GRID), ("usrdf-nonbayes", GRID),
+         ("usim", "sim: {n: 1, rate_bits: 1.0, eval_blocks: 20, est_length: 64, lbg_iters: 5}\n")],
+    )
+    def test_one_reduction_serves_every_atom(self, tmp_path, monkeypatch, task, tail):
+        # the first variance moves along the box, so each of the three nodes is its own atom
+        cfg = tmp_path / "three.yaml"
+        cfg.write_text("family: {template: affine, base: [[1.0, 0.3], [0.3, 1.0]], directions: [[[1.0, 0.0], [0.0, 0.0]]],"
+                       f" box: [[0.0, 0.4]], prior: uniform, grid_res: 3}}\nsampling: [1]\n{tail}", encoding="utf-8")
+        shapes = []
+        srdf_core = importlib.import_module("srdf_kit.srdf")   # the package's `srdf` is the function
+        spectrum = srdf_core._spectrum
+        monkeypatch.setattr(srdf_core, "_spectrum", lambda floor, s: shapes.append(s.shape) or spectrum(floor, s))
+        assert run(task, cfg, tmp_path) == 0
+        assert shapes == [(3, 1, 1)]
 
 
 class TestDeterminism:
@@ -435,6 +453,8 @@ class TestExitCodes:
                          id="objective.delta-bool"),
             pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{rate_bits: true}}\n", id="sim.rate_bits-bool"),
             pytest.param("usim", f"{FAMILY}sim: {{grid_delta: true}}\n", id="sim.grid_delta-bool"),
+            pytest.param("usrdf-bayes", "family: {template: affine, base: 5, directions: [5], box: [[0.0, 0.4]],"
+                         f" prior: uniform, grid_res: 3}}\nsampling: [1]\n{GRID}", id="family.base-scalar"),
         ],
     )
     def test_malformed_config_value_is_validation(self, tmp_path, capsys, task, config):
@@ -444,6 +464,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error ["), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "task,config",
+        [
+            ("usrdf-bayes", FAMILY.replace("[1]", "[3]") + GRID),
+            ("usrdf-nonbayes", FAMILY.replace("[1]", "[3]") + GRID),
+            ("usim", FAMILY.replace("[1]", "[5]") + "sim: {eval_blocks: 10}\n"),
+        ],
+    )
+    def test_sampling_label_above_the_family_is_validation(self, tmp_path, capsys, task, config):
+        cfg = tmp_path / "far.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [model.index_out_of_range]"), err
+        assert "exceeds model dimension m=2" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("task,config", [("simulate", "two_step_sim.yaml"), ("usim", "corr_family_usim.yaml")])
     def test_negative_seed_override_is_config_parse(self, tmp_path, capsys, task, config):

@@ -23,7 +23,7 @@ from srdf_kit import (
     Spectrum,
     TabulatedKernel,
     affine_family,
-    bayes_atom_data,
+    atom_spectra,
     bayes_usrdf,
     best_fixed_set,
     distortion_rate,
@@ -90,7 +90,7 @@ def singleton_family(rng):
     return family, [1] if rng.uniform() < 0.5 else [1, 2]
 
 
-def mp_bayes_rate(mp, data, delta):
+def mp_bayes_rate(mp, spectra, weights, delta):
     """Common rate r with sum_a w_a D_a(r) = ``delta``, in the working precision of ``mp``.
 
     D_a is evaluated from its active set: with the j largest modes active the
@@ -103,7 +103,8 @@ def mp_bayes_rate(mp, data, delta):
             if j == len(lams) or level >= lams[j]:
                 return mp.fsum(min(level, x) for x in lams)
 
-    atoms = [(mp.mpf(d.weight), mp.mpf(d.spectrum.delta_min), [mp.mpf(x) for x in d.spectrum.lambdas]) for d in data]
+    atoms = [(mp.mpf(w), mp.mpf(f), [mp.mpf(x) for x in lams])
+             for w, f, lams in zip(weights, spectra.delta_min, spectra.lambdas)]
 
     def excess(r):
         return mp.fsum(w * (floor + distortion(lams, r)) for w, floor, lams in atoms) - mp.mpf(delta)
@@ -224,11 +225,42 @@ def test_bayes_rate_is_the_high_precision_root(seed, k, fraction):
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 50
     family, sampled = multi_atom_family(np.random.default_rng(seed), k)
-    data = [bayes_atom_data(family, sampled, atom) for atom in project_family(family, sampled).atoms]
-    assert len(data) == 3
-    point = bayes_curve(data, [1e9])[0]
+    part = project_family(family, sampled)
+    spectra, weights = atom_spectra(family, sampled, part), part.weights
+    assert len(weights) == 3
+    point = bayes_curve(spectra, weights, [1e9])[0]
     delta = point.delta_min + fraction * (point.delta_max - point.delta_min)
-    assert abs(bayes_curve(data, [delta])[0].rate_bits - float(mp_bayes_rate(mp, data, delta))) <= 1e-12
+    rate = bayes_curve(spectra, weights, [delta])[0].rate_bits
+    assert abs(rate - float(mp_bayes_rate(mp, spectra, weights, delta))) <= 1e-12
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 4))
+def test_atoms_are_the_known_law_reduction_of_their_averaged_covariance(seed, k):
+    family, sampled = multi_atom_family(np.random.default_rng(seed), k)
+    part = project_family(family, sampled)
+    spectra = atom_spectra(family, sampled, part)
+    assert spectra.lambdas.shape == (3, k)
+    for atom, floor, lams in zip(part.atoms, spectra.delta_min, spectra.lambdas):
+        members = list(atom.members)
+        mean = np.average(family.node_sigmas[members], axis=0, weights=family.node_weights[members])
+        np.testing.assert_allclose(atom.sigma, mean, rtol=1e-14, atol=0.0)
+        ref_floor, ref_lams = reference_block(atom.sigma, sampled)
+        assert floor == pytest.approx(ref_floor, rel=1e-12)
+        np.testing.assert_allclose(lams, ref_lams, rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(seeds)
+def test_singleton_atoms_are_their_members_own_curves(seed):
+    family, sampled = singleton_family(np.random.default_rng(seed))
+    part = project_family(family, sampled)
+    spectra = atom_spectra(family, sampled, part)
+    assert len(spectra.lambdas) == len(family.nodes)
+    for atom, floor, lams in zip(part.atoms, spectra.delta_min, spectra.lambdas):
+        own = srdf_spectrum(partition(CovarianceModel(family.node_sigmas[atom.members[0]]), sampled))
+        assert floor == pytest.approx(own.delta_min, rel=1e-12)
+        np.testing.assert_allclose(lams, own.lambdas, rtol=1e-12, atol=0.0)
 
 
 @PROPERTY

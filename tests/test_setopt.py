@@ -7,10 +7,14 @@ import pytest
 import srdf_kit.setopt
 from srdf_kit import (
     CovarianceModel,
+    FieldModel,
+    GaussMarkovKernel,
     IndexOutOfRange,
     TooManySubsets,
+    ValidationError,
     best_fixed_set,
     min_distortion,
+    optimize_placement,
     partition,
     srdf,
 )
@@ -121,3 +125,27 @@ class TestBestFixedSet:
         model = CovarianceModel(np.eye(3))
         res = best_fixed_set(model, 1, ("min_rate_at", 2.5))
         assert res.objective == "min_rate_at:2.5"
+
+
+SEARCHES = {
+    "subset": lambda objective: best_fixed_set(CovarianceModel(np.eye(3)), 1, objective),
+    "placement": lambda objective: optimize_placement(FieldModel(GaussMarkovKernel(0.5)), 2, objective, restarts=1),
+}
+
+
+class TestObjectiveFormat:
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+    @pytest.mark.parametrize("objective", [None, "min_rate", ("min_rate_at",), ("max_rate_at", 2.5), ["min_rate_at", 2.5]])
+    def test_unknown_objective_raises_one_error_from_every_search(self, search, objective):
+        with pytest.raises(ValidationError, match="unknown objective") as info:
+            search(objective)
+        assert type(info.value) is ValidationError
+
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+    @pytest.mark.parametrize(
+        "objective,label",
+        [("min_delta_min", "min_delta_min"), (("min_rate_at", 2.5), "min_rate_at:2.5"),
+         (("min_rate_at", 1 / 3), "min_rate_at:0.333333333")],
+    )
+    def test_every_search_labels_an_objective_alike(self, search, objective, label):
+        assert search(objective).objective == label

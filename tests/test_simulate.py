@@ -11,7 +11,6 @@ from srdf_kit import (
     ValidationError,
     affine_family,
     as_sampling_set,
-    bayes_atom_data,
     build_code,
     fixed_var_corr_family,
     max_distortion,
@@ -237,15 +236,16 @@ def usim_setup(k, n, est_length, seed):
     family, sampled = multi_atom_family(np.random.default_rng(seed), k)
     cfg = SimConfig(n=n, rate_bits=1.0, eval_blocks=30, seed=seed, lbg_iters=10, est_length=est_length)
     ss = as_sampling_set(sampled)
-    data = [bayes_atom_data(family, ss, atom) for atom in project_family(family, ss).atoms]
+    a, ac = ss.zero_based(), ss.complement(family.m)
+    atoms = project_family(family, ss).atoms
     j = cfg.codeword_count()
+    reps = np.stack([atom.tau1 for atom in atoms])
+    lifts = np.stack([_lift(atom.tau1, atom.sigma[np.ix_(a, ac)]) for atom in atoms])
     codes = [
-        build_code(d.sigma_a, _weight(d.lift), n, j, cfg.resolved_train_blocks(), cfg.lbg_iters, seed, (i,))
-        for i, d in enumerate(data)
+        build_code(rep, _weight(lift), n, j, cfg.resolved_train_blocks(), cfg.lbg_iters, seed, (i,))
+        for i, (rep, lift) in enumerate(zip(reps, lifts))
     ]
-    lifts = np.stack([d.lift for d in data])
-    reps = np.stack([d.sigma_a for d in data])
-    return family, ss.zero_based(), ss.complement(family.m), cfg, codes, lifts, reps
+    return family, a, ac, cfg, codes, lifts, reps
 
 
 class TestUsimChunks:

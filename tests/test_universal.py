@@ -10,13 +10,13 @@ from srdf_kit import (
     Spectrum,
     UnsupportedFamily,
     affine_family,
-    bayes_atom_data,
+    atom_spectra,
     bayes_usrdf,
     fixed_var_corr_family,
     nonbayes_usrdf,
     project_family,
 )
-from srdf_kit.srdf import RATE_CAP_BITS, _weight
+from srdf_kit.srdf import RATE_CAP_BITS, _lift, _weight
 from srdf_kit.universal import bayes_curve
 
 from conftest import multi_atom_family
@@ -32,10 +32,15 @@ def bayes_rate_closed(delta, mean_r=0.5, sigma2=1.0):
     return 0.5 * math.log2(mode / (delta - floor))
 
 
+def bayes_atoms(fam, sampled):
+    """(stacked atom spectra, prior masses) of a family's ambiguity atoms."""
+    part = project_family(fam, sampled)
+    return atom_spectra(fam, sampled, part), part.weights
+
+
 def three_mode_atoms():
-    """Bayes atom data of a drawn multi-atom family sampled at [1, 2, 3]."""
-    fam, sampled = multi_atom_family(np.random.default_rng(7), 3)
-    return [bayes_atom_data(fam, sampled, atom) for atom in project_family(fam, sampled).atoms]
+    """Bayes atoms of a drawn multi-atom family sampled at [1, 2, 3]."""
+    return bayes_atoms(*multi_atom_family(np.random.default_rng(7), 3))
 
 
 def nonbayes_rate_closed(delta, r_lo=0.2, sigma2=1.0):
@@ -119,17 +124,19 @@ class TestAtoms:
     def test_atom_data_floor_below_members(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=9)
         part = project_family(fam, [1])
-        data = bayes_atom_data(fam, [1], part.atoms[0])
+        spectra = atom_spectra(fam, [1], part)
+        atom = part.atoms[0]
         # averaged coefficients explain less than the best member could
-        assert data.spectrum.delta_min == pytest.approx(0.75, abs=1e-12)
-        assert _weight(data.lift) == pytest.approx(np.array([[1.25]]))
-        assert data.spectrum.delta_max == pytest.approx(2.0, abs=1e-12)
+        assert spectra.delta_min[0] == pytest.approx(0.75, abs=1e-12)
+        assert _weight(_lift(atom.tau1, atom.sigma[:1, 1:])) == pytest.approx(np.array([[1.25]]))
+        assert spectra.delta_max[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_atom_data_needs_prior(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
         part = project_family(fam, [1])
+        assert part.weights is None
         with pytest.raises(NoPrior):
-            bayes_atom_data(fam, [1], part.atoms[0])
+            bayes_curve(atom_spectra(fam, [1], part), part.weights, [1.0])
 
 
 class TestBayesCurve:
@@ -146,14 +153,12 @@ class TestBayesCurve:
     def test_equalizes_rates_across_atoms(self):
         fam = affine_family(BASE, [E1], [(0.0, 0.5)], prior="uniform", grid_res=5)
         pt = bayes_usrdf(fam, [1], 1.1)
-        part = project_family(fam, [1])
-        datas = [bayes_atom_data(fam, [1], atom) for atom in part.atoms]
+        spectra, weights = bayes_atoms(fam, [1])
         # the reported allocation spends the same rate in every atom
-        assert len(pt.per_atom_delta) == len(datas)
-        weighted = sum(d.weight * x for d, x in zip(datas, pt.per_atom_delta))
+        assert len(pt.per_atom_delta) == len(weights)
+        weighted = sum(w * x for w, x in zip(weights, pt.per_atom_delta))
         assert weighted == pytest.approx(1.1, abs=1e-7)
-        for d, x in zip(datas, pt.per_atom_delta):
-            back = d.spectrum.distortion(pt.rate_bits)
+        for back, x in zip(spectra.distortion(pt.rate_bits), pt.per_atom_delta):
             assert back == pytest.approx(x, rel=1e-6, abs=1e-9)
 
     def test_infeasible_and_trivial(self):
@@ -172,27 +177,27 @@ class TestBayesCurve:
     def test_newton_needs_few_distortion_calls(self, which, monkeypatch):
         if which == "one-atom":
             fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=33)
-            data = [bayes_atom_data(fam, [1], atom) for atom in project_family(fam, [1]).atoms]
+            spectra, weights = bayes_atoms(fam, [1])
         else:
-            data = three_mode_atoms()
-        dmin = sum(d.weight * d.spectrum.delta_min for d in data)
-        dmax = sum(d.weight * d.spectrum.delta_max for d in data)
+            spectra, weights = three_mode_atoms()
+        dmin = sum(weights * spectra.delta_min)
+        dmax = sum(weights * spectra.delta_max)
         fractions = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 1.0, 40)])
         calls = []
         distortion = Spectrum.distortion
         monkeypatch.setattr(Spectrum, "distortion", lambda spec, r: calls.append(r) or distortion(spec, r))
-        points = bayes_curve(data, dmin + fractions * (dmax - dmin))
+        points = bayes_curve(spectra, weights, dmin + fractions * (dmax - dmin))
         # one call per Newton step plus one for the allocation
         assert 2 <= len(calls) <= 24
         assert all(0.0 < p.rate_bits < RATE_CAP_BITS for p in points[:-1]) and points[-1].trivial
 
     @pytest.mark.filterwarnings("error")
     def test_rate_caps_just_above_the_floor(self):
-        data = three_mode_atoms()
-        dmin = sum(d.weight * d.spectrum.delta_min for d in data)
-        pt = bayes_curve(data, [dmin * (1.0 + 1e-14)])[0]
+        spectra, weights = three_mode_atoms()
+        dmin = sum(weights * spectra.delta_min)
+        pt = bayes_curve(spectra, weights, [dmin * (1.0 + 1e-14)])[0]
         assert pt.rate_bits == RATE_CAP_BITS
-        assert pt.per_atom_delta == tuple(d.spectrum.delta_min for d in data)
+        assert pt.per_atom_delta == tuple(spectra.delta_min)
 
 
 class TestNonBayesCurve:
