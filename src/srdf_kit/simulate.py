@@ -13,6 +13,12 @@ of evaluation order.  The universal trials run in chunks of trials, but each
 trial keeps its own stream, so chunking leaves the draws unchanged; the chunk
 size is a fixed function of the shapes (m, est_length, n and the codebook
 size), so reruns stay byte-identical.
+
+The LBG assignment step, which training and encoding share, finds each row's
+nearest codeword.  A scalar code (n k = 1) looks only at the two levels that
+bracket the row in sorted order, O(log J) per row; any other code scores
+every codeword over row tiles of ASSIGN_TILE_FLOATS scores, formed in place.
+Both return what one full scan returns, bit for bit (see ``_assign``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ DRAW_CAP = 2 ** 25    # most floats one stage draws at once, or keeps per trial
 # most floats one array of a chunk of universal trials holds (2 MB); numpy asks for huge pages
 # from 4 MB on, and those would keep the heap's freed chunk arrays resident
 TRIAL_CHUNK_FLOATS = 2 ** 18
+ASSIGN_TILE_FLOATS = 2 ** 15   # most scores one tile of the nearest-codeword search holds (256 KB)
+_TILE_ROW_MULTIPLE = 48        # rows per scan tile come in multiples of this; see _assign
 _MIN_TRAIN_PER_CODEWORD = 20
 
 _STREAM_TRAIN = 1
@@ -80,8 +88,12 @@ class SimConfig:
             raise ValidationError(f"est_length must be >= 1, got {self.est_length}")
 
     def codeword_count(self) -> int:
-        bits = max(0, math.ceil(self.n * self.rate_bits - 1e-9))
-        return 2 ** bits
+        bits = self.n * self.rate_bits - 1e-9
+        if bits > math.log2(CODEBOOK_CAP):   # before 2 ** bits, which a huge rate would make enormous
+            raise CodebookTooLarge(
+                f"codebook size 2^{self.n * self.rate_bits:g} exceeds the cap {CODEBOOK_CAP}"
+            )
+        return 2 ** max(0, math.ceil(bits))
 
     def resolved_train_blocks(self) -> int:
         j = self.codeword_count()
@@ -157,18 +169,87 @@ def ml_cov_estimate(x_a: np.ndarray) -> np.ndarray:
     return x @ x.T / x.shape[1]
 
 
+def _scalar_levels(x: np.ndarray, cb: np.ndarray):
+    """(sorted distinct levels, first codeword index of each) of a scalar codebook, or None.
+
+    None, so that ``_assign`` scans every codeword, unless the codebook has one
+    coordinate, x has rows, every row and level is below 1e150 in magnitude,
+    the largest |level| M is above 1e-150 and distinct levels lie at least
+    1e-6 M apart.  ``np.unique`` keeps the first index of equal levels, the one
+    ``argmin`` returns.
+    """
+    if cb.shape[1] != 1 or not len(x):
+        return None
+    levels, first = np.unique(cb[:, 0], return_index=True)
+    span = float(np.max(np.abs(levels)))
+    if not (1e-150 < span < 1e150 and -1e150 < x.min() and x.max() < 1e150):   # false for NaN too
+        return None
+    if np.any(np.diff(levels) < 1e-6 * span):
+        return None
+    return levels, first
+
+
 def _assign(x: np.ndarray, cb: np.ndarray):
-    """Nearest codeword per row of x; returns (indices, squared distances)."""
+    """Nearest codeword per row of x; returns (indices, squared distances).
+
+    Each codeword c scores c.c - 2 x.c; a row takes the first lowest score,
+    plus x.x clamped at 0, as its squared distance.
+
+    Scalar codes look only at the two levels that bracket the row in sorted
+    order (``np.searchsorted``): the nearest level of a scalar quantizer is one
+    of them (Lloyd 1982), so a row costs O(log J) instead of O(J).  The result
+    is the full scan's, bit for bit, because no other level can win by
+    rounding.  With u = 2^-53, the score of a level c is computed within
+    2u (c^2 + 2|x c|) of its exact value, so two scores differ from their exact
+    difference by at most 20u M^2 for |x| <= 2M and 10u |x| M beyond, M being
+    the largest |level|.  A level c' beyond the nearer bracket level b scores
+    (b - c')(2x - b - c') more, exactly, which is at least D^2 for |x| <= 2M
+    and D |x| beyond, D being the smallest gap between distinct levels.  So
+    D >= 1e-6 M leaves a margin of over 400; ``_scalar_levels`` also bounds
+    the magnitudes so that nothing overflows or underflows to matter, and
+    sends every other case to the scan.
+
+    The scan forms its scores in place, over row tiles of ASSIGN_TILE_FLOATS
+    scores.  OpenBLAS may round a row's dot products by the row's place in its
+    kernel's panels of rows (OpenBLAS 0.3.31 on x86-64 does, in panels of 12
+    rows, for codebooks of over 192 words that are not a multiple of 8), so
+    tiles come in multiples of _TILE_ROW_MULTIPLE rows, which keeps every row
+    where one untiled product puts it.  A lone last row would take numpy's
+    matrix-vector path, which rounds otherwise too, so the last tile absorbs it.
+    """
     cb_sq = np.einsum("jd,jd->j", cb, cb)
     out_i = np.empty(len(x), dtype=np.int64)
     out_d = np.empty(len(x))
-    step = max(1, (1 << 22) // max(1, len(cb)))
-    for s in range(0, len(x), step):
-        xx = x[s:s + step]
-        part = cb_sq[None, :] - 2.0 * (xx @ cb.T)
-        idx = np.argmin(part, axis=1)
-        out_i[s:s + step] = idx
-        out_d[s:s + step] = part[np.arange(len(xx)), idx] + np.einsum("nd,nd->n", xx, xx)
+    scalar = _scalar_levels(x, cb)
+    if scalar is not None:
+        levels, first = scalar
+        sq, top = cb_sq[first], len(levels) - 1
+        step = ASSIGN_TILE_FLOATS // 2   # two candidate scores per row
+        for s in range(0, len(x), step):
+            xs = x[s:s + step, 0]
+            hi = np.searchsorted(levels, xs)   # levels[hi - 1] < x <= levels[hi]
+            lo = np.maximum(hi - 1, 0)
+            np.minimum(hi, top, out=hi)
+            score_lo = sq[lo] - 2.0 * (xs * levels[lo])
+            score_hi = sq[hi] - 2.0 * (xs * levels[hi])
+            lo, hi = first[lo], first[hi]
+            up = (score_hi < score_lo) | ((score_hi == score_lo) & (hi < lo))
+            out_i[s:s + step] = np.where(up, hi, lo)
+            out_d[s:s + step] = np.where(up, score_hi, score_lo) + xs * xs
+    else:
+        step = max(_TILE_ROW_MULTIPLE, ASSIGN_TILE_FLOATS // len(cb) // _TILE_ROW_MULTIPLE * _TILE_ROW_MULTIPLE)
+        tile = np.empty((min(step + 1, len(x)), len(cb)))
+        s = 0
+        while s < len(x):
+            e = s + step + (len(x) - s == step + 1)
+            xx = x[s:e]
+            part = np.matmul(xx, cb.T, out=tile[:len(xx)])
+            part *= -2.0   # then cb_sq + (-2 x.c), the same IEEE operation as cb_sq - 2 x.c
+            part += cb_sq
+            idx = np.argmin(part, axis=1)
+            out_i[s:e] = idx
+            out_d[s:e] = np.take_along_axis(part, idx[:, None], axis=1)[:, 0] + np.einsum("nd,nd->n", xx, xx)
+            s = e
     np.maximum(out_d, 0.0, out=out_d)
     return out_i, out_d
 
@@ -358,6 +439,8 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     hits = np.empty(trials, dtype=bool)
     theta = np.empty((trials, k, k))
     total, weighted, lift = np.empty(trials), np.empty(trials), np.empty(trials)
+    cdf = np.cumsum(family.node_weights)
+    cdf /= cdf[-1]
     chunk = _trial_chunk(m, cfg)
     for t0 in range(0, trials, chunk):
         c = min(chunk, trials - t0)
@@ -366,7 +449,7 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
         z = np.empty((c, m, slots))
         for i in range(c):
             rng = _rng(cfg.seed, _STREAM_TRIAL, t0 + i)
-            nodes[i] = rng.choice(nodes_n, p=family.node_weights)
+            nodes[i] = np.searchsorted(cdf, rng.random(), side="right")   # the draw of rng.choice(p=...)
             rng.standard_normal(out=z[i])
         x = chols[nodes] @ z
         del z  # the heap keeps a chunk's peak, so free each array once it is used

@@ -144,3 +144,23 @@ def reference_usim_trials(family, a, ac, cfg, codes, lifts, reps):
         lift[t] = float(np.sum((x_ac - y_ac) ** 2)) / slots
         total[t] = float(np.sum((x_a - y_a) ** 2)) / slots + lift[t]
     return sel, hits, theta, total, weighted, lift
+
+
+def reference_assign(x, cb):
+    """Nearest codeword per row of x by a full scan; returns (indices, squared distances).
+
+    Scores every codeword c by c.c - 2 x.c in row steps of 2^22 scores, takes
+    the first lowest score and adds x.x, clamped at 0.
+    """
+    cb_sq = np.einsum("jd,jd->j", cb, cb)
+    out_i = np.empty(len(x), dtype=np.int64)
+    out_d = np.empty(len(x))
+    step = max(1, (1 << 22) // max(1, len(cb)))
+    for s in range(0, len(x), step):
+        xx = x[s:s + step]
+        part = cb_sq[None, :] - 2.0 * (xx @ cb.T)
+        idx = np.argmin(part, axis=1)
+        out_i[s:s + step] = idx
+        out_d[s:s + step] = part[np.arange(len(xx)), idx] + np.einsum("nd,nd->n", xx, xx)
+    np.maximum(out_d, 0.0, out=out_d)
+    return out_i, out_d

@@ -512,6 +512,17 @@ class TestExitCodes:
         assert "exceeds the" in err and "Traceback" not in err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("task,config", [("simulate", f"{MODEL}sampling: [1]\n"), ("usim", FAMILY)])
+    def test_huge_rate_is_refused_before_any_draw(self, tmp_path, capsys, task, config):
+        # 2 ** (n * rate_bits) would be a 10^12-bit integer
+        cfg = tmp_path / "rate.yaml"
+        cfg.write_text(f"{config}sim: {{rate_bits: 1.0e+12}}\n", encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [simulate.codebook_too_large]"), err
+        assert "exceeds the cap" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_negative_mesh_size_is_validation(self, tmp_path, capsys):
         (tmp_path / "mesh.csv").write_text("-2\n0,0,1.0\n0,1,0.5\n1,0,0.5\n1,1,1.0\n", encoding="utf-8")
         cfg = tmp_path / "mesh.yaml"

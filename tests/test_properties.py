@@ -6,6 +6,7 @@ Every test is derandomized, so a run draws the same examples each time.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from srdf_kit import (
     srdf_spectrum,
     waterfill,
 )
+from srdf_kit import simulate
 from srdf_kit.cli import main
 from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
 from srdf_kit.srdf import _lift, _weight
@@ -53,6 +55,7 @@ from srdf_kit.universal import bayes_curve
 from conftest import (
     knot_simpson,
     multi_atom_family,
+    reference_assign,
     reference_block,
     reference_field,
     reference_gm_cross_mass,
@@ -611,3 +614,40 @@ def test_cli_universal_curves_match_point_calls(seed, correlation_family):
         want = [[fmt(d), fmt(point(family, sampled, float(d)).rate_bits)]
                 for d in np.linspace(grid["min"], grid["max"], 9)]
         assert rows == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seeds, st.integers(1, 4), st.integers(1, 512), st.sampled_from(("spread", "duplicates", "clustered")),
+       st.sampled_from(("gauss", "codewords", "midpoints", "far")), st.integers(0, 2**20), st.integers(4, 15))
+def test_nearest_codeword_search_matches_the_full_scan(seed, dim, j, levels, rows, count, tile_log2):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    if dim == 1:
+        # distinct levels at least 1e-2 scale apart, so at least 2e-5 of the largest
+        cb = rng.permutation(np.cumsum(rng.uniform(0.01, 1.0, j)) - rng.uniform(0.0, j))[:, None] * scale
+    else:
+        cb = rng.standard_normal((j, dim)) * scale
+    if levels == "duplicates":
+        cb = cb[rng.integers(0, j, j)]
+    elif levels == "clustered":
+        cb = scale * (1.0 + 1e-8 * rng.standard_normal((j, dim)))
+    # at dim > 1 the rows stay few enough that the reference's one product runs on
+    # one BLAS thread: split across threads, it rounds some rows otherwise itself
+    n = count % (1 + (2**20 // j if dim == 1 else 2**18 // (j * dim)))
+    if rows == "gauss":
+        x = rng.standard_normal((n, dim)) * scale
+    elif rows == "codewords":
+        x = cb[rng.integers(0, j, n)]
+    elif rows == "midpoints":
+        x = 0.5 * (cb[rng.integers(0, j, n)] + cb[rng.integers(0, j, n)])
+    else:
+        x = rng.choice([-1e6, 1e6], (n, dim))
+    if dim == 1 and n:
+        # spread and duplicated levels take the bracket search, clustered ones the scan
+        assert (simulate._scalar_levels(x, cb) is None) == (levels == "clustered" and j > 1)
+    with mock.patch.object(simulate, "ASSIGN_TILE_FLOATS", 2**tile_log2):
+        idx, d2 = simulate._assign(x, cb)
+    want_idx, want_d2 = reference_assign(x, cb)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(d2, want_d2)
+

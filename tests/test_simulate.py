@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -23,10 +24,19 @@ from srdf_kit import (
     universal_two_step,
 )
 from srdf_kit import simulate
-from srdf_kit.simulate import TRIAL_CHUNK_FLOATS, TrainedCode, _trial_chunk, _usim_trials
+from srdf_kit.simulate import (
+    ASSIGN_TILE_FLOATS,
+    TRIAL_CHUNK_FLOATS,
+    TrainedCode,
+    _assign,
+    _rng,
+    _scalar_levels,
+    _trial_chunk,
+    _usim_trials,
+)
 from srdf_kit.srdf import _lift, _weight
 
-from conftest import multi_atom_family, random_model, reference_usim_trials
+from conftest import multi_atom_family, random_model, reference_assign, reference_usim_trials
 
 NORM = NormalDist()
 
@@ -117,6 +127,59 @@ class TestBuildingBlocks:
     def test_codebook_cap(self):
         with pytest.raises(CodebookTooLarge):
             build_code(np.eye(1), np.eye(1), n=3, j=2 ** 24, train_blocks=10 ** 9, lbg_iters=1, seed=0)
+
+    def test_huge_rate_is_refused_before_the_codebook_size_is_formed(self):
+        # 2 ** (n * rate_bits) would be a 10^12-bit integer
+        with pytest.raises(CodebookTooLarge):
+            SimConfig(n=1, rate_bits=1.0e12).codeword_count()
+        assert SimConfig(n=2, rate_bits=9.0).codeword_count() == simulate.CODEBOOK_CAP
+        with pytest.raises(CodebookTooLarge):
+            SimConfig(n=2, rate_bits=9.01).resolved_train_blocks()
+
+
+class TestNearestCodeword:
+    @pytest.mark.parametrize("n, k, j", [(1, 1, 512), (2, 1, 256)])
+    def test_training_follows_the_full_scan(self, monkeypatch, n, k, j):
+        # a scalar code takes the bracket search, a 2-dimensional one the tiled scan
+        sigma_a = np.array([[1.7]]) if k == 1 else np.array([[1.7, 0.4], [0.4, 0.9]])
+        args = (sigma_a, np.eye(k), n, j, 20 * j, 60, 5)
+        code = build_code(*args)
+        assert (_scalar_levels(code.codebook_whitened, code.codebook_whitened) is None) == (n * k > 1)
+        monkeypatch.setattr(simulate, "_assign", reference_assign)
+        ref = build_code(*args)
+        assert code.codebook_whitened.tobytes() == ref.codebook_whitened.tobytes()
+        assert code.lbg_iterations == ref.lbg_iterations > 1
+        assert code.train_distortion == ref.train_distortion
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_a_lone_last_row_joins_the_tile_before_it(self, monkeypatch, dim):
+        # numpy multiplies a one-row matrix by its matrix-vector path, which rounds otherwise
+        monkeypatch.setattr(simulate, "ASSIGN_TILE_FLOATS", 48 * 20)
+        rng = np.random.default_rng(dim)
+        cb = rng.standard_normal((20, dim))
+        for tiles in (1, 2, 5):
+            x = rng.standard_normal((48 * tiles + 1, dim))
+            idx, d2 = _assign(x, cb)
+            want_idx, want_d2 = reference_assign(x, cb)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(d2, want_d2)
+
+    @pytest.mark.parametrize("rows, j, dim", [(10240, 512, 1), (5120, 256, 2), (200_000, 4, 1)])
+    def test_memory_is_bounded_by_the_tile(self, rows, j, dim):
+        # the full scan peaks at 64 MB, 20 MB and 15 MB on these
+        rng = np.random.default_rng(12)
+        x, cb = rng.standard_normal((rows, dim)), rng.standard_normal((j, dim))
+        if dim == 1:
+            cb = np.linspace(-3.0, 3.0, j)[rng.permutation(j), None]
+            assert _scalar_levels(x, cb) is not None
+        tracemalloc.start()
+        try:
+            idx, d2 = _assign(x, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < idx.nbytes + d2.nbytes + 4 * 8 * ASSIGN_TILE_FLOATS
+        assert np.array_equal(idx, reference_assign(x, cb)[0])
 
 
 class TestTwoStepCode:
@@ -276,6 +339,17 @@ class TestUsimChunks:
         assert trials_per_call == 1 or trials_per_call * per_trial <= simulate.TRIAL_CHUNK_FLOATS
         if chunk is not None:
             assert trials_per_call <= chunk
+
+    def test_node_draw_is_the_draw_of_choice(self):
+        # _usim_trials draws each node from the prior's cdf, as rng.choice(p=...) does
+        gen = np.random.default_rng(8)
+        for t in range(300):
+            weights = gen.dirichlet(np.full(int(gen.integers(1, 30)), gen.uniform(0.05, 3.0)))
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            ours, theirs = _rng(t, 4, t), _rng(t, 4, t)
+            assert np.searchsorted(cdf, ours.random(), side="right") == theirs.choice(len(weights), p=weights)
+            assert np.array_equal(ours.standard_normal(4), theirs.standard_normal(4))
 
     @pytest.mark.parametrize(
         "m, n, rate, est_length",
