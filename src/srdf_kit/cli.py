@@ -137,6 +137,8 @@ def _load_config(path: Path) -> dict:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigParse(f"config {path} is not valid YAML: {exc}") from exc
+    except ValueError as exc:   # an integer past Python's digit limit for int(str)
+        raise ConfigParse(f"config {path} holds a value that cannot be read: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigParse(f"config {path} must be a mapping at the top level")
     return cfg

@@ -25,6 +25,7 @@ from .srdf import SrdfPoint, Spectrum, _factor, _spectrum, _srdf_point
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
 PLACEMENT_CAP = 128  # most points one placement places: a coordinate sweep is k line searches of O(k^3) calls
+RESTART_CAP = 256    # most restarts one placement runs: they run serially, each a full coordinate search
 FEASIBLE_BISECTIONS = 20  # halvings that locate an infeasible restart's first feasible point
 
 
@@ -445,6 +446,8 @@ def optimize_placement(
         raise DomainError("pinned placement needs k >= 2")
     if restarts < 1:
         raise DomainError(f"need at least one restart, got restarts={restarts}")
+    if restarts > RESTART_CAP:
+        raise GridTooLarge(f"restarts = {restarts} exceeds the restart cap {RESTART_CAP}")
     obj_fn, obj_name = _placement_objective(field, objective)
     if field.integrals == "closed-form" and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))

@@ -12,7 +12,11 @@ keyed by (seed, stream id), so reports are bit-reproducible and independent
 of evaluation order.  The universal trials run in chunks of trials, but each
 trial keeps its own stream, so chunking leaves the draws unchanged; the chunk
 size is a fixed function of the shapes (m, est_length, n and the codebook
-size), so reruns stay byte-identical.
+size), so reruns stay byte-identical.  Trial t's stream is still the one of
+``SeedSequence(seed, spawn_key=(4, t))``; only its Philox key depends on t,
+so the keys of a chunk are derived in one vectorized pass (``_trial_keys``)
+and one generator is rekeyed per trial, with no SeedSequence or Generator
+built per trial.
 
 The LBG assignment step, which training and encoding share, finds each row's
 nearest codeword.  A scalar code (n k = 1) looks only at the two levels that
@@ -23,7 +27,9 @@ Both return what one full scan returns, bit for bit (see ``_assign``).
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,15 +53,76 @@ _STREAM_EVAL = 2
 _STREAM_INIT = 3
 _STREAM_TRIAL = 4
 
+_FLOAT_FIELDS = ("rate_bits", "grid_delta")
+
 
 def _check_draw(what: str, floats: int) -> None:
     if floats > DRAW_CAP:
-        raise GridTooLarge(f"{what} needs {floats} floats, which exceeds the cap {DRAW_CAP}")
+        # a product of config integers may pass Python's digit limit for str(int)
+        count = floats if floats.bit_length() <= 64 else f"about 2^{floats.bit_length() - 1}"
+        raise GridTooLarge(f"{what} needs {count} floats, which exceeds the cap {DRAW_CAP}")
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence hash (after O'Neill's seed_seq_fe), all mod 2^32
+_M32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> int:
+    return max(1, -(-value.bit_length() // 32))
+
+
+@functools.lru_cache(maxsize=8)
+def _spawn_pool(seed: int, stream: int):
+    """(pool words, entropy word count) of ``SeedSequence(seed, spawn_key=(stream,))``."""
+    parent = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    # the run entropy is padded to the pool size whenever there is a spawn key
+    words = max(parent.pool_size, _uint32_words(seed)) + _uint32_words(stream)
+    return tuple(int(w) for w in parent.pool), words
+
+
+def _trial_keys(seed: int, stream: int, first: int, count: int) -> np.ndarray:
+    """Philox keys of the streams (seed, stream, t) for t in [first, first + count), shape (count, 2).
+
+    Row t equals ``SeedSequence(seed, spawn_key=(stream, t)).generate_state(2, np.uint64)``
+    for 0 <= t < 2^32, the key ``_rng(seed, stream, t)`` gives its Philox.
+    SeedSequence hashes its entropy words in order into a pool of 4 words, so
+    the pool of ``SeedSequence(seed, spawn_key=(stream,))`` is its state after
+    every word but t.  Mixing t into each pool word uses a hash constant that
+    advanced once per earlier hash, 4 per entropy word, whatever the data, so
+    it is a closed power of the multiplier; generate_state's output hash
+    follows.  Both run as uint32 passes over the t of the chunk; the constants
+    are Python ints reduced mod 2^32, so numpy never sees a scalar overflow.
+    numpy keeps SeedSequence and Philox streams fixed across releases (its
+    stream-compatibility policy, NEP 19); the tests check these keys against
+    SeedSequence itself.
+    """
+    pool, words = _spawn_pool(int(seed), int(stream))
+    t = np.arange(first, first + count, dtype=np.uint32)
+    mix_const = _HASH_INIT_A * pow(_HASH_MULT_A, len(pool) * words, 1 << 32) & _M32
+    out_const = _HASH_INIT_B
+    state = np.empty((count, len(pool)), dtype=np.uint32)
+    for i, word in enumerate(pool):
+        v = t ^ np.uint32(mix_const)          # hashmix(t)
+        mix_const = mix_const * _HASH_MULT_A & _M32
+        v *= np.uint32(mix_const)
+        v ^= v >> 16
+        w = np.uint32(_MIX_MULT_L * word & _M32) - np.uint32(_MIX_MULT_R) * v   # mix(pool word, hashmix(t))
+        w ^= w >> 16
+        w ^= np.uint32(out_const)             # generate_state's hash of pool word i
+        out_const = out_const * _HASH_MULT_B & _M32
+        w *= np.uint32(out_const)
+        w ^= w >> 16
+        state[:, i] = w
+    # uint32 pairs in little-endian order, as generate_state joins them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -72,10 +139,14 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if name != "trace" and value is not None and not math.isfinite(value):
+            if name == "trace" or value is None or (isinstance(value, int) and name not in _FLOAT_FIELDS):
+                continue   # an integer field is exact at any size and meets its caps by value
+            if not abs(value) <= sys.float_info.max:   # also false for NaN; no float() of a huge int
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
+        if self.n > DRAW_CAP:   # every run draws blocks of n slots; also keeps n * rate_bits a float
+            raise GridTooLarge(f"block length n = {self.n} exceeds the cap {DRAW_CAP}")
         if self.rate_bits < 0.0:
             raise ValidationError(f"rate must be nonnegative, got {self.rate_bits}")
         if self.eval_blocks < 2:
@@ -424,6 +495,8 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
 
     Trial t draws from its own Philox stream (seed, _STREAM_TRIAL, t): first
     its node, then its (m, est_length) block, so no draw depends on the chunk.
+    One generator serves every trial, rekeyed with the chunk's keys from
+    ``_trial_keys``; the nodes come from one search of the prior's cdf.
     Everything after the draws runs once per chunk, stacked over its trials:
     one encode and decode per atom present.  Returns per-trial arrays
     (atom, hit, ML estimate, total, weighted and lift MSE).
@@ -441,16 +514,22 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     total, weighted, lift = np.empty(trials), np.empty(trials), np.empty(trials)
     cdf = np.cumsum(family.node_weights)
     cdf /= cdf[-1]
+    rng = _rng(cfg.seed, _STREAM_TRIAL)
+    philox = rng.bit_generator
+    fresh = philox.state   # counter 0, empty buffer: a new Philox but for its key
     chunk = _trial_chunk(m, cfg)
     for t0 in range(0, trials, chunk):
         c = min(chunk, trials - t0)
         part = slice(t0, t0 + c)
-        nodes = np.empty(c, dtype=np.int64)
+        keys = _trial_keys(cfg.seed, _STREAM_TRIAL, t0, c)
+        u = np.empty(c)
         z = np.empty((c, m, slots))
         for i in range(c):
-            rng = _rng(cfg.seed, _STREAM_TRIAL, t0 + i)
-            nodes[i] = np.searchsorted(cdf, rng.random(), side="right")   # the draw of rng.choice(p=...)
+            fresh["state"]["key"] = keys[i]
+            philox.state = fresh   # now the stream of _rng(seed, _STREAM_TRIAL, t0 + i)
+            u[i] = rng.random()
             rng.standard_normal(out=z[i])
+        nodes = np.searchsorted(cdf, u, side="right")   # the draws of rng.choice(p=...)
         x = chols[nodes] @ z
         del z  # the heap keeps a chunk's peak, so free each array once it is used
         x_a, x_ac = x[:, a], x[:, ac]

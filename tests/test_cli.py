@@ -501,6 +501,15 @@ class TestExitCodes:
                          id="sim.train_blocks"),
             pytest.param("usim", f"{FAMILY}sim: {{est_length: 100000000000}}\n", id="usim.est_length"),
             pytest.param("usim", f"{FAMILY}sim: {{eval_blocks: 100000000000}}\n", id="usim.eval_blocks"),
+            pytest.param("place", f"{FIELD}placement: {{k: 2, restarts: 1000000000}}\n", id="placement.restarts"),
+            # integers past the float range meet the same caps, compared by value
+            *(pytest.param(task, f"{pre}sim: {{{key}: {10 ** 400}}}\n", id=f"{task}.{key}-huge")
+              for task, pre in (("simulate", f"{MODEL}sampling: [1]\n"), ("usim", FAMILY))
+              for key in ("n", "train_blocks", "eval_blocks")),
+            pytest.param("usim", f"{FAMILY}sim: {{est_length: {10 ** 400}}}\n", id="usim.est_length-huge"),
+            # 4300 digits parse, but eval_blocks * n * m has 4301, past the digit limit of str(int)
+            pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{eval_blocks: 9{'0' * 4299}}}\n",
+                         id="sim.eval_blocks-digit-limit"),
         ],
     )
     def test_oversized_size_is_rejected_before_allocation(self, tmp_path, capsys, task, config):
@@ -522,6 +531,22 @@ class TestExitCodes:
         assert err.startswith("error [simulate.codebook_too_large]"), err
         assert "exceeds the cap" in err and "Traceback" not in err
         assert not any((tmp_path / "out").iterdir())
+
+    def test_integer_past_the_digit_limit_is_config_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "digits.yaml"
+        cfg.write_text(f"{MODEL}sampling: [1]\nsim: {{eval_blocks: 1{'0' * 5000}}}\n", encoding="utf-8")
+        assert run("simulate", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task,config", [("simulate", f"{MODEL}sampling: [1]\n"), ("usim", FAMILY)])
+    def test_huge_seed_runs(self, tmp_path, task, config):
+        cfg = tmp_path / "seed.yaml"
+        cfg.write_text(f"{config}sim: {{seed: {10 ** 400}, eval_blocks: 20, est_length: 64}}\n", encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["seed"] == report["report"]["seed"] == 10 ** 400
 
     def test_negative_mesh_size_is_validation(self, tmp_path, capsys):
         (tmp_path / "mesh.csv").write_text("-2\n0,0,1.0\n0,1,0.5\n1,0,0.5\n1,1,1.0\n", encoding="utf-8")

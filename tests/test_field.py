@@ -24,7 +24,7 @@ from srdf_kit import (
     gm_segment_explained,
     optimize_placement,
 )
-from srdf_kit.field import PLACEMENT_CAP, _brent, _gm_cross_mass, _gm_optimal_points
+from srdf_kit.field import PLACEMENT_CAP, RESTART_CAP, _brent, _gm_cross_mass, _gm_optimal_points
 
 from conftest import knot_simpson, reference_gm_cross_mass
 
@@ -372,6 +372,23 @@ class TestPlacement:
         monkeypatch.setattr(srdf_kit.field, "_gm_optimal_points", unreachable)
         with pytest.raises(GridTooLarge, match="placement cap"):
             optimize_placement(gm_field(0.5), PLACEMENT_CAP + 1, "min_delta_min", pin_endpoints=True)
+
+    @pytest.mark.parametrize("objective", ["min_delta_min", ("min_rate_at", 0.6)])
+    @pytest.mark.parametrize("restarts", [RESTART_CAP + 1, 10 ** 9])
+    def test_restart_cap_is_checked_before_any_objective_call(self, monkeypatch, objective, restarts):
+        calls = []
+        for name in ("field_min_distortion", "field_srdf"):
+            monkeypatch.setattr(srdf_kit.field, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(GridTooLarge, match="restart cap"):
+            optimize_placement(gm_field(0.5, quad_points=256), 2, objective, restarts=restarts)
+        assert calls == []
+
+    def test_restart_cap_admits_the_cap(self, monkeypatch):
+        monkeypatch.setattr(srdf_kit.field, "RESTART_CAP", 2)
+        fm = gm_field(0.5, quad_points=256)
+        assert optimize_placement(fm, 1, ("min_rate_at", 0.6), restarts=2).restarts == 2
+        with pytest.raises(GridTooLarge, match="restart cap"):
+            optimize_placement(fm, 1, ("min_rate_at", 0.6), restarts=3)
 
     def test_min_rate_objective(self):
         fm = gm_field(0.5, quad_points=256)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from srdf_kit import (
     CodebookTooLarge,
     CovarianceModel,
+    GridTooLarge,
     SimConfig,
     ValidationError,
     affine_family,
@@ -25,13 +28,16 @@ from srdf_kit import (
 )
 from srdf_kit import simulate
 from srdf_kit.simulate import (
+    _STREAM_TRIAL,
     ASSIGN_TILE_FLOATS,
+    DRAW_CAP,
     TRIAL_CHUNK_FLOATS,
     TrainedCode,
     _assign,
     _rng,
     _scalar_levels,
     _trial_chunk,
+    _trial_keys,
     _usim_trials,
 )
 from srdf_kit.srdf import _lift, _weight
@@ -86,6 +92,21 @@ class TestConfig:
     def test_field_validation(self, kwargs):
         with pytest.raises(ValidationError):
             SimConfig(**kwargs)
+
+    def test_huge_integers_are_compared_by_value(self):
+        # no float() of an integer beyond the float range: caps are met by value, a huge seed is a seed
+        huge = 10 ** 400
+        for n in (huge, DRAW_CAP + 1):
+            with pytest.raises(GridTooLarge, match="block length"):
+                SimConfig(n=n)
+        assert SimConfig(n=DRAW_CAP, rate_bits=0.0).codeword_count() == 1
+        with pytest.raises(CodebookTooLarge):
+            SimConfig(n=DRAW_CAP, rate_bits=1e300).codeword_count()
+        for name in ("train_blocks", "eval_blocks", "est_length", "lbg_iters", "seed"):
+            assert getattr(SimConfig(**{name: huge}), name) == huge
+        for name in ("rate_bits", "grid_delta"):
+            with pytest.raises(ValidationError, match="finite"):
+                SimConfig(**{name: huge})
 
 
 class TestBuildingBlocks:
@@ -341,15 +362,58 @@ class TestUsimChunks:
             assert trials_per_call <= chunk
 
     def test_node_draw_is_the_draw_of_choice(self):
-        # _usim_trials draws each node from the prior's cdf, as rng.choice(p=...) does
+        # _usim_trials rekeys one generator per trial and draws a chunk's nodes with one search of
+        # the prior's cdf; each node and the normals after it are those of rng.choice(p=...) on the
+        # trial's own stream
         gen = np.random.default_rng(8)
-        for t in range(300):
+        rng = _rng(0, _STREAM_TRIAL)
+        fresh = rng.bit_generator.state
+        for case in range(300):
             weights = gen.dirichlet(np.full(int(gen.integers(1, 30)), gen.uniform(0.05, 3.0)))
             cdf = np.cumsum(weights)
             cdf /= cdf[-1]
-            ours, theirs = _rng(t, 4, t), _rng(t, 4, t)
-            assert np.searchsorted(cdf, ours.random(), side="right") == theirs.choice(len(weights), p=weights)
-            assert np.array_equal(ours.standard_normal(4), theirs.standard_normal(4))
+            first, count = int(gen.integers(0, 10 ** 6)), int(gen.integers(1, 8))
+            u, normals = np.empty(count), []
+            for i, key in enumerate(_trial_keys(case, _STREAM_TRIAL, first, count)):
+                fresh["state"]["key"] = key
+                rng.bit_generator.state = fresh
+                u[i] = rng.random()
+                normals.append(rng.standard_normal(4))
+            nodes = np.searchsorted(cdf, u, side="right")
+            for i in range(count):
+                theirs = _rng(case, _STREAM_TRIAL, first + i)
+                assert nodes[i] == theirs.choice(len(weights), p=weights)
+                assert np.array_equal(normals[i], theirs.standard_normal(4))
+
+    def test_trials_build_no_stream_per_trial(self, monkeypatch):
+        args = usim_setup(2, 1, 8, seed=5)
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1)   # one trial per chunk: 30 chunks
+        ref = reference_usim_trials(*args)
+        simulate._spawn_pool.cache_clear()
+        made = {"_rng": 0, "SeedSequence": 0}
+
+        def counted(name, make):
+            def build(*a, **kw):
+                made[name] += 1
+                return make(*a, **kw)
+            return build
+
+        monkeypatch.setattr(simulate, "_rng", counted("_rng", simulate._rng))
+        monkeypatch.setattr(np.random, "SeedSequence", counted("SeedSequence", np.random.SeedSequence))
+        got = _usim_trials(*args)
+        # one generator, rekeyed per trial, and one spawn pool for the keys: not one of each per trial
+        assert made == {"_rng": 1, "SeedSequence": 2}
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.array_equal(g, r)
+
+    def test_huge_seed_keeps_the_trial_streams(self):
+        args = list(usim_setup(1, 2, 64, seed=3))
+        args[3] = dataclasses.replace(args[3], seed=10 ** 400)   # 42 entropy words
+        sel, hits, theta, total, weighted, lift = _usim_trials(*args)
+        ref = reference_usim_trials(*args)
+        assert np.array_equal(sel, ref[0]) and np.array_equal(hits, ref[1]) and np.array_equal(theta, ref[2])
+        for got, want in zip((total, weighted, lift), ref[3:]):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "m, n, rate, est_length",
@@ -363,3 +427,30 @@ class TestUsimChunks:
             assert c == 1
         else:
             assert c * per_trial <= TRIAL_CHUNK_FLOATS < (c + 1) * per_trial
+
+
+KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 200 + 7, 10 ** 400]
+
+
+class TestTrialKeys:
+    @pytest.mark.parametrize("stream", [_STREAM_TRIAL, 0, 2 ** 40])
+    @pytest.mark.parametrize("seed", KEY_SEEDS, ids=["0", "1", "2^32-1", "2^32", "2^64+3", "2^200+7", "10^400"])
+    def test_keys_are_the_seed_sequence_keys(self, seed, stream):
+        chunk = _trial_chunk(3, SimConfig(n=1, rate_bits=2.0, est_length=512))
+        gen = np.random.default_rng(seed % 2 ** 32)
+        spans = [(0, 2), (chunk - 1, 2), (2 * chunk - 2, chunk + 3), (DRAW_CAP - 1, 1), (DRAW_CAP - 7, 7)]
+        spans += [(int(gen.integers(0, DRAW_CAP - 16)), int(gen.integers(1, 16))) for _ in range(4)]
+        for first, count in spans:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # no numpy overflow warning from the hash constants
+                keys = _trial_keys(seed, stream, first, count)
+            assert keys.shape == (count, 2) and keys.dtype == np.uint64
+            for i, key in enumerate(keys):
+                want = np.random.SeedSequence(seed, spawn_key=(stream, first + i)).generate_state(2, np.uint64)
+                assert np.array_equal(key, want), (first + i, key, want)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS[:3] + KEY_SEEDS[-1:])
+    def test_keys_are_the_keys_of_the_trial_generators(self, seed):
+        keys = _trial_keys(seed, _STREAM_TRIAL, 5, 3)
+        for i, key in enumerate(keys):
+            assert np.array_equal(key, _rng(seed, _STREAM_TRIAL, 5 + i).bit_generator.state["state"]["key"])
