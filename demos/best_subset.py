@@ -28,11 +28,10 @@ def main():
     by_rate = best_fixed_set(model, 2, ("min_rate_at", DELTA))
 
     print("subset   floor      rate@delta")
-    rate_rows = {r.indices: r for r in by_rate.rows}
-    for row in by_floor.rows:
-        rr = rate_rows[row.indices]
-        rate = "inf" if rr.rate_bits is None or np.isinf(rr.rate_bits) else f"{rr.rate_bits:.6f}"
-        print(f"{str(row.indices):8} {row.delta_min:9.6f}  {rate}")
+    # both tables list the subsets in the same (lexicographic) order
+    for subset, floor, rate in zip(by_floor.subsets.tolist(), by_floor.delta_min, by_rate.rate_bits):
+        rate = "inf" if np.isinf(rate) else f"{rate:.6f}"
+        print(f"{str(tuple(subset)):8} {floor:9.6f}  {rate}")
 
     print(f"\nlowest floor:          A = {by_floor.best.indices} (floor {by_floor.value:.6f})")
     print(f"lowest rate at {DELTA}: A = {by_rate.best.indices} (rate {by_rate.value:.6f} bits)")

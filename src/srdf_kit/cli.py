@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, setopt
 from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
 from .field import (
     QUAD_POINTS_DEFAULT,
@@ -64,24 +64,27 @@ TASKS = (
 GRID_CAP = 100_000  # most points a curve's grid may hold; checked before the grid is built
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` under ``header``: strings as they are, numbers as ``_fmt`` writes them.
+def _write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
+    """Write ``rows`` under ``header``: strings as they are, numbers as ``f"{x:.9g}"`` writes them.
 
     Each column holds one kind throughout, so the first row fixes a row
-    template ("%s" for a string, "%.9g" for a number, the same formatter as
-    ``_fmt``) and one ``%`` over all cells formats the whole body.
+    template ("%s" for a string, "%.9g" for a number) and one ``%`` over all
+    cells formats the whole body.  A caller that knows its row ``template``
+    passes ``rows`` as 2-D arrays instead, blocks of rows that are each
+    formatted by one ``%`` and written in turn, so no Python object is built
+    per row.
     """
-    rows = list(rows)
-    body = ""
-    if rows:
-        template = ",".join("%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]) + "\n"
-        body = (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    if template is None:
+        rows = list(rows)
+        template = ",".join("%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]) if rows else ""
+        blocks = [(len(rows), itertools.chain.from_iterable(rows))]
+    else:
+        blocks = ((len(block), block.ravel().tolist()) for block in rows)
+    template += "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n")
+        for n, cells in blocks:
+            fh.write((template * n) % tuple(cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -361,15 +364,17 @@ def _run_optimize_set(cfg, base, out, args):
     result = best_fixed_set(model, _scalar(block, "k", int), objective)
     if math.isinf(result.value):
         raise InfeasibleDistortion(f"no subset meets the objective {result.objective}")
-    rows = [
-        (
-            " ".join(str(i) for i in row.indices),
-            row.delta_min,
-            "" if row.rate_bits is None else _fmt(row.rate_bits),
-        )
-        for row in result.rows
-    ]
-    _write_csv(out / "table.csv", ["subset", "delta_min", "rate_bits"], rows)
+    # object blocks hand "%" Python ints and floats: "%d" of an int formats faster than of a float
+    columns = [result.subsets, result.delta_min[:, None]]
+    template = " ".join(["%d"] * result.best.k) + ",%.9g,"
+    if result.rate_bits is not None:
+        columns.append(result.rate_bits[:, None])
+        template += "%.9g"
+    blocks = (
+        np.hstack([c[lo : lo + setopt.SUBSET_CHUNK].astype(object) for c in columns])
+        for lo in range(0, len(result.subsets), setopt.SUBSET_CHUNK)
+    )
+    _write_csv(out / "table.csv", ["subset", "delta_min", "rate_bits"], blocks, template)
     summary = _meta("optimize-set", args.seed)
     summary.update(
         {
@@ -377,7 +382,7 @@ def _run_optimize_set(cfg, base, out, args):
             "objective": result.objective,
             "best_subset": list(result.best.indices),
             "best_value": result.value,
-            "subsets": len(result.rows),
+            "subsets": len(result.subsets),
         }
     )
     _write_json(out / "summary.json", summary)

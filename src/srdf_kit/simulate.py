@@ -505,7 +505,7 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     k = len(a)
     blocks = slots // n
     nodes_n = len(family.nodes)
-    chols = np.stack([np.linalg.cholesky(s) for s in family.node_sigmas])
+    chols = np.linalg.cholesky(family.node_sigmas)
     node_block = family.node_sigmas[np.ix_(np.arange(nodes_n), a, a)]
     trials = cfg.eval_blocks
     sel = np.empty(trials, dtype=np.int64)

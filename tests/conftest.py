@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -144,6 +145,38 @@ def reference_usim_trials(family, a, ac, cfg, codes, lifts, reps):
         lift[t] = float(np.sum((x_ac - y_ac) ** 2)) / slots
         total[t] = float(np.sum((x_a - y_a) ** 2)) / slots + lift[t]
     return sel, hits, theta, total, weighted, lift
+
+
+def reference_optimize_set_table(path, result):
+    """Write ``result``'s table.csv row by row, as optimize-set did before its table stayed in arrays.
+
+    One string join per subset, the rate through ``_fmt`` (empty without a
+    rate objective), then the CSV writer of that time, verbatim.
+    """
+
+    def _fmt(x: float) -> str:
+        return f"{float(x):.9g}"
+
+    def _write_csv(path: Path, header: list[str], rows) -> None:
+        rows = list(rows)
+        body = ""
+        if rows:
+            template = ",".join("%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]) + "\n"
+            body = (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n" + body)
+
+    count = len(result.subsets)
+    rates = [None] * count if result.rate_bits is None else result.rate_bits.tolist()
+    rows = [
+        (
+            " ".join(str(i) for i in indices),
+            delta_min,
+            "" if rate_bits is None else _fmt(rate_bits),
+        )
+        for indices, delta_min, rate_bits in zip(result.subsets.tolist(), result.delta_min.tolist(), rates)
+    ]
+    _write_csv(path, ["subset", "delta_min", "rate_bits"], rows)
 
 
 def reference_assign(x, cb):

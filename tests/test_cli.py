@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import srdf_kit
 from srdf_kit.cli import _write_csv, main
 
-from conftest import knot_simpson
+from conftest import knot_simpson, reference_optimize_set_table
 
 REPO = Path(__file__).parent.parent
 CONFIGS = REPO / "configs"
@@ -363,6 +364,65 @@ class TestCsvWriter:
             "inf,a b", "-inf,a b", "nan,a b", "-0,a b", "4.94065646e-324,a b", "1e+308,a b", "7,a b",
             "0.100000001,a b", "0.1,a b",
         ]
+
+
+def optimize_set_config(path, sigma, k, delta=None):
+    """Write an optimize-set config (JSON, which YAML reads) for ``sigma``; the floor objective without a delta."""
+    search = {"k": k, "objective": "min_delta_min"}
+    if delta is not None:
+        search.update(objective="min_rate_at", delta=delta)
+    path.write_text(json.dumps({"model": {"sigma": sigma.tolist()}, "search": search}), encoding="utf-8")
+    return path
+
+
+class TestOptimizeSetTable:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, 2, 3, 512]))
+    def test_matches_the_per_row_writer(self, seed, rate_objective, chunk):
+        # at the median floor about half the subsets are infeasible, so their rates read inf
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 10))
+        k = int(rng.integers(1, m + 1))
+        a = rng.standard_normal((m, m + 1))
+        sigma = a @ a.T + 0.1 * np.eye(m)
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(srdf_kit.setopt, "SUBSET_CHUNK", chunk)
+            tmp = Path(tmp)
+            model = srdf_kit.CovarianceModel(sigma)
+            delta = None
+            if rate_objective:
+                floors = srdf_kit.best_fixed_set(model, k).delta_min
+                delta = float(np.median(floors))
+                if delta <= floors.min():   # every floor equal, as with k = m: none may be infeasible
+                    delta += 0.5 * (float(np.trace(sigma)) - delta)
+            objective = "min_delta_min" if delta is None else ("min_rate_at", delta)
+            result = srdf_kit.best_fixed_set(model, k, objective)
+            cfg = optimize_set_config(tmp / "c.yaml", sigma, k, delta)
+            assert run("optimize-set", cfg, tmp / "out") == 0
+            reference_optimize_set_table(tmp / "want.csv", result)
+            assert (tmp / "out" / "table.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+    def test_peak_memory_holds_no_row_objects(self, tmp_path):
+        # C(20, 5) = 15504 rows.  The result arrays hold 0.87 MB; solving one stack of
+        # SUBSET_CHUNK = 512 subsets takes about 1.1 MB more, and one stack's text about
+        # 18 KB.  The per-row writer, with one SubsetRow and one joined string per
+        # subset, peaked at 7.8 MB on this input; the array path peaks near 2.0 MB.
+        rng = np.random.default_rng(5)
+        m, k = 20, 5
+        a = rng.standard_normal((m, m))
+        sigma = a @ a.T / m + 0.5 * np.eye(m)
+        delta = 0.9 * float(np.trace(sigma))
+        result = srdf_kit.best_fixed_set(srdf_kit.CovarianceModel(sigma), k, ("min_rate_at", delta))
+        arrays = result.subsets.nbytes + result.delta_min.nbytes + result.rate_bits.nbytes
+        cfg = optimize_set_config(tmp_path / "c.yaml", sigma, k, delta)
+        tracemalloc.start()
+        try:
+            assert run("optimize-set", cfg, tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "out" / "table.csv").read_bytes().splitlines()) == 1 + 15504
+        assert peak < arrays + 1.5 * 2**20, (peak, arrays)
 
 
 class TestExitCodes:

@@ -500,13 +500,14 @@ def test_cholesky_reduction_matches_the_symmetric_root_reference(seed, tabulated
     median = float(np.median([floor for floor, _ in refs]))
     delta = median + float(rng.uniform(0.0, 0.5)) * (scale - median)
     res = best_fixed_set(model, k, ("min_rate_at", delta))
-    for row, (floor, lam) in zip(res.rows, refs):
-        spec = srdf_spectrum(partition(model, row.indices))
+    rows = zip(res.subsets.tolist(), res.delta_min, res.rate_bits)
+    for (indices, delta_min, rate_bits), (floor, lam) in zip(rows, refs):
+        spec = srdf_spectrum(partition(model, indices))
         assert abs(spec.delta_min - floor) <= 1e-12 * scale
-        assert abs(row.delta_min - floor) <= 1e-12 * scale
+        assert abs(delta_min - floor) <= 1e-12 * scale
         assert np.max(np.abs(spec.lambdas - lam)) <= 1e-11 * lam[0]
         want = Spectrum(floor, lam).rate(delta) if floor < delta else math.inf
-        assert row.rate_bits == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert rate_bits == pytest.approx(want, rel=1e-9, abs=1e-9)
     if tabulated:
         kernel, points = tabulated_field(rng, 17, int(rng.integers(1, 7)))
     else:
@@ -547,16 +548,16 @@ def test_stacked_subset_search_matches_per_subset_evaluation(seed, rate_objectiv
                 want.append(np.inf)
         want = np.array(want)
     res = best_fixed_set(model, k, ("min_rate_at", delta) if rate_objective else "min_delta_min")
-    assert [row.indices for row in res.rows] == subsets
-    got_floors = np.array([row.delta_min for row in res.rows])
+    assert [tuple(s) for s in res.subsets.tolist()] == subsets
+    got_floors = res.delta_min
     np.testing.assert_allclose(got_floors, floors, rtol=1e-12, atol=1e-13)
     values = got_floors
     if rate_objective:
-        values = np.array([row.rate_bits for row in res.rows])
+        values = res.rate_bits
         assert np.array_equal(np.isinf(values), np.isinf(want))
         np.testing.assert_allclose(values[np.isfinite(values)], want[np.isfinite(want)], rtol=1e-12, atol=1e-13)
     else:
-        assert all(row.rate_bits is None for row in res.rows)
+        assert res.rate_bits is None
     for i, s in enumerate(subsets):
         if s[0] == 2:
             assert values[i] == values[subsets.index((1, *s[1:]))]
