@@ -12,6 +12,7 @@ procedure fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -499,7 +500,9 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="srdf-kit",
         description="Rate distortion curves and coding experiments for sampled Gaussian sources.",
@@ -508,7 +511,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="YAML config file")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.seed is not None:

@@ -25,41 +25,59 @@ PD_TOL = 1e-12      # scaled by trace(sigma)/m before use
 
 
 def validate_covariance(raw: np.ndarray) -> np.ndarray:
-    """Check that ``raw`` is a symmetric positive definite matrix.
+    """Check that ``raw`` is a symmetric positive definite matrix, or a stack of them.
 
-    Symmetry is judged relative to the largest absolute entry, then the
-    matrix is symmetrized exactly so downstream algebra sees 0 skew.
+    Leading axes stack independent m x m matrices, each judged as if alone.
+    Symmetry is judged relative to the matrix's largest absolute entry, then
+    the matrix is symmetrized exactly so downstream algebra sees 0 skew.
     Positive definiteness requires every Cholesky pivot to clear a floor
-    scaled to the mean variance.
+    scaled to the mean variance.  Each check runs once over the whole stack,
+    with the operations a single matrix gets, so a matrix passes in a stack
+    exactly when it passes alone.  If any fails, the first failing one, in C
+    order, raises the error it raises alone.
 
     Returns the symmetrized copy.
     """
     sigma = np.asarray(raw, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise NotSquare(f"covariance must be square, got shape {sigma.shape}")
-    m = sigma.shape[0]
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
+        raise NotSquare(f"covariance must be square, got shape {sigma.shape[-2:]}")
+    m = sigma.shape[-1]
     if m == 0:
         raise NotSquare("covariance must be nonempty")
-    if not np.isfinite(sigma).all():
-        raise NotPositiveDefinite("covariance has a non-finite entry")
-    scale = np.max(np.abs(sigma))
-    if scale == 0.0:
-        raise NotPositiveDefinite("covariance is identically zero")
-    skew = np.max(np.abs(sigma - sigma.T))
-    if skew > SYM_TOL * scale:
-        raise NotSymmetric(f"max |sigma - sigma^T| = {skew:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
-    sigma = 0.5 * (sigma + sigma.T)
-    pivot_floor = PD_TOL * np.trace(sigma) / m
+    sigma_t = np.swapaxes(sigma, -1, -2)
+    with np.errstate(invalid="ignore"):   # a non-finite matrix fails its first check below
+        nonfinite = ~np.isfinite(sigma).all(axis=(-2, -1))
+        scale = np.max(np.abs(sigma), axis=(-2, -1))
+        skew = np.max(np.abs(sigma - sigma_t), axis=(-2, -1))
+        asymmetric = skew > SYM_TOL * scale
+        sigma = 0.5 * (sigma + sigma_t)
+        pivot_floor = PD_TOL * np.trace(sigma, axis1=-2, axis2=-1) / m
     try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
-    pivots = np.diag(chol) ** 2
-    if np.min(pivots) <= pivot_floor:
-        raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {np.min(pivots):.3e} is below the floor {pivot_floor:.3e}"
-        )
-    return sigma
+        pivots = np.min(np.diagonal(np.linalg.cholesky(sigma), axis1=-2, axis2=-1) ** 2, axis=-1)
+    except np.linalg.LinAlgError:
+        pivots = None   # some matrix has no factor; each is factored alone below
+    else:
+        if not (nonfinite | (scale == 0.0) | asymmetric | (pivots <= pivot_floor)).any():
+            return sigma
+    for i in np.ndindex(nonfinite.shape):
+        if nonfinite[i]:
+            raise NotPositiveDefinite("covariance has a non-finite entry")
+        if scale[i] == 0.0:
+            raise NotPositiveDefinite("covariance is identically zero")
+        if asymmetric[i]:
+            raise NotSymmetric(f"max |sigma - sigma^T| = {skew[i]:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
+        if pivots is None:
+            try:
+                pivot = np.min(np.diag(np.linalg.cholesky(sigma[i])) ** 2)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+        else:
+            pivot = pivots[i]
+        if pivot <= pivot_floor[i]:
+            raise NotPositiveDefinite(
+                f"smallest Cholesky pivot {pivot:.3e} is below the floor {pivot_floor[i]:.3e}"
+            )
+    raise AssertionError("unreachable: some matrix failed a check")
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,10 @@ class CovarianceModel:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", validate_covariance(self.sigma))
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim != 2:   # validate_covariance would take a stack of matrices
+            raise NotSquare(f"covariance must be square, got shape {sigma.shape}")
+        object.__setattr__(self, "sigma", validate_covariance(sigma))
         self.sigma.setflags(write=False)
 
     @property

@@ -40,6 +40,7 @@ from .srdf import _lift, _weight, srdf_spectrum
 from .universal import ParamFamily, atom_spectra, project_family
 
 CODEBOOK_CAP = 2 ** 18
+ATOM_CAP = 1024      # most atoms one universal run trains codebooks for, one after another
 DRAW_CAP = 2 ** 25    # most floats one stage draws at once, or keeps per trial
 # most floats one array of a chunk of universal trials holds (2 MB); numpy asks for huge pages
 # from 4 MB on, and those would keep the heap's freed chunk arrays resident
@@ -479,14 +480,16 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     )
 
 
-def _trial_chunk(m: int, cfg: SimConfig) -> int:
+def _trial_chunk(m: int, atoms: int, k: int, cfg: SimConfig) -> int:
     """Trials per chunk of the universal trial loop.
 
-    A trial's largest arrays are its (m, est_length) draw and the distances of
-    its est_length / n blocks to the codewords.  A chunk holds as many trials
-    as TRIAL_CHUNK_FLOATS allows for both, and one trial where one is larger.
+    A trial's largest arrays are its (m, est_length) draw, the distances of
+    its est_length / n blocks to the codewords, and the differences of its
+    k x k estimate from each atom's representative.  A chunk holds as many
+    trials as TRIAL_CHUNK_FLOATS allows for each, and one trial where one is
+    larger.
     """
-    per_trial = max(m * cfg.est_length, cfg.est_length // cfg.n * cfg.codeword_count())
+    per_trial = max(m * cfg.est_length, cfg.est_length // cfg.n * cfg.codeword_count(), atoms * k * k)
     return max(1, TRIAL_CHUNK_FLOATS // per_trial)
 
 
@@ -517,7 +520,7 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     rng = _rng(cfg.seed, _STREAM_TRIAL)
     philox = rng.bit_generator
     fresh = philox.state   # counter 0, empty buffer: a new Philox but for its key
-    chunk = _trial_chunk(m, cfg)
+    chunk = _trial_chunk(m, len(reps), k, cfg)
     for t0 in range(0, trials, chunk):
         c = min(chunk, trials - t0)
         part = slice(t0, t0 + c)
@@ -574,6 +577,11 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     _check_draw("est_length * m", cfg.est_length * family.m)
     _check_draw("eval_blocks", cfg.eval_blocks)
     part = project_family(family, ss)
+    if len(part.atoms) > ATOM_CAP:   # before any codebook is trained
+        raise GridTooLarge(
+            f"the family splits into {len(part.atoms)} ambiguity atoms, which exceeds the atom cap {ATOM_CAP}"
+            " (each atom trains its own codebook)"
+        )
     weights = part.weights
     spectra = atom_spectra(family, ss, part)
     sigma = np.stack([atom.sigma for atom in part.atoms])

@@ -33,6 +33,7 @@ from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
 GRID_RES_DEFAULT = 33
 ATOM_TOL = 1e-8          # max-norm radius for "same sampled block"
 NODE_CAP = 100_000
+SWEEP_CHUNK_FLOATS = 2 ** 18   # most entries one block of candidate-pair differences holds (2 MB)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,16 @@ class ParamFamily:
                 f"grid_res^dim = {self.grid_res ** len(box)} exceeds the node cap {NODE_CAP}"
             )
         nodes, weights = _materialize(box, self.prior, self.grid_res)
-        sigmas = np.stack([validate_covariance(self.cov_at(tuple(t))) for t in nodes])
+        raws = [self.cov_at(tuple(t)) for t in nodes]
+        try:
+            sigmas = np.stack(raws)
+        except ValueError:   # nodes of differing shapes: the first to fail alone raises, else the stack's error
+            for raw in raws:
+                validate_covariance(raw)
+            raise
+        if sigmas.ndim != 3:   # a node that is not one matrix, and every node has its shape
+            raise NotSquare(f"covariance must be square, got shape {sigmas.shape[1:]}")
+        sigmas = validate_covariance(sigmas)
         if sigmas.shape[1] != self.m:
             raise EmptyGrid(f"cov_at returned {sigmas.shape[1]}x{sigmas.shape[1]}, expected m={self.m}")
         object.__setattr__(self, "_nodes", nodes)
@@ -142,12 +152,18 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
 
     Nodes are first collapsed by rounding each sampled-block entry to a
     quarter of ATOM_TOL (same bucket implies distance well inside it), then
-    buckets within ATOM_TOL in max-norm are merged.  Each atom carries its
-    members' covariance averaged once, prior-weighted or, without a prior,
-    uniformly; the sum runs member by member, so every entry is rounded alike
-    and a block of the average is the average of that block.
-    Atoms are ordered by their lowest member node, so the split is
-    deterministic.
+    buckets within ATOM_TOL in max-norm are merged, by sort and sweep: the
+    bucket representatives are sorted along the entry that spreads widest,
+    and each is compared only with the buckets behind it within 2 * ATOM_TOL
+    on that entry (twice the radius, so that no rounding of the window's end
+    drops a close pair); the exact max-norm test then decides.  Union-find
+    over the close pairs gives each node its atom, and one stable argsort of
+    the nodes by atom gives every atom's members, ascending, with no scan of
+    the grid per atom.  Each atom carries its members' covariance averaged
+    once, prior-weighted or, without a prior, uniformly; the sum runs member
+    by member, so every entry is rounded alike and a block of the average is
+    the average of that block.  Atoms are ordered by their lowest member node,
+    so the split is deterministic.
     """
     ss = as_sampling_set(sampled)
     ss.complement(family.m)   # refuses a label above m before any index is read
@@ -159,8 +175,7 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
     keys = np.round(flat / (ATOM_TOL / 4.0)).astype(np.int64)
     _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     reps = flat[first_idx]
-    n_buckets = len(first_idx)
-    parent = list(range(n_buckets))
+    parent = list(range(len(reps)))
 
     def find(x):
         while parent[x] != x:
@@ -168,19 +183,23 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
             x = parent[x]
         return x
 
-    for i in range(n_buckets):
-        close = np.max(np.abs(reps[i + 1:] - reps[i]), axis=1) <= ATOM_TOL
-        for j in np.flatnonzero(close):
-            ri, rj = find(i), find(int(i + 1 + j))
+    for i, j in _sweep(reps):
+        close = np.max(np.abs(reps[j] - reps[i]), axis=1) <= ATOM_TOL
+        for bi, bj in zip(i[close].tolist(), j[close].tolist()):
+            ri, rj = find(bi), find(bj)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
 
-    bucket_root = np.array([find(b) for b in range(n_buckets)])
-    node_root = bucket_root[inverse]
+    node_root = np.array([find(b) for b in range(len(reps))])[inverse.ravel()]
+    by_root = np.argsort(node_root, kind="stable")   # atom by atom, each atom's nodes ascending
+    sorted_root = node_root[by_root]
+    bounds = np.flatnonzero(sorted_root[1:] != sorted_root[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(by_root)]))
     weights = family.node_weights
     atoms = []
-    for root in sorted(set(node_root.tolist()), key=lambda r: int(np.min(np.flatnonzero(node_root == r)))):
-        members = np.flatnonzero(node_root == root)
+    for g in np.argsort(by_root[starts]).tolist():   # atoms by their lowest member node
+        members = by_root[starts[g] : ends[g]]
         if weights is not None:
             w = weights[members]
             wsum = float(np.sum(w))
@@ -200,6 +219,30 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
             )
         )
     return AmbiguityPartition(atoms=tuple(atoms))
+
+
+def _sweep(reps: np.ndarray):
+    """Candidate pairs for merging the rows of ``reps``, in blocks (i, j) of row-index arrays.
+
+    Rows are sorted along the column that spreads widest, and each row is
+    paired with every row after it in that order whose entry lies within
+    2 * ATOM_TOL of its own; a pair outside that window is farther apart
+    than ATOM_TOL.  A block holds about SWEEP_CHUNK_FLOATS entries of the
+    rows' differences, and at least one row's window.
+    """
+    axis = int(np.argmax(reps.max(axis=0) - reps.min(axis=0)))
+    order = np.argsort(reps[:, axis], kind="stable")
+    x = reps[order, axis]
+    counts = np.searchsorted(x, x + 2.0 * ATOM_TOL, side="right") - np.arange(len(x)) - 1
+    fullest = int(counts.max())
+    if fullest == 0:   # no row has another in its window
+        return
+    step = max(1, SWEEP_CHUNK_FLOATS // reps.shape[1] // fullest)
+    for lo in range(0, len(x), step):
+        n = counts[lo : lo + step]
+        p = np.repeat(np.arange(lo, lo + len(n)), n)
+        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(n) - n, n)
+        yield order[p], order[q]
 
 
 def atom_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spectrum:

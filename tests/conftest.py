@@ -7,8 +7,21 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from srdf_kit import CovarianceModel, affine_family, ml_cov_estimate
+from srdf_kit import (
+    AmbiguityAtom,
+    AmbiguityPartition,
+    CovarianceModel,
+    EmptyGrid,
+    NotPositiveDefinite,
+    NotSquare,
+    NotSymmetric,
+    affine_family,
+    as_sampling_set,
+    ml_cov_estimate,
+)
+from srdf_kit.model import PD_TOL, SYM_TOL
 from srdf_kit.simulate import _STREAM_TRIAL, _rng
+from srdf_kit.universal import ATOM_TOL
 
 
 def random_model(rng, m, jitter=0.5):
@@ -197,3 +210,100 @@ def reference_assign(x, cb):
         out_d[s:s + step] = part[np.arange(len(xx)), idx] + np.einsum("nd,nd->n", xx, xx)
     np.maximum(out_d, 0.0, out=out_d)
     return out_i, out_d
+
+
+def reference_validate_covariance(raw):
+    """One matrix through the per-matrix checks ``validate_covariance`` ran before it took stacks, verbatim."""
+    sigma = np.asarray(raw, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise NotSquare(f"covariance must be square, got shape {sigma.shape}")
+    m = sigma.shape[0]
+    if m == 0:
+        raise NotSquare("covariance must be nonempty")
+    if not np.isfinite(sigma).all():
+        raise NotPositiveDefinite("covariance has a non-finite entry")
+    scale = np.max(np.abs(sigma))
+    if scale == 0.0:
+        raise NotPositiveDefinite("covariance is identically zero")
+    skew = np.max(np.abs(sigma - sigma.T))
+    if skew > SYM_TOL * scale:
+        raise NotSymmetric(f"max |sigma - sigma^T| = {skew:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
+    sigma = 0.5 * (sigma + sigma.T)
+    pivot_floor = PD_TOL * np.trace(sigma) / m
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+    pivots = np.diag(chol) ** 2
+    if np.min(pivots) <= pivot_floor:
+        raise NotPositiveDefinite(
+            f"smallest Cholesky pivot {np.min(pivots):.3e} is below the floor {pivot_floor:.3e}"
+        )
+    return sigma
+
+
+def reference_node_sigmas(cov_at, nodes, m):
+    """Node covariances as ``ParamFamily`` built them before it validated a stack: node by node, verbatim."""
+    sigmas = np.stack([reference_validate_covariance(cov_at(tuple(t))) for t in nodes])
+    if sigmas.shape[1] != m:
+        raise EmptyGrid(f"cov_at returned {sigmas.shape[1]}x{sigmas.shape[1]}, expected m={m}")
+    return sigmas
+
+
+def reference_project_family(family, sampled):
+    """Ambiguity atoms as ``project_family`` found them before sort and sweep, verbatim.
+
+    Every bucket is compared with every later one, and every atom scans all
+    nodes for its members.
+    """
+    ss = as_sampling_set(sampled)
+    ss.complement(family.m)   # refuses a label above m before any index is read
+    a = ss.zero_based()
+    if len(family.nodes) == 0:
+        raise EmptyGrid("family grid is empty")
+    blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
+    flat = blocks.reshape(len(blocks), -1)
+    keys = np.round(flat / (ATOM_TOL / 4.0)).astype(np.int64)
+    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    reps = flat[first_idx]
+    n_buckets = len(first_idx)
+    parent = list(range(n_buckets))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n_buckets):
+        close = np.max(np.abs(reps[i + 1:] - reps[i]), axis=1) <= ATOM_TOL
+        for j in np.flatnonzero(close):
+            ri, rj = find(i), find(int(i + 1 + j))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    bucket_root = np.array([find(b) for b in range(n_buckets)])
+    node_root = bucket_root[inverse]
+    weights = family.node_weights
+    atoms = []
+    for root in sorted(set(node_root.tolist()), key=lambda r: int(np.min(np.flatnonzero(node_root == r)))):
+        members = np.flatnonzero(node_root == root)
+        if weights is not None:
+            w = weights[members]
+            wsum = float(np.sum(w))
+            member_w = w / wsum if wsum > 0 else np.full(len(members), 1.0 / len(members))
+            sigma = np.sum(member_w[:, None, None] * family.node_sigmas[members], axis=0)
+            atom_weight = wsum
+        else:
+            sigma = family.node_sigmas[members].mean(axis=0)
+            atom_weight = None
+        sigma = 0.5 * (sigma + sigma.T)
+        atoms.append(
+            AmbiguityAtom(
+                members=tuple(int(i) for i in members),
+                sigma=sigma,
+                tau1=sigma[np.ix_(a, a)],
+                weight=atom_weight,
+            )
+        )
+    return AmbiguityPartition(atoms=tuple(atoms))

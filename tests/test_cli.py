@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -216,6 +217,12 @@ class TestDeterminism:
             ("usrdf-bayes", "corr_family_bayes.yaml"),
             ("simulate", "two_step_sim.yaml"),
             ("usim", "corr_family_usim.yaml"),
+            # with those, every shipped config: reruns in one process share one parser
+            ("distrate", "three_component_distrate.yaml"),
+            ("gmf-srdf", "exp_field_srdf.yaml"),
+            ("optimize-set", "subset_search.yaml"),
+            ("place", "exp_field_place.yaml"),
+            ("usrdf-nonbayes", "corr_family_nonbayes.yaml"),
         ],
     )
     def test_reruns_are_byte_identical(self, tmp_path, task, config):
@@ -567,6 +574,11 @@ class TestExitCodes:
               for task, pre in (("simulate", f"{MODEL}sampling: [1]\n"), ("usim", FAMILY))
               for key in ("n", "train_blocks", "eval_blocks")),
             pytest.param("usim", f"{FAMILY}sim: {{est_length: {10 ** 400}}}\n", id="usim.est_length-huge"),
+            # 40 x 40 nodes, each its own ambiguity atom: one codebook each would train
+            pytest.param("usim", "family: {template: affine, base: [[2.0, 0.3], [0.3, 1.5]], directions: "
+                         "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], box: [[0.0, 1.0], [0.0, 1.0]], "
+                         "prior: uniform, grid_res: 40}\nsampling: [1, 2]\nsim: {eval_blocks: 10, est_length: 8}\n",
+                         id="usim.atoms"),
             # 4300 digits parse, but eval_blocks * n * m has 4301, past the digit limit of str(int)
             pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{eval_blocks: 9{'0' * 4299}}}\n",
                          id="sim.eval_blocks-digit-limit"),
@@ -714,6 +726,73 @@ def run_declared_script(name, args):
         text=True,
         env=child_env(),
     )
+
+
+USAGE = (
+    "usage: srdf-kit [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+    "                {srdf,distrate,gmf-srdf,optimize-set,place,usrdf-bayes,usrdf-nonbayes,simulate,usim}\n"
+)
+
+
+class TestParser:
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "made, init = [], argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: made.append(1) or init(self, *a, **kw)\n"
+            "import srdf_kit.cli\n"
+            "print(len(made), srdf_kit.cli._parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        made, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+        srdf_kit.cli._parser.cache_clear()
+        try:
+            config = CONFIGS / "three_component_srdf.yaml"
+            assert run("srdf", config, tmp_path / "a") == 0
+            assert run("distrate", CONFIGS / "three_component_distrate.yaml", tmp_path / "b") == 0
+            assert made == [1]
+        finally:
+            srdf_kit.cli._parser.cache_clear()
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["bogus", "--config", "x.yaml"], "srdf-kit: error: argument task: invalid choice: "),
+            (["srdf"], "srdf-kit: error: the following arguments are required: --config\n"),
+        ],
+        ids=["bad-task", "missing-config"],
+    )
+    def test_bad_arguments_exit_2_with_the_usage(self, monkeypatch, capsys, argv, error):
+        monkeypatch.setenv("COLUMNS", "80")   # argparse wraps the usage to the terminal width
+        srdf_kit.cli._parser.cache_clear()
+        texts = []
+        for _ in range(2):   # the first call builds the parser, the second reuses it
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            texts.append(captured.err)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(USAGE + error), texts[0]
+
+    def test_help_is_unchanged_by_reuse(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        srdf_kit.cli._parser.cache_clear()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(USAGE + "\nRate distortion curves and coding experiments")
+        assert "--seed SEED" in texts[0] and "override the config seed" in texts[0]
 
 
 class TestEntryPoint:

@@ -18,9 +18,11 @@ from itertools import combinations
 
 from srdf_kit import (
     CovarianceModel,
+    EmptyGrid,
     FieldModel,
     GaussMarkovKernel,
     InfeasibleDistortion,
+    ParamFamily,
     Spectrum,
     TabulatedKernel,
     affine_family,
@@ -44,9 +46,12 @@ from srdf_kit import (
     project_family,
     srdf,
     srdf_spectrum,
+    validate_covariance,
     waterfill,
 )
-from srdf_kit import simulate
+from srdf_kit import simulate, universal
+from srdf_kit.model import PD_TOL
+from srdf_kit.universal import ATOM_TOL
 from srdf_kit.cli import main
 from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
 from srdf_kit.srdf import _lift, _weight
@@ -59,6 +64,8 @@ from conftest import (
     reference_block,
     reference_field,
     reference_gm_cross_mass,
+    reference_node_sigmas,
+    reference_project_family,
     reference_spectrum,
 )
 
@@ -652,3 +659,163 @@ def test_nearest_codeword_search_matches_the_full_scan(seed, dim, j, levels, row
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(d2, want_d2)
 
+
+def outcome(build):
+    """What ``build()`` gives: ("ok", bytes of the array) or (exception class, code, message)."""
+    try:
+        return "ok", build().tobytes()
+    except Exception as exc:   # the class is compared, so a wrong one fails the test
+        return type(exc), getattr(exc, "code", None), str(exc)
+
+
+def pivot_at_floor(m):
+    """An m x m diagonal matrix, m >= 2, whose last Cholesky pivot equals its floor PD_TOL * trace / m."""
+    c = 2.0 ** -40   # sqrt(c) ** 2 == c exactly
+    a = (c * m / PD_TOL - c) / (m - 1)
+    for _ in range(10_000):   # the floor grows with a: step a one ulp at a time toward equality
+        s = np.diag([a] * (m - 1) + [c])
+        floor = PD_TOL * np.trace(s) / m
+        if floor == c:
+            return s
+        a = np.nextafter(a, np.inf if floor < c else -np.inf)
+    raise AssertionError(f"no {m} x {m} matrix with its pivot at the floor")
+
+
+BAD_NODES = ("asymmetric", "nan", "inf", "zero", "not_pd", "pivot_below_floor", "pivot_at_floor", "wrong_m")
+
+
+def bad_node(kind, rng, good):
+    m = len(good)
+    if kind == "asymmetric":
+        s = good.copy()
+        s[0, -1] += 1e-7 * np.max(np.abs(good))
+        return s
+    if kind in ("nan", "inf"):
+        s = good.copy()
+        i, j = rng.integers(0, m, 2)
+        s[i, j] = np.nan if kind == "nan" else -np.inf
+        return s
+    if kind == "zero":
+        return np.zeros((m, m))
+    if kind == "not_pd":
+        return good - 1.5 * np.max(np.linalg.eigvalsh(good)) * np.eye(m)
+    if kind == "pivot_below_floor":
+        return np.diag([1.0] * (m - 1) + [1e-14])
+    if kind == "pivot_at_floor":
+        return pivot_at_floor(m)
+    return np.eye(m + 1)   # wrong_m
+
+
+@pytest.mark.parametrize("first", BAD_NODES + (None,))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(seeds, st.integers(2, 5), st.integers(1, 40), st.sampled_from(BAD_NODES + (None,)))
+def test_stacked_validation_raises_what_the_node_loop_raises(first, seed, m, nodes, second):
+    # up to two bad nodes at random positions: the stack raises the first one's own error
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((nodes, m, m + 2))
+    matrices = list(a @ np.swapaxes(a, -1, -2) / (m + 2) + 0.1 * np.eye(m))
+    for kind in (first, second):
+        if kind is not None:
+            at = int(rng.integers(0, nodes))
+            matrices[at] = bad_node(kind, rng, matrices[at])
+    grid = np.linspace(0.0, 1.0, nodes)
+    by_node = {float(t): s for t, s in zip(grid, matrices)}
+    cov_at = lambda tau: by_node[tau[0]]   # noqa: E731
+    want = outcome(lambda: reference_node_sigmas(cov_at, grid[:, None], m))
+    got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=cov_at, m=m, grid_res=nodes).node_sigmas)
+    assert got == want
+    if first != "wrong_m" and second != "wrong_m":
+        # the same stack, with two leading axes, straight through validate_covariance
+        stack = np.stack(matrices).reshape(1, nodes, m, m)
+        assert outcome(lambda: validate_covariance(stack).reshape(-1, m, m)) == want
+
+
+def test_a_wrong_m_on_every_node_is_empty_grid():
+    want = outcome(lambda: reference_node_sigmas(lambda tau: np.eye(3), np.zeros((4, 1)), 2))
+    assert want[0] is EmptyGrid
+    assert outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=lambda tau: np.eye(3), m=2, grid_res=4)
+                   .node_sigmas) == want
+
+
+def grouping_family(rng, kind):
+    """(family, sampling set) of ``kind``, whose ambiguity atoms stress the bucket merge.
+
+    "lattice": one or two axes that move sampled entries by 0.5-2 x ATOM_TOL per
+    grid step, so buckets sit on and around the merge radius; "chain": steps
+    below ATOM_TOL, so buckets chain into atoms much wider than the radius,
+    beside an axis that keeps atoms apart; "one_atom": only unsampled entries
+    move; "one_node": grid_res 1; "random": random directions down to 1e-9.
+    """
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(1, m))
+    sampled = sorted(int(i) + 1 for i in rng.choice(m, size=k, replace=False))
+    a = rng.standard_normal((m, m + 2))
+    base = a @ a.T / (m + 2) + np.eye(m)
+    s0 = np.asarray(sampled) - 1
+    unsampled = np.setdiff1d(np.arange(m), s0)
+
+    def sym(i, j, size):
+        d = np.zeros((m, m))
+        d[i, j] += size
+        d[j, i] = d[i, j]
+        return d
+
+    axes = int(rng.integers(1, 3))
+    grid_res = int(rng.integers(2, 13 if axes == 2 else 60))
+    step = 1.0 / (grid_res - 1)
+    if kind == "lattice":
+        dirs = [sym(rng.choice(s0), rng.choice(s0), rng.uniform(0.5, 2.0) * ATOM_TOL / step) for _ in range(axes)]
+    elif kind == "chain":
+        dirs = [sym(s0[0], s0[-1], rng.uniform(0.2, 0.9) * ATOM_TOL / step)]
+        if axes == 2:
+            dirs.append(sym(s0[0], s0[0], rng.uniform(0.01, 0.3)))
+    elif kind == "one_atom":
+        dirs = [sym(unsampled[0], rng.choice(m), rng.uniform(0.01, 0.2)) for _ in range(axes)]
+    elif kind == "one_node":
+        dirs, grid_res = [sym(s0[0], s0[0], 0.1)] * axes, 1
+    else:
+        dirs = [sym(*rng.integers(0, m, 2), 10.0 ** rng.uniform(-9, -1)) for _ in range(axes)]
+    prior = "uniform" if rng.uniform() < 0.6 else None
+    return affine_family(base, dirs, [(0.0, 1.0)] * axes, prior=prior, grid_res=grid_res), sampled
+
+
+@PROPERTY
+@given(seeds, st.sampled_from(("lattice", "chain", "one_atom", "one_node", "random")),
+       st.sampled_from((1, 7, None)))
+def test_sort_and_sweep_finds_the_all_pairs_atoms(seed, kind, chunk):
+    family, sampled = grouping_family(np.random.default_rng(seed), kind)
+    want = reference_project_family(family, sampled)
+    with mock.patch.object(universal, "SWEEP_CHUNK_FLOATS", chunk or universal.SWEEP_CHUNK_FLOATS):
+        got = project_family(family, sampled)
+    assert len(got.atoms) == len(want.atoms)
+    for g, w in zip(got.atoms, want.atoms):
+        assert g.members == w.members
+        assert g.weight == w.weight
+        assert g.sigma.tobytes() == w.sigma.tobytes()
+        assert g.tau1.tobytes() == w.tau1.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["separated", "fixed_variance", "lattice"])
+def test_sweep_compares_few_pairs(monkeypatch, kind):
+    # the all-pairs merge made n (n - 1) / 2 comparisons for n buckets
+    if kind == "separated":   # 2000 nodes, each its own atom
+        family, sampled = affine_family(np.eye(2), [np.diag([1.0, 0.0])], [(0.0, 1.0)], grid_res=2000), [1]
+    elif kind == "fixed_variance":   # the sampled variances never move, only their covariance
+        family, sampled = fixed_var_corr_family(1.0, -0.5, 0.5, prior=None, grid_res=2000), [1, 2]
+    else:   # 60 x 60 nodes, atoms 1e-3 apart on each axis
+        family = affine_family(2.0 * np.eye(2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [(0.0, 0.059)] * 2,
+                               grid_res=60)
+        sampled = [1, 2]
+    compared = []
+    sweep = universal._sweep
+
+    def counted(reps):
+        for i, j in sweep(reps):
+            compared.append(len(i))
+            yield i, j
+
+    monkeypatch.setattr(universal, "_sweep", counted)
+    n = len(family.nodes)
+    assert len(project_family(family, sampled).atoms) == n
+    # one window per row: only nodes equal along the swept entry share one
+    assert sum(compared) <= (0 if kind != "lattice" else n * 60)

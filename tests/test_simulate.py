@@ -314,6 +314,29 @@ class TestUniversalTwoStep:
         b = universal_two_step(fam, [1], cfg)
         assert a == b
 
+    def test_atom_cap_is_checked_before_any_codebook(self, monkeypatch):
+        # 40 x 40 nodes, each its own atom: the grid projects at once, but 1600 codebooks would train
+        base = np.array([[2.0, 0.3], [0.3, 1.5]])
+        fam = affine_family(base, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [(0.0, 1.0)] * 2,
+                            prior="uniform", grid_res=40)
+        calls = []
+        monkeypatch.setattr(simulate, "build_code", lambda *args, **kw: calls.append(args))
+        with pytest.raises(GridTooLarge, match="1600 ambiguity atoms, which exceeds the atom cap 1024"):
+            universal_two_step(fam, [1, 2], SimConfig(n=1, rate_bits=1.0, eval_blocks=10, est_length=8))
+        assert calls == []
+
+    def test_atom_cap_admits_the_cap(self, monkeypatch):
+        monkeypatch.setattr(simulate, "ATOM_CAP", 3)
+        base = np.array([[1.0, 0.3], [0.3, 1.0]])
+        cfg = SimConfig(n=1, rate_bits=1.0, eval_blocks=20, seed=3, est_length=16)
+        for grid_res, admitted in ((3, True), (4, False)):
+            fam = affine_family(base, [np.diag([1.0, 0.0])], [(0.0, 0.6)], prior="uniform", grid_res=grid_res)
+            if admitted:
+                assert universal_two_step(fam, [1], cfg).grid_size == 3
+            else:
+                with pytest.raises(GridTooLarge, match="atom cap 3"):
+                    universal_two_step(fam, [1], cfg)
+
 
 def usim_setup(k, n, est_length, seed):
     """(family, a, ac, cfg, codes, lifts, reps) of a three-atom family sampled at [1..k]."""
@@ -339,8 +362,8 @@ class TestUsimChunks:
     @pytest.mark.parametrize("est_length", [8, 64, 512])
     def test_chunks_match_serial_trials(self, monkeypatch, chunk, n, k, est_length):
         args = usim_setup(k, n, est_length, seed=100 * k + est_length + n)
-        family, cfg = args[0], args[3]
-        per_trial = max(family.m * est_length, est_length // n * cfg.codeword_count())
+        family, cfg, reps = args[0], args[3], args[6]
+        per_trial = max(family.m * est_length, est_length // n * cfg.codeword_count(), reps.size)
         if chunk is not None:
             # a budget below one trial runs trials alone; 7 trials do not divide the 30
             monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1 if chunk == 1 else chunk * per_trial)
@@ -416,13 +439,16 @@ class TestUsimChunks:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
-        "m, n, rate, est_length",
-        [(2, 1, 1.0, 512), (3, 1, 3.0, 1024), (4, 2, 1.0, 8), (9, 3, 2.0, 2048), (64, 1, 0.0, 8192), (2, 1, 12.0, 2**20)],
+        "m, n, rate, est_length, atoms, k",
+        [(2, 1, 1.0, 512, 1, 1), (3, 1, 3.0, 1024, 9, 2), (4, 2, 1.0, 8, 3, 3), (9, 3, 2.0, 2048, 1, 4),
+         (64, 1, 0.0, 8192, 1, 1), (2, 1, 12.0, 2**20, 1, 1),
+         # the estimate's differences from 14 400 or 1024 representatives outweigh the draw
+         (3, 1, 2.0, 512, 14_400, 2), (40, 1, 2.0, 64, 1024, 30)],
     )
-    def test_chunk_fills_the_budget(self, m, n, rate, est_length):
+    def test_chunk_fills_the_budget(self, m, n, rate, est_length, atoms, k):
         cfg = SimConfig(n=n, rate_bits=rate, est_length=est_length)
-        c = _trial_chunk(m, cfg)
-        per_trial = max(m * est_length, est_length // n * cfg.codeword_count())
+        c = _trial_chunk(m, atoms, k, cfg)
+        per_trial = max(m * est_length, est_length // n * cfg.codeword_count(), atoms * k * k)
         if per_trial > TRIAL_CHUNK_FLOATS:
             assert c == 1
         else:
@@ -436,7 +462,7 @@ class TestTrialKeys:
     @pytest.mark.parametrize("stream", [_STREAM_TRIAL, 0, 2 ** 40])
     @pytest.mark.parametrize("seed", KEY_SEEDS, ids=["0", "1", "2^32-1", "2^32", "2^64+3", "2^200+7", "10^400"])
     def test_keys_are_the_seed_sequence_keys(self, seed, stream):
-        chunk = _trial_chunk(3, SimConfig(n=1, rate_bits=2.0, est_length=512))
+        chunk = _trial_chunk(3, 1, 1, SimConfig(n=1, rate_bits=2.0, est_length=512))
         gen = np.random.default_rng(seed % 2 ** 32)
         spans = [(0, 2), (chunk - 1, 2), (2 * chunk - 2, chunk + 3), (DRAW_CAP - 1, 1), (DRAW_CAP - 7, 7)]
         spans += [(int(gen.integers(0, DRAW_CAP - 16)), int(gen.integers(1, 16))) for _ in range(4)]
