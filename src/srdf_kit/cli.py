@@ -395,18 +395,16 @@ def _run_place(cfg, base, out, args):
     if not isinstance(block, dict) or "k" not in block:
         raise ConfigParse("'placement' must be a mapping with 'k'")
     objective = _parse_objective(block)
-    result = optimize_placement(
-        fm,
-        _scalar(block, "k", int),
-        objective,
-        restarts=_scalar(block, "restarts", int, 16),
-        pin_endpoints=_scalar(block, "pin_endpoints", bool, False),
-        seed=args.seed if args.seed is not None else _seed(_scalar(block, "seed", int, 0)),
-    )
+    k = _scalar(block, "k", int)
+    restarts = _scalar(block, "restarts", int, 16)
+    pin_endpoints = _scalar(block, "pin_endpoints", bool, False)
+    seed = args.seed if args.seed is not None else _seed(_scalar(block, "seed", int, 0))
+    result = optimize_placement(fm, k, objective, restarts=restarts, pin_endpoints=pin_endpoints, seed=seed)
     if math.isinf(result.value):
         raise InfeasibleDistortion(f"no placement meets the objective {result.objective}")
     _write_csv(out / "points.csv", ["index", "position"], list(enumerate(result.points)))
-    summary = _meta("place", args.seed)
+    # the exact solver draws nothing, so only the search records the seed it ran from
+    summary = _meta("place", seed if result.solver == "search" else args.seed)
     summary.update(
         {
             "objective": result.objective,
@@ -534,7 +532,7 @@ def main(argv=None) -> int:
     except SrdfKitError as exc:  # base-class fallback, treated as validation
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {out.resolve()}")
+    print(f"wrote {out.absolute()}")
     return 0
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, SrdfKitError
-from .model import _objective, validate_covariance
-from .srdf import SrdfPoint, Spectrum, _factor, _spectrum, _srdf_point
+from .model import _objective, _validated_factor
+from .srdf import SrdfPoint, Spectrum, _spectrum, _srdf_point
 
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
@@ -175,9 +175,12 @@ def _mesh_simpson(n: int):
 
 def field_gram(field: FieldModel, points) -> np.ndarray:
     """Sampled covariance: the kernel Gram matrix at the sampling points."""
-    pts = np.asarray(_as_field_points(points).points)
-    gram = field.kernel.corr(pts[:, None], pts[None, :])
-    return validate_covariance(gram)
+    return _gram_factor(field, np.asarray(_as_field_points(points).points))[0]
+
+
+def _gram_factor(field: FieldModel, pts: np.ndarray):
+    """(Gram matrix, its Cholesky factor) at checked points ``pts``, validated once."""
+    return _validated_factor(field.kernel.corr(pts[:, None], pts[None, :]))
 
 
 def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
@@ -194,31 +197,32 @@ def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
 
 
 def _field_block(field: FieldModel, points):
-    """(Sigma_A, M, integrated variance) of the field sampled at ``points``.
+    """(Sigma_A, M, integrated variance, L) of the field sampled at ``points``, Sigma_A = L L^T.
 
     M = integral of c(u) c(u)^T du is the cross mass, with c(u) the kernel
     between u and the samples.  A Gauss-Markov field has unit variance and M
     in closed form; a tabulated one takes both from the per-cell Simpson rule,
-    exact for its integrands.
+    exact for its integrands.  The points are checked once and Sigma_A is
+    validated once; L is the factor its pivot check computed.
     """
-    fp = _as_field_points(points)
-    pts = np.asarray(fp.points)
-    sigma_a = field_gram(field, fp)
+    pts = np.asarray(_as_field_points(points).points)
+    sigma_a, l = _gram_factor(field, pts)
     if field.integrals == "closed-form":
-        return sigma_a, _gm_cross_mass(field.kernel.p, pts), 1.0
+        return sigma_a, _gm_cross_mass(field.kernel.p, pts), 1.0, l
     u, w = _mesh_simpson(field.kernel.mesh_n)
     c = field.kernel.corr(u[:, None], pts[None, :])
-    return sigma_a, (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u))
+    return sigma_a, (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u)), l
 
 
 def _field_reduce(field: FieldModel, points):
     """(floor, S) of the field sampled at ``points``: with Sigma_A = L L^T and weight
     G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
-    left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S."""
-    sigma_a, m_mat, variance = _field_block(field, points)
-    l = _factor(sigma_a)
+    left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S.
+    One validated factor serves both solves, so a placement-objective call costs one
+    Cholesky factor and, for a rate, one ``eigvalsh``."""
+    _, m_mat, variance, l = _field_block(field, points)
     s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
-    return max(0.0, variance - float(np.trace(s))), s
+    return max(0.0, variance - float(s.trace())), s
 
 
 def field_min_distortion(field: FieldModel, points) -> float:

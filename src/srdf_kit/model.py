@@ -7,6 +7,7 @@ Component labels are 1-based at the API surface (components are numbered
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -38,7 +39,32 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
 
     Returns the symmetrized copy.
     """
+    return _validated_factor(raw)[0]
+
+
+def _validated_factor(raw) -> tuple[np.ndarray, np.ndarray]:
+    """(symmetrized copy, Cholesky factor) of ``raw`` once it passes ``validate_covariance``'s checks.
+
+    The pivot check needs the factor anyway, so a caller that solves with the
+    matrix takes it from here instead of factoring again.  A lone matrix first
+    runs the same checks, in the same order and with the same floats, without
+    the stack bookkeeping; one that fails any of them goes on to the stack
+    path, which raises its error.
+    """
     sigma = np.asarray(raw, dtype=float)
+    if sigma.ndim == 2 and sigma.shape[0] == sigma.shape[1] > 0:
+        scale = np.abs(sigma).max()
+        if 0.0 < scale < math.inf:   # a NaN or infinite entry makes the max NaN or inf
+            sigma_t = sigma.T
+            if np.abs(sigma - sigma_t).max() <= SYM_TOL * scale:
+                sym = 0.5 * (sigma + sigma_t)
+                try:
+                    chol = np.linalg.cholesky(sym)
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    if (chol.diagonal() ** 2).min() > PD_TOL * sym.trace() / sigma.shape[0]:
+                        return sym, chol
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise NotSquare(f"covariance must be square, got shape {sigma.shape[-2:]}")
     m = sigma.shape[-1]
@@ -53,12 +79,13 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
         sigma = 0.5 * (sigma + sigma_t)
         pivot_floor = PD_TOL * np.trace(sigma, axis1=-2, axis2=-1) / m
     try:
-        pivots = np.min(np.diagonal(np.linalg.cholesky(sigma), axis1=-2, axis2=-1) ** 2, axis=-1)
+        chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         pivots = None   # some matrix has no factor; each is factored alone below
     else:
+        pivots = np.min(np.diagonal(chol, axis1=-2, axis2=-1) ** 2, axis=-1)
         if not (nonfinite | (scale == 0.0) | asymmetric | (pivots <= pivot_floor)).any():
-            return sigma
+            return sigma, chol
     for i in np.ndindex(nonfinite.shape):
         if nonfinite[i]:
             raise NotPositiveDefinite("covariance has a non-finite entry")

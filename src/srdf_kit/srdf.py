@@ -72,7 +72,10 @@ class Spectrum:
     leading axes stack independent spectra, such as one per ambiguity atom,
     with ``delta_min`` of the stack's shape.  ``rate`` and ``distortion``
     broadcast their argument against the stack, so one call evaluates a whole
-    grid, and a scalar argument on a single spectrum returns a float.
+    grid, and a scalar argument on a single spectrum returns a float.  A
+    single spectrum is built, and rated at a float distortion, without the
+    stack's broadcasting but with the same float operations in the same
+    order, so both ways give the same bits.
 
     Both directions of the reverse waterfill (Cover & Thomas, Elements of
     Information Theory, section 10.3) are exact.  Forward, keeping the t
@@ -88,21 +91,30 @@ class Spectrum:
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        asc = np.sort(np.atleast_1d(np.asarray(self.lambdas, dtype=float)), axis=-1)
-        # sorting puts the smallest entry first and any NaN last
-        if asc.shape[-1] == 0 or not ((asc[..., 0] > 0.0).all() and (asc[..., -1] < math.inf).all()):
+        lam = np.asarray(self.lambdas, dtype=float)
+        if lam.ndim == 1 and isinstance(self.delta_min, float):
+            asc = lam.copy()
+            asc.sort()
+            # sorting puts the smallest entry first and any NaN last
+            ok = lam.size > 0 and asc[0] > 0.0 and asc[-1] < math.inf
+            delta_min = float(self.delta_min)
+        else:
+            asc = np.sort(np.atleast_1d(lam), axis=-1)
+            ok = asc.shape[-1] > 0 and (asc[..., 0] > 0.0).all() and (asc[..., -1] < math.inf).all()
+            delta_min = _scalar(np.asarray(self.delta_min, dtype=float))
+        if not ok:
             raise EigenFailure(f"eigenvalues must be finite and positive, got {self.lambdas}")
         lam = asc[..., ::-1].copy()
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "delta_min", _scalar(np.asarray(self.delta_min, dtype=float)))
+        object.__setattr__(self, "delta_min", delta_min)
         object.__setattr__(self, "total", _scalar(lam.sum(axis=-1)))
 
     @cached_property
     def _forward(self):
         """Sum of the t smallest modes and the count of the rest, t = 0..k-1."""
         asc = self.lambdas[..., ::-1]
-        kept = np.zeros_like(asc)
-        np.cumsum(asc[..., :-1], axis=-1, out=kept[..., 1:])
+        kept = np.zeros(asc.shape)
+        np.add.accumulate(asc[..., :-1], axis=-1, out=kept[..., 1:])
         return kept, np.arange(asc.shape[-1], 0, -1, dtype=float)
 
     @cached_property
@@ -122,6 +134,14 @@ class Spectrum:
 
     def rate(self, delta):
         """Bits needed for total distortion ``delta``; zero from delta_max on."""
+        if isinstance(delta, float) and isinstance(self.delta_min, float) and self.lambdas.ndim == 1:
+            budget = delta - self.delta_min
+            if 0.0 < budget < math.inf:   # else the stack path below raises
+                if budget >= self.total * (1.0 - 1e-12):
+                    return 0.0
+                kept, left = self._forward
+                alpha = ((budget - kept) / left).max()
+                return float(0.5 * np.log2(np.maximum(self.lambdas / alpha, 1.0)).sum())
         budget = np.asarray(delta, dtype=float) - self.delta_min
         if not np.isfinite(budget).all():
             raise BudgetOutOfRange(f"distortion must be finite, got {delta}")

@@ -70,10 +70,11 @@ class ParamFamily:
         raws = [self.cov_at(tuple(t)) for t in nodes]
         try:
             sigmas = np.stack(raws)
-        except ValueError:   # nodes of differing shapes: the first to fail alone raises, else the stack's error
+        except ValueError:   # nodes of differing shapes: the first to fail alone raises, else the first not m x m
             for raw in raws:
                 validate_covariance(raw)
-            raise
+            shape = next(np.shape(raw) for raw in raws if np.shape(raw) != (self.m, self.m))
+            raise EmptyGrid(f"cov_at returned {'x'.join(map(str, shape))}, expected m={self.m}") from None
         if sigmas.ndim != 3:   # a node that is not one matrix, and every node has its shape
             raise NotSquare(f"covariance must be square, got shape {sigmas.shape[1:]}")
         sigmas = validate_covariance(sigmas)

@@ -10,15 +10,22 @@ sys.path.insert(0, str(Path(__file__).parent))
 from srdf_kit import (
     AmbiguityAtom,
     AmbiguityPartition,
+    BudgetOutOfRange,
     CovarianceModel,
+    EigenFailure,
     EmptyGrid,
+    FieldSamplingSet,
+    GaussMarkovKernel,
+    InfeasibleDistortion,
     NotPositiveDefinite,
     NotSquare,
     NotSymmetric,
+    SingularSigmaA,
     affine_family,
     as_sampling_set,
     ml_cov_estimate,
 )
+from srdf_kit.field import _gm_cross_mass, _mesh_simpson
 from srdf_kit.model import PD_TOL, SYM_TOL
 from srdf_kit.simulate import _STREAM_TRIAL, _rng
 from srdf_kit.universal import ATOM_TOL
@@ -243,11 +250,108 @@ def reference_validate_covariance(raw):
 
 
 def reference_node_sigmas(cov_at, nodes, m):
-    """Node covariances as ``ParamFamily`` built them before it validated a stack: node by node, verbatim."""
-    sigmas = np.stack([reference_validate_covariance(cov_at(tuple(t))) for t in nodes])
-    if sigmas.shape[1] != m:
-        raise EmptyGrid(f"cov_at returned {sigmas.shape[1]}x{sigmas.shape[1]}, expected m={m}")
-    return sigmas
+    """Node covariances as ``ParamFamily`` built them before it validated a stack: node by node.
+
+    Every node is validated first; then the first node that is not m x m, if
+    any, raises EmptyGrid, whether or not the nodes share one shape.
+    """
+    sigmas = [reference_validate_covariance(cov_at(tuple(t))) for t in nodes]
+    for sigma in sigmas:
+        if sigma.shape != (m, m):
+            raise EmptyGrid(f"cov_at returned {sigma.shape[0]}x{sigma.shape[1]}, expected m={m}")
+    return np.stack(sigmas)
+
+
+def _reference_scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def reference_rate(delta_min, lambdas, delta):
+    """Rate at ``delta`` of a floor plus eigenvalues, by the stack-general ``Spectrum`` code, verbatim.
+
+    This is the code every spectrum ran before a lone one was rated without
+    broadcasting: sort and check the eigenvalues, prefix sums of the t
+    smallest, the level as the largest candidate, then the rate, all with the
+    stack's trailing axis.
+    """
+    asc = np.sort(np.atleast_1d(np.asarray(lambdas, dtype=float)), axis=-1)
+    if asc.shape[-1] == 0 or not ((asc[..., 0] > 0.0).all() and (asc[..., -1] < math.inf).all()):
+        raise EigenFailure(f"eigenvalues must be finite and positive, got {lambdas}")
+    lam = asc[..., ::-1].copy()
+    delta_min = _reference_scalar(np.asarray(delta_min, dtype=float))
+    total = _reference_scalar(lam.sum(axis=-1))
+    budget = np.asarray(delta, dtype=float) - delta_min
+    if not np.isfinite(budget).all():
+        raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
+    if (budget <= 0.0).any():
+        raise InfeasibleDistortion(
+            f"delta {np.min(delta)} is at or below the estimation floor {np.max(delta_min)};"
+            " feasible range is open at the floor"
+        )
+    asc = lam[..., ::-1]
+    kept = np.zeros_like(asc)
+    np.cumsum(asc[..., :-1], axis=-1, out=kept[..., 1:])
+    left = np.arange(asc.shape[-1], 0, -1, dtype=float)
+    level = _reference_scalar(((np.asarray(budget, dtype=float)[..., None] - kept) / left).max(axis=-1))
+    alpha = np.asarray(level)[..., None]
+    bits = 0.5 * np.log2(np.maximum(lam / alpha, 1.0)).sum(axis=-1)
+    return _reference_scalar(np.where(budget >= total * (1.0 - 1e-12), 0.0, bits))
+
+
+def _reference_eigvalsh(s):
+    try:
+        return np.linalg.eigvalsh(s)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigendecomposition of the weighted form failed: {exc}") from exc
+
+
+def _reference_factor(sigma_a):
+    try:
+        return np.linalg.cholesky(sigma_a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSigmaA(f"sampled-block covariance is not positive definite: {exc}") from exc
+
+
+def reference_field_reduce(field, points):
+    """(floor, S) of a field point set by the chain the package ran before validation handed on its factor.
+
+    Validate the Gram matrix, factor it a second time, then two solves: with
+    Sigma_A = L L^T, S = L^{-1} M L^{-T} and the floor is variance - tr S.
+    """
+    pts = np.asarray(FieldSamplingSet(points).points)
+    sigma_a = reference_validate_covariance(field.kernel.corr(pts[:, None], pts[None, :]))
+    if isinstance(field.kernel, GaussMarkovKernel):
+        m_mat, variance = _gm_cross_mass(field.kernel.p, pts), 1.0
+    else:
+        u, w = _mesh_simpson(field.kernel.mesh_n)
+        c = field.kernel.corr(u[:, None], pts[None, :])
+        m_mat, variance = (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u))
+    l = _reference_factor(sigma_a)
+    s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
+    return max(0.0, variance - float(np.trace(s))), s
+
+
+def reference_field_rate(field, points, delta):
+    """Rate of a field point set at ``delta``: ``reference_field_reduce``, one ``eigvalsh``, ``reference_rate``."""
+    floor, s = reference_field_reduce(field, points)
+    return reference_rate(floor, _reference_eigvalsh(s), delta)
+
+
+def reference_vector_rate(sigma, sampled, delta):
+    """Rate of the 1-based ``sampled`` set of covariance ``sigma`` at ``delta``, by the same frozen chain.
+
+    Validate, factor the sampled block, W = L^{-1} C with C the cross block,
+    floor tr Sigma_{A^c A^c} - ||W||_F^2, S = L^T L + W W^T, one ``eigvalsh``,
+    ``reference_rate``.
+    """
+    sigma = reference_validate_covariance(sigma)
+    a = np.asarray(sampled) - 1
+    ac = np.setdiff1d(np.arange(len(sigma)), a)
+    l = _reference_factor(sigma[np.ix_(a, a)])
+    w = np.linalg.inv(l) @ sigma[np.ix_(a, ac)]
+    floor = _reference_scalar(np.maximum(0.0, np.trace(sigma[np.ix_(ac, ac)]) - np.sum(w * w, axis=(-2, -1))))
+    s = np.swapaxes(l, -1, -2) @ l + w @ np.swapaxes(w, -1, -2)
+    return reference_rate(floor, _reference_eigvalsh(s), delta)
 
 
 def reference_project_family(family, sampled):

@@ -99,6 +99,12 @@ class TestArtifacts:
         summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert summary["best_subset"] == [2, 3]
 
+    def test_closing_line_names_the_output_directory(self, tmp_path, monkeypatch, capsys):
+        # an absolute path, made without resolving it; a relative --out is taken from the working directory
+        monkeypatch.chdir(tmp_path)
+        assert run("srdf", CONFIGS / "three_component_srdf.yaml", "out") == 0
+        assert capsys.readouterr().out == f"wrote {Path.cwd() / 'out'}\n"
+
     def test_place_outputs(self, tmp_path):
         assert run("place", CONFIGS / "exp_field_place.yaml", tmp_path) == 0
         summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
@@ -131,6 +137,37 @@ class TestArtifacts:
                 assert summary["restart_values"] == [summary["value"]]
             else:
                 assert "objective_calls" not in summary and "restart_values" not in summary
+
+    @pytest.mark.parametrize("seed_line, argv, want", [
+        pytest.param(", seed: 1552545901", (), 1552545901, id="config"),
+        pytest.param(", seed: 1552545901", ("--seed", "7"), 7, id="override"),
+        pytest.param("", (), 0, id="default"),
+    ])
+    def test_place_summary_records_the_search_seed(self, tmp_path, seed_line, argv, want):
+        # the search draws its restarts from --seed, else placement.seed, else 0, and says which
+        cfg = tmp_path / "place.yaml"
+        cfg.write_text(FIELD + f"placement: {{k: 3, objective: min_rate_at, delta: 0.3, restarts: 3{seed_line}}}\n",
+                       encoding="utf-8")
+        assert run("place", cfg, tmp_path / "out", argv) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["solver"] == "search" and summary["seed"] == want
+        # the recorded seed reruns the same search
+        bare = tmp_path / "bare.yaml"
+        bare.write_text(FIELD + "placement: {k: 3, objective: min_rate_at, delta: 0.3, restarts: 3}\n",
+                        encoding="utf-8")
+        assert run("place", bare, tmp_path / "again", ("--seed", str(want))) == 0
+        again = json.loads((tmp_path / "again" / "summary.json").read_text(encoding="utf-8"))
+        assert again == summary
+        assert (tmp_path / "again" / "points.csv").read_bytes() == (tmp_path / "out" / "points.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, want", [((), None), (("--seed", "7"), 7)])
+    def test_exact_placement_records_only_a_given_seed(self, tmp_path, argv, want):
+        # the exact solver draws nothing: the summary keeps what the command line gave
+        cfg = tmp_path / "place.yaml"
+        cfg.write_text(FIELD + "placement: {k: 3, seed: 5}\n", encoding="utf-8")
+        assert run("place", cfg, tmp_path / "out", argv) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["solver"] == "exact" and summary["seed"] == want
 
     def test_free_rate_placement_leaves_an_infeasible_equispaced_start(self, tmp_path, capsys):
         # the equispaced start (0.25, 0.75) has floor 0.1347, above delta

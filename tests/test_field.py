@@ -214,23 +214,28 @@ class TestFieldSrdfProperties:
         assert field_srdf_spectrum(fm, pts).distortion(rate) == pytest.approx(delta, rel=1e-7)
 
     def test_one_gram_matrix_and_node_set_per_point_set(self, monkeypatch):
-        calls = {"_mesh_simpson": 0, "validate_covariance": 0}
-        for name in calls:
-            original = getattr(srdf_kit.field, name)
+        # the point-set check is counted where it runs: FieldSamplingSet.__post_init__
+        calls = {"_mesh_simpson": 0, "_validated_factor": 0, "cholesky": 0, "__post_init__": 0}
+        targets = {"_mesh_simpson": srdf_kit.field, "_validated_factor": srdf_kit.field,
+                   "cholesky": np.linalg, "__post_init__": FieldSamplingSet}
+        for name, namespace in targets.items():
+            original = getattr(namespace, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(srdf_kit.field, name, counted)
-        points = FieldSamplingSet((0.125, 0.375, 0.75))
-        field_srdf_spectrum(gm_field(0.5, quad_points=256), points)
-        # Gauss-Markov integrals are closed form: one Gram matrix, no nodes
-        assert calls == {"_mesh_simpson": 0, "validate_covariance": 1}
-        calls.update(dict.fromkeys(calls, 0))
-        field_srdf_spectrum(FieldModel(TabulatedKernel(half_lag_mesh(9)), quad_points=256), points)
-        # one Gram matrix and one node set, one Simpson panel per mesh cell
-        assert calls == {"_mesh_simpson": 1, "validate_covariance": 1}
+            monkeypatch.setattr(namespace, name, counted)
+        # a checked set is not checked again; a tuple, as the placement objective passes it, once
+        for points, checks in ((FieldSamplingSet((0.125, 0.375, 0.75)), 0), ((0.0, 0.34, 0.66, 1.0), 1)):
+            calls.update(dict.fromkeys(calls, 0))
+            field_srdf(gm_field(0.5, quad_points=256), points, 0.9)
+            # Gauss-Markov integrals are closed form: one Gram matrix, validated and factored once, no nodes
+            assert calls == {"_mesh_simpson": 0, "_validated_factor": 1, "cholesky": 1, "__post_init__": checks}
+            calls.update(dict.fromkeys(calls, 0))
+            field_srdf(FieldModel(TabulatedKernel(half_lag_mesh(9)), quad_points=256), points, 0.9)
+            # one Gram matrix and one node set, one Simpson panel per mesh cell
+            assert calls == {"_mesh_simpson": 1, "_validated_factor": 1, "cholesky": 1, "__post_init__": checks}
 
     @pytest.mark.parametrize("quad_points", [16, 512, 2048])
     def test_off_mesh_tabulated_floor_is_exact(self, quad_points):

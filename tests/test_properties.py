@@ -24,6 +24,7 @@ from srdf_kit import (
     InfeasibleDistortion,
     ParamFamily,
     Spectrum,
+    SrdfKitError,
     TabulatedKernel,
     affine_family,
     atom_spectra,
@@ -50,10 +51,10 @@ from srdf_kit import (
     waterfill,
 )
 from srdf_kit import simulate, universal
-from srdf_kit.model import PD_TOL
+from srdf_kit.model import PD_TOL, _validated_factor
 from srdf_kit.universal import ATOM_TOL
 from srdf_kit.cli import main
-from srdf_kit.field import _field_block, _gm_cross_mass, _gm_optimal_points
+from srdf_kit.field import SEP_TOL, _field_block, _gm_cross_mass, _gm_optimal_points, _placement_objective
 from srdf_kit.srdf import _lift, _weight
 from srdf_kit.universal import bayes_curve
 
@@ -63,10 +64,14 @@ from conftest import (
     reference_assign,
     reference_block,
     reference_field,
+    reference_field_rate,
+    reference_field_reduce,
     reference_gm_cross_mass,
     reference_node_sigmas,
     reference_project_family,
     reference_spectrum,
+    reference_validate_covariance,
+    reference_vector_rate,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -522,9 +527,91 @@ def test_cholesky_reduction_matches_the_symmetric_root_reference(seed, tabulated
         points = field_points(rng, int(rng.integers(1, 7)), gap=1e-3)
     field = FieldModel(kernel)
     spec = field_srdf_spectrum(field, points)
-    floor, lam = reference_field(*_field_block(field, points))
+    floor, lam = reference_field(*_field_block(field, points)[:3])
     assert abs(spec.delta_min - floor) <= 1e-12 * field_max_distortion(field)
     assert np.max(np.abs(spec.lambdas - lam)) <= 1e-11 * lam[0]
+
+
+def objective_points(rng, k, layout):
+    """k sorted points in [0, 1]: "spread" at least 0.02 apart; "sep_tol" with about half
+    the gaps 1-3 x SEP_TOL; "pinned" the same gaps between a first point at 0 and a last at 1."""
+    if layout == "spread":
+        return field_points(rng, k)
+    gaps = np.where(rng.uniform(size=k - 1) < 0.5, SEP_TOL * rng.integers(1, 4, k - 1),
+                    rng.uniform(0.01, 1.0 / k, k - 1))
+    if layout == "pinned" and k > 1:
+        # the gaps sum to under 1, so dropping the last one and pinning the end at 1 keeps the order
+        gaps[-1] = 0.0
+        pts = np.concatenate(([0.0], np.cumsum(gaps)))
+        pts[-1] = 1.0
+    else:
+        pts = rng.uniform(0.0, 1.0 - gaps.sum()) + np.concatenate(([0.0], np.cumsum(gaps)))
+    return tuple(float(x) for x in pts)
+
+
+def delta_at(rng, spot, floor_and_max):
+    """A distortion below, at or above the floor, inside the curve, at or above its delta_max, or not finite."""
+    if spot == "nan":
+        return math.nan
+    if spot == "inf":
+        return math.inf
+    if floor_and_max is None:   # the reduction raised: any distortion
+        return float(rng.uniform(0.0, 2.0))
+    floor, top = floor_and_max
+    return float({"below": floor * rng.uniform(0.0, 1.0), "at": floor,
+                  "inside": floor + rng.uniform(0.0, 1.0) * (top - floor), "max": top,
+                  "above": top * (1.0 + rng.uniform(0.0, 1.0))}[spot])
+
+
+DELTA_SPOTS = ("below", "at", "inside", "inside", "max", "above", "nan", "inf")
+
+
+def curve_ends(build):
+    """(floor, delta_max) of the spectrum ``build()``, or None if it raises; places the distortions only."""
+    try:
+        spec = build()
+    except SrdfKitError:   # the error itself is compared with the reference's
+        return None
+    return spec.delta_min, spec.delta_max
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seeds, st.sampled_from(("gm", "gm_p_near_0", "gm_p_near_1", "tabulated")),
+       st.sampled_from(("spread", "sep_tol", "pinned")), st.integers(1, 7), st.sampled_from(DELTA_SPOTS))
+def test_field_objective_is_bit_identical_to_the_frozen_chain(seed, kind, layout, k, spot):
+    # one factor for validation and solves, a lone spectrum rated without broadcasting: same bits, same errors
+    rng = np.random.default_rng(seed)
+    if kind == "tabulated":
+        kernel = tabulated_field(rng, 17, 1)[0]
+    else:
+        p = {"gm": rng.uniform(0.05, 0.95), "gm_p_near_0": 10.0 ** -rng.uniform(2.0, 12.0),
+             "gm_p_near_1": 1.0 - 10.0 ** -rng.uniform(2.0, 12.0)}[kind]
+        kernel = GaussMarkovKernel(float(p))
+    field = FieldModel(kernel)
+    points = objective_points(rng, k, layout)
+    delta = delta_at(rng, spot, curve_ends(lambda: field_srdf_spectrum(field, points)))
+    want = outcome(lambda: reference_field_rate(field, points, delta))
+    assert outcome(lambda: field_srdf(field, points, delta).rate_bits) == want
+    assert outcome(lambda: field_srdf_spectrum(field, points).rate(delta)) == want
+    assert outcome(lambda: field_min_distortion(field, points)) == outcome(
+        lambda: reference_field_reduce(field, points)[0])
+    # the placement objective: the same rate, infinite wherever the chain raises a package error
+    objective = _placement_objective(field, ("min_rate_at", delta))[0]
+    assert outcome(lambda: objective(points)) == (want if want[0] == "ok" else ("ok", np.float64(math.inf).tobytes()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seeds, st.sampled_from(DELTA_SPOTS), st.booleans())
+def test_vector_rate_is_bit_identical_to_the_frozen_chain(seed, spot, skew):
+    rng = np.random.default_rng(seed)
+    model, sampled = case(seed)
+    raw = model.sigma.copy()
+    if skew:   # an asymmetry the check tolerates, so that symmetrizing rounds
+        raw += 1e-11 * np.max(np.abs(raw)) * rng.standard_normal(raw.shape)
+    delta = delta_at(rng, spot, curve_ends(lambda: srdf_spectrum(partition(CovarianceModel(raw), sampled))))
+    want = outcome(lambda: reference_vector_rate(raw, sampled, delta))
+    assert outcome(lambda: srdf_spectrum(partition(CovarianceModel(raw), sampled)).rate(delta)) == want
+    assert outcome(lambda: srdf(CovarianceModel(raw), sampled, delta).rate_bits) == want
 
 
 @PROPERTY
@@ -661,9 +748,9 @@ def test_nearest_codeword_search_matches_the_full_scan(seed, dim, j, levels, row
 
 
 def outcome(build):
-    """What ``build()`` gives: ("ok", bytes of the array) or (exception class, code, message)."""
+    """What ``build()`` gives: ("ok", bytes of the array or float) or (exception class, code, message)."""
     try:
-        return "ok", build().tobytes()
+        return "ok", np.asarray(build()).tobytes()
     except Exception as exc:   # the class is compared, so a wrong one fails the test
         return type(exc), getattr(exc, "code", None), str(exc)
 
@@ -688,7 +775,8 @@ def bad_node(kind, rng, good):
     m = len(good)
     if kind == "asymmetric":
         s = good.copy()
-        s[0, -1] += 1e-7 * np.max(np.abs(good))
+        with np.errstate(invalid="ignore"):   # a node already made non-finite may take a second bad kind
+            s[0, -1] += 1e-7 * np.max(np.abs(good))
         return s
     if kind in ("nan", "inf"):
         s = good.copy()
@@ -724,10 +812,34 @@ def test_stacked_validation_raises_what_the_node_loop_raises(first, seed, m, nod
     want = outcome(lambda: reference_node_sigmas(cov_at, grid[:, None], m))
     got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=cov_at, m=m, grid_res=nodes).node_sigmas)
     assert got == want
+    if first == "wrong_m" and second in ("wrong_m", None):
+        # valid nodes of two shapes, or of one wrong shape: a package error naming the first wrong one
+        assert want[0] is EmptyGrid and want[2].startswith("cov_at returned ")
     if first != "wrong_m" and second != "wrong_m":
         # the same stack, with two leading axes, straight through validate_covariance
         stack = np.stack(matrices).reshape(1, nodes, m, m)
         assert outcome(lambda: validate_covariance(stack).reshape(-1, m, m)) == want
+
+
+@pytest.mark.parametrize("kind", BAD_NODES + (None,))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(seeds, st.integers(1, 6))
+def test_a_lone_matrix_raises_what_the_reference_raises(kind, seed, m):
+    # a lone matrix skips the stack bookkeeping: same error class, code and message, same bytes
+    if kind in ("pivot_below_floor", "pivot_at_floor"):
+        m = max(m, 2)   # a 1 x 1 pivot is the whole trace, far above its floor
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m + 2))
+    s = a @ a.T / (m + 2) + 0.1 * np.eye(m)
+    if kind is not None:
+        s = bad_node(kind, rng, s)
+    want = outcome(lambda: reference_validate_covariance(s))
+    assert outcome(lambda: validate_covariance(s)) == want
+    assert outcome(lambda: CovarianceModel(s).sigma) == want
+    if want[0] == "ok":
+        # the factor handed on is the one a second factorization of the result gives
+        sigma, chol = _validated_factor(s)
+        assert chol.tobytes() == np.linalg.cholesky(sigma).tobytes()
 
 
 def test_a_wrong_m_on_every_node_is_empty_grid():
