@@ -17,11 +17,10 @@ R_LO, R_HI = 0.2, 0.8
 def main():
     fam = fixed_var_corr_family(1.0, R_LO, R_HI, prior="uniform", grid_res=33)
     part = project_family(fam, [1])
-    atom = part.atoms[0]
     print(f"family grid: {len(fam.nodes)} members, r in [{R_LO}, {R_HI}]")
-    print(f"atoms after sampling component 1: {len(part.atoms)}")
-    print(f"  the single atom holds all {len(atom.members)} members"
-          f" (sampled variance is {atom.tau1[0, 0]:.1f} for every r)\n")
+    print(f"atoms after sampling component 1: {len(part.members)}")
+    print(f"  the single atom holds all {len(part.members[0])} members"
+          f" (sampled variance is {part.sigma[0, 0, 0]:.1f} for every r)\n")
 
     print("delta    bayes_rate    worst_case_rate    gap")
     for delta in np.linspace(1.0, 1.8, 9):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import operator
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, setopt
+from . import __version__
 from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
 from .field import (
     QUAD_POINTS_DEFAULT,
@@ -41,6 +40,7 @@ from .setopt import best_fixed_set
 from .simulate import SimConfig, two_step_code, universal_two_step
 from .srdf import max_distortion, srdf_spectrum
 from .universal import (
+    GRID_RES_DEFAULT,
     affine_family,
     atom_spectra,
     bayes_curve,
@@ -63,29 +63,25 @@ TASKS = (
 )
 
 GRID_CAP = 100_000  # most points a curve's grid may hold; checked before the grid is built
+CSV_BLOCK_ROWS = 512   # rows formatted by one "%"; bounds the Python objects and text one block holds
 
 
-def _write_csv(path: Path, header: list[str], rows, template: str | None = None) -> None:
-    """Write ``rows`` under ``header``: strings as they are, numbers as ``f"{x:.9g}"`` writes them.
+def _write_csv(path: Path, header: list[str], template: str, columns) -> None:
+    """Write ``columns`` under ``header``, row i formatted by ``template`` from row i of every column.
 
-    Each column holds one kind throughout, so the first row fixes a row
-    template ("%s" for a string, "%.9g" for a number) and one ``%`` over all
-    cells formats the whole body.  A caller that knows its row ``template``
-    passes ``rows`` as 2-D arrays instead, blocks of rows that are each
-    formatted by one ``%`` and written in turn, so no Python object is built
-    per row.
+    A column is 1-D, one cell per row, or 2-D, a run of cells per row (a
+    subset's labels).  Each block of CSV_BLOCK_ROWS rows is turned into
+    Python ints, floats and strings column by column ("%d" of an int formats
+    faster than of a float, and "%.9g" writes what ``f"{x:.9g}"`` does) and
+    formatted by one ``%``, so no Python object is built per row.
     """
-    if template is None:
-        rows = list(rows)
-        template = ",".join("%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]) if rows else ""
-        blocks = [(len(rows), itertools.chain.from_iterable(rows))]
-    else:
-        blocks = ((len(block), block.ravel().tolist()) for block in rows)
-    template += "\n"
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    row = template + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for n, cells in blocks:
-            fh.write((template * n) % tuple(cells))
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.hstack([c[lo : lo + CSV_BLOCK_ROWS].astype(object) for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -184,6 +180,8 @@ def _parse_grid(cfg: dict, key: str = "grid") -> np.ndarray:
         raise ConfigParse(f"'{key}' needs finite min and max, got {lo} and {hi}")
     if count < 1 or hi < lo:
         raise ConfigParse(f"'{key}' must have count >= 1 and max >= min")
+    if not math.isfinite(hi - lo):   # np.linspace would step by inf and hand on NaN points
+        raise ConfigParse(f"'{key}' spans max - min = {hi - lo}, which must be finite")
     if count > GRID_CAP:
         raise GridTooLarge(f"'{key}' count {count} exceeds the cap {GRID_CAP}")
     return np.linspace(lo, hi, count)
@@ -229,7 +227,7 @@ def _parse_family(cfg: dict, base: Path):
     prior = block.get("prior")
     if prior is not None and prior != "uniform":
         raise ConfigParse("config priors support 'uniform' or omit for none")
-    grid_res = _scalar(block, "grid_res", int, 33)
+    grid_res = _scalar(block, "grid_res", int, GRID_RES_DEFAULT)
     if template == "fixed-var-corr":
         try:
             box = block["box"]
@@ -319,9 +317,9 @@ def _run_known_law(cfg, base, out, args, task: str):
     grid = _parse_grid(cfg)
     spec = srdf_spectrum(partition(model, ss))
     if task == "srdf":
-        _write_csv(out / "curve.csv", ["delta", "rate_bits"], zip(grid, spec.rate(grid)))
+        _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [grid, spec.rate(grid)])
     else:
-        _write_csv(out / "curve.csv", ["rate_bits", "delta"], zip(grid, spec.distortion(grid)))
+        _write_csv(out / "curve.csv", ["rate_bits", "delta"], "%.9g,%.9g", [grid, spec.distortion(grid)])
     summary = _meta(task, args.seed)
     summary.update(
         {
@@ -341,7 +339,7 @@ def _run_gmf_srdf(cfg, base, out, args):
     pts = _parse_points(cfg)
     deltas = _parse_grid(cfg)
     spec = field_srdf_spectrum(fm, pts)
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], zip(deltas, spec.rate(deltas)))
+    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, spec.rate(deltas)])
     summary = _meta("gmf-srdf", args.seed)
     summary.update(
         {
@@ -365,17 +363,12 @@ def _run_optimize_set(cfg, base, out, args):
     result = best_fixed_set(model, _scalar(block, "k", int), objective)
     if math.isinf(result.value):
         raise InfeasibleDistortion(f"no subset meets the objective {result.objective}")
-    # object blocks hand "%" Python ints and floats: "%d" of an int formats faster than of a float
-    columns = [result.subsets, result.delta_min[:, None]]
+    columns = [result.subsets, result.delta_min]
     template = " ".join(["%d"] * result.best.k) + ",%.9g,"
     if result.rate_bits is not None:
-        columns.append(result.rate_bits[:, None])
+        columns.append(result.rate_bits)
         template += "%.9g"
-    blocks = (
-        np.hstack([c[lo : lo + setopt.SUBSET_CHUNK].astype(object) for c in columns])
-        for lo in range(0, len(result.subsets), setopt.SUBSET_CHUNK)
-    )
-    _write_csv(out / "table.csv", ["subset", "delta_min", "rate_bits"], blocks, template)
+    _write_csv(out / "table.csv", ["subset", "delta_min", "rate_bits"], template, columns)
     summary = _meta("optimize-set", args.seed)
     summary.update(
         {
@@ -402,7 +395,8 @@ def _run_place(cfg, base, out, args):
     result = optimize_placement(fm, k, objective, restarts=restarts, pin_endpoints=pin_endpoints, seed=seed)
     if math.isinf(result.value):
         raise InfeasibleDistortion(f"no placement meets the objective {result.objective}")
-    _write_csv(out / "points.csv", ["index", "position"], list(enumerate(result.points)))
+    pts = result.points
+    _write_csv(out / "points.csv", ["index", "position"], "%d,%.9g", [np.arange(len(pts)), pts])
     # the exact solver draws nothing, so only the search records the seed it ran from
     summary = _meta("place", seed if result.solver == "search" else args.seed)
     summary.update(
@@ -428,26 +422,24 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
     deltas = _parse_grid(cfg)
     part = project_family(family, ss)
     if bayes:
-        points = bayes_curve(atom_spectra(family, ss, part), part.weights, deltas)
+        points = bayes_curve(atom_spectra(part), part.weights, deltas)
     else:
-        points = nonbayes_curve(nonbayes_spectra(family, ss, part), deltas)
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], [(p.delta, p.rate_bits) for p in points])
+        points = nonbayes_curve(nonbayes_spectra(family, part), deltas)
+    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, [p.rate_bits for p in points]])
     if bayes:
+        alloc = np.array([p.per_atom_delta for p in points])   # one row per delta, one column per atom
         _write_csv(
             out / "allocation.csv",
             ["delta", "atom", "delta_atom"],
-            [
-                (p.delta, str(i), alloc)
-                for p in points
-                for i, alloc in enumerate(p.per_atom_delta)
-            ],
+            "%.9g,%d,%.9g",
+            [np.repeat(deltas, alloc.shape[1]), np.tile(np.arange(alloc.shape[1]), len(deltas)), alloc.ravel()],
         )
     task = "usrdf-bayes" if bayes else "usrdf-nonbayes"
     summary = _meta(task, args.seed)
     summary.update(
         {
             "sampling": list(ss.indices),
-            "atoms": len(part.atoms),
+            "atoms": len(part.members),
             "atom_weights": None if part.weights is None else part.weights.tolist(),
             "grid_nodes": len(family.nodes),
             "delta_min": points[0].delta_min,
@@ -461,11 +453,13 @@ def _write_sim_outputs(report, out, task, seed):
     payload = _meta(task, seed)
     payload["report"] = report.to_dict()
     _write_json(out / "report.json", payload)
-    if report.block_trace is not None:
+    trace = report.block_trace
+    if trace is not None:
         _write_csv(
             out / "trace.csv",
             ["block", "total_mse", "weighted_mse", "lift_mse"],
-            [(str(i), t, w, l) for i, (t, w, l) in enumerate(report.block_trace)],
+            "%d,%.9g,%.9g,%.9g",
+            [np.arange(len(trace)), trace],
         )
 
 

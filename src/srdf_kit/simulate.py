@@ -577,16 +577,16 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     _check_draw("est_length * m", cfg.est_length * family.m)
     _check_draw("eval_blocks", cfg.eval_blocks)
     part = project_family(family, ss)
-    if len(part.atoms) > ATOM_CAP:   # before any codebook is trained
+    atoms = len(part.members)
+    if atoms > ATOM_CAP:   # before any codebook is trained
         raise GridTooLarge(
-            f"the family splits into {len(part.atoms)} ambiguity atoms, which exceeds the atom cap {ATOM_CAP}"
+            f"the family splits into {atoms} ambiguity atoms, which exceeds the atom cap {ATOM_CAP}"
             " (each atom trains its own codebook)"
         )
     weights = part.weights
-    spectra = atom_spectra(family, ss, part)
-    sigma = np.stack([atom.sigma for atom in part.atoms])
-    reps = sigma[:, a[:, None], a]
-    lifts = _lift(reps, sigma[:, a[:, None], ac])
+    spectra = atom_spectra(part)
+    reps = part.sigma[:, a[:, None], a]
+    lifts = _lift(reps, part.sigma[:, a[:, None], ac])
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     codes = [
@@ -600,7 +600,6 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     bad_mass = 1.0 - hit_rate
     bad_mse = float(np.sum(total_t[~hits])) / trials
     bad_cap = math.sqrt(bad_mass * float(np.mean(total_t ** 2)))
-    atoms = len(part.atoms)
     overhead = math.log2(atoms) / cfg.est_length if atoms > 1 else 0.0
     code_rate = math.log2(j) / cfg.n
 

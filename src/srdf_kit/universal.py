@@ -13,7 +13,7 @@ non-Bayesian curve guards the worst member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     NotSquare,
     UnsupportedFamily,
 )
-from .model import as_sampling_set, validate_covariance
+from .model import SamplingSet, as_sampling_set, validate_covariance
 from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
 
 GRID_RES_DEFAULT = 33
@@ -41,9 +41,11 @@ class ParamFamily:
     """A compact parameter box mapped to covariance matrices, with an optional prior.
 
     ``cov_at`` maps a parameter vector to an m x m covariance.  The box is
-    materialized on a uniform grid of ``grid_res`` nodes per dimension; the
-    prior is projected to normalized node weights (trapezoid cells), so a
-    callable density should already integrate to one over the box.
+    materialized on a uniform grid of ``grid_res`` nodes per dimension
+    (``nodes``, one row each, with their covariances ``node_sigmas``); the
+    prior is projected to normalized node weights ``node_weights``
+    (trapezoid cells, None without a prior), so a callable density should
+    already integrate to one over the box.
     """
 
     box: tuple[tuple[float, float], ...]
@@ -52,6 +54,9 @@ class ParamFamily:
     prior: object = None          # None | "uniform" | callable density
     grid_res: int = GRID_RES_DEFAULT
     template: tuple = ()          # optional structural tag, e.g. ("fixed_var_corr", sigma2)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    node_weights: np.ndarray | None = field(init=False, repr=False, compare=False)
+    node_sigmas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
@@ -80,21 +85,9 @@ class ParamFamily:
         sigmas = validate_covariance(sigmas)
         if sigmas.shape[1] != self.m:
             raise EmptyGrid(f"cov_at returned {sigmas.shape[1]}x{sigmas.shape[1]}, expected m={self.m}")
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_sigmas", sigmas)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
-
-    @property
-    def node_weights(self) -> np.ndarray | None:
-        return self._weights
-
-    @property
-    def node_sigmas(self) -> np.ndarray:
-        return self._sigmas
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "node_weights", weights)
+        object.__setattr__(self, "node_sigmas", sigmas)
 
 
 def _materialize(box, prior, grid_res):
@@ -129,23 +122,17 @@ def _materialize(box, prior, grid_res):
 
 
 @dataclass(frozen=True)
-class AmbiguityAtom:
-    """Members of the family sharing one sampled-block covariance."""
-
-    members: tuple[int, ...]          # node indices into the family grid
-    sigma: np.ndarray                 # m x m covariance averaged over the members, symmetrized
-    tau1: np.ndarray                  # its k x k sampled block, the atom's representative
-    weight: float | None              # prior mass of the atom
-
-
-@dataclass(frozen=True)
 class AmbiguityPartition:
-    atoms: tuple[AmbiguityAtom, ...]
+    """The ambiguity atoms of one sampling set, one row per atom.
 
-    @property
-    def weights(self) -> np.ndarray | None:
-        """Prior mass of each atom, or None when the family has no prior."""
-        return None if self.atoms[0].weight is None else np.array([atom.weight for atom in self.atoms])
+    An atom holds the family members whose sampled block agrees; its sampled
+    block of ``sigma`` is its representative.
+    """
+
+    sampled: SamplingSet              # the sampling set the atoms were found for
+    members: tuple[tuple[int, ...], ...]   # each atom's node indices into the family grid, ascending
+    sigma: np.ndarray                 # (atoms, m, m): covariance averaged over each atom's members, symmetrized
+    weights: np.ndarray | None        # (atoms,): prior mass of each atom, None when the family has no prior
 
 
 def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
@@ -198,28 +185,21 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [len(by_root)]))
     weights = family.node_weights
-    atoms = []
-    for g in np.argsort(by_root[starts]).tolist():   # atoms by their lowest member node
-        members = by_root[starts[g] : ends[g]]
+    members = []
+    sigma = np.empty((len(starts), family.m, family.m))
+    atom_weights = None if weights is None else np.empty(len(starts))
+    for i, g in enumerate(np.argsort(by_root[starts]).tolist()):   # atoms by their lowest member node
+        nodes = by_root[starts[g] : ends[g]]
+        members.append(tuple(nodes.tolist()))
         if weights is not None:
-            w = weights[members]
-            wsum = float(np.sum(w))
-            member_w = w / wsum if wsum > 0 else np.full(len(members), 1.0 / len(members))
-            sigma = np.sum(member_w[:, None, None] * family.node_sigmas[members], axis=0)
-            atom_weight = wsum
+            w = weights[nodes]
+            wsum = atom_weights[i] = float(np.sum(w))
+            member_w = w / wsum if wsum > 0 else np.full(len(nodes), 1.0 / len(nodes))
+            s = np.sum(member_w[:, None, None] * family.node_sigmas[nodes], axis=0)
         else:
-            sigma = family.node_sigmas[members].mean(axis=0)
-            atom_weight = None
-        sigma = 0.5 * (sigma + sigma.T)
-        atoms.append(
-            AmbiguityAtom(
-                members=tuple(int(i) for i in members),
-                sigma=sigma,
-                tau1=sigma[np.ix_(a, a)],
-                weight=atom_weight,
-            )
-        )
-    return AmbiguityPartition(atoms=tuple(atoms))
+            s = family.node_sigmas[nodes].mean(axis=0)
+        sigma[i] = 0.5 * (s + s.T)
+    return AmbiguityPartition(ss, tuple(members), sigma, atom_weights)
 
 
 def _sweep(reps: np.ndarray):
@@ -246,7 +226,7 @@ def _sweep(reps: np.ndarray):
         yield order[p], order[q]
 
 
-def atom_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spectrum:
+def atom_spectra(part: AmbiguityPartition) -> Spectrum:
     """Floor and weighted spectrum of every atom, stacked in atom order, from one reduction.
 
     Within an atom the sampled data cannot tell the members apart, so the
@@ -255,10 +235,9 @@ def atom_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spec
     single-member atom's average is that member, so its row is the member's
     own curve.
     """
-    ss = as_sampling_set(sampled)
-    ac = ss.complement(family.m)
-    a = ss.zero_based()
-    sigma = np.stack([atom.sigma for atom in part.atoms])
+    sigma = part.sigma
+    a = part.sampled.zero_based()
+    ac = part.sampled.complement(sigma.shape[-1])
     return _block_spectrum(sigma[:, a[:, None], a], sigma[:, a[:, None], ac], sigma[:, ac, ac].sum(axis=-1))
 
 
@@ -329,10 +308,10 @@ def bayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
     is convex in r (see ``bayes_curve``), so the iterates rise to the root.
     """
     part = project_family(family, sampled)
-    return bayes_curve(atom_spectra(family, sampled, part), part.weights, [delta])[0]
+    return bayes_curve(atom_spectra(part), part.weights, [delta])[0]
 
 
-def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> Spectrum:
+def nonbayes_spectra(family: ParamFamily, part: AmbiguityPartition) -> Spectrum:
     """One spectrum per atom, stacked; the worst-case curve is their largest rate.
 
     Supported exactly when every atom is a single member (each atom then has
@@ -340,12 +319,11 @@ def nonbayes_spectra(family: ParamFamily, sampled, part: AmbiguityPartition) -> 
     family, whose worst member is the least correlated one: a single mode
     sigma2 (1 + r_lo^2) above the floor sigma2 (1 - r_lo^2).
     """
-    if all(len(atom.members) == 1 for atom in part.atoms):
-        return atom_spectra(family, sampled, part)
-    ss = as_sampling_set(sampled)
+    if all(len(nodes) == 1 for nodes in part.members):
+        return atom_spectra(part)
     if family.template and family.template[0] == "fixed_var_corr":
         sigma2 = float(family.template[1])
-        if family.m != 2 or ss.k != 1:
+        if family.m != 2 or part.sampled.k != 1:
             raise UnsupportedFamily(
                 "the fixed-variance correlation family supports m=2 with one sampled component"
             )
@@ -375,7 +353,7 @@ def nonbayes_curve(spectra: Spectrum, deltas) -> list[UsrdfPoint]:
 def nonbayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
     """Non-Bayesian universal curve: worst-case rate over ambiguity atoms (see nonbayes_spectra)."""
     part = project_family(family, sampled)
-    return nonbayes_curve(nonbayes_spectra(family, sampled, part), [delta])[0]
+    return nonbayes_curve(nonbayes_spectra(family, part), [delta])[0]
 
 
 def fixed_var_corr_family(
@@ -434,5 +412,4 @@ def affine_family(
         m=base.shape[0],
         prior=prior,
         grid_res=grid_res,
-        template=("affine",),
     )

@@ -8,7 +8,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from srdf_kit import (
-    AmbiguityAtom,
     AmbiguityPartition,
     BudgetOutOfRange,
     CovarianceModel,
@@ -358,7 +357,8 @@ def reference_project_family(family, sampled):
     """Ambiguity atoms as ``project_family`` found them before sort and sweep, verbatim.
 
     Every bucket is compared with every later one, and every atom scans all
-    nodes for its members.
+    nodes for its members.  The atoms are returned as one ``AmbiguityPartition``
+    table, their averaged covariances stacked in atom order.
     """
     ss = as_sampling_set(sampled)
     ss.complement(family.m)   # refuses a label above m before any index is read
@@ -402,12 +402,11 @@ def reference_project_family(family, sampled):
             sigma = family.node_sigmas[members].mean(axis=0)
             atom_weight = None
         sigma = 0.5 * (sigma + sigma.T)
-        atoms.append(
-            AmbiguityAtom(
-                members=tuple(int(i) for i in members),
-                sigma=sigma,
-                tau1=sigma[np.ix_(a, a)],
-                weight=atom_weight,
-            )
-        )
-    return AmbiguityPartition(atoms=tuple(atoms))
+        atoms.append((tuple(int(i) for i in members), sigma, atom_weight))
+    members, sigmas, atom_weights = zip(*atoms)
+    return AmbiguityPartition(
+        sampled=ss,
+        members=members,
+        sigma=np.stack(sigmas),
+        weights=None if weights is None else np.array(atom_weights),
+    )

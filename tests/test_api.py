@@ -21,6 +21,6 @@ def test_every_imported_class_and_function_is_exported():
 
 
 def test_removed_names_stay_removed():
-    for name in ("BayesAtomData", "bayes_atom_data", "EmptyAtom"):
+    for name in ("BayesAtomData", "bayes_atom_data", "EmptyAtom", "AmbiguityAtom"):
         assert name not in srdf_kit.__all__
         assert not hasattr(srdf_kit, name)

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srdf_kit
+from srdf_kit import cli
 from srdf_kit.cli import _write_csv, main
 
 from conftest import knot_simpson, reference_optimize_set_table
@@ -77,6 +79,20 @@ class TestArtifacts:
         got = (tmp_path / "curve.csv").read_bytes()
         assert got == (GOLDEN / "corr_family_bayes_curve.csv").read_bytes()
         assert (tmp_path / "allocation.csv").exists()
+
+    @pytest.mark.parametrize(
+        "task,config,artifact",
+        [
+            ("distrate", "three_component_distrate", "curve.csv"),
+            ("gmf-srdf", "exp_field_srdf", "curve.csv"),
+            ("usrdf-bayes", "corr_family_bayes", "allocation.csv"),
+            ("optimize-set", "subset_search", "table.csv"),
+            ("place", "exp_field_place", "points.csv"),
+        ],
+    )
+    def test_shipped_csv_matches_golden(self, tmp_path, task, config, artifact):
+        assert run(task, CONFIGS / f"{config}.yaml", tmp_path) == 0
+        assert (tmp_path / artifact).read_bytes() == (GOLDEN / f"{config}_{artifact}").read_bytes()
 
     def test_bayes_golden_is_the_one_atom_closed_form(self):
         # one atom with a single mode 1.25 above the floor 0.75, so R = log2(1.25 / (delta - 0.75)) / 2
@@ -383,31 +399,40 @@ csv_numbers = (
 
 @st.composite
 def csv_tables(draw):
-    """(header, rows): each column either numbers of every kind above or strings, 0-12 rows."""
-    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
-    cells = [st.text(max_size=5) if is_label else csv_numbers for is_label in kinds]
+    """(header, labels, rows): each column either numbers of every kind above or strings (a label), 0-12 rows."""
+    labels = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    cells = [st.text(max_size=5) if is_label else csv_numbers for is_label in labels]
     rows = draw(st.lists(st.tuples(*cells), max_size=12))
-    return [f"c{i}" for i in range(len(kinds))], rows
+    return [f"c{i}" for i in range(len(labels))], labels, rows
 
 
 class TestCsvWriter:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(csv_tables(), st.sampled_from([list, iter]))
-    @example((["delta", "rate_bits"], []), iter)   # zero rows: the header alone
-    def test_matches_the_per_cell_writer(self, table, wrap):
-        header, rows = table
-        with tempfile.TemporaryDirectory() as tmp:
+    @given(csv_tables(), st.sampled_from([1, 5, cli.CSV_BLOCK_ROWS]))
+    @example((["delta", "rate_bits"], [False, False], []), cli.CSV_BLOCK_ROWS)   # zero rows: the header alone
+    def test_matches_the_per_cell_writer(self, table, block_rows):
+        # strings stay objects: a NumPy string array would drop their trailing NULs
+        header, labels, rows = table
+        template = ",".join("%s" if is_label else "%.9g" for is_label in labels)
+        columns = [np.array([row[i] for row in rows], dtype=object if is_label else None)
+                   for i, is_label in enumerate(labels)]
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
             path = Path(tmp) / "t.csv"
-            _write_csv(path, header, wrap(rows))
+            _write_csv(path, header, template, columns)
             assert path.read_bytes() == per_cell_csv(header, rows)
 
     def test_special_values(self, tmp_path):
         values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 7, np.float32(0.1), np.float64(0.1)]
-        _write_csv(tmp_path / "t.csv", ["x", "label"], [(v, "a b") for v in values])
+        _write_csv(tmp_path / "t.csv", ["x", "label"], "%.9g,%s", [values, ["a b"] * len(values)])
         assert (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:] == [
             "inf,a b", "-inf,a b", "nan,a b", "-0,a b", "4.94065646e-324,a b", "1e+308,a b", "7,a b",
             "0.100000001,a b", "0.1,a b",
         ]
+
+    def test_a_two_dimensional_column_fills_a_run_of_cells(self, tmp_path):
+        subsets = np.array([[1, 2], [1, 3], [2, 3]])
+        _write_csv(tmp_path / "t.csv", ["subset", "x"], "%d %d,%.9g", [subsets, [0.5, 1.0 / 3.0, 2.0]])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "subset,x\n1 2,0.5\n1 3,0.333333333\n2 3,2\n"
 
 
 def optimize_set_config(path, sigma, k, delta=None):
@@ -514,6 +539,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [cli.config_parse]"), err
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "curve.csv").exists()
+
+    @pytest.mark.parametrize("task", ["srdf", "usrdf-bayes"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_overflowing_grid_span_is_config_parse(self, tmp_path, capsys, task, count):
+        # max - min overflows to inf: np.linspace would warn and hand the solver NaN points
+        head = f"{MODEL}sampling: [1]\n" if task == "srdf" else FAMILY
+        cfg = tmp_path / "span.yaml"
+        cfg.write_text(f"{head}grid: {{min: -1.0e+308, max: 1.0e+308, count: {count}}}\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(task, cfg, tmp_path / "out") == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
+        assert "Warning" not in err and "Traceback" not in err
         assert not (tmp_path / "out" / "curve.csv").exists()
 
     @pytest.mark.parametrize(

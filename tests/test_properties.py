@@ -241,7 +241,7 @@ def test_bayes_rate_is_the_high_precision_root(seed, k, fraction):
     mp.dps = 50
     family, sampled = multi_atom_family(np.random.default_rng(seed), k)
     part = project_family(family, sampled)
-    spectra, weights = atom_spectra(family, sampled, part), part.weights
+    spectra, weights = atom_spectra(part), part.weights
     assert len(weights) == 3
     point = bayes_curve(spectra, weights, [1e9])[0]
     delta = point.delta_min + fraction * (point.delta_max - point.delta_min)
@@ -254,13 +254,13 @@ def test_bayes_rate_is_the_high_precision_root(seed, k, fraction):
 def test_atoms_are_the_known_law_reduction_of_their_averaged_covariance(seed, k):
     family, sampled = multi_atom_family(np.random.default_rng(seed), k)
     part = project_family(family, sampled)
-    spectra = atom_spectra(family, sampled, part)
+    spectra = atom_spectra(part)
     assert spectra.lambdas.shape == (3, k)
-    for atom, floor, lams in zip(part.atoms, spectra.delta_min, spectra.lambdas):
-        members = list(atom.members)
+    for members, sigma, floor, lams in zip(part.members, part.sigma, spectra.delta_min, spectra.lambdas):
+        members = list(members)
         mean = np.average(family.node_sigmas[members], axis=0, weights=family.node_weights[members])
-        np.testing.assert_allclose(atom.sigma, mean, rtol=1e-14, atol=0.0)
-        ref_floor, ref_lams = reference_block(atom.sigma, sampled)
+        np.testing.assert_allclose(sigma, mean, rtol=1e-14, atol=0.0)
+        ref_floor, ref_lams = reference_block(sigma, sampled)
         assert floor == pytest.approx(ref_floor, rel=1e-12)
         np.testing.assert_allclose(lams, ref_lams, rtol=1e-12, atol=0.0)
 
@@ -270,10 +270,10 @@ def test_atoms_are_the_known_law_reduction_of_their_averaged_covariance(seed, k)
 def test_singleton_atoms_are_their_members_own_curves(seed):
     family, sampled = singleton_family(np.random.default_rng(seed))
     part = project_family(family, sampled)
-    spectra = atom_spectra(family, sampled, part)
+    spectra = atom_spectra(part)
     assert len(spectra.lambdas) == len(family.nodes)
-    for atom, floor, lams in zip(part.atoms, spectra.delta_min, spectra.lambdas):
-        own = srdf_spectrum(partition(CovarianceModel(family.node_sigmas[atom.members[0]]), sampled))
+    for (node,), floor, lams in zip(part.members, spectra.delta_min, spectra.lambdas):
+        own = srdf_spectrum(partition(CovarianceModel(family.node_sigmas[node]), sampled))
         assert floor == pytest.approx(own.delta_min, rel=1e-12)
         np.testing.assert_allclose(lams, own.lambdas, rtol=1e-12, atol=0.0)
 
@@ -899,12 +899,13 @@ def test_sort_and_sweep_finds_the_all_pairs_atoms(seed, kind, chunk):
     want = reference_project_family(family, sampled)
     with mock.patch.object(universal, "SWEEP_CHUNK_FLOATS", chunk or universal.SWEEP_CHUNK_FLOATS):
         got = project_family(family, sampled)
-    assert len(got.atoms) == len(want.atoms)
-    for g, w in zip(got.atoms, want.atoms):
-        assert g.members == w.members
-        assert g.weight == w.weight
-        assert g.sigma.tobytes() == w.sigma.tobytes()
-        assert g.tau1.tobytes() == w.tau1.tobytes()
+    assert got.sampled == want.sampled
+    assert got.members == want.members
+    assert (got.weights is None) == (want.weights is None)
+    if want.weights is not None:
+        assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.sigma.shape == want.sigma.shape
+    assert got.sigma.tobytes() == want.sigma.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["separated", "fixed_variance", "lattice"])
@@ -928,6 +929,6 @@ def test_sweep_compares_few_pairs(monkeypatch, kind):
 
     monkeypatch.setattr(universal, "_sweep", counted)
     n = len(family.nodes)
-    assert len(project_family(family, sampled).atoms) == n
+    assert len(project_family(family, sampled).members) == n
     # one window per row: only nodes equal along the swept entry share one
     assert sum(compared) <= (0 if kind != "lattice" else n * 60)

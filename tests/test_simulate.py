@@ -344,10 +344,10 @@ def usim_setup(k, n, est_length, seed):
     cfg = SimConfig(n=n, rate_bits=1.0, eval_blocks=30, seed=seed, lbg_iters=10, est_length=est_length)
     ss = as_sampling_set(sampled)
     a, ac = ss.zero_based(), ss.complement(family.m)
-    atoms = project_family(family, ss).atoms
+    sigma = project_family(family, ss).sigma
     j = cfg.codeword_count()
-    reps = np.stack([atom.tau1 for atom in atoms])
-    lifts = np.stack([_lift(atom.tau1, atom.sigma[np.ix_(a, ac)]) for atom in atoms])
+    reps = sigma[:, a[:, None], a]
+    lifts = np.stack([_lift(rep, s[np.ix_(a, ac)]) for rep, s in zip(reps, sigma)])
     codes = [
         build_code(rep, _weight(lift), n, j, cfg.resolved_train_blocks(), cfg.lbg_iters, seed, (i,))
         for i, (rep, lift) in enumerate(zip(reps, lifts))

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from srdf_kit import (
+    CovarianceModel,
     DimensionMismatch,
     InfeasibleDistortion,
     NoPrior,
     Spectrum,
     UnsupportedFamily,
     affine_family,
+    as_sampling_set,
     atom_spectra,
     bayes_usrdf,
     fixed_var_corr_family,
     nonbayes_usrdf,
+    partition,
     project_family,
+    srdf_spectrum,
 )
 from srdf_kit.srdf import RATE_CAP_BITS, _lift, _weight
 from srdf_kit.universal import bayes_curve
@@ -35,7 +39,7 @@ def bayes_rate_closed(delta, mean_r=0.5, sigma2=1.0):
 def bayes_atoms(fam, sampled):
     """(stacked atom spectra, prior masses) of a family's ambiguity atoms."""
     part = project_family(fam, sampled)
-    return atom_spectra(fam, sampled, part), part.weights
+    return atom_spectra(part), part.weights
 
 
 def three_mode_atoms():
@@ -91,52 +95,62 @@ class TestAtoms:
         # the sampled variance never moves, so no member is distinguishable
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=17)
         part = project_family(fam, [1])
-        assert len(part.atoms) == 1
-        atom = part.atoms[0]
-        assert len(atom.members) == 17
-        assert atom.weight == pytest.approx(1.0)
-        assert atom.tau1 == pytest.approx(np.array([[1.0]]))
+        assert part.members == (tuple(range(17)),)
+        assert part.weights == pytest.approx([1.0])
+        assert part.sigma[:, :1, :1] == pytest.approx(np.array([[[1.0]]]))
 
     def test_distinct_sampled_blocks_split(self):
         fam = affine_family(BASE, [E1], [(0.0, 0.8)], prior="uniform", grid_res=5)
         part = project_family(fam, [1])
-        assert len(part.atoms) == 5
-        assert all(len(a.members) == 1 for a in part.atoms)
+        assert part.members == tuple((i,) for i in range(5))
+        assert part.sigma.shape == (5, 2, 2) and part.weights.shape == (5,)
 
     def test_unsampled_direction_collapses(self):
         fam = affine_family(BASE, [E2], [(0.0, 0.8)], prior="uniform", grid_res=7)
         part = project_family(fam, [1])
-        assert len(part.atoms) == 1
+        assert len(part.members) == 1
 
     def test_two_param_split_count(self):
         # one direction moves the sampled block, the other does not
         fam = affine_family(BASE, [E1, E2], [(0.0, 0.4), (0.0, 0.4)], prior="uniform", grid_res=3)
         part = project_family(fam, [1])
-        assert len(part.atoms) == 3
-        assert all(len(a.members) == 3 for a in part.atoms)
-        assert sum(a.weight for a in part.atoms) == pytest.approx(1.0)
+        assert part.members == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        assert part.weights.sum() == pytest.approx(1.0)
 
     def test_near_duplicates_merge(self):
         fam = affine_family(BASE, [E1], [(0.0, 1e-9)], prior="uniform", grid_res=2)
         part = project_family(fam, [1])
-        assert len(part.atoms) == 1
+        assert part.members == ((0, 1),)
 
     def test_atom_data_floor_below_members(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=9)
         part = project_family(fam, [1])
-        spectra = atom_spectra(fam, [1], part)
-        atom = part.atoms[0]
+        spectra = atom_spectra(part)
+        sigma = part.sigma[0]
         # averaged coefficients explain less than the best member could
         assert spectra.delta_min[0] == pytest.approx(0.75, abs=1e-12)
-        assert _weight(_lift(atom.tau1, atom.sigma[:1, 1:])) == pytest.approx(np.array([[1.25]]))
+        assert _weight(_lift(sigma[:1, :1], sigma[:1, 1:])) == pytest.approx(np.array([[1.25]]))
         assert spectra.delta_max[0] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sampled", [[1], [2], [1, 2], [2, 4]])
+    def test_atom_spectra_are_the_known_law_spectra_at_the_partition_set(self, sampled):
+        # the partition carries its sampling set, so the spectra are those of the set it was built for
+        fam, _ = multi_atom_family(np.random.default_rng(3), 2)
+        part = project_family(fam, sampled)
+        assert part.sampled == as_sampling_set(sampled)
+        spectra = atom_spectra(part)
+        assert len(spectra.delta_min) == len(part.members) == len(part.sigma)
+        for sigma, floor, lams in zip(part.sigma, spectra.delta_min, spectra.lambdas):
+            own = srdf_spectrum(partition(CovarianceModel(sigma), sampled))
+            assert floor == pytest.approx(own.delta_min, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(lams, own.lambdas, rtol=1e-12, atol=0.0)
 
     def test_atom_data_needs_prior(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
         part = project_family(fam, [1])
         assert part.weights is None
         with pytest.raises(NoPrior):
-            bayes_curve(atom_spectra(fam, [1], part), part.weights, [1.0])
+            bayes_curve(atom_spectra(part), part.weights, [1.0])
 
 
 class TestBayesCurve:
@@ -249,7 +263,7 @@ class TestRefinement:
     def test_degenerate_box_single_node(self):
         fam = affine_family(BASE, [E1], [(0.2, 0.2)], prior="uniform", grid_res=1)
         part = project_family(fam, [1])
-        assert len(part.atoms) == 1 and len(part.atoms[0].members) == 1
+        assert part.members == ((0,),)
         pt = bayes_usrdf(fam, [1], 1.1)
         sig = BASE + 0.2 * E1
         lam = float(sig[0, 0]) + float(sig[0, 1]) ** 2 / float(sig[0, 0])
