@@ -23,10 +23,11 @@ def main():
           f" (sampled variance is {part.sigma[0, 0, 0]:.1f} for every r)\n")
 
     print("delta    bayes_rate    worst_case_rate    gap")
-    for delta in np.linspace(1.0, 1.8, 9):
-        b = bayes_usrdf(fam, [1], float(delta))
-        n = nonbayes_usrdf(fam, [1], float(delta))
-        print(f"{delta:5.2f}  {b.rate_bits:12.6f}  {n.rate_bits:17.6f}  {n.rate_bits - b.rate_bits:7.4f}")
+    deltas = np.linspace(1.0, 1.8, 9)
+    bayes = bayes_usrdf(fam, [1], deltas).rate_bits
+    worst = nonbayes_usrdf(fam, [1], deltas).rate_bits
+    for delta, b, n in zip(deltas, bayes, worst):
+        print(f"{delta:5.2f}  {b:12.6f}  {n:17.6f}  {n - b:7.4f}")
 
     b = bayes_usrdf(fam, [1], 1.0)
     n = nonbayes_usrdf(fam, [1], 1.0)

@@ -422,12 +422,13 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
     deltas = _parse_grid(cfg)
     part = project_family(family, ss)
     if bayes:
-        points = bayes_curve(atom_spectra(part), part.weights, deltas)
+        spectra = atom_spectra(part)
+        curve = bayes_curve(spectra, part.weights, deltas)
     else:
-        points = nonbayes_curve(nonbayes_spectra(family, part), deltas)
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, [p.rate_bits for p in points]])
+        curve = nonbayes_curve(nonbayes_spectra(family, part), deltas)
+    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, curve.rate_bits])
     if bayes:
-        alloc = np.array([p.per_atom_delta for p in points])   # one row per delta, one column per atom
+        alloc = spectra.distortion(curve.rate_bits[:, None])   # one row per delta, one column per atom
         _write_csv(
             out / "allocation.csv",
             ["delta", "atom", "delta_atom"],
@@ -442,8 +443,8 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
             "atoms": len(part.members),
             "atom_weights": None if part.weights is None else part.weights.tolist(),
             "grid_nodes": len(family.nodes),
-            "delta_min": points[0].delta_min,
-            "delta_max": points[0].delta_max,
+            "delta_min": curve.delta_min,
+            "delta_max": curve.delta_max,
         }
     )
     _write_json(out / "summary.json", summary)

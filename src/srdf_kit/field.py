@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooLarge, SrdfKitError
 from .model import _objective, _validated_factor
-from .srdf import SrdfPoint, Spectrum, _spectrum, _srdf_point
+from .srdf import RateCurve, Spectrum, _rate_curve, _spectrum
 
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
@@ -215,14 +215,14 @@ def _field_block(field: FieldModel, points):
 
 
 def _field_reduce(field: FieldModel, points):
-    """(floor, S) of the field sampled at ``points``: with Sigma_A = L L^T and weight
-    G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
+    """(floor, S, variance) of the field sampled at ``points``: with Sigma_A = L L^T and
+    weight G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
     left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S.
     One validated factor serves both solves, so a placement-objective call costs one
     Cholesky factor and, for a rate, one ``eigvalsh``."""
     _, m_mat, variance, l = _field_block(field, points)
     s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
-    return max(0.0, variance - float(s.trace())), s
+    return max(0.0, variance - float(s.trace())), s, variance
 
 
 def field_min_distortion(field: FieldModel, points) -> float:
@@ -240,12 +240,13 @@ def field_max_distortion(field: FieldModel) -> float:
 
 def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
     """Floor and weighted spectrum of the field sampled at ``points``: its whole curve."""
-    return _spectrum(*_field_reduce(field, points))
+    return _spectrum(*_field_reduce(field, points)[:2])
 
 
-def field_srdf(field: FieldModel, points, delta: float) -> SrdfPoint:
-    """Rate distortion function of the field sampled at ``points``."""
-    return _srdf_point(field_srdf_spectrum(field, points), delta)
+def field_srdf(field: FieldModel, points, delta) -> RateCurve:
+    """Rate distortion function of the field sampled at ``points``, at ``delta`` (a float or an array)."""
+    floor, s, variance = _field_reduce(field, points)   # variance is field_max_distortion's value
+    return _rate_curve(_spectrum(floor, s).rate(delta), delta, floor, variance)
 
 
 def gm_segment_explained(p: float, length: float) -> float:
@@ -407,7 +408,7 @@ def _placement_objective(field: FieldModel, objective):
     else:
         def fn(pts):
             try:
-                return field_srdf(field, pts, delta).rate_bits
+                return field_srdf_spectrum(field, pts).rate(delta)
             except SrdfKitError:
                 return math.inf
     return fn, name

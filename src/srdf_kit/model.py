@@ -7,7 +7,6 @@ Component labels are 1-based at the API surface (components are numbered
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .errors import (
 
 SYM_TOL = 1e-9      # relative to the largest absolute entry
 PD_TOL = 1e-12      # scaled by trace(sigma)/m before use
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def validate_covariance(raw: np.ndarray) -> np.ndarray:
@@ -31,6 +31,8 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
     Leading axes stack independent m x m matrices, each judged as if alone.
     Symmetry is judged relative to the matrix's largest absolute entry, then
     the matrix is symmetrized exactly so downstream algebra sees 0 skew.
+    That entry must stay at most FLOAT_MAX / (2 m), so that neither the
+    symmetrization nor the trace overflows, whatever their rounding.
     Positive definiteness requires every Cholesky pivot to clear a floor
     scaled to the mean variance.  Each check runs once over the whole stack,
     with the operations a single matrix gets, so a matrix passes in a stack
@@ -54,7 +56,7 @@ def _validated_factor(raw) -> tuple[np.ndarray, np.ndarray]:
     sigma = np.asarray(raw, dtype=float)
     if sigma.ndim == 2 and sigma.shape[0] == sigma.shape[1] > 0:
         scale = np.abs(sigma).max()
-        if 0.0 < scale < math.inf:   # a NaN or infinite entry makes the max NaN or inf
+        if 0.0 < scale <= FLOAT_MAX / (2 * sigma.shape[0]):   # a NaN or infinite entry makes the max NaN or inf
             sigma_t = sigma.T
             if np.abs(sigma - sigma_t).max() <= SYM_TOL * scale:
                 sym = 0.5 * (sigma + sigma_t)
@@ -71,7 +73,8 @@ def _validated_factor(raw) -> tuple[np.ndarray, np.ndarray]:
     if m == 0:
         raise NotSquare("covariance must be nonempty")
     sigma_t = np.swapaxes(sigma, -1, -2)
-    with np.errstate(invalid="ignore"):   # a non-finite matrix fails its first check below
+    limit = FLOAT_MAX / (2 * m)
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite or oversized matrix fails first
         nonfinite = ~np.isfinite(sigma).all(axis=(-2, -1))
         scale = np.max(np.abs(sigma), axis=(-2, -1))
         skew = np.max(np.abs(sigma - sigma_t), axis=(-2, -1))
@@ -84,13 +87,18 @@ def _validated_factor(raw) -> tuple[np.ndarray, np.ndarray]:
         pivots = None   # some matrix has no factor; each is factored alone below
     else:
         pivots = np.min(np.diagonal(chol, axis1=-2, axis2=-1) ** 2, axis=-1)
-        if not (nonfinite | (scale == 0.0) | asymmetric | (pivots <= pivot_floor)).any():
+        if not (nonfinite | (scale == 0.0) | (scale > limit) | asymmetric | (pivots <= pivot_floor)).any():
             return sigma, chol
     for i in np.ndindex(nonfinite.shape):
         if nonfinite[i]:
             raise NotPositiveDefinite("covariance has a non-finite entry")
         if scale[i] == 0.0:
             raise NotPositiveDefinite("covariance is identically zero")
+        if scale[i] > limit:
+            raise ValidationError(
+                f"max |entry| = {scale[i]:.3e} exceeds {limit:.3e}:"
+                f" symmetrizing or tracing a {m}x{m} covariance overflows"
+            )
         if asymmetric[i]:
             raise NotSymmetric(f"max |sigma - sigma^T| = {skew[i]:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
         if pivots is None:

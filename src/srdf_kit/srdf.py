@@ -229,20 +229,25 @@ def waterfill_inverse(lambdas, rate_bits: float) -> float:
 
 
 @dataclass(frozen=True)
-class SrdfPoint:
-    delta: float
-    rate_bits: float
-    trivial: bool = False   # set when delta >= the zero-rate distortion
+class RateCurve:
+    """Rates of one curve at the distortions asked for (a float for a float, an array of their shape
+    for an array), and the feasible range: open at the floor ``delta_min``, rate 0 from ``delta_max`` on."""
+
+    rate_bits: float | np.ndarray
+    delta_min: float
+    delta_max: float
 
 
-def _srdf_point(spec: Spectrum, delta: float) -> SrdfPoint:
-    rate = spec.rate(delta)
-    return SrdfPoint(delta=delta, rate_bits=rate, trivial=rate == 0.0)
+def _rate_curve(rates, delta, delta_min: float, delta_max: float) -> RateCurve:
+    """RateCurve of ``rates`` at ``delta``, zeroed from ``delta_max`` on: with modes small beside the floor,
+    a spectrum's own delta_min + total can round short of it and leave a trace of rate there."""
+    return RateCurve(_scalar(np.where(np.asarray(delta) >= delta_max, 0.0, rates)), delta_min, delta_max)
 
 
-def srdf(model: CovarianceModel, sampled, delta: float) -> SrdfPoint:
-    """Rate distortion function at distortion ``delta``, sampling set fixed."""
-    return _srdf_point(srdf_spectrum(partition(model, sampled)), delta)
+def srdf(model: CovarianceModel, sampled, delta) -> RateCurve:
+    """Rate distortion function at distortion ``delta`` (a float or an array), sampling set fixed."""
+    spec = srdf_spectrum(partition(model, sampled))
+    return _rate_curve(spec.rate(delta), delta, spec.delta_min, max_distortion(model))
 
 
 def distortion_rate(model: CovarianceModel, sampled, rate_bits: float) -> float:

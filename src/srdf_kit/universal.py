@@ -28,10 +28,10 @@ from .errors import (
     UnsupportedFamily,
 )
 from .model import SamplingSet, as_sampling_set, validate_covariance
-from .srdf import RATE_CAP_BITS, Spectrum, _block_spectrum
+from .srdf import RATE_CAP_BITS, RateCurve, Spectrum, _block_spectrum, _rate_curve
 
 GRID_RES_DEFAULT = 33
-ATOM_TOL = 1e-8          # max-norm radius for "same sampled block"
+ATOM_TOL = 1e-8          # max-norm radius for "same sampled block", in units of the largest sampled entry
 NODE_CAP = 100_000
 SWEEP_CHUNK_FLOATS = 2 ** 18   # most entries one block of candidate-pair differences holds (2 MB)
 
@@ -138,20 +138,23 @@ class AmbiguityPartition:
 def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
     """Split the family grid into ambiguity atoms of the sampling set.
 
-    Nodes are first collapsed by rounding each sampled-block entry to a
-    quarter of ATOM_TOL (same bucket implies distance well inside it), then
-    buckets within ATOM_TOL in max-norm are merged, by sort and sweep: the
-    bucket representatives are sorted along the entry that spreads widest,
-    and each is compared only with the buckets behind it within 2 * ATOM_TOL
-    on that entry (twice the radius, so that no rounding of the window's end
-    drops a close pair); the exact max-norm test then decides.  Union-find
-    over the close pairs gives each node its atom, and one stable argsort of
-    the nodes by atom gives every atom's members, ascending, with no scan of
-    the grid per atom.  Each atom carries its members' covariance averaged
-    once, prior-weighted or, without a prior, uniformly; the sum runs member
-    by member, so every entry is rounded alike and a block of the average is
-    the average of that block.  Atoms are ordered by their lowest member node,
-    so the split is deterministic.
+    The sampled blocks are first divided by their largest absolute entry
+    over the grid, so scaling the family leaves its atoms as they were, and
+    ATOM_TOL is the merge radius in those units.  Nodes are collapsed by
+    rounding each entry to a quarter of the radius (same bucket implies
+    distance well inside it; the keys stay within 4 / ATOM_TOL, inside
+    int64), then buckets within the radius in max-norm are merged, by sort
+    and sweep: the bucket representatives are sorted along the entry that
+    spreads widest, and each is compared only with the buckets behind it
+    within twice the radius on that entry (twice, so that no rounding of the
+    window's end drops a close pair); the exact max-norm test then decides.
+    Union-find over the close pairs gives each node its atom, and one stable
+    argsort of the nodes by atom gives every atom's members, ascending, with
+    no scan of the grid per atom.  Each atom carries its members' covariance
+    averaged once, prior-weighted or, without a prior, uniformly; the sum
+    runs member by member, so every entry is rounded alike and a block of the
+    average is the average of that block.  Atoms are ordered by their lowest
+    member node, so the split is deterministic.
     """
     ss = as_sampling_set(sampled)
     ss.complement(family.m)   # refuses a label above m before any index is read
@@ -160,9 +163,10 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
         raise EmptyGrid("family grid is empty")
     blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
     flat = blocks.reshape(len(blocks), -1)
-    keys = np.round(flat / (ATOM_TOL / 4.0)).astype(np.int64)
+    unit = flat / np.abs(flat).max()   # entries at most 1, so no scale underflows or overflows a key
+    keys = np.round(unit * (4.0 / ATOM_TOL)).astype(np.int64)
     _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    reps = flat[first_idx]
+    reps = unit[first_idx]
     parent = list(range(len(reps)))
 
     def find(x):
@@ -241,18 +245,8 @@ def atom_spectra(part: AmbiguityPartition) -> Spectrum:
     return _block_spectrum(sigma[:, a[:, None], a], sigma[:, a[:, None], ac], sigma[:, ac, ac].sum(axis=-1))
 
 
-@dataclass(frozen=True)
-class UsrdfPoint:
-    delta: float
-    rate_bits: float
-    per_atom_delta: tuple[float, ...]
-    delta_min: float
-    delta_max: float
-    trivial: bool = False
-
-
-def bayes_curve(spectra: Spectrum, weights, deltas) -> list[UsrdfPoint]:
-    """Bayesian universal curve at each of ``deltas``, from stacked atom spectra and prior masses.
+def bayes_curve(spectra: Spectrum, weights, deltas) -> RateCurve:
+    """Bayesian universal curve at ``deltas`` (a float or an array), from stacked atom spectra and masses.
 
     The optimal split gives every atom a the distortion D_a(r) it reaches at a
     shared rate r, so r solves sum_a w_a D_a(r) = delta.  Above its floor an
@@ -265,7 +259,8 @@ def bayes_curve(spectra: Spectrum, weights, deltas) -> list[UsrdfPoint]:
     from r = 0 to the root without passing it; L is linear, and the step
     exact, once every mode is cut.  A row stops when its iterate no longer
     grows, or clamped at RATE_CAP_BITS, where only the floor is left and
-    nothing is evaluated.
+    nothing is evaluated.  Atom a's share of the distortion at common rate r
+    is entry a of ``spectra.distortion(r)``.
     """
     if weights is None:
         raise NoPrior("the Bayesian curve needs a prior on the family")
@@ -280,10 +275,9 @@ def bayes_curve(spectra: Spectrum, weights, deltas) -> list[UsrdfPoint]:
         raise InfeasibleDistortion(
             f"delta {np.min(deltas)} is at or below the prior-averaged floor {dmin}"
         )
-    trivial = deltas >= dmax * (1.0 - 1e-12)
-    target = deltas - dmin
-    rates = np.zeros(len(deltas))
-    live = ~trivial
+    target = deltas.ravel() - dmin
+    rates = np.zeros(len(target))
+    live = deltas.ravel() < dmax * (1.0 - 1e-12)   # from there on the rate is zero
     while np.any(live):
         r = rates[live]
         excess = modes.distortion(r[:, None])
@@ -293,22 +287,18 @@ def bayes_curve(spectra: Spectrum, weights, deltas) -> list[UsrdfPoint]:
         grew = nxt > r
         rates[live] = np.where(grew, nxt, r)
         live[live] = grew & (nxt < RATE_CAP_BITS)
-    alloc = spectra.distortion(rates[:, None])
-    return [
-        UsrdfPoint(float(d), float(r), tuple(float(x) for x in per), dmin, dmax, bool(t))
-        for d, r, per, t in zip(deltas, rates, alloc, trivial)
-    ]
+    return _rate_curve(rates.reshape(deltas.shape), deltas, dmin, dmax)
 
 
-def bayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
-    """Bayesian universal curve: prior-average distortion ``delta``, common rate equalized.
+def bayes_usrdf(family: ParamFamily, sampled, delta) -> RateCurve:
+    """Bayesian universal curve at prior-average distortion ``delta`` (a float or an array).
 
     The common rate is the root of sum_a w_a D_a(r) = delta, found by Newton's
     method on the logarithm of the averaged distortion above the floor, which
     is convex in r (see ``bayes_curve``), so the iterates rise to the root.
     """
     part = project_family(family, sampled)
-    return bayes_curve(atom_spectra(part), part.weights, [delta])[0]
+    return bayes_curve(atom_spectra(part), part.weights, delta)
 
 
 def nonbayes_spectra(family: ParamFamily, part: AmbiguityPartition) -> Spectrum:
@@ -337,23 +327,17 @@ def nonbayes_spectra(family: ParamFamily, part: AmbiguityPartition) -> Spectrum:
     )
 
 
-def nonbayes_curve(spectra: Spectrum, deltas) -> list[UsrdfPoint]:
-    """Worst-case universal curve at each of ``deltas`` over stacked atom spectra."""
+def nonbayes_curve(spectra: Spectrum, deltas) -> RateCurve:
+    """Worst-case universal curve at ``deltas`` (a float or an array) over stacked atom spectra."""
     deltas = np.asarray(deltas, dtype=float)
-    dmin = float(np.max(spectra.delta_min))
-    dmax = float(np.max(spectra.delta_max))
-    rates = np.max(spectra.rate(deltas[:, None]), axis=-1)
-    atoms = len(spectra.delta_min)
-    return [
-        UsrdfPoint(float(d), float(r), (float(d),) * atoms, dmin, dmax, bool(r == 0.0 and d >= dmax * (1.0 - 1e-12)))
-        for d, r in zip(deltas, rates)
-    ]
+    rates = np.max(spectra.rate(deltas[..., None]), axis=-1)
+    return _rate_curve(rates, deltas, float(np.max(spectra.delta_min)), float(np.max(spectra.delta_max)))
 
 
-def nonbayes_usrdf(family: ParamFamily, sampled, delta: float) -> UsrdfPoint:
+def nonbayes_usrdf(family: ParamFamily, sampled, delta) -> RateCurve:
     """Non-Bayesian universal curve: worst-case rate over ambiguity atoms (see nonbayes_spectra)."""
     part = project_family(family, sampled)
-    return nonbayes_curve(nonbayes_spectra(family, part), [delta])[0]
+    return nonbayes_curve(nonbayes_spectra(family, part), delta)
 
 
 def fixed_var_corr_family(

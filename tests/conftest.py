@@ -354,7 +354,8 @@ def reference_vector_rate(sigma, sampled, delta):
 
 
 def reference_project_family(family, sampled):
-    """Ambiguity atoms as ``project_family`` found them before sort and sweep, verbatim.
+    """Ambiguity atoms as ``project_family`` found them before sort and sweep, verbatim
+    but for the units: sampled blocks divided by their largest absolute entry.
 
     Every bucket is compared with every later one, and every atom scans all
     nodes for its members.  The atoms are returned as one ``AmbiguityPartition``
@@ -367,9 +368,10 @@ def reference_project_family(family, sampled):
         raise EmptyGrid("family grid is empty")
     blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
     flat = blocks.reshape(len(blocks), -1)
-    keys = np.round(flat / (ATOM_TOL / 4.0)).astype(np.int64)
+    unit = flat / np.abs(flat).max()
+    keys = np.round(unit * (4.0 / ATOM_TOL)).astype(np.int64)
     _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    reps = flat[first_idx]
+    reps = unit[first_idx]
     n_buckets = len(first_idx)
     parent = list(range(n_buckets))
 

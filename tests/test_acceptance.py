@@ -224,14 +224,8 @@ def test_criterion_6_curve_shape_properties():
         lo = 0.1 + 0.1 * i
         fam = fixed_var_corr_family(1.0, lo, lo + 0.3, prior="uniform", grid_res=17)
         grid = np.linspace(1.0, 1.9, 24)
-        check(
-            [bayes_usrdf(fam, [1], float(d)).rate_bits for d in grid],
-            [bayes_usrdf(fam, [1, 2], float(d)).rate_bits for d in grid],
-        )
-        check(
-            [nonbayes_usrdf(fam, [1], float(d)).rate_bits for d in grid],
-            [nonbayes_usrdf(fam, [1, 2], float(d)).rate_bits for d in grid],
-        )
+        check(bayes_usrdf(fam, [1], grid).rate_bits, bayes_usrdf(fam, [1, 2], grid).rate_bits)
+        check(nonbayes_usrdf(fam, [1], grid).rate_bits, nonbayes_usrdf(fam, [1, 2], grid).rate_bits)
     report("criterion 6", f"{cases} curves monotone, convex, and above the fully-observed curve")
 
 

@@ -1,8 +1,17 @@
-"""The public surface: what ``srdf_kit`` exports is exactly what it imports."""
+"""The public surface: what ``srdf_kit`` exports is exactly what it imports, and what its rate queries return."""
 
 import inspect
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import srdf_kit
+from srdf_kit import cli
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +30,53 @@ def test_every_imported_class_and_function_is_exported():
 
 
 def test_removed_names_stay_removed():
-    for name in ("BayesAtomData", "bayes_atom_data", "EmptyAtom", "AmbiguityAtom"):
+    for name in ("BayesAtomData", "bayes_atom_data", "EmptyAtom", "AmbiguityAtom", "SrdfPoint", "UsrdfPoint"):
         assert name not in srdf_kit.__all__
         assert not hasattr(srdf_kit, name)
+
+
+def rate_query(task, cfg):
+    """The public rate query of ``task``, with the arguments the CLI task builds from ``cfg``."""
+    if task == "srdf":
+        return srdf_kit.srdf, (cli._parse_model(cfg, CONFIGS), cli._parse_sampling(cfg))
+    if task == "gmf-srdf":
+        return srdf_kit.field_srdf, (cli._parse_field(cfg, CONFIGS), cli._parse_points(cfg))
+    rate = srdf_kit.bayes_usrdf if task == "usrdf-bayes" else srdf_kit.nonbayes_usrdf
+    return rate, (cli._parse_family(cfg, CONFIGS), cli._parse_sampling(cfg))
+
+
+@pytest.mark.parametrize("task, config", [
+    ("srdf", "three_component_srdf.yaml"),
+    ("gmf-srdf", "exp_field_srdf.yaml"),
+    ("usrdf-bayes", "corr_family_bayes.yaml"),
+    ("usrdf-nonbayes", "corr_family_nonbayes.yaml"),
+])
+def test_a_rate_curve_has_the_shape_of_its_distortions(tmp_path, task, config):
+    assert cli.main([task, "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    lo, hi = summary["delta_min"], summary["delta_max"]
+    rate, args = rate_query(task, cli._load_config(CONFIGS / config))
+    # a row inside the feasible range, and a row from the zero-rate distortion on
+    grid = np.array([[lo + f * (hi - lo) for f in (0.01, 0.5, 0.99)], [hi, np.nextafter(hi, math.inf), 2.0 * hi]])
+    curve = rate(*args, grid)
+    assert isinstance(curve, srdf_kit.RateCurve)
+    assert (curve.delta_min, curve.delta_max) == (lo, hi)
+    assert isinstance(curve.rate_bits, np.ndarray) and curve.rate_bits.shape == grid.shape
+    assert np.all(curve.rate_bits[0] > 0.0) and np.all(curve.rate_bits[1] == 0.0)
+    for delta, want in zip(grid.ravel().tolist(), curve.rate_bits.ravel().tolist()):
+        one = rate(*args, delta)
+        assert type(one.rate_bits) is float and one.rate_bits == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert (one.delta_min, one.delta_max) == (lo, hi)
+
+
+def test_the_rate_is_zero_at_delta_max_when_the_modes_are_small_beside_the_floor():
+    # a sampled variance of 1e-8 weakly tied to an unsampled 1: the modes sum to about 1e-8, and the
+    # floor plus the modes rounded short of delta_max, which left a rate of up to 4e-9 bits there
+    base = np.array([[1e-8, 1e-9], [1e-9, 1.0]])
+    family = srdf_kit.affine_family(base, [np.diag([1e-9, 0.0])], [(0.0, 1.0)], prior="uniform", grid_res=3)
+    queries = ((srdf_kit.srdf, srdf_kit.CovarianceModel(base)), (srdf_kit.bayes_usrdf, family),
+               (srdf_kit.nonbayes_usrdf, family))
+    for rate, law in queries:
+        hi = rate(law, [1], 1e9).delta_max
+        assert rate(law, [1], hi).rate_bits == 0.0
+        assert rate(law, [1], np.array([hi, 2.0 * hi])).rate_bits.tolist() == [0.0, 0.0]

@@ -541,6 +541,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "curve.csv").exists()
 
+    @pytest.mark.parametrize("entry", ["1.7e+308", "-1.0e+308"])
+    def test_covariance_whose_sums_overflow_is_refused_without_a_warning(self, tmp_path, capsys, entry):
+        # symmetrizing the matrix, or taking its trace, overflowed on the way to exit 2
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(f"model: {{sigma: [[1.7e+308, {entry}], [{entry}, 1.7e+308]]}}\nsampling: [1]\n{GRID}",
+                       encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("srdf", cfg, tmp_path / "out") == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: max |entry| = 1.700e+308"), err
+        assert "overflows" in err and "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "curve.csv").exists()
+
     @pytest.mark.parametrize("task", ["srdf", "usrdf-bayes"])
     @pytest.mark.parametrize("count", [1, 3])
     def test_overflowing_grid_span_is_config_parse(self, tmp_path, capsys, task, count):

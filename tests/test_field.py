@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -227,14 +228,16 @@ class TestFieldSrdfProperties:
 
             monkeypatch.setattr(namespace, name, counted)
         # a checked set is not checked again; a tuple, as the placement objective passes it, once
-        for points, checks in ((FieldSamplingSet((0.125, 0.375, 0.75)), 0), ((0.0, 0.34, 0.66, 1.0), 1)):
+        queries = (lambda fm, points: field_srdf(fm, points, 0.9), field_srdf_spectrum)
+        for query, (points, checks) in itertools.product(
+                queries, ((FieldSamplingSet((0.125, 0.375, 0.75)), 0), ((0.0, 0.34, 0.66, 1.0), 1))):
             calls.update(dict.fromkeys(calls, 0))
-            field_srdf(gm_field(0.5, quad_points=256), points, 0.9)
+            query(gm_field(0.5, quad_points=256), points)
             # Gauss-Markov integrals are closed form: one Gram matrix, validated and factored once, no nodes
             assert calls == {"_mesh_simpson": 0, "_validated_factor": 1, "cholesky": 1, "__post_init__": checks}
             calls.update(dict.fromkeys(calls, 0))
-            field_srdf(FieldModel(TabulatedKernel(half_lag_mesh(9)), quad_points=256), points, 0.9)
-            # one Gram matrix and one node set, one Simpson panel per mesh cell
+            query(FieldModel(TabulatedKernel(half_lag_mesh(9)), quad_points=256), points)
+            # one Gram matrix and one node set, one Simpson panel per mesh cell, the zero-rate distortion included
             assert calls == {"_mesh_simpson": 1, "_validated_factor": 1, "cholesky": 1, "__post_init__": checks}
 
     @pytest.mark.parametrize("quad_points", [16, 512, 2048])
@@ -326,14 +329,14 @@ class TestPlacement:
 
     def test_search_reports_calls_and_restart_values(self, monkeypatch):
         calls = 0
-        original = srdf_kit.field.field_srdf
+        original = srdf_kit.field.field_srdf_spectrum
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(srdf_kit.field, "field_srdf", counted)
+        monkeypatch.setattr(srdf_kit.field, "field_srdf_spectrum", counted)
         # the shape of the benchmark's largest min_rate_at placement, where the
         # golden-section line search made 933 objective calls
         res = optimize_placement(gm_field(0.4577), 4, ("min_rate_at", 0.5642), restarts=2,
@@ -382,7 +385,7 @@ class TestPlacement:
     @pytest.mark.parametrize("restarts", [RESTART_CAP + 1, 10 ** 9])
     def test_restart_cap_is_checked_before_any_objective_call(self, monkeypatch, objective, restarts):
         calls = []
-        for name in ("field_min_distortion", "field_srdf"):
+        for name in ("field_min_distortion", "field_srdf_spectrum"):
             monkeypatch.setattr(srdf_kit.field, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(GridTooLarge, match="restart cap"):
             optimize_placement(gm_field(0.5, quad_points=256), 2, objective, restarts=restarts)
@@ -407,18 +410,18 @@ class TestPlacement:
             optimize_placement(gm_field(0.5, quad_points=256), 2, restarts=restarts)
 
     def test_objective_reports_package_errors_as_infinite(self, monkeypatch):
-        def infeasible(field, points, delta):
+        def infeasible(field, points):
             raise InfeasibleDistortion("below the floor")
 
-        monkeypatch.setattr(srdf_kit.field, "field_srdf", infeasible)
+        monkeypatch.setattr(srdf_kit.field, "field_srdf_spectrum", infeasible)
         res = optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)
         assert res.value == math.inf
 
     def test_objective_lets_other_errors_through(self, monkeypatch):
-        def broken(field, points, delta):
+        def broken(field, points):
             raise RuntimeError("bug in the objective")
 
-        monkeypatch.setattr(srdf_kit.field, "field_srdf", broken)
+        monkeypatch.setattr(srdf_kit.field, "field_srdf_spectrum", broken)
         with pytest.raises(RuntimeError, match="bug in the objective"):
             optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)
 

@@ -8,10 +8,12 @@ from srdf_kit import (
     NotSquare,
     NotSymmetric,
     SamplingSet,
+    ValidationError,
     as_sampling_set,
     partition,
     validate_covariance,
 )
+from srdf_kit.model import FLOAT_MAX
 
 
 def random_spd(rng, m, jitter=0.5):
@@ -60,6 +62,27 @@ class TestValidateCovariance:
             validate_covariance(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
             CovarianceModel(np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [
+        np.array([[1.7e308]]),
+        np.diag([1.7e308, 1.7e308]),             # finite and positive definite, but its trace overflows
+        np.array([[1e308, -1e308], [-1e308, 1e308]]),
+        np.array([[1e308, 1e308], [-1e308, 1e308]]),   # its skew overflows too
+        np.eye(3) * (FLOAT_MAX / 5.0),
+    ], ids=["lone-1x1", "diag", "negative", "asymmetric", "trace-3x3"])
+    def test_rejects_entries_whose_sums_overflow_without_a_warning(self, sigma):
+        for raw in (sigma, np.stack([np.eye(len(sigma)), sigma])):   # alone, and second in a stack
+            with pytest.raises(ValidationError, match="overflows") as caught:
+                validate_covariance(raw)
+            assert type(caught.value) is ValidationError
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_accepts_the_largest_entries_whose_sums_stay_finite(self, m):
+        sigma = np.eye(m) * (FLOAT_MAX / (2 * m))
+        assert validate_covariance(sigma).tobytes() == sigma.tobytes()
+        assert validate_covariance(np.stack([sigma, np.eye(m)]))[0].tobytes() == sigma.tobytes()
 
 
 class TestCovarianceModel:

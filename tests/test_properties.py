@@ -3,6 +3,7 @@
 Every test is derandomized, so a run draws the same examples each time.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -243,9 +244,9 @@ def test_bayes_rate_is_the_high_precision_root(seed, k, fraction):
     part = project_family(family, sampled)
     spectra, weights = atom_spectra(part), part.weights
     assert len(weights) == 3
-    point = bayes_curve(spectra, weights, [1e9])[0]
-    delta = point.delta_min + fraction * (point.delta_max - point.delta_min)
-    rate = bayes_curve(spectra, weights, [delta])[0].rate_bits
+    curve = bayes_curve(spectra, weights, 1e9)
+    delta = curve.delta_min + fraction * (curve.delta_max - curve.delta_min)
+    rate = bayes_curve(spectra, weights, delta).rate_bits
     assert abs(rate - float(mp_bayes_rate(mp, spectra, weights, delta))) <= 1e-12
 
 
@@ -852,10 +853,10 @@ def test_a_wrong_m_on_every_node_is_empty_grid():
 def grouping_family(rng, kind):
     """(family, sampling set) of ``kind``, whose ambiguity atoms stress the bucket merge.
 
-    "lattice": one or two axes that move sampled entries by 0.5-2 x ATOM_TOL per
-    grid step, so buckets sit on and around the merge radius; "chain": steps
-    below ATOM_TOL, so buckets chain into atoms much wider than the radius,
-    beside an axis that keeps atoms apart; "one_atom": only unsampled entries
+    "lattice": one or two axes that move sampled entries by 0.5-2 x the merge
+    radius (ATOM_TOL times the largest sampled entry) per grid step, so
+    buckets sit on and around it; "chain": steps below the radius, so buckets
+    chain into atoms much wider than it, beside an axis that keeps atoms apart; "one_atom": only unsampled entries
     move; "one_node": grid_res 1; "random": random directions down to 1e-9.
     """
     m = int(rng.integers(2, 5))
@@ -875,10 +876,12 @@ def grouping_family(rng, kind):
     axes = int(rng.integers(1, 3))
     grid_res = int(rng.integers(2, 13 if axes == 2 else 60))
     step = 1.0 / (grid_res - 1)
+    # the merge radius over a grid step; the lattice and chain directions move the scale by under 2e-6 of itself
+    per_step = ATOM_TOL * np.abs(base[np.ix_(s0, s0)]).max() / step
     if kind == "lattice":
-        dirs = [sym(rng.choice(s0), rng.choice(s0), rng.uniform(0.5, 2.0) * ATOM_TOL / step) for _ in range(axes)]
+        dirs = [sym(rng.choice(s0), rng.choice(s0), rng.uniform(0.5, 2.0) * per_step) for _ in range(axes)]
     elif kind == "chain":
-        dirs = [sym(s0[0], s0[-1], rng.uniform(0.2, 0.9) * ATOM_TOL / step)]
+        dirs = [sym(s0[0], s0[-1], rng.uniform(0.2, 0.9) * per_step)]
         if axes == 2:
             dirs.append(sym(s0[0], s0[0], rng.uniform(0.01, 0.3)))
     elif kind == "one_atom":
@@ -932,3 +935,45 @@ def test_sweep_compares_few_pairs(monkeypatch, kind):
     assert len(project_family(family, sampled).members) == n
     # one window per row: only nodes equal along the swept entry share one
     assert sum(compared) <= (0 if kind != "lattice" else n * 60)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-316, 1e-12, 1e-9, 1.0, 1e11, 1e12])
+def test_atoms_of_a_scaled_family_are_the_family_atoms(c):
+    # an absolute radius merged all nine atoms at 1e-9, and its int64 keys overflowed at 1e11;
+    # a radius scaled by the largest entry underflowed to 0 at 1e-316, and its keys divided by it
+    assert len(project_family(fixed_var_corr_family(c, 0.1, 0.9, grid_res=9), [1, 2]).members) == 9
+
+
+def scaled_family(seed, kind, c):
+    """(family, sampling set) of ``kind`` drawn from ``seed``, with every covariance times ``c``.
+
+    "corr-pair": fixed-variance correlation family observed whole, one atom per
+    node; "corr-one": the same observed at one component, one atom;
+    "multi": ``multi_atom_family``; "singleton": ``singleton_family``.
+    """
+    rng = np.random.default_rng(seed)
+    if kind.startswith("corr"):
+        sigma2, r_lo = rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.4)
+        family = fixed_var_corr_family(c * sigma2, r_lo, r_lo + rng.uniform(0.1, 0.5), grid_res=9)
+        return family, [1, 2] if kind == "corr-pair" else [1]
+    family, sampled = multi_atom_family(rng, int(rng.integers(1, 4))) if kind == "multi" else singleton_family(rng)
+    return dataclasses.replace(family, cov_at=lambda tau: c * family.cov_at(tau)), sampled
+
+
+@PROPERTY
+@given(seeds, st.sampled_from(("corr-pair", "corr-one", "multi", "singleton")), st.floats(-12.0, 12.0),
+       st.floats(0.01, 0.9))
+def test_atoms_and_universal_rates_do_not_depend_on_the_family_scale(seed, kind, log_c, fraction):
+    c = 10.0 ** log_c
+    family, sampled = scaled_family(seed, kind, 1.0)
+    scaled, _ = scaled_family(seed, kind, c)
+    assert project_family(scaled, sampled).members == project_family(family, sampled).members
+    # the worst case of a multi-member atom has no closed form outside the correlation family
+    for rate in (bayes_usrdf,) if kind == "multi" else (bayes_usrdf, nonbayes_usrdf):
+        whole = rate(family, sampled, 1e9)
+        delta = whole.delta_min + fraction * (whole.delta_max - whole.delta_min)
+        want, got = rate(family, sampled, delta), rate(scaled, sampled, c * delta)
+        assert got.rate_bits == pytest.approx(want.rate_bits, rel=1e-12, abs=0.0)
+        assert got.delta_min == pytest.approx(c * want.delta_min, rel=1e-12, abs=0.0)
+        assert got.delta_max == pytest.approx(c * want.delta_max, rel=1e-12, abs=0.0)

@@ -241,7 +241,7 @@ class TestSrdfCore:
         with pytest.raises(InfeasibleDistortion):
             srdf(model, [1], dmin - 0.1)
         top = srdf(model, [1], max_distortion(model) + 1.0)
-        assert top.rate_bits == 0.0 and top.trivial
+        assert top.rate_bits == 0.0 and top.delta_max == max_distortion(model)
 
     def test_srdf_matches_distortion_rate(self):
         rng = np.random.default_rng(9)
