@@ -13,7 +13,6 @@ from srdf_kit import (
     SimConfig,
     fixed_var_corr_family,
     min_distortion,
-    partition,
     two_step_code,
     universal_two_step,
 )
@@ -30,7 +29,7 @@ def main():
     model = CovarianceModel(sigma)
     cfg = SimConfig(n=2, rate_bits=2.0, eval_blocks=10000, seed=1)
     rep = two_step_code(model, [1, 2], cfg)
-    dmin = min_distortion(partition(model, [1, 2]))
+    dmin = min_distortion(model, [1, 2])
     print(f"   total    {rep.total_mse.mean:.5f} +- {rep.total_mse.half_width_95:.5f}")
     print(f"   weighted {rep.weighted_mse.mean:.5f} + floor {dmin:.5f}"
           f" = {rep.weighted_mse.mean + dmin:.5f}   (identity holds within noise)")

@@ -12,7 +12,6 @@ from srdf_kit import (
     CovarianceModel,
     max_distortion,
     min_distortion,
-    partition,
     single_site_srdf,
     srdf,
 )
@@ -34,7 +33,7 @@ def main():
     subsets = [(1,), (1, 2), (1, 2, 3)]
     floors = {}
     for s in subsets:
-        floors[s] = min_distortion(partition(model, s))
+        floors[s] = min_distortion(model, s)
         print(f"A = {s}: estimation floor = {floors[s]:.6f}")
 
     print("\nrate (bits per slot) at shared distortion targets:")

@@ -35,10 +35,10 @@ from .field import (
     field_srdf_spectrum,
     optimize_placement,
 )
-from .model import CovarianceModel, SamplingSet, partition
+from .model import CovarianceModel, SamplingSet
 from .setopt import best_fixed_set
 from .simulate import SimConfig, two_step_code, universal_two_step
-from .srdf import max_distortion, srdf_spectrum
+from .srdf import _rate_curve, max_distortion, srdf_spectrum
 from .universal import (
     GRID_RES_DEFAULT,
     affine_family,
@@ -109,7 +109,7 @@ def _scalar(block: dict, key: str, kind, default=None):
         return value
     try:
         return operator.index(value) if kind is int else float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: an integer past the float range
         raise ConfigParse(f"'{key}' must be {what}, got {value!r}") from exc
 
 
@@ -120,10 +120,26 @@ def _seed(value):
     return value
 
 
+def _holds_bool(values) -> bool:
+    return isinstance(values, bool) or isinstance(values, list) and any(map(_holds_bool, values))
+
+
+def _number(value, what: str) -> float:
+    """One entry of a config list as a float; YAML true/false are not numbers here."""
+    if isinstance(value, bool):
+        raise ConfigParse(f"{what} must be numbers, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParse(f"{what} must be numbers: {exc}") from exc
+
+
 def _floats(values, what: str) -> np.ndarray:
+    if _holds_bool(values):
+        raise ConfigParse(f"{what} must be numeric, got true or false")
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParse(f"{what} must be numeric and rectangular: {exc}") from exc
 
 
@@ -196,10 +212,7 @@ def _parse_field(cfg: dict, base: Path) -> FieldModel:
         raise ConfigParse("'field.kernel' needs a 'type'")
     ktype = str(kb["type"])
     if ktype == "gauss-markov":
-        try:
-            kernel = GaussMarkovKernel(p=float(kb["p"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigParse(f"gauss-markov kernel needs a numeric 'p': {exc}") from exc
+        kernel = GaussMarkovKernel(p=_scalar(kb, "p", float))
     elif ktype == "tabulated":
         if "mesh_csv" not in kb:
             raise ConfigParse("tabulated kernel needs 'mesh_csv'")
@@ -213,10 +226,7 @@ def _parse_points(cfg: dict) -> FieldSamplingSet:
     block = _need(cfg, "points")
     if not isinstance(block, (list, tuple)):
         raise ConfigParse("'points' must be a list of positions in [0, 1]")
-    try:
-        return FieldSamplingSet(tuple(float(p) for p in block))
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"'points' must be numbers: {exc}") from exc
+    return FieldSamplingSet(tuple(_number(p, "'points'") for p in block))
 
 
 def _parse_family(cfg: dict, base: Path):
@@ -230,16 +240,15 @@ def _parse_family(cfg: dict, base: Path):
     grid_res = _scalar(block, "grid_res", int, GRID_RES_DEFAULT)
     if template == "fixed-var-corr":
         try:
-            box = block["box"]
-            r_lo, r_hi = float(box[0][0]), float(box[0][1])
+            [[lo, hi]] = block["box"]   # one [lo, hi] pair: the family has one parameter
             return fixed_var_corr_family(
-                sigma2=float(block["sigma2"]),
-                r_lo=r_lo,
-                r_hi=r_hi,
+                sigma2=_scalar(block, "sigma2", float),
+                r_lo=_number(lo, "'box'"),
+                r_hi=_number(hi, "'box'"),
                 prior=prior,
                 grid_res=grid_res,
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigParse(f"fixed-var-corr family needs sigma2 and box [[lo, hi]]: {exc}") from exc
     if template == "affine":
         base_mat = _load_matrix(block, base, "base", "base_csv")
@@ -250,7 +259,7 @@ def _parse_family(cfg: dict, base: Path):
         if not isinstance(box, list):
             raise ConfigParse("affine family needs 'box' as a list of [lo, hi] pairs")
         try:
-            bounds = [(float(lo), float(hi)) for lo, hi in box]
+            bounds = [(_number(lo, "'box'"), _number(hi, "'box'")) for lo, hi in box]
         except (TypeError, ValueError) as exc:
             raise ConfigParse(f"affine family needs 'box' as a list of numeric [lo, hi] pairs: {exc}") from exc
         return affine_family(
@@ -315,9 +324,11 @@ def _run_known_law(cfg, base, out, args, task: str):
     model = _parse_model(cfg, base)
     ss = _parse_sampling(cfg)
     grid = _parse_grid(cfg)
-    spec = srdf_spectrum(partition(model, ss))
+    spec = srdf_spectrum(model, ss)
+    delta_max = max_distortion(model)
     if task == "srdf":
-        _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [grid, spec.rate(grid)])
+        rates = _rate_curve(spec.rate(grid), grid, spec.delta_min, delta_max).rate_bits
+        _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [grid, rates])
     else:
         _write_csv(out / "curve.csv", ["rate_bits", "delta"], "%.9g,%.9g", [grid, spec.distortion(grid)])
     summary = _meta(task, args.seed)
@@ -326,7 +337,7 @@ def _run_known_law(cfg, base, out, args, task: str):
             "m": model.m,
             "sampling": list(ss.indices),
             "delta_min": spec.delta_min,
-            "delta_max": max_distortion(model),
+            "delta_max": delta_max,
             "eigenvalues": [float(x) for x in spec.lambdas],
             "points": len(grid),
         }
@@ -339,13 +350,15 @@ def _run_gmf_srdf(cfg, base, out, args):
     pts = _parse_points(cfg)
     deltas = _parse_grid(cfg)
     spec = field_srdf_spectrum(fm, pts)
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, spec.rate(deltas)])
+    delta_max = field_max_distortion(fm)
+    rates = _rate_curve(spec.rate(deltas), deltas, spec.delta_min, delta_max).rate_bits
+    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, rates])
     summary = _meta("gmf-srdf", args.seed)
     summary.update(
         {
             "points_sampled": list(pts.points),
             "delta_min": spec.delta_min,
-            "delta_max": field_max_distortion(fm),
+            "delta_max": delta_max,
             "eigenvalues": [float(x) for x in spec.lambdas],
             "gram": [[float(v) for v in row] for row in field_gram(fm, pts)],
             "integrals": fm.integrals,

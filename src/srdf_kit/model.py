@@ -8,7 +8,7 @@ Component labels are 1-based at the API surface (components are numbered
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,41 +188,20 @@ def _objective(objective) -> tuple[str, float | None]:
     raise ValidationError(f"unknown objective {objective!r}")
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Covariance blocks of a model split along a sampling set.
+def _blocks(sigma: np.ndarray, a: np.ndarray):
+    """(Sigma_A, cross, unsampled variance) of ``sigma`` split along the 0-based sampled rows ``a``.
 
-    sigma_a is k x k, sigma_a_ac is k x (m-k) with rows indexed by the
-    sampled components, sigma_ac is (m-k) x (m-k).
+    ``sigma`` (..., m, m) may stack atoms and ``a`` (..., k) may stack
+    subsets, each row of ``a`` strictly increasing and below m: Sigma_A is
+    (..., k, k), the cross block to the unsampled components, in ascending
+    order, (..., k, m - k) and the variance tr Sigma_AcAc of the leading
+    shape.  The gather copies entries, so it never rounds, and the variance
+    sums the unsampled diagonal entries in ascending order.
     """
-
-    sigma_a: np.ndarray
-    sigma_a_ac: np.ndarray
-    sigma_ac: np.ndarray
-    sampled: SamplingSet = field(repr=False)
-
-    @property
-    def k(self) -> int:
-        return self.sigma_a.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.sigma_a.shape[0] + self.sigma_ac.shape[0]
-
-
-def partition(model: CovarianceModel, sampled) -> BlockPartition:
-    """Gather the sampled/unsampled covariance blocks of ``model``.
-
-    Reassembling the blocks in (A, A^c) order reproduces the original
-    matrix entries exactly; the gather never rounds.
-    """
-    sampled = as_sampling_set(sampled)
-    ac = sampled.complement(model.m)
-    a = sampled.zero_based()
-    return BlockPartition(
-        sigma_a=model.sigma[np.ix_(a, a)],
-        sigma_a_ac=model.sigma[np.ix_(a, ac)],
-        sigma_ac=model.sigma[np.ix_(ac, ac)],
-        sampled=sampled,
-    )
-
+    m = sigma.shape[-1]
+    unsampled = np.ones(a.shape[:-1] + (m,), dtype=bool)
+    np.put_along_axis(unsampled, a, False, axis=-1)
+    ac = np.nonzero(unsampled)[-1].reshape(a.shape[:-1] + (m - a.shape[-1],))
+    rows = a[..., :, None]
+    variance = np.diagonal(sigma, axis1=-2, axis2=-1)[..., ac].sum(axis=-1)
+    return sigma[..., rows, a[..., None, :]], sigma[..., rows, ac[..., None, :]], variance

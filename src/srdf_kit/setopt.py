@@ -14,7 +14,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import IndexOutOfRange, TooManySubsets
-from .model import CovarianceModel, SamplingSet, _objective
+from .model import CovarianceModel, SamplingSet, _blocks, _objective
 from .srdf import Spectrum, _block_spectrum, _reduce
 
 SUBSET_CAP = 1_000_000
@@ -37,16 +37,6 @@ class SetSearchResult:
     subsets: np.ndarray
     delta_min: np.ndarray
     rate_bits: np.ndarray | None
-
-
-def _stacked_blocks(sigma: np.ndarray, a: np.ndarray):
-    """(Sigma_A, cross, unsampled variance) of every 0-based subset row of ``a``, stacked."""
-    n, k = a.shape
-    unsampled = np.ones((n, len(sigma)), dtype=bool)
-    unsampled[np.arange(n)[:, None], a] = False
-    ac = np.nonzero(unsampled)[1].reshape(n, len(sigma) - k)
-    sampled = a[:, :, None]
-    return sigma[sampled, a[:, None, :]], sigma[sampled, ac[:, None, :]], np.diag(sigma)[ac].sum(axis=-1)
 
 
 def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") -> SetSearchResult:
@@ -75,7 +65,7 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") ->
     values = floors if delta is None else np.empty(count)
     for lo in range(0, count, SUBSET_CHUNK):
         part = slice(lo, lo + SUBSET_CHUNK)
-        blocks = _stacked_blocks(model.sigma, subsets[part])
+        blocks = _blocks(model.sigma, subsets[part])
         if delta is None:
             floors[part] = _reduce(*blocks)[2]
             continue

@@ -35,9 +35,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CodebookTooLarge, DimensionMismatch, GridTooLarge, NoPrior, TrainingDiverged, ValidationError
-from .model import CovarianceModel, as_sampling_set, partition
-from .srdf import _lift, _weight, srdf_spectrum
-from .universal import ParamFamily, atom_spectra, project_family
+from .model import CovarianceModel, _blocks, as_sampling_set
+from .srdf import _block_spectrum, _lift, _weight
+from .universal import ParamFamily, project_family
 
 CODEBOOK_CAP = 2 ** 18
 ATOM_CAP = 1024      # most atoms one universal run trains codebooks for, one after another
@@ -433,18 +433,18 @@ def build_code(
 def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     """Train, encode, lift, and report the distortion split for one fixed source."""
     ss = as_sampling_set(sampled)
-    bp = partition(model, ss)
-    spec = srdf_spectrum(bp)
-    b = _lift(bp.sigma_a, bp.sigma_a_ac)
+    ac = ss.complement(model.m)
+    a = ss.zero_based()
+    sigma_a, cross, trace_ac = _blocks(model.sigma, a)
+    spec = _block_spectrum(sigma_a, cross, trace_ac)
+    b = _lift(sigma_a, cross)
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     _check_draw("eval_blocks * n * m", cfg.eval_blocks * cfg.n * model.m)
     rate_actual = math.log2(j) / cfg.n
-    code = build_code(bp.sigma_a, _weight(b), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed)
+    code = build_code(sigma_a, _weight(b), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed)
 
     x = sample_gmms(model, cfg.n, cfg.eval_blocks, cfg.seed, (_STREAM_EVAL,))
-    a = ss.zero_based()
-    ac = ss.complement(model.m)
     x_a = x[:, a, :]
     x_ac = x[:, ac, :]
     idx, d2 = code.encode(x_a)
@@ -584,9 +584,9 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
             " (each atom trains its own codebook)"
         )
     weights = part.weights
-    spectra = atom_spectra(part)
-    reps = part.sigma[:, a[:, None], a]
-    lifts = _lift(reps, part.sigma[:, a[:, None], ac])
+    reps, cross, trace_ac = _blocks(part.sigma, a)
+    spectra = _block_spectrum(reps, cross, trace_ac)
+    lifts = _lift(reps, cross)
     j = cfg.codeword_count()
     train_blocks = cfg.resolved_train_blocks()
     codes = [

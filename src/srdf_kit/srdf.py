@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleDistortion,
     SingularSigmaA,
 )
-from .model import BlockPartition, CovarianceModel, partition
+from .model import CovarianceModel, _blocks, as_sampling_set
 
 RATE_CAP_BITS = 64.0        # rates above this are treated as "distortion floor reached"
 
@@ -50,9 +50,16 @@ def _reduce(sigma_a: np.ndarray, cross: np.ndarray, trace_ac):
     return l, w, _scalar(np.maximum(0.0, trace_ac - np.sum(w * w, axis=(-2, -1))))
 
 
-def min_distortion(bp: BlockPartition) -> float:
+def _model_blocks(model: CovarianceModel, sampled):
+    """``_blocks`` of ``model`` along a sampling set; a label above m raises IndexOutOfRange."""
+    ss = as_sampling_set(sampled)
+    ss.complement(model.m)   # refuses a label above m before any index is read
+    return _blocks(model.sigma, ss.zero_based())
+
+
+def min_distortion(model: CovarianceModel, sampled) -> float:
     """Estimation floor: total MSE of the best unsampled-from-sampled estimate."""
-    return _reduce(bp.sigma_a, bp.sigma_a_ac, np.trace(bp.sigma_ac))[2]
+    return _reduce(*_model_blocks(model, sampled))[2]
 
 
 def max_distortion(model: CovarianceModel) -> float:
@@ -195,9 +202,9 @@ def _block_spectrum(sigma_a: np.ndarray, cross: np.ndarray, trace_ac) -> Spectru
     return _spectrum(floor, np.swapaxes(l, -1, -2) @ l + w @ np.swapaxes(w, -1, -2))
 
 
-def srdf_spectrum(bp: BlockPartition) -> Spectrum:
+def srdf_spectrum(model: CovarianceModel, sampled) -> Spectrum:
     """Floor and weighted spectrum of a sampling set: its whole rate distortion curve."""
-    return _block_spectrum(bp.sigma_a, bp.sigma_a_ac, np.trace(bp.sigma_ac))
+    return _block_spectrum(*_model_blocks(model, sampled))
 
 
 @dataclass(frozen=True)
@@ -246,13 +253,13 @@ def _rate_curve(rates, delta, delta_min: float, delta_max: float) -> RateCurve:
 
 def srdf(model: CovarianceModel, sampled, delta) -> RateCurve:
     """Rate distortion function at distortion ``delta`` (a float or an array), sampling set fixed."""
-    spec = srdf_spectrum(partition(model, sampled))
+    spec = srdf_spectrum(model, sampled)
     return _rate_curve(spec.rate(delta), delta, spec.delta_min, max_distortion(model))
 
 
 def distortion_rate(model: CovarianceModel, sampled, rate_bits: float) -> float:
     """Distortion achieved at ``rate_bits``; inverse of srdf along the same curve."""
-    return srdf_spectrum(partition(model, sampled)).distortion(rate_bits)
+    return srdf_spectrum(model, sampled).distortion(rate_bits)
 
 
 def correlation_model(sigmas, corr) -> CovarianceModel:

@@ -27,7 +27,7 @@ from .errors import (
     NotSquare,
     UnsupportedFamily,
 )
-from .model import SamplingSet, as_sampling_set, validate_covariance
+from .model import SamplingSet, _blocks, as_sampling_set, validate_covariance
 from .srdf import RATE_CAP_BITS, RateCurve, Spectrum, _block_spectrum, _rate_curve
 
 GRID_RES_DEFAULT = 33
@@ -239,10 +239,7 @@ def atom_spectra(part: AmbiguityPartition) -> Spectrum:
     single-member atom's average is that member, so its row is the member's
     own curve.
     """
-    sigma = part.sigma
-    a = part.sampled.zero_based()
-    ac = part.sampled.complement(sigma.shape[-1])
-    return _block_spectrum(sigma[:, a[:, None], a], sigma[:, a[:, None], ac], sigma[:, ac, ac].sum(axis=-1))
+    return _block_spectrum(*_blocks(part.sigma, part.sampled.zero_based()))
 
 
 def bayes_curve(spectra: Spectrum, weights, deltas) -> RateCurve:

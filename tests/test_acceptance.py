@@ -28,7 +28,6 @@ from srdf_kit import (
     min_distortion,
     nonbayes_usrdf,
     optimize_placement,
-    partition,
     single_site_srdf,
     srdf,
     two_step_code,
@@ -77,8 +76,7 @@ def test_criterion_1_single_site_closed_form_equivalence():
         model = correlation_model(sigmas, corr)
         dmax = max_distortion(model)
         for j in range(1, m + 1):
-            bp = partition(model, (j,))
-            dmin = min_distortion(bp)
+            dmin = min_distortion(model, (j,))
             for f in np.linspace(0.02, 1.0, 50):
                 delta = dmin + f * (dmax - dmin)
                 got = srdf(model, (j,), float(delta)).rate_bits
@@ -199,7 +197,7 @@ def test_criterion_6_curve_shape_properties():
         k = int(rng.integers(1, m))
         subset = tuple(sorted(rng.choice(np.arange(1, m + 1), size=k, replace=False).tolist()))
         full = tuple(range(1, m + 1))
-        dmin = min_distortion(partition(model, subset))
+        dmin = min_distortion(model, subset)
         dmax = max_distortion(model)
         grid = dmin + np.linspace(0.02, 0.98, 24) * (dmax - dmin)
         check(
@@ -245,7 +243,7 @@ def test_criterion_7_simulation_decomposition():
         model = CovarianceModel(a @ a.T + 0.5 * np.eye(m))
         cfg = SimConfig(n=n, rate_bits=rate, eval_blocks=10_000, seed=1007)
         rep = two_step_code(model, subset, cfg)
-        dmin = min_distortion(partition(model, subset))
+        dmin = min_distortion(model, subset)
         resid = abs(rep.total_mse.mean - rep.weighted_mse.mean - dmin)
         combined = rep.total_mse.half_width_95 + rep.weighted_mse.half_width_95
         assert resid <= 3.0 * combined

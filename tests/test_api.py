@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import srdf_kit
 from srdf_kit import cli
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -30,9 +32,18 @@ def test_every_imported_class_and_function_is_exported():
 
 
 def test_removed_names_stay_removed():
-    for name in ("BayesAtomData", "bayes_atom_data", "EmptyAtom", "AmbiguityAtom", "SrdfPoint", "UsrdfPoint"):
+    for name in ("BayesAtomData", "bayes_atom_data", "EmptyAtom", "AmbiguityAtom", "SrdfPoint", "UsrdfPoint",
+                 "BlockPartition", "partition"):
         assert name not in srdf_kit.__all__
         assert not hasattr(srdf_kit, name)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's one python block, run as written, so a signature change cannot leave it stale
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def rate_query(task, cfg):

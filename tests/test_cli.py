@@ -244,6 +244,17 @@ class TestArtifacts:
         assert payload["seed"] == 99
         assert payload["report"]["seed"] == 99
 
+    def test_srdf_writes_rate_zero_at_the_delta_max_of_its_summary(self, tmp_path):
+        # modes small beside the floor: the spectrum's own delta_min + total rounds short of delta_max
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text("model: {sigma: [[1.0e-8, 1.0e-9], [1.0e-9, 1.0]]}\nsampling: [1]\n"
+                       "grid: {min: 1.000000005, max: 1.00000001, count: 2}\n", encoding="utf-8")
+        assert run("srdf", cfg, tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        last = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()[-1].split(",")
+        assert float(last[0]) == summary["delta_max"] == 1.00000001
+        assert last[1] == "0"
+
     @pytest.mark.parametrize(
         "task,tail",
         [("usrdf-bayes", GRID), ("usrdf-nonbayes", GRID),
@@ -615,6 +626,15 @@ class TestExitCodes:
             pytest.param("usim", f"{FAMILY}sim: {{grid_delta: true}}\n", id="sim.grid_delta-bool"),
             pytest.param("usrdf-bayes", "family: {template: affine, base: 5, directions: [5], box: [[0.0, 0.4]],"
                          f" prior: uniform, grid_res: 3}}\nsampling: [1]\n{GRID}", id="family.base-scalar"),
+            # the fixed-var-corr family has one parameter, so its box is one [lo, hi] pair
+            *(pytest.param("usrdf-bayes", FAMILY.replace("[[0.2, 0.8]]", box) + GRID, id=f"family.box-{key}")
+              for key, box in (("triple", "[[0.2, 0.8, 7.0]]"), ("two-pairs", "[[0.2, 0.8], [0.0, 1.0]]"))),
+            # an integer past the float range, where a float is read
+            pytest.param("srdf", f"{MODEL}sampling: [1]\ngrid: {{min: 1.0, max: {10 ** 400}, count: 2}}\n",
+                         id="grid.max-huge-int"),
+            pytest.param("gmf-srdf", f"{FIELD}points: [{10 ** 400}]\n{GRID}", id="points-huge-int"),
+            pytest.param("srdf", f"model: {{sigma: [[{10 ** 400}, 0.5], [0.5, 2.0]]}}\nsampling: [1]\n{GRID}",
+                         id="model.sigma-huge-int"),
         ],
     )
     def test_malformed_config_value_is_validation(self, tmp_path, capsys, task, config):
@@ -623,6 +643,30 @@ class TestExitCodes:
         assert run(task, cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error ["), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task,config", [
+        pytest.param("srdf", f"model: {{sigma: [[true, 0.5], [0.5, 2.0]]}}\nsampling: [1]\n{GRID}",
+                     id="model.sigma-bool"),
+        pytest.param("gmf-srdf", f"{FIELD}points: [true]\n{GRID}", id="points-bool"),
+        pytest.param("gmf-srdf", f"field:\n  kernel: {{type: gauss-markov, p: true}}\npoints: [0.5]\n{GRID}",
+                     id="field.p-bool"),
+        pytest.param("usrdf-bayes", FAMILY.replace("sigma2: 1.0", "sigma2: true") + GRID, id="family.sigma2-bool"),
+        pytest.param("usrdf-bayes", FAMILY.replace("[[0.2, 0.8]]", "[[0.2, true]]") + GRID, id="family.box-bool"),
+        *(pytest.param("usrdf-bayes", f"family: {{template: affine, base: {base}, directions: [{direction}],"
+                       f" box: {box}, prior: uniform, grid_res: 3}}\nsampling: [1]\n{GRID}", id=f"affine.{key}-bool")
+          for key, base, direction, box in (
+              ("box", "[[2.0, 0.3], [0.3, 1.5]]", "[[1.0, 0.0], [0.0, 0.0]]", "[[false, true]]"),
+              ("base", "[[true, 0.0], [0.0, 1.5]]", "[[1.0, 0.0], [0.0, 0.0]]", "[[0.0, 0.4]]"),
+              ("directions", "[[2.0, 0.3], [0.3, 1.5]]", "[[true, 0.0], [0.0, 0.0]]", "[[0.0, 0.4]]"))),
+    ])
+    def test_yaml_boolean_is_not_a_number(self, tmp_path, capsys, task, config):
+        # true/false in a matrix, a point list, a box, sigma2 or a kernel parameter was read as 1.0/0.0
+        cfg = tmp_path / "bool.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -10,10 +10,11 @@ from srdf_kit import (
     SamplingSet,
     ValidationError,
     as_sampling_set,
-    partition,
+    min_distortion,
+    srdf_spectrum,
     validate_covariance,
 )
-from srdf_kit.model import FLOAT_MAX
+from srdf_kit.model import FLOAT_MAX, _blocks
 
 
 def random_spd(rng, m, jitter=0.5):
@@ -125,20 +126,37 @@ class TestSamplingSet:
         assert ss.complement(2).size == 0
 
 
-class TestPartition:
-    def test_blocks_match_slices(self):
-        rng = np.random.default_rng(1)
-        sig = random_spd(rng, 5)
-        model = CovarianceModel(sig)
-        bp = partition(model, [2, 5])
-        a = [1, 4]
-        ac = [0, 2, 3]
-        assert np.array_equal(bp.sigma_a, model.sigma[np.ix_(a, a)])
-        assert np.array_equal(bp.sigma_a_ac, model.sigma[np.ix_(a, ac)])
-        assert np.array_equal(bp.sigma_ac, model.sigma[np.ix_(ac, ac)])
-        assert bp.k == 2 and bp.m == 5
+class TestBlocks:
+    @staticmethod
+    def assert_slices(sigma, a, blocks):
+        """``blocks`` are the np.ix_ slices of ``sigma`` along rows ``a``, bit for bit, and np.trace's variance."""
+        ac = [i for i in range(len(sigma)) if i not in a]
+        sigma_a, cross, variance = blocks
+        assert np.array_equal(sigma_a, sigma[np.ix_(a, a)])
+        assert np.array_equal(cross, sigma[np.ix_(a, ac)])
+        assert variance == np.trace(sigma[np.ix_(ac, ac)])
 
-    def test_rejects_label_beyond_m(self):
+    @pytest.mark.parametrize("m, rows", [
+        (5, [[1, 4], [0, 2], [3, 4]]),
+        (12, [[0, 5], [2, 11], [3, 7]]),         # ten unsampled variances: numpy's pairwise sum unrolls
+        (4, [[0, 1, 2, 3], [0, 1, 2, 3]]),        # nothing unsampled: no cross block, variance 0
+    ])
+    def test_blocks_match_slices(self, m, rows):
+        rng = np.random.default_rng(m)
+        sigmas = np.stack([random_spd(rng, m) for _ in range(3)])
+        subsets = np.array(rows)
+        for sigma in sigmas:
+            for a in subsets:
+                self.assert_slices(sigma, a.tolist(), _blocks(sigma, a))
+        atoms = _blocks(sigmas, subsets[0])   # an atom stack along one set
+        subset_stack = _blocks(sigmas[0], subsets)
+        for i, sigma in enumerate(sigmas):
+            self.assert_slices(sigma, subsets[0].tolist(), [block[i] for block in atoms])
+        for i, a in enumerate(subsets):
+            self.assert_slices(sigmas[0], a.tolist(), [block[i] for block in subset_stack])
+
+    @pytest.mark.parametrize("query", [srdf_spectrum, min_distortion])
+    def test_rejects_label_beyond_m(self, query):
         model = CovarianceModel(np.eye(2))
         with pytest.raises(IndexOutOfRange):
-            partition(model, [3])
+            query(model, [3])

@@ -44,7 +44,6 @@ from srdf_kit import (
     min_distortion,
     nonbayes_usrdf,
     optimize_placement,
-    partition,
     project_family,
     srdf,
     srdf_spectrum,
@@ -52,7 +51,7 @@ from srdf_kit import (
     waterfill,
 )
 from srdf_kit import simulate, universal
-from srdf_kit.model import PD_TOL, _validated_factor
+from srdf_kit.model import PD_TOL, _blocks, _validated_factor
 from srdf_kit.universal import ATOM_TOL
 from srdf_kit.cli import main
 from srdf_kit.field import SEP_TOL, _field_block, _gm_cross_mass, _gm_optimal_points, _placement_objective
@@ -183,7 +182,7 @@ def test_srdf_inverts_distortion_rate(seed, rate):
 @given(seeds, st.floats(0.01, 1.0))
 def test_distortion_rate_inverts_srdf(seed, fraction):
     model, sampled = case(seed)
-    dmin = min_distortion(partition(model, sampled))
+    dmin = min_distortion(model, sampled)
     delta = dmin + fraction * (max_distortion(model) - dmin)
     rate = srdf(model, sampled, delta).rate_bits
     assert distortion_rate(model, sampled, rate) == pytest.approx(delta, rel=1e-9)
@@ -206,8 +205,8 @@ def test_adding_a_sample_never_hurts(seed, fraction):
     model, sampled = case(seed)
     rest = sorted(set(range(1, model.m + 1)) - set(sampled))
     assume(rest)
-    fewer = srdf_spectrum(partition(model, sampled))
-    more = srdf_spectrum(partition(model, sorted(sampled + [rest[seed % len(rest)]])))
+    fewer = srdf_spectrum(model, sampled)
+    more = srdf_spectrum(model, sorted(sampled + [rest[seed % len(rest)]]))
     assert more.delta_min <= fewer.delta_min + 1e-9
     delta = fewer.delta_min + fraction * (max_distortion(model) - fewer.delta_min)
     assert more.rate(delta) <= fewer.rate(delta) + 1e-9
@@ -217,8 +216,8 @@ def test_adding_a_sample_never_hurts(seed, fraction):
 @given(seeds, st.floats(0.01, 1.05))
 def test_sampled_curve_lies_on_or_above_the_fully_observed_curve(seed, fraction):
     model, sampled = case(seed)
-    spec = srdf_spectrum(partition(model, sampled))
-    full = srdf_spectrum(partition(model, range(1, model.m + 1)))
+    spec = srdf_spectrum(model, sampled)
+    full = srdf_spectrum(model, range(1, model.m + 1))
     delta = spec.delta_min + fraction * (max_distortion(model) - spec.delta_min)
     assert spec.rate(delta) >= full.rate(delta) - 1e-9
 
@@ -274,7 +273,7 @@ def test_singleton_atoms_are_their_members_own_curves(seed):
     spectra = atom_spectra(part)
     assert len(spectra.lambdas) == len(family.nodes)
     for (node,), floor, lams in zip(part.members, spectra.delta_min, spectra.lambdas):
-        own = srdf_spectrum(partition(CovarianceModel(family.node_sigmas[node]), sampled))
+        own = srdf_spectrum(CovarianceModel(family.node_sigmas[node]), sampled)
         assert floor == pytest.approx(own.delta_min, rel=1e-12)
         np.testing.assert_allclose(lams, own.lambdas, rtol=1e-12, atol=0.0)
 
@@ -297,9 +296,9 @@ def test_mse_of_a_linear_code_splits_into_weighted_error_plus_floor(seed):
     error[np.ix_(ac, a)] = -b.T @ lin
     error[np.ix_(ac, ac)] = np.eye(len(ac))
     total = float(np.trace(error @ sigma @ error.T))
-    bp = partition(model, sampled)
-    resid = (np.eye(k) - lin) @ bp.sigma_a @ (np.eye(k) - lin).T
-    split = float(np.trace(resid @ _weight(_lift(bp.sigma_a, bp.sigma_a_ac)))) + min_distortion(bp)
+    sigma_a, cross, _ = _blocks(sigma, np.array(a))
+    resid = (np.eye(k) - lin) @ sigma_a @ (np.eye(k) - lin).T
+    split = float(np.trace(resid @ _weight(_lift(sigma_a, cross)))) + min_distortion(model, sampled)
     assert split == pytest.approx(total, rel=1e-10)
 
 
@@ -515,7 +514,7 @@ def test_cholesky_reduction_matches_the_symmetric_root_reference(seed, tabulated
     res = best_fixed_set(model, k, ("min_rate_at", delta))
     rows = zip(res.subsets.tolist(), res.delta_min, res.rate_bits)
     for (indices, delta_min, rate_bits), (floor, lam) in zip(rows, refs):
-        spec = srdf_spectrum(partition(model, indices))
+        spec = srdf_spectrum(model, indices)
         assert abs(spec.delta_min - floor) <= 1e-12 * scale
         assert abs(delta_min - floor) <= 1e-12 * scale
         assert np.max(np.abs(spec.lambdas - lam)) <= 1e-11 * lam[0]
@@ -609,9 +608,9 @@ def test_vector_rate_is_bit_identical_to_the_frozen_chain(seed, spot, skew):
     raw = model.sigma.copy()
     if skew:   # an asymmetry the check tolerates, so that symmetrizing rounds
         raw += 1e-11 * np.max(np.abs(raw)) * rng.standard_normal(raw.shape)
-    delta = delta_at(rng, spot, curve_ends(lambda: srdf_spectrum(partition(CovarianceModel(raw), sampled))))
+    delta = delta_at(rng, spot, curve_ends(lambda: srdf_spectrum(CovarianceModel(raw), sampled)))
     want = outcome(lambda: reference_vector_rate(raw, sampled, delta))
-    assert outcome(lambda: srdf_spectrum(partition(CovarianceModel(raw), sampled)).rate(delta)) == want
+    assert outcome(lambda: srdf_spectrum(CovarianceModel(raw), sampled).rate(delta)) == want
     assert outcome(lambda: srdf(CovarianceModel(raw), sampled, delta).rate_bits) == want
 
 
@@ -629,7 +628,7 @@ def test_stacked_subset_search_matches_per_subset_evaluation(seed, rate_objectiv
     d[1] = d[0]
     model = CovarianceModel(a @ a.T + np.diag(d))
     subsets = list(combinations(range(1, m + 1), k))
-    specs = [srdf_spectrum(partition(model, s)) for s in subsets]
+    specs = [srdf_spectrum(model, s) for s in subsets]
     floors = np.array([spec.delta_min for spec in specs])
     delta = None
     if rate_objective:
@@ -666,7 +665,7 @@ def test_stacked_subset_search_matches_per_subset_evaluation(seed, rate_objectiv
 @given(seeds)
 def test_cli_known_law_curves_match_point_calls(seed):
     model, sampled = case(seed)
-    dmin = min_distortion(partition(model, sampled))
+    dmin = min_distortion(model, sampled)
     dmax = max_distortion(model)
     base = {"model": {"sigma": model.sigma.tolist()}, "sampling": sampled}
     deltas = {"min": dmin + 0.01 * (dmax - dmin), "max": 1.05 * dmax, "count": 23}

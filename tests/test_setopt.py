@@ -16,7 +16,6 @@ from srdf_kit import (
     best_fixed_set,
     min_distortion,
     optimize_placement,
-    partition,
     srdf,
 )
 
@@ -43,7 +42,7 @@ class TestBestFixedSet:
         k = int(rng.integers(1, m + 1))
         res = best_fixed_set(model, k, "min_delta_min")
         floors = {
-            s: min_distortion(partition(model, s)) for s in combinations(range(1, m + 1), k)
+            s: min_distortion(model, s) for s in combinations(range(1, m + 1), k)
         }
         best = min(floors, key=lambda s: (floors[s], s))
         assert res.best.indices == best

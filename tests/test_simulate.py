@@ -20,7 +20,6 @@ from srdf_kit import (
     max_distortion,
     min_distortion,
     ml_cov_estimate,
-    partition,
     project_family,
     sample_gmms,
     two_step_code,
@@ -40,6 +39,7 @@ from srdf_kit.simulate import (
     _trial_keys,
     _usim_trials,
 )
+from srdf_kit.model import _blocks
 from srdf_kit.srdf import _lift, _weight
 
 from conftest import multi_atom_family, random_model, reference_assign, reference_usim_trials
@@ -127,8 +127,7 @@ class TestBuildingBlocks:
 
     def test_block_lift_coefficients(self):
         sig = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.3], [0.6, 0.3, 1.0]])
-        bp = partition(CovarianceModel(sig), [1, 2])
-        lift = _lift(bp.sigma_a, bp.sigma_a_ac)
+        lift = _lift(*_blocks(CovarianceModel(sig).sigma, np.array([0, 1]))[:2])
         y = np.array([2.0, -1.0])
         assert lift.T @ y == pytest.approx([0.6 * 2.0 + 0.3 * -1.0])
 
@@ -221,8 +220,7 @@ class TestTwoStepCode:
         model = random_model(rng, 3)
         cfg = SimConfig(n=2, rate_bits=2.0, eval_blocks=12000, seed=3)
         rep = two_step_code(model, [1, 3], cfg)
-        bp = partition(model, [1, 3])
-        dmin = min_distortion(bp)
+        dmin = min_distortion(model, [1, 3])
         resid = abs(rep.total_mse.mean - rep.weighted_mse.mean - dmin)
         combined = rep.total_mse.half_width_95 + rep.weighted_mse.half_width_95
         assert resid <= 3.0 * combined

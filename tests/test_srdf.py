@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from srdf_kit import (
-    BlockPartition,
     BudgetOutOfRange,
     CovarianceModel,
     EigenFailure,
     FieldModel,
     GaussMarkovKernel,
     InfeasibleDistortion,
-    SamplingSet,
     SingularSigmaA,
     Spectrum,
     TabulatedKernel,
@@ -22,7 +20,6 @@ from srdf_kit import (
     field_srdf_spectrum,
     max_distortion,
     min_distortion,
-    partition,
     single_site_min_distortion,
     single_site_srdf,
     srdf,
@@ -30,7 +27,8 @@ from srdf_kit import (
     waterfill,
     waterfill_inverse,
 )
-from srdf_kit.srdf import _lift, _weight
+from srdf_kit.model import _blocks
+from srdf_kit.srdf import _block_spectrum, _lift, _reduce, _weight
 
 from conftest import random_model
 
@@ -206,17 +204,15 @@ class TestSpectrum:
 class TestSrdfCore:
     def test_weight_matrix_identity_when_independent(self):
         model = CovarianceModel(np.diag([2.0, 3.0, 4.0]))
-        bp = partition(model, [1, 2])
-        assert np.allclose(_weight(_lift(bp.sigma_a, bp.sigma_a_ac)), np.eye(2))
-        assert min_distortion(bp) == pytest.approx(4.0)
+        assert np.allclose(_weight(_lift(*_blocks(model.sigma, np.array([0, 1]))[:2])), np.eye(2))
+        assert min_distortion(model, [1, 2]) == pytest.approx(4.0)
 
     def test_full_sampling_reduces_to_plain_rd(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 4)
-        bp = partition(model, [1, 2, 3, 4])
-        assert np.allclose(_weight(_lift(bp.sigma_a, bp.sigma_a_ac)), np.eye(4))
-        assert min_distortion(bp) == pytest.approx(0.0, abs=1e-12)
-        lams = srdf_spectrum(bp).lambdas
+        assert np.allclose(_weight(_lift(*_blocks(model.sigma, np.arange(4))[:2])), np.eye(4))
+        assert min_distortion(model, [1, 2, 3, 4]) == pytest.approx(0.0, abs=1e-12)
+        lams = srdf_spectrum(model, [1, 2, 3, 4]).lambdas
         assert np.allclose(np.sort(lams), np.sort(np.linalg.eigvalsh(model.sigma)))
 
     def test_spectrum_sum_identity(self):
@@ -227,15 +223,13 @@ class TestSrdfCore:
             model = random_model(rng, m)
             k = int(rng.integers(1, m + 1))
             subset = tuple(sorted(rng.choice(np.arange(1, m + 1), size=k, replace=False).tolist()))
-            bp = partition(model, subset)
-            lams = srdf_spectrum(bp).lambdas
-            expect = max_distortion(model) - min_distortion(bp)
+            lams = srdf_spectrum(model, subset).lambdas
+            expect = max_distortion(model) - min_distortion(model, subset)
             assert float(np.sum(lams)) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
     def test_srdf_infeasible_and_trivial(self):
         model = CovarianceModel(np.array([[1.0, 0.6], [0.6, 1.0]]))
-        bp = partition(model, [1])
-        dmin = min_distortion(bp)
+        dmin = min_distortion(model, [1])
         with pytest.raises(InfeasibleDistortion):
             srdf(model, [1], dmin)
         with pytest.raises(InfeasibleDistortion):
@@ -246,8 +240,7 @@ class TestSrdfCore:
     def test_srdf_matches_distortion_rate(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, 4)
-        bp = partition(model, [2, 4])
-        dmin, dmax = min_distortion(bp), max_distortion(model)
+        dmin, dmax = min_distortion(model, [2, 4]), max_distortion(model)
         for f in (0.15, 0.4, 0.8):
             delta = dmin + f * (dmax - dmin)
             rate = srdf(model, [2, 4], delta).rate_bits
@@ -286,7 +279,7 @@ class TestOneSpectralCore:
     def test_each_spectrum_takes_one_eigvalsh(self, calls):
         model = random_model(np.random.default_rng(7), 6)
         runs = [
-            lambda: srdf_spectrum(partition(model, [2, 5])),
+            lambda: srdf_spectrum(model, [2, 5]),
             # C(6, 3) = 20 subsets: one stack
             lambda: best_fixed_set(model, 3, ("min_rate_at", 0.5 * max_distortion(model))),
             *(lambda field=field: field_srdf_spectrum(field, self.POINTS) for field in self.FIELDS),
@@ -298,23 +291,18 @@ class TestOneSpectralCore:
 
     def test_floors_take_no_eigendecomposition(self, calls):
         model = random_model(np.random.default_rng(7), 6)
-        min_distortion(partition(model, [2, 5]))
+        min_distortion(model, [2, 5])
         best_fixed_set(model, 3)
         for field in self.FIELDS:
             field_min_distortion(field, self.POINTS)
         assert calls == {"eigh": 0, "eigvalsh": 0}
 
     def test_indefinite_sampled_block_is_singular(self):
-        bp = BlockPartition(
-            sigma_a=np.array([[1.0, 2.0], [2.0, 1.0]]),
-            sigma_a_ac=np.array([[0.5], [0.5]]),
-            sigma_ac=np.eye(1),
-            sampled=SamplingSet((1, 2)),
-        )
+        blocks = (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[0.5], [0.5]]), 1.0)
         with pytest.raises(SingularSigmaA):
-            min_distortion(bp)
+            _reduce(*blocks)
         with pytest.raises(SingularSigmaA):
-            srdf_spectrum(bp)
+            _block_spectrum(*blocks)
 
 
 class TestSingleSiteClosedForm:
@@ -330,8 +318,7 @@ class TestSingleSiteClosedForm:
         corr = random_correlation(rng, m)
         model = correlation_model(sigmas, corr)
         j = int(rng.integers(1, m + 1))
-        bp = partition(model, (j,))
-        dmin = min_distortion(bp)
+        dmin = min_distortion(model, (j,))
         assert single_site_min_distortion(sigmas, corr, j) == pytest.approx(dmin, rel=1e-10, abs=1e-12)
         dmax = max_distortion(model)
         for f in (0.1, 0.5, 0.9):

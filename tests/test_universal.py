@@ -16,7 +16,6 @@ from srdf_kit import (
     bayes_usrdf,
     fixed_var_corr_family,
     nonbayes_usrdf,
-    partition,
     project_family,
     srdf_spectrum,
 )
@@ -141,7 +140,7 @@ class TestAtoms:
         spectra = atom_spectra(part)
         assert len(spectra.delta_min) == len(part.members) == len(part.sigma)
         for sigma, floor, lams in zip(part.sigma, spectra.delta_min, spectra.lambdas):
-            own = srdf_spectrum(partition(CovarianceModel(sigma), sampled))
+            own = srdf_spectrum(CovarianceModel(sigma), sampled)
             assert floor == pytest.approx(own.delta_min, rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(lams, own.lambdas, rtol=1e-12, atol=0.0)
 
