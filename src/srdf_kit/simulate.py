@@ -16,7 +16,12 @@ size), so reruns stay byte-identical.  Trial t's stream is still the one of
 ``SeedSequence(seed, spawn_key=(4, t))``; only its Philox key depends on t,
 so the keys of a chunk are derived in one vectorized pass (``_trial_keys``)
 and one generator is rekeyed per trial, with no SeedSequence or Generator
-built per trial.
+built per trial.  A chunk's sampled draws stay in the (trial, component,
+slot) layout they are drawn in: each atom's trials are whitened from a
+(trial, component, block, slot) view of them, ``_whiten`` writes the
+slot-major rows the codebook is scored against directly, and the chosen
+codewords are written back through the same view of the reproductions, so
+no transposed copy of a block is made.
 
 The LBG assignment step, which training and encoding share, finds each row's
 nearest codeword.  A scalar code (n k = 1) looks only at the two levels that
@@ -30,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -214,12 +219,12 @@ class SimReport:
     bad_event_mass: float | None = None
     bad_event_mse: float | None = None
     bad_event_mse_cap: float | None = None
-    block_trace: tuple | None = None
+    # (blocks, 3) float array of (total, weighted, lift) MSE per block or trial; not in to_dict
+    block_trace: np.ndarray | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out.pop("block_trace")
-        return {k: v for k, v in out.items() if v is not None}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "block_trace"}
+        return {k: asdict(v) if is_dataclass(v) else v for k, v in out.items() if v is not None}
 
 
 def sample_gmms(model: CovarianceModel, n: int, blocks: int, seed: int, stream: tuple = (_STREAM_EVAL,)) -> np.ndarray:
@@ -320,10 +325,31 @@ def _assign(x: np.ndarray, cb: np.ndarray):
             part += cb_sq
             idx = np.argmin(part, axis=1)
             out_i[s:e] = idx
-            out_d[s:e] = np.take_along_axis(part, idx[:, None], axis=1)[:, 0] + np.einsum("nd,nd->n", xx, xx)
+            idx += np.arange(0, part.size, len(cb))   # flat position of each row's chosen score
+            out_d[s:e] = part.take(idx) + np.einsum("nd,nd->n", xx, xx)
             s = e
     np.maximum(out_d, 0.0, out=out_d)
     return out_i, out_d
+
+
+def _whiten(t: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Whitened rows of a stack of (k, n) blocks in any layout: (..., k, n) -> (rows, n*k).
+
+    Row r holds T x_t for each slot t of block r in turn (slot-major), each
+    entry the sum over j of T[i, j] x[j, t], which ``einsum`` writes in that
+    order straight from the stack, so a (trial, block, component, slot) view
+    of a chunk's draws needs no transposed copy.  einsum sums a row of T
+    against a block's components with its dot kernel when both lie
+    contiguously, and that kernel groups three or more products otherwise
+    than the strided sum; T is read in Fortran order (``build_code``'s
+    transform already is), so every layout of the blocks gives each entry
+    the sum ``einsum("ij,bjt->bit")`` forms on the contiguous blocks, bit for
+    bit.
+    """
+    k, n = blocks.shape[-2:]
+    rows = np.empty(blocks.shape[:-2] + (n, k))   # C order, so the reshape below is a view
+    np.einsum("ij,...jt->...ti", np.asfortranarray(t), blocks, out=rows)
+    return rows.reshape(-1, n * k)
 
 
 def _train_codebook(train_t: np.ndarray, j: int, iters: int, rng: np.random.Generator):
@@ -383,17 +409,26 @@ class TrainedCode:
         return len(self.codebook_whitened)
 
     def whiten(self, blocks: np.ndarray) -> np.ndarray:
-        """(B, k, n) -> (B, n*k) rows in the metric-whitened space."""
-        w = np.einsum("ij,bjt->bit", self.transform, blocks)
-        return w.transpose(0, 2, 1).reshape(len(blocks), self.n * self.k)
+        """(..., k, n) stack of blocks -> (rows, n*k) rows in the metric-whitened space.
+
+        Reads the stack in whatever layout it has (see ``_whiten``): a
+        strided view of blocks is whitened where it lies, not copied first.
+        """
+        return _whiten(self.transform, blocks)
 
     def encode(self, blocks: np.ndarray):
-        """Nearest codeword for each (k, n) block; returns (indices, weighted distances)."""
+        """Nearest codeword for each (k, n) block of a (..., k, n) stack.
+
+        Returns (indices, weighted distances), each shaped like the stack
+        without its last two axes.
+        """
         idx, d2 = _assign(self.whiten(blocks), self.codebook_whitened)
-        return idx, d2
+        lead = blocks.shape[:-2]
+        return idx.reshape(lead), d2.reshape(lead)
 
     def decode(self, idx) -> np.ndarray:
-        return self.codebook_blocks[np.asarray(idx, dtype=int)]
+        """Reproduction blocks of codeword indices: shape idx.shape + (k, n)."""
+        return self.codebook_blocks.take(np.asarray(idx, dtype=int), axis=0)
 
 
 def build_code(
@@ -415,7 +450,7 @@ def build_code(
     _check_draw("train_blocks * n * k", train_blocks * n * k)
     t = np.linalg.cholesky(g).T
     train = _sample_cov(np.linalg.cholesky(sigma_a), n, train_blocks, seed, (_STREAM_TRAIN, *stream))
-    train_t = np.einsum("ij,bjt->bit", t, train).transpose(0, 2, 1).reshape(train_blocks, n * k)
+    train_t = _whiten(t, train)
     cb_t, iters_run, dist = _train_codebook(train_t, j, lbg_iters, _rng(seed, _STREAM_INIT, *stream))
     flat = cb_t.reshape(j * n, k).T
     blocks = np.linalg.solve(t, flat).reshape(k, j, n).transpose(1, 0, 2)
@@ -455,11 +490,6 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     lift_b = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / cfg.n
     total_b = samp_b + lift_b
 
-    trace = None
-    if cfg.trace:
-        trace = tuple(
-            (float(t), float(wgt), float(lft)) for t, wgt, lft in zip(total_b, weighted_b, lift_b)
-        )
     return SimReport(
         kind="fixed",
         n=cfg.n,
@@ -476,7 +506,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
         lift_mse=_mean_ci(lift_b),
         lbg_iterations=(code.lbg_iterations,),
         train_distortion=(code.train_distortion,),
-        block_trace=trace,
+        block_trace=np.column_stack((total_b, weighted_b, lift_b)) if cfg.trace else None,
     )
 
 
@@ -501,8 +531,13 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     One generator serves every trial, rekeyed with the chunk's keys from
     ``_trial_keys``; the nodes come from one search of the prior's cdf.
     Everything after the draws runs once per chunk, stacked over its trials:
-    one encode and decode per atom present.  Returns per-trial arrays
-    (atom, hit, ML estimate, total, weighted and lift MSE).
+    one encode and decode per atom present.  Each atom's trials are whitened
+    from a (trial, component, block, slot) view of the chunk's sampled draws
+    (gathered first only when the chunk holds more than one atom), and the
+    codewords are written back through the same view of the reproductions,
+    so no transposed copy of a block is made.  The ML estimates serve the
+    atom choice and the hit test of their chunk and are not kept.  Returns
+    per-trial arrays (atom, hit, total, weighted and lift MSE).
     """
     m, slots, n = family.m, cfg.est_length, cfg.n
     k = len(a)
@@ -513,7 +548,6 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     trials = cfg.eval_blocks
     sel = np.empty(trials, dtype=np.int64)
     hits = np.empty(trials, dtype=bool)
-    theta = np.empty((trials, k, k))
     total, weighted, lift = np.empty(trials), np.empty(trials), np.empty(trials)
     cdf = np.cumsum(family.node_weights)
     cdf /= cdf[-1]
@@ -537,23 +571,25 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
         del z  # the heap keeps a chunk's peak, so free each array once it is used
         x_a, x_ac = x[:, a], x[:, ac]
         del x
-        th = theta[part] = x_a @ x_a.transpose(0, 2, 1) / slots
+        th = x_a @ x_a.transpose(0, 2, 1) / slots
         s = sel[part] = np.argmin(np.linalg.norm(reps - th[:, None], axis=(2, 3)), axis=1)
         hits[part] = np.linalg.norm(th - node_block[nodes], axis=(1, 2)) <= 2.0 * cfg.grid_delta
         y_a = np.empty_like(x_a)
+        # (trial, block, component, slot); splitting the slot axis alone keeps the reshape a view
+        # of y_a in any layout (x[:, a] is laid out component-major)
+        y_blocks = y_a.reshape(c, k, blocks, n).transpose(0, 2, 1, 3)
         d2 = np.empty((c, blocks))
-        for atom in np.unique(s):
-            rows = np.flatnonzero(s == atom)
-            xb = x_a[rows].reshape(len(rows), k, blocks, n).transpose(0, 2, 1, 3).reshape(-1, k, n)
-            idx, d2_rows = codes[atom].encode(xb)
-            d2[rows] = d2_rows.reshape(len(rows), blocks)
-            y_rows = codes[atom].decode(idx).reshape(len(rows), blocks, k, n)
-            y_a[rows] = y_rows.transpose(0, 2, 1, 3).reshape(len(rows), k, slots)
+        present = np.unique(s)
+        for atom in present:
+            rows = slice(None) if len(present) == 1 else np.flatnonzero(s == atom)
+            x_rows = x_a[rows]   # the chunk itself, or a gather of the atom's trials
+            idx, d2[rows] = codes[atom].encode(x_rows.reshape(-1, k, blocks, n).transpose(0, 2, 1, 3))
+            y_blocks[rows] = codes[atom].decode(idx)
         y_ac = lifts[s].transpose(0, 2, 1) @ y_a
         weighted[part] = np.sum(d2, axis=1) / slots
         lift[part] = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / slots
         total[part] = np.sum((x_a - y_a) ** 2, axis=(1, 2)) / slots + lift[part]
-    return sel, hits, theta, total, weighted, lift
+    return sel, hits, total, weighted, lift
 
 
 def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimReport:
@@ -593,7 +629,7 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         build_code(rep, g, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
         for i, (rep, g) in enumerate(zip(reps, _weight(lifts)))
     ]
-    _, hits, _, total_t, weighted_t, lift_t = _usim_trials(family, a, ac, cfg, codes, lifts, reps)
+    _, hits, total_t, weighted_t, lift_t = _usim_trials(family, a, ac, cfg, codes, lifts, reps)
     trials = cfg.eval_blocks
 
     hit_rate = float(np.mean(hits))
@@ -603,11 +639,6 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     overhead = math.log2(atoms) / cfg.est_length if atoms > 1 else 0.0
     code_rate = math.log2(j) / cfg.n
 
-    trace = None
-    if cfg.trace:
-        trace = tuple(
-            (float(t_), float(w_), float(l_)) for t_, w_, l_ in zip(total_t, weighted_t, lift_t)
-        )
     return SimReport(
         kind="universal",
         n=cfg.n,
@@ -630,5 +661,5 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
         bad_event_mass=bad_mass,
         bad_event_mse=bad_mse,
         bad_event_mse_cap=bad_cap,
-        block_trace=trace,
+        block_trace=np.column_stack((total_t, weighted_t, lift_t)) if cfg.trace else None,
     )

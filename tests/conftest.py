@@ -198,6 +198,16 @@ def reference_optimize_set_table(path, result):
     _write_csv(path, ["subset", "delta_min", "rate_bits"], rows)
 
 
+def reference_whiten(t, blocks):
+    """Whitened rows of contiguous (B, k, n) blocks, slot-major: (B, n*k).
+
+    T applied to every slot by ``einsum``, then a transposed copy of the
+    result reshaped into rows.
+    """
+    w = np.einsum("ij,bjt->bit", t, blocks)
+    return w.transpose(0, 2, 1).reshape(len(blocks), blocks.shape[2] * blocks.shape[1])
+
+
 def reference_assign(x, cb):
     """Nearest codeword per row of x by a full scan; returns (indices, squared distances).
 

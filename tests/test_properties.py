@@ -72,6 +72,7 @@ from conftest import (
     reference_spectrum,
     reference_validate_covariance,
     reference_vector_rate,
+    reference_whiten,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -745,6 +746,30 @@ def test_nearest_codeword_search_matches_the_full_scan(seed, dim, j, levels, row
     want_idx, want_d2 = reference_assign(x, cb)
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(d2, want_d2)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.integers(1, 70), st.integers(1, 64))
+def test_whitening_a_view_of_trials_matches_the_transposed_copy(seed, k, n, trials, blocks, j):
+    # the trial loop whitens a (trial, block, component, slot) view of its (trials, k, slots) draws
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, k))
+    t = np.linalg.cholesky(a @ a.T + 0.3 * np.eye(k)).T
+    draws = rng.standard_normal((trials, k, blocks * n)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    stack = draws.reshape(trials, k, blocks, n).transpose(0, 2, 1, 3)
+    copied = np.ascontiguousarray(stack).reshape(trials * blocks, k, n)
+    want = reference_whiten(t, copied)
+    # a transform in C order is read in Fortran order too, as build_code's already lies
+    for transform in (t, np.ascontiguousarray(t)):
+        for blocks_in in (stack, copied):
+            assert simulate._whiten(transform, blocks_in).tobytes() == want.tobytes()
+    cb = rng.standard_normal((j, n * k)) * 10.0 ** rng.uniform(-1.0, 1.0)
+    code = simulate.TrainedCode(t, cb, np.zeros((j, k, n)), n, k, lbg_iterations=1, train_distortion=0.0)
+    idx, d2 = code.encode(stack)
+    want_idx, want_d2 = reference_assign(want, cb)
+    assert idx.shape == d2.shape == (trials, blocks)
+    assert np.array_equal(idx.ravel(), want_idx)
+    assert d2.ravel().tobytes() == want_d2.tobytes()
 
 
 def outcome(build):

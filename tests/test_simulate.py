@@ -267,6 +267,17 @@ class TestTwoStepCode:
         assert total >= 0.0 and weighted >= 0.0 and lift >= 0.0
         assert "block_trace" not in rep.to_dict()
 
+    def test_trace_rides_beside_the_same_report(self):
+        model = CovarianceModel(np.array([[1.0, 0.6], [0.6, 1.5]]))
+        cfg = SimConfig(n=1, rate_bits=2.0, eval_blocks=400, seed=3)
+        plain = two_step_code(model, [1], cfg)
+        traced = two_step_code(model, [1], dataclasses.replace(cfg, trace=True))
+        assert plain.block_trace is None
+        assert traced.block_trace.shape == (400, 3) and traced.block_trace.dtype == np.float64
+        assert traced == plain and traced.to_dict() == plain.to_dict()
+        for column, ci in zip(traced.block_trace.T, (traced.total_mse, traced.weighted_mse, traced.lift_mse)):
+            assert np.mean(column) == pytest.approx(ci.mean, rel=1e-12)
+
 
 class TestUniversalTwoStep:
     def test_degenerate_prior_matches_fixed(self):
@@ -336,9 +347,23 @@ class TestUniversalTwoStep:
                     universal_two_step(fam, [1], cfg)
 
 
-def usim_setup(k, n, est_length, seed):
-    """(family, a, ac, cfg, codes, lifts, reps) of a three-atom family sampled at [1..k]."""
-    family, sampled = multi_atom_family(np.random.default_rng(seed), k)
+def one_atom_family(rng, k):
+    """(family, sampling set [1..k]): affine, uniform prior, one atom of three members.
+
+    The direction moves an unsampled variance alone, so every member has the
+    same sampled block.
+    """
+    m = k + 2
+    a = rng.standard_normal((m, m + 2))
+    hidden = np.zeros((m, m))
+    hidden[-1, -1] = 1.0
+    family = affine_family(a @ a.T / (m + 2) + 0.3 * np.eye(m), [hidden], [(0.0, 0.5)], prior="uniform", grid_res=3)
+    return family, list(range(1, k + 1))
+
+
+def usim_setup(k, n, est_length, seed, make_family=multi_atom_family):
+    """(family, a, ac, cfg, codes, lifts, reps) of a family (three atoms by default) sampled at [1..k]."""
+    family, sampled = make_family(np.random.default_rng(seed), k)
     cfg = SimConfig(n=n, rate_bits=1.0, eval_blocks=30, seed=seed, lbg_iters=10, est_length=est_length)
     ss = as_sampling_set(sampled)
     a, ac = ss.zero_based(), ss.complement(family.m)
@@ -353,6 +378,23 @@ def usim_setup(k, n, est_length, seed):
     return family, a, ac, cfg, codes, lifts, reps
 
 
+def spy_encode(monkeypatch):
+    """Blocks per ``TrainedCode.encode`` call, in call order (filled as the calls come)."""
+    seen = []
+    encode = TrainedCode.encode
+    monkeypatch.setattr(
+        TrainedCode, "encode", lambda code, blocks: seen.append(math.prod(blocks.shape[:-2])) or encode(code, blocks)
+    )
+    return seen
+
+
+def assert_trials_match(got, ref):
+    """(atom, hit, total, weighted, lift) per trial against ``reference_usim_trials``, which also returns estimates."""
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    for g, r in zip(got[2:], ref[3:]):
+        np.testing.assert_allclose(g, r, rtol=1e-13, atol=0.0)
+
+
 class TestUsimChunks:
     @pytest.mark.parametrize("chunk", [1, 7, None])
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -365,22 +407,54 @@ class TestUsimChunks:
         if chunk is not None:
             # a budget below one trial runs trials alone; 7 trials do not divide the 30
             monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1 if chunk == 1 else chunk * per_trial)
-        seen = []
-        encode = TrainedCode.encode
-        monkeypatch.setattr(TrainedCode, "encode", lambda code, blocks: seen.append(len(blocks)) or encode(code, blocks))
-        sel, hits, theta, total, weighted, lift = _usim_trials(*args)
-        ref = reference_usim_trials(*args)
-        assert np.array_equal(sel, ref[0])
-        assert np.array_equal(hits, ref[1])
-        assert np.array_equal(theta, ref[2])
-        for got, want in zip((total, weighted, lift), ref[3:]):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        seen = spy_encode(monkeypatch)
+        assert_trials_match(_usim_trials(*args), reference_usim_trials(*args))
         # the reference encodes one trial per call; the chunked loop at most a chunk of them
         chunked = seen[: len(seen) - cfg.eval_blocks]
         trials_per_call = max(chunked) // (est_length // n)
         assert trials_per_call == 1 or trials_per_call * per_trial <= simulate.TRIAL_CHUNK_FLOATS
         if chunk is not None:
             assert trials_per_call <= chunk
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (1, 3)])
+    def test_one_atom_chunks_encode_their_draws_in_place(self, monkeypatch, n, k):
+        # every chunk holds one atom, so each encodes its whole chunk from a view of the draws,
+        # without a gather
+        args = usim_setup(k, n, 16, seed=40 + k, make_family=one_atom_family)
+        family, cfg, reps = args[0], args[3], args[6]
+        assert len(reps) == 1 and len(family.nodes) == 3
+        per_trial = max(family.m * 16, 16 // n * cfg.codeword_count(), reps.size)
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 7 * per_trial)
+        seen = spy_encode(monkeypatch)
+        got = _usim_trials(*args)
+        assert seen == [7 * 16 // n] * 4 + [2 * 16 // n]   # 30 trials in chunks of 7
+        assert_trials_match(got, reference_usim_trials(*args))
+
+    def test_every_atom_in_one_chunk(self, monkeypatch):
+        # all 30 trials share one chunk and pick all three atoms: one gather and encode per atom
+        args = usim_setup(2, 1, 8, seed=1)
+        family, cfg, reps = args[0], args[3], args[6]
+        assert _trial_chunk(family.m, len(reps), 2, cfg) >= cfg.eval_blocks
+        seen = spy_encode(monkeypatch)
+        got = _usim_trials(*args)
+        assert sorted(np.unique(got[0])) == [0, 1, 2]
+        assert sorted(seen) == sorted(8 * np.bincount(got[0]))
+        assert_trials_match(got, reference_usim_trials(*args))
+
+    def test_trials_keep_no_estimate_per_trial(self):
+        # a (trials, k, k) array of ML estimates, 23 MB here, was kept though no report reads it
+        # (at 2^25 trials of k = 6 it asked for 9.7 GB)
+        k, trials = 24, 5_000
+        family, sampled = multi_atom_family(np.random.default_rng(7), k)
+        cfg = SimConfig(n=1, rate_bits=0.0, eval_blocks=trials, seed=7, lbg_iters=2, est_length=8)
+        tracemalloc.start()
+        try:
+            rep = universal_two_step(family, sampled, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.eval_blocks == trials
+        assert peak < trials * k * k * 8
 
     def test_node_draw_is_the_draw_of_choice(self):
         # _usim_trials rekeys one generator per trial and draws a chunk's nodes with one search of
@@ -424,17 +498,13 @@ class TestUsimChunks:
         got = _usim_trials(*args)
         # one generator, rekeyed per trial, and one spawn pool for the keys: not one of each per trial
         assert made == {"_rng": 1, "SeedSequence": 2}
-        for g, r in zip(got[:3], ref[:3]):
+        for g, r in zip(got[:2], ref[:2]):
             assert np.array_equal(g, r)
 
     def test_huge_seed_keeps_the_trial_streams(self):
         args = list(usim_setup(1, 2, 64, seed=3))
         args[3] = dataclasses.replace(args[3], seed=10 ** 400)   # 42 entropy words
-        sel, hits, theta, total, weighted, lift = _usim_trials(*args)
-        ref = reference_usim_trials(*args)
-        assert np.array_equal(sel, ref[0]) and np.array_equal(hits, ref[1]) and np.array_equal(theta, ref[2])
-        for got, want in zip((total, weighted, lift), ref[3:]):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert_trials_match(_usim_trials(*args), reference_usim_trials(*args))
 
     @pytest.mark.parametrize(
         "m, n, rate, est_length, atoms, k",
