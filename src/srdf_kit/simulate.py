@@ -9,19 +9,21 @@ sides of that identity with confidence half-widths.
 
 Randomness is counter-based: every consumer draws from its own Philox stream
 keyed by (seed, stream id), so reports are bit-reproducible and independent
-of evaluation order.  The universal trials run in chunks of trials, but each
-trial keeps its own stream, so chunking leaves the draws unchanged; the chunk
-size is a fixed function of the shapes (m, est_length, n and the codebook
-size), so reruns stay byte-identical.  Trial t's stream is still the one of
-``SeedSequence(seed, spawn_key=(4, t))``; only its Philox key depends on t,
-so the keys of a chunk are derived in one vectorized pass (``_trial_keys``)
-and one generator is rekeyed per trial, with no SeedSequence or Generator
-built per trial.  A chunk's sampled draws stay in the (trial, component,
-slot) layout they are drawn in: each atom's trials are whitened from a
-(trial, component, block, slot) view of them, ``_whiten`` writes the
-slot-major rows the codebook is scored against directly, and the chosen
-codewords are written back through the same view of the reproductions, so
-no transposed copy of a block is made.
+of evaluation order.  The universal trials run in chunks of trials, on as
+many workers as the process has CPUs (the calling thread and helper
+threads, while there are chunks for them), but each trial keeps its own
+stream and every per-trial sum runs in an order fixed by the trial alone, so
+reports depend on neither the chunk size nor the worker count.  Trial t's
+stream is still the one of ``SeedSequence(seed, spawn_key=(4, t))``; only
+its Philox key depends on t, so the keys of a chunk are derived in one
+vectorized pass (``_trial_keys``) and each worker rekeys its one generator
+per trial, with no SeedSequence or Generator built per trial.  The chunks in
+flight share the TRIAL_CHUNK_FLOATS budget.  A chunk's sampled draws stay
+in the (trial, component, slot) layout they are drawn in: each atom's trials
+are whitened from a (trial, component, block, slot) view of them,
+``_whiten`` writes the slot-major rows the codebook is scored against
+directly, and the chosen codewords are written back through the same view
+of the reproductions, so no transposed copy of a block is made.
 
 The LBG assignment step, which training and encoding share, finds each row's
 nearest codeword.  A scalar code (n k = 1) looks only at the two levels that
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -47,8 +51,9 @@ from .universal import ParamFamily, project_family
 CODEBOOK_CAP = 2 ** 18
 ATOM_CAP = 1024      # most atoms one universal run trains codebooks for, one after another
 DRAW_CAP = 2 ** 25    # most floats one stage draws at once, or keeps per trial
-# most floats one array of a chunk of universal trials holds (2 MB); numpy asks for huge pages
-# from 4 MB on, and those would keep the heap's freed chunk arrays resident
+# most floats one array of the chunks of universal trials in flight holds, all together (2 MB):
+# on C CPUs, each chunk's gets 1/C; numpy asks for huge pages from 4 MB on, and those would keep
+# the heap's freed chunk arrays resident, in each helper thread's own malloc arena too
 TRIAL_CHUNK_FLOATS = 2 ** 18
 ASSIGN_TILE_FLOATS = 2 ** 15   # most scores one tile of the nearest-codeword search holds (256 KB)
 _TILE_ROW_MULTIPLE = 48        # rows per scan tile come in multiples of this; see _assign
@@ -479,15 +484,27 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     rate_actual = math.log2(j) / cfg.n
     code = build_code(sigma_a, _weight(b), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed)
 
+    # each array is freed once used, so the run holds under three draws at once; the squared
+    # errors are formed in place in the reproductions, whose C order gives each block one sum over
+    # its contiguous entries (x[:, a] is laid out component-major); (y - x)^2 is (x - y)^2 bit for bit
     x = sample_gmms(model, cfg.n, cfg.eval_blocks, cfg.seed, (_STREAM_EVAL,))
     x_a = x[:, a, :]
     x_ac = x[:, ac, :]
+    del x
     idx, d2 = code.encode(x_a)
-    y_a = code.decode(idx)
-    y_ac = np.einsum("ij,bjt->bit", b.T, y_a)
     weighted_b = d2 / cfg.n
-    samp_b = np.sum((x_a - y_a) ** 2, axis=(1, 2)) / cfg.n
-    lift_b = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / cfg.n
+    del d2
+    y_a = code.decode(idx)
+    del idx
+    y_ac = np.einsum("ij,bjt->bit", b.T, y_a)
+    y_a -= x_a
+    del x_a
+    samp_b = np.sum(np.square(y_a, out=y_a), axis=(1, 2)) / cfg.n
+    del y_a
+    y_ac -= x_ac
+    del x_ac
+    lift_b = np.sum(np.square(y_ac, out=y_ac), axis=(1, 2)) / cfg.n
+    del y_ac
     total_b = samp_b + lift_b
 
     return SimReport(
@@ -510,33 +527,46 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     )
 
 
-def _trial_chunk(m: int, atoms: int, k: int, cfg: SimConfig) -> int:
-    """Trials per chunk of the universal trial loop.
+def _trial_workers() -> int:
+    """CPUs the process may run on: the most workers ``_usim_trials`` runs its chunks on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trial_chunk(m: int, atoms: int, k: int, cfg: SimConfig, workers: int = 1) -> int:
+    """Trials per chunk of the universal trial loop, with ``workers`` chunks in flight.
 
     A trial's largest arrays are its (m, est_length) draw, the distances of
     its est_length / n blocks to the codewords, and the differences of its
-    k x k estimate from each atom's representative.  A chunk holds as many
-    trials as TRIAL_CHUNK_FLOATS allows for each, and one trial where one is
-    larger.
+    k x k estimate from each atom's representative.  The chunks in flight
+    share TRIAL_CHUNK_FLOATS: a chunk holds as many trials as its 1/workers
+    share allows for each, and one trial where one is larger.
     """
     per_trial = max(m * cfg.est_length, cfg.est_length // cfg.n * cfg.codeword_count(), atoms * k * k)
-    return max(1, TRIAL_CHUNK_FLOATS // per_trial)
+    return max(1, TRIAL_CHUNK_FLOATS // workers // per_trial)
 
 
 def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps):
-    """The trials of ``universal_two_step``, run in chunks of trials.
+    """The trials of ``universal_two_step``, run in chunks of trials on the process's CPUs.
 
     Trial t draws from its own Philox stream (seed, _STREAM_TRIAL, t): first
-    its node, then its (m, est_length) block, so no draw depends on the chunk.
-    One generator serves every trial, rekeyed with the chunk's keys from
-    ``_trial_keys``; the nodes come from one search of the prior's cdf.
-    Everything after the draws runs once per chunk, stacked over its trials:
-    one encode and decode per atom present.  Each atom's trials are whitened
-    from a (trial, component, block, slot) view of the chunk's sampled draws
-    (gathered first only when the chunk holds more than one atom), and the
-    codewords are written back through the same view of the reproductions,
-    so no transposed copy of a block is made.  The ML estimates serve the
-    atom choice and the hit test of their chunk and are not kept.  Returns
+    its node, then its (m, est_length) block, so no draw depends on the chunk
+    or on the worker that runs it.  The chunks are sized for
+    ``_trial_workers()`` in flight and run on W = min(that, chunk count)
+    workers: the calling thread and W - 1 helper threads, which take chunk
+    starts from one shared iterator.  Each worker owns one generator, rekeyed
+    per trial with the chunk's keys from ``_trial_keys``; the nodes come from
+    one search of the prior's cdf.  Everything after the draws runs once per
+    chunk, stacked over its trials: one encode and decode per atom present.
+    Each atom's trials are whitened from a (trial, component, block, slot)
+    view of the chunk's sampled draws (gathered first only when the chunk
+    holds more than one atom), and the codewords are written back through the
+    same view of the reproductions, so no transposed copy of a block is made.
+    The ML estimates serve the atom choice and the hit test of their chunk
+    and are not kept.  A chunk writes only its own trials' slices of the
+    outputs.  The first exception in a worker stops further chunks from
+    starting and is raised here once every helper has been joined.  Returns
     per-trial arrays (atom, hit, total, weighted and lift MSE).
     """
     m, slots, n = family.m, cfg.est_length, cfg.n
@@ -551,13 +581,15 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     total, weighted, lift = np.empty(trials), np.empty(trials), np.empty(trials)
     cdf = np.cumsum(family.node_weights)
     cdf /= cdf[-1]
-    rng = _rng(cfg.seed, _STREAM_TRIAL)
-    philox = rng.bit_generator
-    fresh = philox.state   # counter 0, empty buffer: a new Philox but for its key
-    chunk = _trial_chunk(m, len(reps), k, cfg)
-    for t0 in range(0, trials, chunk):
+    cpus = _trial_workers()
+    chunk = _trial_chunk(m, len(reps), k, cfg, cpus)
+    starts = range(0, trials, chunk)
+    workers = min(cpus, len(starts))
+
+    def code_chunk(t0, rng, fresh):
         c = min(chunk, trials - t0)
         part = slice(t0, t0 + c)
+        philox = rng.bit_generator
         keys = _trial_keys(cfg.seed, _STREAM_TRIAL, t0, c)
         u = np.empty(c)
         z = np.empty((c, m, slots))
@@ -588,7 +620,37 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
         y_ac = lifts[s].transpose(0, 2, 1) @ y_a
         weighted[part] = np.sum(d2, axis=1) / slots
         lift[part] = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / slots
-        total[part] = np.sum((x_a - y_a) ** 2, axis=(1, 2)) / slots + lift[part]
+        # a trial's squared sampled errors are summed per component, then over the components in
+        # order, so that no chunk size or layout changes a bit; (y - x)^2 is (x - y)^2 bit for bit
+        y_a -= x_a
+        rows = np.sum(np.square(y_a, out=y_a), axis=2)
+        total[part] = np.add.accumulate(rows, axis=1)[:, -1] / slots + lift[part]
+
+    pending = iter(starts)
+    lock = threading.Lock()
+    failed = []
+
+    def next_start():
+        with lock:
+            return None if failed else next(pending, None)
+
+    def work(rng):
+        fresh = rng.bit_generator.state   # counter 0, empty buffer: a new Philox but for its key
+        try:
+            while (t0 := next_start()) is not None:
+                code_chunk(t0, rng, fresh)
+        except BaseException as exc:   # raised in the caller once every helper has stopped
+            failed.append(exc)
+
+    gens = [_rng(cfg.seed, _STREAM_TRIAL) for _ in range(workers)]
+    helpers = [threading.Thread(target=work, args=(rng,)) for rng in gens[1:]]
+    for h in helpers:
+        h.start()
+    work(gens[0])
+    for h in helpers:
+        h.join()
+    if failed:
+        raise failed[0]
     return sel, hits, total, weighted, lift
 
 

@@ -299,6 +299,22 @@ class TestDeterminism:
         for name in files1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_usim_artifacts_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # three atoms, so chunks gather; a budget of 3 trials is 1 trial per chunk on two workers
+        cfg = tmp_path / "three.yaml"
+        cfg.write_text("family: {template: affine, base: [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]],"
+                       " directions: [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]], box: [[0.0, 0.4]],"
+                       " prior: uniform, grid_res: 3}\nsampling: [1, 2]\n"
+                       "sim: {n: 1, rate_bits: 2.0, eval_blocks: 90, est_length: 64, lbg_iters: 10, trace: true}\n",
+                       encoding="utf-8")
+        simulate = importlib.import_module("srdf_kit.simulate")
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 3 * 64 * 4)   # a trial's distances: 64 blocks, 4 words
+        for workers in (1, 2):
+            monkeypatch.setattr(simulate, "_trial_workers", lambda: workers)
+            assert run("usim", cfg, tmp_path / f"w{workers}") == 0
+        for name in ("report.json", "trace.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
     def test_search_placement_reruns_are_byte_identical(self, tmp_path):
         # the search's summary carries its objective calls and per-restart values
         cfg = tmp_path / "place.yaml"

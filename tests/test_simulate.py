@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from statistics import NormalDist
@@ -278,6 +281,43 @@ class TestTwoStepCode:
         for column, ci in zip(traced.block_trace.T, (traced.total_mse, traced.weighted_mse, traced.lift_mse)):
             assert np.mean(column) == pytest.approx(ci.mean, rel=1e-12)
 
+    @pytest.mark.parametrize("m, k, n", [(3, 1, 2), (4, 2, 2), (6, 3, 3), (6, 2, 1)])
+    def test_trace_is_the_per_block_errors_bit_for_bit(self, m, k, n):
+        # each block's squared errors summed over its contiguous (k, n) and (m - k, n) differences,
+        # whatever layout the run keeps its arrays in
+        model = random_model(np.random.default_rng(m * k * n), m)
+        cfg = SimConfig(n=n, rate_bits=2.0 / n, eval_blocks=500, seed=m, trace=True)
+        a = np.arange(m - k, m)
+        ac = np.arange(m - k)
+        rep = two_step_code(model, list(a + 1), cfg)
+        sigma_a, cross, _ = _blocks(model.sigma, a)
+        b = _lift(sigma_a, cross)
+        code = build_code(sigma_a, _weight(b), n, cfg.codeword_count(), cfg.resolved_train_blocks(), cfg.lbg_iters, m)
+        x = sample_gmms(model, n, cfg.eval_blocks, m)
+        x_a, x_ac = np.ascontiguousarray(x[:, a]), np.ascontiguousarray(x[:, ac])
+        idx, d2 = code.encode(x_a)
+        y_a = code.decode(idx)
+        y_ac = np.einsum("ij,bjt->bit", b.T, y_a)
+        samp = np.sum((x_a - y_a) ** 2, axis=(1, 2)) / n
+        lift = np.sum((x_ac - y_ac) ** 2, axis=(1, 2)) / n
+        want = np.column_stack((samp + lift, d2 / n, lift))
+        assert rep.block_trace.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, k, n", [(2, 1, 1), (4, 2, 2), (4, 3, 1)])
+    def test_peak_memory_stays_within_three_draws(self, m, k, n):
+        # the draw, its gathered blocks, the reproductions and the squared errors once all stayed
+        # bound at the same time: 4-7.5 draws at peak
+        draw = 2 ** 19   # floats, 4 MB
+        model = random_model(np.random.default_rng(m + k + n), m)
+        cfg = SimConfig(n=n, rate_bits=2.0 / n, eval_blocks=draw // (m * n), seed=9)
+        tracemalloc.start()
+        try:
+            two_step_code(model, list(range(1, k + 1)), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * draw
+
 
 class TestUniversalTwoStep:
     def test_degenerate_prior_matches_fixed(self):
@@ -425,6 +465,7 @@ class TestUsimChunks:
         assert len(reps) == 1 and len(family.nodes) == 3
         per_trial = max(family.m * 16, 16 // n * cfg.codeword_count(), reps.size)
         monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 7 * per_trial)
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: 1)   # one worker takes the chunks in order
         seen = spy_encode(monkeypatch)
         got = _usim_trials(*args)
         assert seen == [7 * 16 // n] * 4 + [2 * 16 // n]   # 30 trials in chunks of 7
@@ -434,6 +475,7 @@ class TestUsimChunks:
         # all 30 trials share one chunk and pick all three atoms: one gather and encode per atom
         args = usim_setup(2, 1, 8, seed=1)
         family, cfg, reps = args[0], args[3], args[6]
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: 1)
         assert _trial_chunk(family.m, len(reps), 2, cfg) >= cfg.eval_blocks
         seen = spy_encode(monkeypatch)
         got = _usim_trials(*args)
@@ -480,9 +522,12 @@ class TestUsimChunks:
                 assert nodes[i] == theirs.choice(len(weights), p=weights)
                 assert np.array_equal(normals[i], theirs.standard_normal(4))
 
-    def test_trials_build_no_stream_per_trial(self, monkeypatch):
+    @staticmethod
+    def count_streams(monkeypatch, workers):
+        """Generators and SeedSequences built by 30 one-trial chunks on ``workers`` workers."""
         args = usim_setup(2, 1, 8, seed=5)
         monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1)   # one trial per chunk: 30 chunks
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: workers)
         ref = reference_usim_trials(*args)
         simulate._spawn_pool.cache_clear()
         made = {"_rng": 0, "SeedSequence": 0}
@@ -496,10 +541,103 @@ class TestUsimChunks:
         monkeypatch.setattr(simulate, "_rng", counted("_rng", simulate._rng))
         monkeypatch.setattr(np.random, "SeedSequence", counted("SeedSequence", np.random.SeedSequence))
         got = _usim_trials(*args)
-        # one generator, rekeyed per trial, and one spawn pool for the keys: not one of each per trial
-        assert made == {"_rng": 1, "SeedSequence": 2}
         for g, r in zip(got[:2], ref[:2]):
             assert np.array_equal(g, r)
+        return made
+
+    def test_trials_build_no_stream_per_trial(self, monkeypatch):
+        # one generator, rekeyed per trial, and one spawn pool for the keys: not one of each per trial
+        assert self.count_streams(monkeypatch, 1) == {"_rng": 1, "SeedSequence": 2}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_worker_builds_one_generator(self, monkeypatch, workers):
+        made = self.count_streams(monkeypatch, workers)
+        assert made["_rng"] == workers
+        # workers that miss the spawn pool's cache at once may each build it
+        assert workers + 1 <= made["SeedSequence"] <= 2 * workers
+
+    def test_worker_count_leaves_every_trial_unchanged(self, monkeypatch):
+        # chunks of 1 trial, of 7 and of the default budget, on 1, 2 and 3 workers: the same arrays,
+        # bit for bit, though the budget split over the workers changes the chunks
+        args = usim_setup(2, 2, 64, seed=12)
+        family, cfg, reps = args[0], args[3], args[6]
+        per_trial = max(family.m * 64, 64 // 2 * cfg.codeword_count(), reps.size)
+        first = None
+        for budget in (1, 7 * per_trial, TRIAL_CHUNK_FLOATS):
+            monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", budget)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate, "_trial_workers", lambda: workers)
+                got = _usim_trials(*args)
+                if first is None:
+                    first = got
+                    assert len(np.unique(got[0])) == 3
+                    assert_trials_match(got, reference_usim_trials(*args))
+                for g, f in zip(got, first):
+                    assert g.dtype == f.dtype and g.tobytes() == f.tobytes(), (budget, workers)
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        # a chunk taken twice or skipped, or a slice written by the wrong trial, would show
+        args = usim_setup(2, 1, 8, seed=4)
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1)   # one trial per chunk: 30 chunks
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: 1)
+        want = _usim_trials(*args)
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = _usim_trials(*args)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_share_the_budget(self, monkeypatch):
+        args = usim_setup(1, 1, 8, seed=2, make_family=one_atom_family)   # one encode per chunk
+        family, cfg, reps = args[0], args[3], args[6]
+        per_trial = max(family.m * 8, 8 * cfg.codeword_count(), reps.size)
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 12 * per_trial)
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: 3)
+        seen = spy_encode(monkeypatch)
+        _usim_trials(*args)
+        # three chunks in flight, each 4 trials of its 1/3 share
+        assert sorted(seen) == [2 * 8] + [4 * 8] * 7
+
+    def test_workers_are_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert simulate._trial_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")   # where there is no affinity call
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert simulate._trial_workers() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._trial_workers() == 1
+
+    def test_a_failing_chunk_stops_every_worker(self, monkeypatch):
+        family, sampled = multi_atom_family(np.random.default_rng(3), 2)
+        cfg = SimConfig(n=1, rate_bits=1.0, eval_blocks=40, seed=3, lbg_iters=3, est_length=8)
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK_FLOATS", 1)   # one trial per chunk: 40 chunks
+        monkeypatch.setattr(simulate, "_trial_workers", lambda: 3)
+        boom = RuntimeError("encode failed")
+        calls = []
+        lock = threading.Lock()
+        encode = TrainedCode.encode
+
+        def failing(code, blocks):
+            with lock:
+                calls.append(None)
+                fail = len(calls) == 5
+            if fail:
+                raise boom
+            return encode(code, blocks)
+
+        monkeypatch.setattr(TrainedCode, "encode", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            universal_two_step(family, sampled, cfg)
+        assert info.value is boom
+        assert threading.active_count() == before
+        # the chunks already taken finish and no more start: far fewer than the 40 chunks run
+        assert len(calls) < 20
 
     def test_huge_seed_keeps_the_trial_streams(self):
         args = list(usim_setup(1, 2, 64, seed=3))
