@@ -7,6 +7,10 @@ error over all components then splits, up to sampling noise, into the
 weighted sampled error plus the estimation floor; the reports carry both
 sides of that identity with confidence half-widths.
 
+Both drivers share one scheme builder, ``_scheme``, which gives a stack of
+covariance matrices (a fixed source's one, or a universal run's ambiguity
+atoms) their spectra, lifts and codes, and one report builder, ``_report``.
+
 Randomness is counter-based: every consumer draws from its own Philox stream
 keyed by (seed, stream id), so reports are bit-reproducible and independent
 of evaluation order.  The universal trials run in chunks of trials, on as
@@ -244,11 +248,11 @@ def _sample_cov(chol: np.ndarray, n: int, blocks: int, seed: int, stream: tuple)
 
 
 def ml_cov_estimate(x_a: np.ndarray) -> np.ndarray:
-    """Maximum likelihood covariance of a zero-mean sampled block (k, n)."""
+    """Maximum likelihood covariance of a zero-mean sampled block (k, n), or of each block of a (..., k, n) stack."""
     x = np.asarray(x_a, dtype=float)
-    if x.ndim != 2:
-        raise DimensionMismatch(f"expected a (k, n) block, got shape {x.shape}")
-    return x @ x.T / x.shape[1]
+    if x.ndim < 2:
+        raise DimensionMismatch(f"expected a (..., k, n) stack of blocks, got shape {x.shape}")
+    return x @ np.swapaxes(x, -1, -2) / x.shape[-1]
 
 
 def _scalar_levels(x: np.ndarray, cb: np.ndarray):
@@ -404,30 +408,18 @@ class TrainedCode:
     transform: np.ndarray          # T with d_A(z) = ||T z||^2
     codebook_whitened: np.ndarray  # (J, n*k), slot-major layout
     codebook_blocks: np.ndarray    # (J, k, n), reproduction blocks
-    n: int
-    k: int
     lbg_iterations: int
     train_distortion: float
-
-    @property
-    def codeword_count(self) -> int:
-        return len(self.codebook_whitened)
-
-    def whiten(self, blocks: np.ndarray) -> np.ndarray:
-        """(..., k, n) stack of blocks -> (rows, n*k) rows in the metric-whitened space.
-
-        Reads the stack in whatever layout it has (see ``_whiten``): a
-        strided view of blocks is whitened where it lies, not copied first.
-        """
-        return _whiten(self.transform, blocks)
 
     def encode(self, blocks: np.ndarray):
         """Nearest codeword for each (k, n) block of a (..., k, n) stack.
 
+        The stack is whitened in whatever layout it has (see ``_whiten``): a
+        strided view of blocks is whitened where it lies, not copied first.
         Returns (indices, weighted distances), each shaped like the stack
         without its last two axes.
         """
-        idx, d2 = _assign(self.whiten(blocks), self.codebook_whitened)
+        idx, d2 = _assign(_whiten(self.transform, blocks), self.codebook_whitened)
         lead = blocks.shape[:-2]
         return idx.reshape(lead), d2.reshape(lead)
 
@@ -463,26 +455,73 @@ def build_code(
         transform=t,
         codebook_whitened=cb_t,
         codebook_blocks=np.ascontiguousarray(blocks),
-        n=n,
-        k=k,
         lbg_iterations=iters_run,
         train_distortion=dist,
     )
 
 
+def _scheme(sigma: np.ndarray, a: np.ndarray, cfg: SimConfig, streams, draws=()):
+    """(Sigma_A, spectra, lifts, codes) of the two-step scheme for each matrix of a (c, m, m) stack.
+
+    Matrix i's blocks sampled at the 0-based rows ``a`` are coded under the
+    weighted metric of their lift by a code trained on the streams
+    ``streams[i]``.  The refusals that read only the config run first, so a
+    refused run factors nothing: the codebook size, the training blocks, then
+    the draw caps, the caller's ``draws`` of (what, floats) pairs before the
+    training draw.
+    """
+    j = cfg.codeword_count()
+    train_blocks = cfg.resolved_train_blocks()
+    for what, floats in (*draws, ("train_blocks * n * k", train_blocks * cfg.n * len(a))):
+        _check_draw(what, floats)
+    sigma_a, cross, trace_ac = _blocks(sigma, a)
+    spectra = _block_spectrum(sigma_a, cross, trace_ac)
+    lifts = _lift(sigma_a, cross)
+    codes = [
+        build_code(s, g, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, stream)
+        for s, g, stream in zip(sigma_a, _weight(lifts), streams)
+    ]
+    return sigma_a, spectra, lifts, codes
+
+
+def _report(cfg: SimConfig, weights, spectra, codes, errors, overhead: float = 0.0, **extra) -> SimReport:
+    """The report of a run: the fields both drivers share, then the driver's own ``extra``.
+
+    ``delta_min`` and the analytic distortion at the code's rate are sums over the stack of
+    ``spectra`` weighted by ``weights`` (the atoms' prior, or 1 for a fixed source); ``errors``
+    holds the (total, weighted, lift) MSE per block or trial; ``overhead`` adds to the code's rate.
+    """
+    j = cfg.codeword_count()
+    rate = math.log2(j) / cfg.n
+    total, weighted, lift = errors
+    return SimReport(
+        n=cfg.n,
+        rate_bits_target=cfg.rate_bits,
+        rate_bits_actual=rate + overhead,
+        codeword_count=j,
+        seed=cfg.seed,
+        train_blocks=cfg.resolved_train_blocks(),
+        eval_blocks=cfg.eval_blocks,
+        delta_min=float(sum(weights * spectra.delta_min)),
+        analytic_distortion_at_rate=float(sum(weights * spectra.distortion(rate))),
+        total_mse=_mean_ci(total),
+        weighted_mse=_mean_ci(weighted),
+        lift_mse=_mean_ci(lift),
+        lbg_iterations=tuple(c.lbg_iterations for c in codes),
+        train_distortion=tuple(c.train_distortion for c in codes),
+        block_trace=np.column_stack(errors) if cfg.trace else None,
+        **extra,
+    )
+
+
 def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
-    """Train, encode, lift, and report the distortion split for one fixed source."""
+    """Train, encode, lift, and report the distortion split for one fixed source: the one-atom scheme."""
     ss = as_sampling_set(sampled)
     ac = ss.complement(model.m)
     a = ss.zero_based()
-    sigma_a, cross, trace_ac = _blocks(model.sigma, a)
-    spec = _block_spectrum(sigma_a, cross, trace_ac)
-    b = _lift(sigma_a, cross)
-    j = cfg.codeword_count()
-    train_blocks = cfg.resolved_train_blocks()
-    _check_draw("eval_blocks * n * m", cfg.eval_blocks * cfg.n * model.m)
-    rate_actual = math.log2(j) / cfg.n
-    code = build_code(sigma_a, _weight(b), cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed)
+    draws = [("eval_blocks * n * m", cfg.eval_blocks * cfg.n * model.m)]
+    _, spectra, lifts, codes = _scheme(model.sigma[None], a, cfg, [()], draws)
+    code = codes[0]
 
     # each array is freed once used, so the run holds under three draws at once; the squared
     # errors are formed in place in the reproductions, whose C order gives each block one sum over
@@ -496,7 +535,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     del d2
     y_a = code.decode(idx)
     del idx
-    y_ac = np.einsum("ij,bjt->bit", b.T, y_a)
+    y_ac = np.einsum("ij,bjt->bit", lifts[0].T, y_a)
     y_a -= x_a
     del x_a
     samp_b = np.sum(np.square(y_a, out=y_a), axis=(1, 2)) / cfg.n
@@ -505,26 +544,7 @@ def two_step_code(model: CovarianceModel, sampled, cfg: SimConfig) -> SimReport:
     del x_ac
     lift_b = np.sum(np.square(y_ac, out=y_ac), axis=(1, 2)) / cfg.n
     del y_ac
-    total_b = samp_b + lift_b
-
-    return SimReport(
-        kind="fixed",
-        n=cfg.n,
-        rate_bits_target=cfg.rate_bits,
-        rate_bits_actual=rate_actual,
-        codeword_count=j,
-        seed=cfg.seed,
-        train_blocks=train_blocks,
-        eval_blocks=cfg.eval_blocks,
-        delta_min=spec.delta_min,
-        analytic_distortion_at_rate=spec.distortion(rate_actual),
-        total_mse=_mean_ci(total_b),
-        weighted_mse=_mean_ci(weighted_b),
-        lift_mse=_mean_ci(lift_b),
-        lbg_iterations=(code.lbg_iterations,),
-        train_distortion=(code.train_distortion,),
-        block_trace=np.column_stack((total_b, weighted_b, lift_b)) if cfg.trace else None,
-    )
+    return _report(cfg, 1.0, spectra, codes, (samp_b + lift_b, weighted_b, lift_b), kind="fixed")
 
 
 def _trial_workers() -> int:
@@ -603,7 +623,7 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
         del z  # the heap keeps a chunk's peak, so free each array once it is used
         x_a, x_ac = x[:, a], x[:, ac]
         del x
-        th = x_a @ x_a.transpose(0, 2, 1) / slots
+        th = ml_cov_estimate(x_a)
         s = sel[part] = np.argmin(np.linalg.norm(reps - th[:, None], axis=(2, 3)), axis=1)
         hits[part] = np.linalg.norm(th - node_block[nodes], axis=(1, 2)) <= 2.0 * cfg.grid_delta
         y_a = np.empty_like(x_a)
@@ -681,47 +701,16 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
             f"the family splits into {atoms} ambiguity atoms, which exceeds the atom cap {ATOM_CAP}"
             " (each atom trains its own codebook)"
         )
-    weights = part.weights
-    reps, cross, trace_ac = _blocks(part.sigma, a)
-    spectra = _block_spectrum(reps, cross, trace_ac)
-    lifts = _lift(reps, cross)
-    j = cfg.codeword_count()
-    train_blocks = cfg.resolved_train_blocks()
-    codes = [
-        build_code(rep, g, cfg.n, j, train_blocks, cfg.lbg_iters, cfg.seed, (i,))
-        for i, (rep, g) in enumerate(zip(reps, _weight(lifts)))
-    ]
+    reps, spectra, lifts, codes = _scheme(part.sigma, a, cfg, [(i,) for i in range(atoms)])
     _, hits, total_t, weighted_t, lift_t = _usim_trials(family, a, ac, cfg, codes, lifts, reps)
-    trials = cfg.eval_blocks
 
     hit_rate = float(np.mean(hits))
     bad_mass = 1.0 - hit_rate
-    bad_mse = float(np.sum(total_t[~hits])) / trials
-    bad_cap = math.sqrt(bad_mass * float(np.mean(total_t ** 2)))
     overhead = math.log2(atoms) / cfg.est_length if atoms > 1 else 0.0
-    code_rate = math.log2(j) / cfg.n
-
-    return SimReport(
-        kind="universal",
-        n=cfg.n,
-        rate_bits_target=cfg.rate_bits,
-        rate_bits_actual=code_rate + overhead,
-        codeword_count=j,
-        seed=cfg.seed,
-        train_blocks=train_blocks,
-        eval_blocks=trials,
-        delta_min=float(sum(weights * spectra.delta_min)),
-        analytic_distortion_at_rate=float(sum(weights * spectra.distortion(code_rate))),
-        total_mse=_mean_ci(total_t),
-        weighted_mse=_mean_ci(weighted_t),
-        lift_mse=_mean_ci(lift_t),
-        lbg_iterations=tuple(c.lbg_iterations for c in codes),
-        train_distortion=tuple(c.train_distortion for c in codes),
-        estimator_hit_rate=hit_rate,
-        universal_overhead_bits=overhead,
-        grid_size=atoms,
+    return _report(
+        cfg, part.weights, spectra, codes, (total_t, weighted_t, lift_t), overhead,
+        kind="universal", estimator_hit_rate=hit_rate, universal_overhead_bits=overhead, grid_size=atoms,
         bad_event_mass=bad_mass,
-        bad_event_mse=bad_mse,
-        bad_event_mse_cap=bad_cap,
-        block_trace=np.column_stack((total_t, weighted_t, lift_t)) if cfg.trace else None,
+        bad_event_mse=float(np.sum(total_t[~hits])) / cfg.eval_blocks,
+        bad_event_mse_cap=math.sqrt(bad_mass * float(np.mean(total_t ** 2))),
     )

@@ -159,8 +159,6 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
     ss = as_sampling_set(sampled)
     ss.complement(family.m)   # refuses a label above m before any index is read
     a = ss.zero_based()
-    if len(family.nodes) == 0:
-        raise EmptyGrid("family grid is empty")
     blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
     flat = blocks.reshape(len(blocks), -1)
     unit = flat / np.abs(flat).max()   # entries at most 1, so no scale underflows or overflows a key

@@ -1,9 +1,11 @@
 import itertools
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -28,6 +30,15 @@ from srdf_kit.field import _gm_cross_mass, _mesh_simpson
 from srdf_kit.model import PD_TOL, SYM_TOL
 from srdf_kit.simulate import _STREAM_TRIAL, _rng
 from srdf_kit.universal import ATOM_TOL
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail any test that leaves more threads running than it found: helpers are joined before a call returns or raises."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    assert after <= before, f"{after - before} thread(s) still running after the test: {threading.enumerate()}"
 
 
 def random_model(rng, m, jitter=0.5):

@@ -39,6 +39,15 @@ def run(task, config, out, extra=()):
     return main([task, "--config", str(config), "--out", str(out), *extra])
 
 
+def at_9_digits(value):
+    """A JSON value with each float written to 9 significant digits, as the golden CSVs hold them."""
+    if isinstance(value, dict):
+        return {key: at_9_digits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [at_9_digits(v) for v in value]
+    return f"{value:.9g}" if isinstance(value, float) else value
+
+
 def write_mesh(path, n, p=0.5):
     """Write the p^|s-u| kernel tabulated on an n-knot mesh in the mesh CSV format."""
     lines = [str(n)] + [f"{i},{j},{p ** (abs(i - j) / (n - 1))!r}" for i in range(n) for j in range(n)]
@@ -93,6 +102,14 @@ class TestArtifacts:
     def test_shipped_csv_matches_golden(self, tmp_path, task, config, artifact):
         assert run(task, CONFIGS / f"{config}.yaml", tmp_path) == 0
         assert (tmp_path / artifact).read_bytes() == (GOLDEN / f"{config}_{artifact}").read_bytes()
+
+    @pytest.mark.parametrize("task,config", [("simulate", "two_step_sim"), ("usim", "corr_family_usim")])
+    def test_shipped_report_matches_golden(self, tmp_path, task, config):
+        # the keys exactly, and every number to 9 significant digits
+        assert run(task, CONFIGS / f"{config}.yaml", tmp_path) == 0
+        got = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        want = json.loads((GOLDEN / f"{config}_report.json").read_text(encoding="utf-8"))
+        assert at_9_digits(got) == at_9_digits(want)
 
     def test_bayes_golden_is_the_one_atom_closed_form(self):
         # one atom with a single mode 1.25 above the floor 0.75, so R = log2(1.25 / (delta - 0.75)) / 2

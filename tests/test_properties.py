@@ -764,7 +764,7 @@ def test_whitening_a_view_of_trials_matches_the_transposed_copy(seed, k, n, tria
         for blocks_in in (stack, copied):
             assert simulate._whiten(transform, blocks_in).tobytes() == want.tobytes()
     cb = rng.standard_normal((j, n * k)) * 10.0 ** rng.uniform(-1.0, 1.0)
-    code = simulate.TrainedCode(t, cb, np.zeros((j, k, n)), n, k, lbg_iterations=1, train_distortion=0.0)
+    code = simulate.TrainedCode(t, cb, np.zeros((j, k, n)), lbg_iterations=1, train_distortion=0.0)
     idx, d2 = code.encode(stack)
     want_idx, want_d2 = reference_assign(want, cb)
     assert idx.shape == d2.shape == (trials, blocks)

@@ -13,6 +13,8 @@ import pytest
 from srdf_kit import (
     CodebookTooLarge,
     CovarianceModel,
+    DimensionMismatch,
+    EigenFailure,
     GridTooLarge,
     SimConfig,
     ValidationError,
@@ -139,6 +141,13 @@ class TestBuildingBlocks:
         x = rng.standard_normal((2, 50000))
         est = ml_cov_estimate(x)
         assert np.allclose(est, np.eye(2), atol=0.05)
+        # a stack, gathered as the trial loop gathers its sampled rows: each estimate is its block's, bit for bit
+        stack = rng.standard_normal((5, 4, 64))[:, [0, 2, 3]]
+        want = np.stack([ml_cov_estimate(block) for block in stack])
+        assert ml_cov_estimate(stack).tobytes() == want.tobytes()
+        assert ml_cov_estimate(stack.reshape(5, 1, 3, 64)).tobytes() == want.tobytes()
+        with pytest.raises(DimensionMismatch):
+            ml_cov_estimate(x[0])
 
     def test_codewords_encode_to_themselves(self):
         g = np.array([[2.0, 0.4], [0.4, 1.0]])
@@ -387,6 +396,83 @@ class TestUniversalTwoStep:
                     universal_two_step(fam, [1], cfg)
 
 
+FIXED_SOURCE = CovarianceModel(np.array([[1.0, 0.6], [0.6, 1.5]]))
+CORR_FAMILY = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=3)
+DRIVERS = {
+    "fixed": lambda cfg: two_step_code(FIXED_SOURCE, [1], cfg),
+    "universal": lambda cfg: universal_two_step(CORR_FAMILY, [1], cfg),
+}
+
+
+def spy_scheme(monkeypatch):
+    """Calls that factor a sampled block or train a code, in call order (filled as the calls come)."""
+    calls = []
+    for name in ("_block_spectrum", "build_code"):
+        monkeypatch.setattr(simulate, name, lambda *args, name=name, **kw: calls.append(name))
+    return calls
+
+
+class TestRefusalOrder:
+    # m = 2 and k = 1 on both drivers, so each draw cap is passed by one float
+    @pytest.mark.parametrize(
+        "driver, kwargs, error, match",
+        [
+            *[
+                pytest.param(driver, *case, id=f"{driver}-{case_id}")
+                for driver in DRIVERS
+                for case_id, case in {
+                    "codebook": ({"rate_bits": 19.0}, CodebookTooLarge, "exceeds the cap"),
+                    "train_blocks": ({"train_blocks": 10}, ValidationError, "below 20 per codeword"),
+                    "train_draw": ({"train_blocks": DRAW_CAP + 1}, GridTooLarge, r"train_blocks \* n \* k"),
+                }.items()
+            ],
+            pytest.param("fixed", {"eval_blocks": DRAW_CAP // 2 + 1}, GridTooLarge, r"eval_blocks \* n \* m",
+                         id="fixed-eval_draw"),
+            pytest.param("universal", {"est_length": DRAW_CAP // 2 + 1}, GridTooLarge, r"est_length \* m",
+                         id="universal-est_length_draw"),
+            pytest.param("universal", {"eval_blocks": DRAW_CAP + 1}, GridTooLarge, "eval_blocks needs",
+                         id="universal-eval_draw"),
+        ],
+    )
+    def test_config_refusals_factor_and_train_nothing(self, monkeypatch, driver, kwargs, error, match):
+        calls = spy_scheme(monkeypatch)
+        with pytest.raises(error, match=match):
+            DRIVERS[driver](SimConfig(**{"rate_bits": 1.0, "eval_blocks": 10, "est_length": 8, **kwargs}))
+        assert calls == []
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_config_refusal_comes_before_a_spectrum_failure(self, monkeypatch, driver):
+        def failing(*args):
+            raise EigenFailure("stand-in spectrum failure")
+
+        monkeypatch.setattr(simulate, "_block_spectrum", failing)
+        with pytest.raises(EigenFailure, match="stand-in"):
+            DRIVERS[driver](SimConfig(rate_bits=1.0, eval_blocks=10, est_length=8))
+        # a run bad both ways exits 2 for its config, no longer 3 for its spectrum
+        with pytest.raises(CodebookTooLarge):
+            DRIVERS[driver](SimConfig(rate_bits=19.0, eval_blocks=10, est_length=8))
+
+    @pytest.mark.parametrize(
+        "driver, kwargs, error, match",
+        [
+            ("fixed", {"rate_bits": 19.0, "train_blocks": DRAW_CAP + 1, "eval_blocks": DRAW_CAP},
+             CodebookTooLarge, "codebook size"),
+            ("fixed", {"train_blocks": 10, "eval_blocks": DRAW_CAP}, ValidationError, "below 20 per codeword"),
+            ("fixed", {"train_blocks": DRAW_CAP + 1, "eval_blocks": DRAW_CAP // 2 + 1}, GridTooLarge, "eval_blocks"),
+            # a universal run checks its est_length and trial draws before it projects the family
+            ("universal", {"rate_bits": 19.0, "est_length": DRAW_CAP // 2 + 1, "eval_blocks": DRAW_CAP + 1},
+             GridTooLarge, "est_length"),
+            ("universal", {"rate_bits": 19.0, "eval_blocks": DRAW_CAP + 1}, GridTooLarge, "eval_blocks"),
+            ("universal", {"rate_bits": 19.0, "train_blocks": DRAW_CAP + 1}, CodebookTooLarge, "codebook size"),
+        ],
+    )
+    def test_the_first_config_refusal_wins(self, monkeypatch, driver, kwargs, error, match):
+        calls = spy_scheme(monkeypatch)
+        with pytest.raises(error, match=match):
+            DRIVERS[driver](SimConfig(**{"rate_bits": 1.0, "est_length": 8, **kwargs}))
+        assert calls == []
+
+
 def one_atom_family(rng, k):
     """(family, sampling set [1..k]): affine, uniform prior, one atom of three members.
 
@@ -408,13 +494,7 @@ def usim_setup(k, n, est_length, seed, make_family=multi_atom_family):
     ss = as_sampling_set(sampled)
     a, ac = ss.zero_based(), ss.complement(family.m)
     sigma = project_family(family, ss).sigma
-    j = cfg.codeword_count()
-    reps = sigma[:, a[:, None], a]
-    lifts = np.stack([_lift(rep, s[np.ix_(a, ac)]) for rep, s in zip(reps, sigma)])
-    codes = [
-        build_code(rep, _weight(lift), n, j, cfg.resolved_train_blocks(), cfg.lbg_iters, seed, (i,))
-        for i, (rep, lift) in enumerate(zip(reps, lifts))
-    ]
+    reps, _, lifts, codes = simulate._scheme(sigma, a, cfg, [(i,) for i in range(len(sigma))])
     return family, a, ac, cfg, codes, lifts, reps
 
 
