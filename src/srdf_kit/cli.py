@@ -420,8 +420,10 @@ def _run_place(cfg, base, out, args):
             "solver": result.solver,
             **({"restarts": result.restarts,
                 "objective_calls": result.objective_calls,
-                # an infeasible restart is written as null
-                "restart_values": [v if math.isfinite(v) else None for v in result.restart_values]}
+                # an infeasible restart is written as null, as is its gradient norm
+                "restart_values": [v if math.isfinite(v) else None for v in result.restart_values],
+                "restart_iterations": list(result.restart_iterations),
+                "restart_gradient_norms": [g if math.isfinite(g) else None for g in result.restart_gradient_norms]}
                if result.solver == "search" else {}),
             "integrals": fm.integrals,
         }

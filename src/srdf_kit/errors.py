@@ -81,6 +81,10 @@ class EmptyGrid(ValidationError):
     code = "universal.empty_grid"
 
 
+class UnboundedBox(ValidationError):
+    code = "universal.unbounded_box"
+
+
 class TooManySubsets(ValidationError):
     code = "setopt.too_many_subsets"
 

@@ -8,6 +8,9 @@ closed form in its two points, and its floor-minimizing placement is solved
 exactly.  A tabulated kernel is bilinear, so for a fixed sample it
 is linear in u inside each mesh cell and the integrands are quadratic there:
 Simpson's rule with one panel per mesh cell is exact wherever the samples lie.
+Every other placement is searched by projected quasi-Newton steps on the
+ordered points, driven by the objective's gradient in the points, which the
+same closed forms and the same Simpson rule give exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ from .srdf import RateCurve, Spectrum, _rate_curve, _spectrum
 
 QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
-PLACEMENT_CAP = 128  # most points one placement places: a coordinate sweep is k line searches of O(k^3) calls
-RESTART_CAP = 256    # most restarts one placement runs: they run serially, each a full coordinate search
+PLACEMENT_CAP = 128  # most points one placement places: one evaluation, value and gradient, is O(k^3)
+RESTART_CAP = 256    # most restarts one placement runs: they run serially, each a full quasi-Newton search
 FEASIBLE_BISECTIONS = 20  # halvings that locate an infeasible restart's first feasible point
+DESCENT_STEPS = 200       # most quasi-Newton steps one restart takes
+GRADIENT_TOL = 1e-8       # a restart ends once its projected gradient step moves no point further
+ROUNDING = 4.0 * float(np.finfo(float).eps)   # relative change below a value's rounding
 
 
 @dataclass(frozen=True)
@@ -65,17 +71,18 @@ class TabulatedKernel:
     def mesh_n(self) -> int:
         return self.values.shape[0]
 
-    def corr(self, s, u) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
+    def _cells(self, s, u):
+        """Mesh cell (i0, j0) of each pair (s, u) and the offsets (ts, tu) in it, in cell widths."""
         n = self.mesh_n
-        # bilinear interpolation on the uniform mesh
-        fs = np.clip(s, 0.0, 1.0) * (n - 1)
-        fu = np.clip(u, 0.0, 1.0) * (n - 1)
+        fs = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (n - 1)
+        fu = np.clip(np.asarray(u, dtype=float), 0.0, 1.0) * (n - 1)
         i0 = np.minimum(fs.astype(int), n - 2)
         j0 = np.minimum(fu.astype(int), n - 2)
-        ts = fs - i0
-        tu = fu - j0
+        return i0, j0, fs - i0, fu - j0
+
+    def corr(self, s, u) -> np.ndarray:
+        # bilinear interpolation on the uniform mesh
+        i0, j0, ts, tu = self._cells(s, u)
         v = self.values
         return (
             v[i0, j0] * (1 - ts) * (1 - tu)
@@ -83,6 +90,12 @@ class TabulatedKernel:
             + v[i0, j0 + 1] * (1 - ts) * tu
             + v[i0 + 1, j0 + 1] * ts * tu
         )
+
+    def slope(self, s, u) -> np.ndarray:
+        """d corr(s, u) / d s: constant in s inside a mesh cell, taken from the right on a mesh line."""
+        i0, j0, _, tu = self._cells(s, u)
+        v = self.values
+        return (self.mesh_n - 1) * ((v[i0 + 1, j0] - v[i0, j0]) * (1 - tu) + (v[i0 + 1, j0 + 1] - v[i0, j0 + 1]) * tu)
 
     @classmethod
     def from_mesh_csv(cls, path) -> "TabulatedKernel":
@@ -196,6 +209,33 @@ def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
     return p ** gap * (gap + (np.expm1(two_lp * lo) + np.expm1(two_lp * (1.0 - hi))) / two_lp)
 
 
+def _field_slopes(field: FieldModel, pts: np.ndarray, mass: np.ndarray):
+    """(G, H) at checked points ``pts`` with cross mass ``mass``: moving a_i alone moves Sigma_A along
+    e_i G_i^T + G_i e_i^T and M along e_i H_i^T + H_i e_i^T, with G_ij = d r(a_i, a_j) / d a_i
+    (half that on the diagonal, where both arguments move) and H_ij the integral over [0, 1] of
+    d r(a_i, u) / d a_i * r(u, a_j) du.
+
+    Gauss-Markov: G_ij = sgn l p^|a_i - a_j| with sgn = sign(a_i - a_j) and l = ln p, and H is the
+    derivative of ``_gm_cross_mass``'s closed form in a_i alone, sgn l M_ij + p^(b-a) expm1(2la) when
+    a_i = a < b and sgn l M_ij - p^(b-a) expm1(2l(1-b)) when a_i = b > a; on the diagonal, half the
+    derivative of M_ii, (expm1(2la) - expm1(2l(1-a))) / 2, is the mean of the two.  Tabulated: the
+    slopes are linear in u inside each mesh cell like the kernel, so the per-cell Simpson rule is
+    exact for H too.
+    """
+    kernel = field.kernel
+    if field.integrals == "mesh-simpson":
+        u, w = _mesh_simpson(kernel.mesh_n)
+        h = (kernel.slope(pts[None, :], u[:, None]) * w[:, None]).T @ kernel.corr(u[:, None], pts[None, :])
+        return kernel.slope(pts[:, None], pts[None, :]), h
+    two_lp = 2.0 * math.log(kernel.p)
+    gap = pts[:, None] - pts[None, :]
+    side = np.sign(gap)
+    decay = kernel.p ** np.abs(gap)
+    # a_i is the left point a wherever 1 - sgn > 0 and the right point b wherever 1 + sgn > 0
+    ends = (1.0 - side) * np.expm1(two_lp * pts)[:, None] - (1.0 + side) * np.expm1(two_lp * (1.0 - pts))[:, None]
+    return 0.5 * two_lp * side * decay, 0.5 * (two_lp * side * mass + decay * ends)
+
+
 def _field_block(field: FieldModel, points):
     """(Sigma_A, M, integrated variance, L) of the field sampled at ``points``, Sigma_A = L L^T.
 
@@ -215,14 +255,14 @@ def _field_block(field: FieldModel, points):
 
 
 def _field_reduce(field: FieldModel, points):
-    """(floor, S, variance) of the field sampled at ``points``: with Sigma_A = L L^T and
+    """(floor, S, variance, M, L) of the field sampled at ``points``: with Sigma_A = L L^T and
     weight G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
     left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S.
-    One validated factor serves both solves, so a placement-objective call costs one
-    Cholesky factor and, for a rate, one ``eigvalsh``."""
+    One validated factor serves both solves, so a placement evaluation costs one
+    Cholesky factor and, for a rate, one ``eigvalsh``, besides its gradient's."""
     _, m_mat, variance, l = _field_block(field, points)
     s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
-    return max(0.0, variance - float(s.trace())), s, variance
+    return max(0.0, variance - float(s.trace())), s, variance, m_mat, l
 
 
 def field_min_distortion(field: FieldModel, points) -> float:
@@ -245,24 +285,31 @@ def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
 
 def field_srdf(field: FieldModel, points, delta) -> RateCurve:
     """Rate distortion function of the field sampled at ``points``, at ``delta`` (a float or an array)."""
-    floor, s, variance = _field_reduce(field, points)   # variance is field_max_distortion's value
+    floor, s, variance = _field_reduce(field, points)[:3]   # variance is field_max_distortion's value
     return _rate_curve(_spectrum(floor, s).rate(delta), delta, floor, variance)
 
 
 def gm_segment_explained(p: float, length: float) -> float:
     """Integrated variance explained on a segment bridged by its two endpoint samples.
 
-    For the p^|s-u| kernel the integral over a segment of the given length,
-    conditioned on samples at both ends, has the closed form below; both logs
-    are natural.  The segment's floor contribution is length minus this value.
+    For the p^|s-u| kernel the integral over a segment of length L,
+    conditioned on samples at both ends, is (q (1 - x) - 1) / (ln p (1 - q))
+    with x = 2 L ln p and q = e^x.  The segment's floor contribution is L
+    minus this value.  For short segments both differences cancel, so the
+    numerator is t (1 - x) - x^2 (1 + x) / 2 with t = expm1(x) - x - x^2/2,
+    and the denominator -ln p expm1(x).
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"kernel parameter must be in (0, 1), got {p}")
     if not 0.0 < length <= 1.0:
         raise DomainError(f"segment length must be in (0, 1], got {length}")
     lp = math.log(p)
-    q = p ** (2.0 * length)
-    return (q * (1.0 - 2.0 * length * lp) - 1.0) / (lp * (1.0 - q))
+    x = 2.0 * length * lp
+    if x > -1.0:
+        numerator = _expm1_tail(x) * (1.0 - x) - 0.5 * x * x * (1.0 + x)
+    else:
+        numerator = math.exp(x) * (1.0 - x) - 1.0
+    return numerator / (-lp * math.expm1(x))
 
 
 def gm_min_distortion_single(p: float, a: float) -> float:
@@ -284,57 +331,6 @@ def gm_min_distortion_pinned(p: float, points) -> float:
     if len(pts) < 2 or pts[0] != 0.0 or pts[-1] != 1.0:
         raise DomainError(f"point set must start at 0 and end at 1, got {pts}")
     return 1.0 - sum(gm_segment_explained(p, b - a) for a, b in zip(pts, pts[1:]))
-
-
-def _brent(fn, lo: float, hi: float, x: float, fx: float, tol: float = 1e-6):
-    """Minimize a unimodal scalar function on [lo, hi] from x, where fn(x) = fx; returns (x, fn(x)).
-
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 5): a parabola through the three best points when it is usable and
-    all three values are finite, else a golden-section step.  The known start
-    costs no call; an x not strictly inside (lo, hi) is replaced by the golden
-    point, but is still returned if nothing better is found.  Stops once the
-    bracket is tol wide; the value returned is the one already evaluated.
-    """
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
-    step = tol / 4.0   # smallest step; the loop ends once x is within 2 steps of both ends
-    start = (x, fx)
-    a, b = lo, hi
-    if not a < x < b:
-        x = a + golden * (b - a)
-        fx = fn(x)
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while max(x - a, b - x) > 2.0 * step:
-        mid = 0.5 * (a + b)
-        parabolic = False
-        if abs(e) > step and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                parabolic = True
-                if x + d - a < 2.0 * step or b - x - d < 2.0 * step:
-                    d = math.copysign(step, mid - x)
-        if not parabolic:
-            e = (a - x) if x >= mid else (b - x)
-            d = golden * e
-        u = x + (d if abs(d) >= step else math.copysign(step, d))
-        fu = fn(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (a, u) if u >= x else (u, b)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return start if start[1] <= fx else (x, fx)
 
 
 def _expm1_tail(x: float) -> float:
@@ -396,22 +392,125 @@ class PlacementResult:
     objective: str
     restarts: int
     solver: str        # "exact" (Gauss-Markov min_delta_min) or "search"
-    objective_calls: int
+    objective_calls: int   # evaluations, each a value with its gradient ("search") or a value ("exact")
     restart_values: tuple[float, ...]   # each restart's final value; empty for "exact"
+    restart_iterations: tuple[int, ...] = ()   # each restart's quasi-Newton steps; empty for "exact"
+    restart_gradient_norms: tuple[float, ...] = ()   # each restart's final projected-gradient norm; nan at inf
 
 
 def _placement_objective(field: FieldModel, objective):
+    """(fn, reported name): fn(pts) is the floor of the points, or their rate at delta, inf wherever
+    that raises a package error; fn(pts, gradient=True) is (that value, its gradient in the points),
+    both from one reduction, with the gradient None at inf.
+
+    Moving a_i alone moves Sigma_A and M as ``_field_slopes`` says.  An eigenvalue lambda of
+    M x = lambda Sigma_A x with x^T Sigma_A x = 1, the spectrum of S with x = L^{-T} v, moves by
+    x^T (dM - lambda dSigma_A) x = 2 x_i ((H x)_i - lambda (G x)_i) (Magnus & Neudecker, Matrix
+    Differential Calculus, ch. 8).  The floor is the variance less the sum of the eigenvalues.  At
+    the rate's water level alpha the modes above it keep the budget by moving alpha, so each moves
+    the rate by (1/lambda - 1/alpha) / (2 ln 2) per unit of its eigenvalue and the rest by nothing.
+    """
     name, delta = _objective(objective)
-    if delta is None:
-        def fn(pts):
-            return field_min_distortion(field, pts)
-    else:
-        def fn(pts):
-            try:
-                return field_srdf_spectrum(field, pts).rate(delta)
-            except SrdfKitError:
-                return math.inf
+
+    def evaluate(pts, gradient):
+        floor, s, _, mass, l = _field_reduce(field, pts)
+        if delta is None:
+            value = floor
+        else:
+            spec = _spectrum(floor, s)
+            value = spec.rate(delta)
+        if not gradient:
+            return value
+        lam, vec = np.linalg.eigh(s)
+        if delta is None:
+            weight = -np.ones(lam.size)
+        else:
+            alpha = spec.level(delta - floor)
+            weight = (1.0 / np.maximum(lam, alpha) - 1.0 / alpha) / (2.0 * math.log(2.0))   # 0 below alpha
+        x = np.linalg.solve(l.T, vec)
+        g, h = _field_slopes(field, np.asarray(pts), mass)
+        return value, 2.0 * (x * weight * (h @ x - (g @ x) * lam)).sum(axis=1)
+
+    def fn(pts, gradient=False):
+        try:
+            return evaluate(pts, gradient)
+        except SrdfKitError:
+            if delta is None:
+                raise
+            return (math.inf, None) if gradient else math.inf
+
     return fn, name
+
+
+def _project(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The nearest point to x whose entries lie in [lo, hi], in order and SEP_TOL apart.
+
+    Less i SEP_TOL on entry i, that is the nearest nondecreasing sequence in [lo, hi - (n-1) SEP_TOL]:
+    the nearest nondecreasing one, found by pooling adjacent violators, clipped to that box.
+    """
+    steps = SEP_TOL * np.arange(x.size)
+    fit = x - steps
+    if (fit[1:] < fit[:-1]).any():
+        pools = []   # [sum, count] of each pool, their means increasing
+        for v in fit.tolist():
+            pools.append([v, 1])
+            while len(pools) > 1 and pools[-2][0] * pools[-1][1] > pools[-1][0] * pools[-2][1]:
+                total, count = pools.pop()
+                pools[-1][0] += total
+                pools[-1][1] += count
+        fit = np.repeat([total / count for total, count in pools], [count for _, count in pools])
+    return np.clip(np.clip(fit, lo, hi - SEP_TOL * (x.size - 1)) + steps, lo, hi)
+
+
+def _descend(evaluate, x: np.ndarray, value: float, grad: np.ndarray, lo: float, hi: float):
+    """Projected BFGS from x, where evaluate(x) = (value, grad), on ordered points in [lo, hi]:
+    (x, value, grad, accepted steps, final projected-gradient norm).
+
+    Each step tries the projections of x + t d for t = 1, 1/2, ..., with d = -H grad and H the
+    inverse-Hessian estimate, and takes the first trial that lowers the value, by at least 1e-4 of
+    its first-order decrease (Nocedal & Wright, Numerical Optimization, ch. 3, 6 and 16).  H is
+    first a multiple of the identity that moves no point more than a tenth of the equispaced gap,
+    then s^T y / y^T y times it, updated by BFGS; a pair with s^T y <= 0 is skipped.  A direction
+    whose first-order decrease falls to the value's rounding, or its step to rounding, before a
+    trial is taken goes back to the first H, and there ends the search.  So does a projected gradient step that moves no
+    point more than GRADIENT_TOL, or DESCENT_STEPS steps.
+    """
+    inverse = None
+    steps = 0
+    while True:
+        norm = float(np.abs(_project(x - grad, lo, hi) - x).max(initial=0.0))
+        if norm <= GRADIENT_TOL or steps == DESCENT_STEPS:
+            return x, value, grad, steps, norm
+        if inverse is None:
+            scale = (x.size + 1) * float(np.abs(grad).max())
+            direction = -grad * (min(1.0, 0.1 / scale) if scale > 0.0 else 1.0)
+        else:
+            direction = -(inverse @ grad)
+        t = 1.0
+        while True:
+            trial = _project(x + t * direction, lo, hi)
+            decrease = -float(grad @ (trial - x))
+            if t < ROUNDING or not decrease > ROUNDING * abs(value):
+                trial = None
+                break
+            trial_value, trial_grad = evaluate(trial)
+            if trial_value < value and trial_value <= value - 1e-4 * decrease:
+                break
+            t *= 0.5
+        if trial is None:
+            if inverse is None:
+                return x, value, grad, steps, norm
+            inverse = None
+            continue
+        s, y = trial - x, trial_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if inverse is None:
+                inverse = np.eye(x.size) * (sy / float(y @ y))
+            hy = inverse @ y
+            inverse += (sy + float(y @ hy)) / (sy * sy) * np.outer(s, s) - (np.outer(s, hy) + np.outer(hy, s)) / sy
+        x, value, grad = trial, trial_value, trial_grad
+        steps += 1
 
 
 def optimize_placement(
@@ -426,22 +525,23 @@ def optimize_placement(
 
     A Gauss-Markov field under ``min_delta_min`` is solved exactly
     (``_gm_optimal_points``), and ``restarts`` and ``seed`` go unused.
-    Otherwise each restart runs Brent line searches (``_brent``) coordinate
-    by coordinate, each started from the point's current position and value,
+    Otherwise each restart runs a projected quasi-Newton search (``_descend``)
+    on the analytic gradient of the objective (``_placement_objective``),
     keeping points sorted and separated by SEP_TOL.  Restart 0 starts from the
     equispaced layout or, for a free Gauss-Markov field, from the exact floor
     optimum when that scores lower; the rest start from sorted uniform draws
-    on deterministic per-restart streams.  A Gauss-Markov draw that is
-    infeasible (its floor at or above the target distortion, objective inf)
-    moves first to the first feasible point on the segment to the exact floor
-    optimum: along it the gaps change linearly and the floor, a sum of convex
-    functions of the gaps, is convex and least at the optimum, so it does not
-    rise and the feasible points form its final stretch, which bisection
-    locates to 2^-FEASIBLE_BISECTIONS of its length.  A tabulated field has no
-    known optimum, so its infeasible draws are searched from where they fall.
+    on deterministic per-restart streams.  A draw that is infeasible (its
+    floor at or above the target distortion, objective inf) moves first to
+    the first feasible point on the segment to an anchor, which bisection
+    locates to 2^-FEASIBLE_BISECTIONS of its length.  On a Gauss-Markov field
+    the anchor is the exact floor optimum: along the segment the gaps change
+    linearly and the floor, a sum of convex functions of the gaps, is convex
+    and least at the optimum, so it does not rise and the feasible points
+    form its final stretch.  A tabulated field has no known optimum, so its
+    anchor is restart 0's result, and a draw stays infeasible when that is.
     With ``pin_endpoints`` the first and last points are fixed at 0 and 1
-    and only the interior moves.  The result counts the objective calls and
-    keeps each restart's final value.
+    and only the interior moves.  The result counts the evaluations and
+    keeps each restart's final value, step count and projected-gradient norm.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
@@ -454,80 +554,75 @@ def optimize_placement(
     if restarts > RESTART_CAP:
         raise GridTooLarge(f"restarts = {restarts} exceeds the restart cap {RESTART_CAP}")
     obj_fn, obj_name = _placement_objective(field, objective)
-    if field.integrals == "closed-form" and obj_name == "min_delta_min":
+    gauss_markov = field.integrals == "closed-form"
+    if gauss_markov and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
         return PlacementResult(points=pts, value=float(obj_fn(pts)), objective=obj_name,
                                restarts=restarts, solver="exact", objective_calls=1, restart_values=())
     calls = 0
+    # the search moves the free points only: all k, or the interior between the pinned ends
+    lo, hi = (SEP_TOL, 1.0 - SEP_TOL) if pin_endpoints else (0.0, 1.0)
 
-    def objective_at(pts):
+    def placed(x):
+        return np.concatenate([[0.0], x, [1.0]]) if pin_endpoints else x
+
+    def evaluate(x):
         nonlocal calls
         calls += 1
-        return obj_fn(tuple(pts))
+        value, grad = obj_fn(tuple(placed(x)), gradient=True)
+        return value, (grad[1:-1] if pin_endpoints and grad is not None else grad)
 
-    def first_feasible(start):
-        opt = _gm_optimal_points(field.kernel.p, k, pin_endpoints)
-        lo, hi, value = 0.0, 1.0, objective_at(opt)
+    def first_feasible(start, anchor):
+        target, value, grad = anchor
         if value == math.inf:
-            return start, value
+            return start, value, grad
+        lo_t, hi_t = 0.0, 1.0
         for _ in range(FEASIBLE_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            mid_value = objective_at(start + mid * (opt - start))
+            mid = 0.5 * (lo_t + hi_t)
+            mid_value, mid_grad = evaluate(start + mid * (target - start))
             if mid_value == math.inf:
-                lo = mid
+                lo_t = mid
             else:
-                hi, value = mid, mid_value
-        return start + hi * (opt - start), value
+                hi_t, value, grad = mid, mid_value, mid_grad
+        return (target if hi_t == 1.0 else start + hi_t * (target - start)), value, grad
 
-    def run_restart(r: int):
+    anchor = None
+    outcomes = []
+    for r in range(restarts):
         if r == 0:
             layouts = [np.linspace(0.0, 1.0, k) if pin_endpoints else (np.arange(k) + 0.5) / k]
-            if field.integrals == "closed-form" and not pin_endpoints:
+            if gauss_markov and not pin_endpoints:
                 # an equispaced start can sit on the infeasible plateau of min_rate_at
                 layouts.append(_gm_optimal_points(field.kernel.p, k, False))
-            pts, value = min(((list(a), objective_at(a)) for a in layouts), key=lambda start: start[1])
+            starts = [a[1:-1] if pin_endpoints else a for a in layouts]
+            x, (value, grad) = min(((a, evaluate(a)) for a in starts), key=lambda start: start[1][0])
         else:
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
             )
             if pin_endpoints:
-                inner = np.sort(rng.uniform(SEP_TOL, 1.0 - SEP_TOL, size=k - 2))
-                pts = np.concatenate([[0.0], inner, [1.0]])
+                x = np.sort(rng.uniform(SEP_TOL, 1.0 - SEP_TOL, size=k - 2))
             else:
-                pts = np.sort(rng.uniform(0.0, 1.0, size=k))
-            value = objective_at(pts)
-            if value == math.inf and field.integrals == "closed-form":
-                pts, value = first_feasible(pts)
-            pts = list(pts)
-        free = range(1, k - 1) if pin_endpoints else range(k)
-        for _ in range(40):
-            largest_move = 0.0
-            for i in free:
-                lo = pts[i - 1] + SEP_TOL if i > 0 else 0.0
-                hi = pts[i + 1] - SEP_TOL if i < k - 1 else 1.0
-                if hi <= lo:
-                    continue
-
-                def line(x, i=i):
-                    cand = list(pts)
-                    cand[i] = x
-                    return objective_at(cand)
-
-                x, fx = _brent(line, lo, hi, pts[i], value)
-                if fx < value:
-                    largest_move = max(largest_move, abs(x - pts[i]))
-                    pts[i] = x
-                    value = fx
-            if largest_move < 1e-5:
-                break
-        return tuple(pts), value
-
-    outcomes = [run_restart(r) for r in range(restarts)]
-    best_pts, best_val = outcomes[0]
-    for pts, val in outcomes[1:]:
+                x = np.sort(rng.uniform(0.0, 1.0, size=k))
+            value, grad = evaluate(x)
+            if value == math.inf:
+                if anchor is None and gauss_markov:
+                    target = _gm_optimal_points(field.kernel.p, k, pin_endpoints)
+                    target = target[1:-1] if pin_endpoints else target
+                    anchor = (target, *evaluate(target))
+                x, value, grad = first_feasible(x, anchor)
+        if value == math.inf:
+            outcomes.append((x, value, grad, 0, math.nan))
+        else:
+            outcomes.append(_descend(evaluate, x, value, grad, lo, hi))
+        if r == 0 and not gauss_markov:
+            anchor = outcomes[0][:3]
+    best_x, best_val = outcomes[0][:2]
+    for x, val, *_ in outcomes[1:]:
         if val < best_val:
-            best_pts, best_val = pts, val
-    best_pts = tuple(float(p) for p in best_pts)
-    return PlacementResult(points=best_pts, value=float(best_val), objective=obj_name, restarts=restarts,
-                           solver="search", objective_calls=calls,
-                           restart_values=tuple(float(val) for _, val in outcomes))
+            best_x, best_val = x, val
+    return PlacementResult(points=tuple(float(a) for a in placed(best_x)), value=float(best_val),
+                           objective=obj_name, restarts=restarts, solver="search", objective_calls=calls,
+                           restart_values=tuple(float(o[1]) for o in outcomes),
+                           restart_iterations=tuple(o[3] for o in outcomes),
+                           restart_gradient_norms=tuple(o[4] for o in outcomes))

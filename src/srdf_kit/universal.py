@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleDistortion,
     NoPrior,
     NotSquare,
+    UnboundedBox,
     UnsupportedFamily,
 )
 from .model import SamplingSet, _blocks, as_sampling_set, validate_covariance
@@ -63,6 +64,11 @@ class ParamFamily:
         object.__setattr__(self, "box", box)
         if len(box) == 0:
             raise EmptyGrid("parameter box must have at least one dimension")
+        # a bound or a volume past the float range makes every node weight NaN
+        if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in box):
+            raise UnboundedBox(f"parameter box bounds must be finite, got {box}")
+        if not math.isfinite(math.prod(hi - lo for lo, hi in box)):
+            raise UnboundedBox(f"parameter box volume overflows the float range: {box}")
         if any(hi < lo for lo, hi in box):
             raise EmptyGrid(f"parameter box has an empty dimension: {box}")
         if self.grid_res < 1:
@@ -116,8 +122,8 @@ def _materialize(box, prior, grid_res):
     else:
         raise NoPrior(f"prior must be None, 'uniform', or a callable density, got {prior!r}")
     total = float(np.sum(raw))
-    if total <= 0.0:
-        raise NoPrior("prior mass on the grid is zero")
+    if not 0.0 < total < math.inf:   # NaN fails too
+        raise NoPrior(f"prior mass on the grid must be positive and finite, got {total}")
     return nodes, raw / total
 
 

@@ -164,12 +164,15 @@ class TestArtifacts:
             solver = "exact" if kernel == "gauss-markov" else "search"
             assert summary["solver"] == solver
             assert summary.get("restarts") == (1 if solver == "search" else None)
-            # so do the search's objective calls and per-restart values
+            # so do the search's evaluations and per-restart values, steps and gradient norms;
+            # here the start, the centre of a symmetric mesh, is already stationary
+            per_restart = ("restart_values", "restart_iterations", "restart_gradient_norms")
             if solver == "search":
-                assert isinstance(summary["objective_calls"], int) and summary["objective_calls"] > 1
+                assert isinstance(summary["objective_calls"], int) and summary["objective_calls"] >= 1
                 assert summary["restart_values"] == [summary["value"]]
+                assert summary["restart_iterations"] == [0] and summary["restart_gradient_norms"] == [0.0]
             else:
-                assert "objective_calls" not in summary and "restart_values" not in summary
+                assert all(key not in summary for key in ("objective_calls", *per_restart))
 
     @pytest.mark.parametrize("seed_line, argv, want", [
         pytest.param(", seed: 1552545901", (), 1552545901, id="config"),
@@ -214,6 +217,7 @@ class TestArtifacts:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
         assert summary["value"] == pytest.approx(8.87, abs=5e-3)
         assert len(summary["restart_values"]) == 4 and summary["value"] in summary["restart_values"]
+        assert len(summary["restart_iterations"]) == len(summary["restart_gradient_norms"]) == 4
 
     def test_determined_tabulated_field_is_resolved(self, tmp_path):
         # two samples on one mesh cell leave a floor of rounding noise
@@ -584,6 +588,21 @@ class TestExitCodes:
         assert err.startswith("error [cli.config_parse]"), err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "curve.csv").exists()
+
+    @pytest.mark.parametrize("box", ["[[-1.0e+308, 1.0e+308]]", "[[0.0, .inf]]"])
+    def test_unbounded_family_box_is_refused_without_a_warning(self, tmp_path, capsys, box):
+        # the node weights used to turn NaN, warn, and end in model.not_positive_definite
+        cfg = tmp_path / "box.yaml"
+        cfg.write_text("family: {template: affine, base: [[1.0, 0.3], [0.3, 1.0]], directions: [[[0.0, 0.0],"
+                       f" [0.0, 0.0]]], box: {box}, prior: uniform, grid_res: 3}}\nsampling: [1]\n{GRID}",
+                       encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("usrdf-bayes", cfg, tmp_path / "out") == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error [universal.unbounded_box]"), err
+        assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("entry", ["1.7e+308", "-1.0e+308"])
     def test_covariance_whose_sums_overflow_is_refused_without_a_warning(self, tmp_path, capsys, entry):

@@ -25,7 +25,16 @@ from srdf_kit import (
     gm_segment_explained,
     optimize_placement,
 )
-from srdf_kit.field import PLACEMENT_CAP, RESTART_CAP, _brent, _gm_cross_mass, _gm_optimal_points
+from srdf_kit.field import (
+    GRADIENT_TOL,
+    PLACEMENT_CAP,
+    RESTART_CAP,
+    SEP_TOL,
+    _descend,
+    _gm_cross_mass,
+    _gm_optimal_points,
+    _project,
+)
 
 from conftest import knot_simpson, reference_gm_cross_mass
 
@@ -290,9 +299,9 @@ class TestPlacement:
     @pytest.mark.parametrize("k, pin", [(1, False), (2, False), (5, False), (2, True), (5, True)])
     def test_gauss_markov_min_delta_min_is_exact(self, monkeypatch, k, pin):
         def no_search(*args, **kwargs):
-            raise AssertionError("the coordinate search ran")
+            raise AssertionError("the quasi-Newton search ran")
 
-        monkeypatch.setattr(srdf_kit.field, "_brent", no_search)
+        monkeypatch.setattr(srdf_kit.field, "_descend", no_search)
         fm = gm_field(0.4)
         res = optimize_placement(fm, k, "min_delta_min", restarts=2, pin_endpoints=pin, seed=3)
         assert res.solver == "exact" and res.restarts == 2
@@ -329,20 +338,24 @@ class TestPlacement:
 
     def test_search_reports_calls_and_restart_values(self, monkeypatch):
         calls = 0
-        original = srdf_kit.field.field_srdf_spectrum
+        original = srdf_kit.field._field_reduce
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(srdf_kit.field, "field_srdf_spectrum", counted)
-        # the shape of the benchmark's largest min_rate_at placement, where the
-        # golden-section line search made 933 objective calls
-        res = optimize_placement(gm_field(0.4577), 4, ("min_rate_at", 0.5642), restarts=2,
-                                 pin_endpoints=True, seed=649339510)
-        assert res.objective_calls == calls <= 300
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", counted)
+        # the benchmark's largest min_rate_at placement, where Brent's coordinate sweeps made
+        # 235 objective calls, and golden-section line searches before them 933
+        res = optimize_placement(gm_field(0.40161032030812766), 4, ("min_rate_at", 0.48550868554251103),
+                                 restarts=2, pin_endpoints=True, seed=1552545901)
+        # one reduction per evaluation, each a value with its gradient
+        assert res.objective_calls == calls <= 60
+        assert res.value <= 0.856539370367007   # the sweeps' value
         assert len(res.restart_values) == 2 and res.value == min(res.restart_values)
+        assert len(res.restart_iterations) == 2 and all(n >= 1 for n in res.restart_iterations)
+        assert len(res.restart_gradient_norms) == 2 and max(res.restart_gradient_norms) < 1e-6
 
     def test_free_search_leaves_an_infeasible_equispaced_start(self):
         # the floor at (0.25, 0.75) is 0.1347, above delta; the floor optimum meets delta
@@ -354,24 +367,30 @@ class TestPlacement:
         assert math.isfinite(res.value) and res.value <= field_srdf(fm, optimum, delta).rate_bits
         assert res.value == pytest.approx(8.87, abs=5e-3)
 
-    def test_infeasible_random_restarts_start_from_the_first_feasible_point(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["gauss-markov", "tabulated"])
+    def test_infeasible_random_restarts_start_from_the_first_feasible_point(self, monkeypatch, kind):
         # delta sits just above the floor 0.32392 of the pinned optimum (0, 0.5, 1); the random
-        # draws of restarts 1 and 2 lie above delta, where every line search used to stay at inf
+        # draws of restarts 1 and 2 lie above delta, where a search would stay at inf.  A
+        # Gauss-Markov draw moves toward that optimum, a tabulated one toward restart 0's result
         searches = []
 
-        def recorded(fn, lo, hi, x, fx, *args, **kwargs):
-            found = _brent(fn, lo, hi, x, fx, *args, **kwargs)
-            searches.append((x, fx, found[1]))
+        def recorded(evaluate, x, value, *args):
+            found = _descend(evaluate, x, value, *args)
+            searches.append((x[0], value, found[1]))
             return found
 
-        monkeypatch.setattr(srdf_kit.field, "_brent", recorded)
-        fm, delta = gm_field(0.125), 0.3292
+        monkeypatch.setattr(srdf_kit.field, "_descend", recorded)
+        fm = gm_field(0.125) if kind == "gauss-markov" else FieldModel(TabulatedKernel(0.125 ** np.abs(
+            np.linspace(0.0, 1.0, 65)[:, None] - np.linspace(0.0, 1.0, 65)[None, :])))
+        delta = 0.3292 if kind == "gauss-markov" else field_min_distortion(fm, (0.0, 0.5, 1.0)) + 5e-4
         res = optimize_placement(fm, 3, ("min_rate_at", delta), restarts=3, pin_endpoints=True, seed=0)
-        assert res.restart_values == pytest.approx([9.70394352] * 3, rel=1e-8)
-        assert searches and all(math.isfinite(start) and found <= start for _, start, found in searches)
+        assert all(math.isfinite(v) for v in res.restart_values)
+        if kind == "gauss-markov":
+            assert res.restart_values == pytest.approx([9.70394352] * 3, rel=1e-8)
+        assert len(searches) == 3 and all(math.isfinite(start) and found <= start for _, start, found in searches)
         # each random restart begins at its segment's first feasible point, not at the optimum
-        margins = [delta - field_min_distortion(fm, (0.0, x, 1.0)) for x, _, _ in searches]
-        assert sum(0.0 < m < 1e-6 for m in margins) == 2
+        margins = [delta - field_min_distortion(fm, (0.0, x, 1.0)) for x, _, _ in searches[1:]]
+        assert all(0.0 < m < 1e-6 for m in margins), margins
 
     def test_placement_cap_is_checked_before_anything_is_built(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -385,8 +404,7 @@ class TestPlacement:
     @pytest.mark.parametrize("restarts", [RESTART_CAP + 1, 10 ** 9])
     def test_restart_cap_is_checked_before_any_objective_call(self, monkeypatch, objective, restarts):
         calls = []
-        for name in ("field_min_distortion", "field_srdf_spectrum"):
-            monkeypatch.setattr(srdf_kit.field, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", lambda *args: calls.append(args))
         with pytest.raises(GridTooLarge, match="restart cap"):
             optimize_placement(gm_field(0.5, quad_points=256), 2, objective, restarts=restarts)
         assert calls == []
@@ -413,7 +431,7 @@ class TestPlacement:
         def infeasible(field, points):
             raise InfeasibleDistortion("below the floor")
 
-        monkeypatch.setattr(srdf_kit.field, "field_srdf_spectrum", infeasible)
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", infeasible)
         res = optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)
         assert res.value == math.inf
 
@@ -421,65 +439,112 @@ class TestPlacement:
         def broken(field, points):
             raise RuntimeError("bug in the objective")
 
-        monkeypatch.setattr(srdf_kit.field, "field_srdf_spectrum", broken)
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", broken)
         with pytest.raises(RuntimeError, match="bug in the objective"):
             optimize_placement(gm_field(0.5, quad_points=256), 1, ("min_rate_at", 0.6), restarts=1)
 
 
-class TestBrent:
+class TestDescend:
+    # each shape is (function, derivative) of x with its minimizer at c
     SHAPES = {
-        "parabola": lambda x, c: (x - c) ** 2 + 1.0,
-        "kink": lambda x, c: abs(x - c),
-        "cusp": lambda x, c: math.sqrt(abs(x - c)),
-        "quartic": lambda x, c: (x - c) ** 4,
+        "parabola": (lambda x, c: (x - c) ** 2 + 1.0, lambda x, c: 2.0 * (x - c)),
+        "kink": (lambda x, c: abs(x - c), lambda x, c: math.copysign(1.0, x - c)),
+        "quartic": (lambda x, c: (x - c) ** 4, lambda x, c: 4.0 * (x - c) ** 3),
+        "cosh": (lambda x, c: math.cosh(8.0 * (x - c)), lambda x, c: 8.0 * math.sinh(8.0 * (x - c))),
     }
+
+    @staticmethod
+    def line(fn, slope):
+        """evaluate(x) of a function of one point, as the search calls it, and its calls."""
+        calls = []
+
+        def evaluate(x):
+            calls.append(float(x[0]))
+            value = fn(float(x[0]))
+            return value, (None if value == math.inf else np.array([slope(float(x[0]))]))
+
+        return evaluate, calls
+
+    def descend(self, evaluate, x0):
+        x = np.array([x0])
+        return _descend(evaluate, x, *evaluate(x), 0.0, 1.0)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("x0", [0.3, 0.95, 1.0])
-    def test_lands_within_tol_of_the_minimizer(self, shape, x0):
-        # x0 = 1.0 is an end of the bracket, so the search starts from the golden point.
-        # It stops with x within tol/2 of both ends of a bracket holding the minimizer.
+    def test_lands_at_the_minimizer(self, shape, x0):
+        # x0 = 1.0 is an end of the range; the kink has no gradient that shrinks near c, and the
+        # quartic's is flat there, so these are held to the value they reach instead
+        fn, slope = self.SHAPES[shape]
         for c in np.linspace(0.0137, 0.9863, 25):
-            def fn(x):
-                return self.SHAPES[shape](x, c)
-
-            x, fx = _brent(fn, 0.0, 1.0, x0, fn(x0), tol=1e-6)
-            assert abs(x - c) <= 0.5e-6 and fx == fn(x)
+            evaluate, _ = self.line(lambda x: fn(x, c), lambda x: slope(x, c))
+            x, value, grad, _, _ = self.descend(evaluate, x0)
+            assert value == fn(float(x[0]), c) and grad[0] == slope(float(x[0]), c)
+            assert value - fn(c, c) <= 1e-10
+            if shape in ("parabola", "cosh"):
+                assert abs(x[0] - c) <= 1e-8
 
     @pytest.mark.parametrize("x0", np.linspace(0.0, 1.0, 21))
     def test_never_returns_more_than_the_start(self, x0):
         # several valleys: the search may settle in any of them, never above the start
-        def fn(x):
-            return math.cos(12.0 * x) + 0.1 * x
+        evaluate, _ = self.line(lambda x: math.cos(12.0 * x) + 0.1 * x, lambda x: 0.1 - 12.0 * math.sin(12.0 * x))
+        x, value, _, _, _ = self.descend(evaluate, x0)
+        assert value <= evaluate(np.array([x0]))[0] and value == evaluate(x)[0]
 
-        x, fx = _brent(fn, 0.0, 1.0, x0, fn(x0))
-        assert fx <= fn(x0) and fx == fn(x)
+    @pytest.mark.parametrize("x0, fn, slope", [(0.0, lambda x: x, lambda x: 1.0), (1.0, lambda x: -x, lambda x: -1.0)],
+                             ids=["rising", "falling"])
+    def test_keeps_a_start_at_the_end_that_beats_the_inside(self, x0, fn, slope):
+        # the projected gradient step goes nowhere, so the start is stationary: one evaluation
+        evaluate, calls = self.line(fn, slope)
+        x, value, _, steps, norm = self.descend(evaluate, x0)
+        assert (x[0], value, steps, norm) == (x0, fn(x0), 0, 0.0) and len(calls) == 1
 
-    @pytest.mark.parametrize("x0, fn", [(0.0, lambda x: x), (1.0, lambda x: -x)], ids=["rising", "falling"])
-    def test_keeps_a_start_at_the_end_that_beats_the_inside(self, x0, fn):
-        assert _brent(fn, 0.0, 1.0, x0, fn(x0)) == (x0, fn(x0))
-
-    def test_spends_no_call_on_the_start(self):
-        seen = []
-
-        def fn(x):
-            seen.append(x)
-            return (x - 0.3) ** 2
-
-        x, _ = _brent(fn, 0.0, 1.0, 0.7, 0.16)
-        assert 0.7 not in seen and abs(x - 0.3) <= 1e-6
-        # a parabola is found in a few steps, where golden section takes about 31
-        assert len(seen) <= 12
+    def test_a_parabola_takes_a_few_evaluations(self):
+        # a capped steepest-descent step, then the secant step lands on the minimizer
+        evaluate, calls = self.line(lambda x: (x - 0.3) ** 2, lambda x: 2.0 * (x - 0.3))
+        x = self.descend(evaluate, 0.7)[0]
+        assert abs(x[0] - 0.3) <= 1e-12 and len(calls) <= 4
 
     @pytest.mark.parametrize("edge", [0.3, 0.6])
     @pytest.mark.parametrize("x0", [0.1, 0.9])
     def test_stays_finite_where_the_function_is_infinite(self, edge, x0):
-        # infinite left of the edge, as min_rate_at is where a layout's floor passes delta;
-        # numpy scalars turn inf - inf into a RuntimeWarning
-        def fn(x):
-            return np.float64(np.inf) if x < edge else np.float64((x - 0.5) ** 2)
-
+        # infinite left of the edge, as min_rate_at is where a layout's floor passes delta; a start
+        # there has no gradient, so it begins at the edge's right when x0 is left of it
+        start = max(x0, edge + 1e-3)
+        evaluate, _ = self.line(lambda x: math.inf if x < edge else (x - 0.5) ** 2, lambda x: 2.0 * (x - 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, fx = _brent(fn, 0.0, 1.0, x0, fn(x0))
-        assert math.isfinite(fx) and abs(x - max(edge, 0.5)) <= 1e-6
+            x, value, _, _, _ = self.descend(evaluate, start)
+        assert math.isfinite(value) and abs(x[0] - max(edge, 0.5)) <= 1e-6
+
+    @pytest.mark.parametrize("n, pinned", [(2, False), (5, False), (3, True), (6, True)])
+    def test_points_pulled_together_stay_ordered_and_apart(self, n, pinned):
+        # every point wants 0.4; the nearest ordered layout packs them SEP_TOL apart around it
+        lo, hi = (SEP_TOL, 1.0 - SEP_TOL) if pinned else (0.0, 1.0)
+
+        def evaluate(x):
+            return float(np.sum((x - 0.4) ** 2)), 2.0 * (x - 0.4)
+
+        x0 = np.linspace(0.1, 0.9, n)
+        x, value, _, steps, norm = _descend(evaluate, x0, *evaluate(x0), lo, hi)
+        want = 0.4 + SEP_TOL * (np.arange(n) - 0.5 * (n - 1))
+        np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-9)
+        assert np.all(np.diff(x) >= SEP_TOL * (1.0 - 1e-6)) and norm <= GRADIENT_TOL and steps >= 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_projection_is_the_nearest_ordered_point(seed):
+    # the nearest point of a convex set is the one point p with (x - p) . (y - p) <= 0 for every y in it
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        lo, hi = (SEP_TOL, 1.0 - SEP_TOL) if rng.uniform() < 0.5 else (0.0, 1.0)
+        x = rng.uniform(-0.3, 1.3, n)
+        if rng.uniform() < 0.5:   # clustered, so that many pools form
+            x = 0.5 + 1e-6 * rng.standard_normal(n)
+        p = _project(x, lo, hi)
+        assert p[0] >= lo and p[-1] <= hi and np.all(np.diff(p) >= SEP_TOL * (1.0 - 1e-6))
+        for _ in range(20):
+            y = lo + SEP_TOL * np.arange(n) + np.sort(rng.uniform(0.0, hi - lo - SEP_TOL * (n - 1), n))
+            assert float((x - p) @ (y - p)) <= 1e-12
+        # an ordered, separated point is its own projection
+        np.testing.assert_allclose(_project(p, lo, hi), p, rtol=0.0, atol=1e-15)

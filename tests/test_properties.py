@@ -497,6 +497,86 @@ def test_pinned_three_point_rate_placement_matches_a_fine_grid(p, slack, seed):
         assert max(res.restart_values) <= grid_min + 1e-10
 
 
+def placement_case(rng, kind, k, pinned):
+    """(field, points) with k points, the first at 0 and the last at 1 when ``pinned``: Gauss-Markov
+    points 0.02 apart or more, tabulated ones off their 17-knot mesh lines by a tenth of a cell, one
+    per cell at most.  A pinned end and a point in its cell would determine the bilinear field
+    there, leaving the floor flat in that point, so the end cells stay empty."""
+    inner = k - 2 if pinned else k
+    if kind == "tabulated":
+        kernel = tabulated_field(rng, 17, 1)[0]
+        cells = np.sort(rng.choice(np.arange(1, 15) if pinned else np.arange(16), size=inner, replace=False))
+        points = tuple(float(x) for x in (cells + rng.uniform(0.1, 0.9, size=inner)) / 16)
+    else:
+        kernel = GaussMarkovKernel(float(rng.uniform(0.05, 0.95)))
+        points = tuple(0.02 + 0.96 * x for x in field_points(rng, inner)) if pinned else field_points(rng, k)
+    return FieldModel(kernel), ((0.0, *points, 1.0) if pinned else points)
+
+
+@PROPERTY
+@given(seeds, st.sampled_from(["gauss-markov", "tabulated"]), st.booleans(), st.booleans())
+def test_placement_gradient_matches_central_differences(seed, kind, pinned, rate):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3 if pinned else 1, 7))
+    field, points = placement_case(rng, kind, k, pinned)
+    objective = "min_delta_min"
+    if rate:
+        floor = field_min_distortion(field, points)
+        objective = ("min_rate_at", floor + float(rng.uniform(0.05, 0.9)) * (field_max_distortion(field) - floor))
+    fn = _placement_objective(field, objective)[0]
+    value, grad = fn(points, gradient=True)
+    # the value is the one the search reads without a gradient, bit for bit
+    assert np.float64(value).tobytes() == np.float64(fn(points)).tobytes()
+    free = list(range(1, k - 1) if pinned else range(k))   # a pinned end never moves
+    h = 1e-5
+    central = []
+    for i in free:
+        up, down = np.array(points), np.array(points)
+        up[i] += h
+        down[i] -= h
+        central.append((fn(tuple(up)) - fn(tuple(down))) / (2.0 * h))
+    scale = np.abs(grad[free]).max()
+    assert scale > 1e-6
+    assert np.abs(np.array(central) - grad[free]).max() <= 1e-6 * scale, (central, grad)
+
+
+@CLI_PROPERTY
+@given(seeds, st.sampled_from(["gauss-markov", "tabulated"]), st.booleans(), st.booleans())
+def test_search_ends_at_or_below_every_restart_0_start(seed, kind, pinned, rate):
+    # a Gauss-Markov floor is solved exactly, so there the search minimizes rates only
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2 if pinned else 1, 5))
+    field = placement_case(rng, kind, 2, False)[0]
+    starts = [np.linspace(0.0, 1.0, k) if pinned else (np.arange(k) + 0.5) / k]
+    if kind == "gauss-markov" and not pinned:
+        starts.append(_gm_optimal_points(field.kernel.p, k, False))
+    objective = "min_delta_min"
+    if rate or kind == "gauss-markov":
+        # between the lowest start floor and the zero-rate distortion: some start may be infeasible
+        floor = min(field_min_distortion(field, tuple(s)) for s in starts)
+        objective = ("min_rate_at", floor + float(rng.uniform(1e-3, 0.5)) * (field_max_distortion(field) - floor))
+    fn = _placement_objective(field, objective)[0]
+    res = optimize_placement(field, k, objective, restarts=int(rng.integers(1, 4)), pin_endpoints=pinned, seed=seed)
+    assert res.solver == "search" and math.isfinite(res.value) and res.value == min(res.restart_values)
+    assert all(res.value <= fn(tuple(s)) for s in starts)
+    assert len(res.restart_iterations) == len(res.restart_gradient_norms) == res.restarts
+    assert fn(res.points) == res.value
+
+
+@PROPERTY
+@given(st.floats(-12.0, 0.0), st.floats(-6.0, -0.3), st.booleans())
+def test_segment_explained_matches_the_high_precision_form(log_length, log_distance, near_one):
+    # p in (1e-6, 1 - 1e-6), within a factor 10^-6 of either end, lengths from 1e-12 to 1
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 80
+    p = 1.0 - 10.0 ** log_distance if near_one else 10.0 ** log_distance
+    length = 10.0 ** log_length
+    lp = mp.log(mp.mpf(p))
+    q = mp.exp(2 * mp.mpf(length) * lp)
+    want = (q * (1 - 2 * mp.mpf(length) * lp) - 1) / (lp * (1 - q))
+    assert abs(gm_segment_explained(p, length) - want) <= 1e-12 * want
+
+
 @PROPERTY
 @given(seeds, st.booleans())
 def test_cholesky_reduction_matches_the_symmetric_root_reference(seed, tabulated):

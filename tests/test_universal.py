@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from srdf_kit import (
     DimensionMismatch,
     InfeasibleDistortion,
     NoPrior,
+    ParamFamily,
     Spectrum,
+    UnboundedBox,
     UnsupportedFamily,
     affine_family,
     as_sampling_set,
@@ -79,6 +82,20 @@ class TestFamilyGrid:
     def test_bad_prior_density_is_no_prior(self, density):
         with pytest.raises(NoPrior):
             affine_family(BASE, [E1], [(0.0, 0.4)], prior=lambda tau: density, grid_res=3)
+
+    @pytest.mark.parametrize("box", [[(0.0, math.inf)], [(-math.inf, 0.0)], [(math.nan, 0.4)],
+                                     [(-1e308, 1e308)], [(-1e200, 1e200), (-1e200, 1e200)]],
+                             ids=["inf", "minus-inf", "nan", "width-overflows", "volume-overflows"])
+    def test_unbounded_box_is_refused_before_any_node(self, box):
+        # such a box used to leave every node weight NaN, with warnings and no error
+        def cov_at(tau):
+            raise AssertionError("a node was built")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedBox) as caught:
+                ParamFamily(box=tuple(box), cov_at=cov_at, m=2, prior="uniform")
+        assert caught.value.code == "universal.unbounded_box"
 
     def test_direction_shape_must_match_base(self):
         with pytest.raises(DimensionMismatch):
