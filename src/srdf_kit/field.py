@@ -10,7 +10,9 @@ is linear in u inside each mesh cell and the integrands are quadratic there:
 Simpson's rule with one panel per mesh cell is exact wherever the samples lie.
 Every other placement is searched by projected quasi-Newton steps on the
 ordered points, driven by the objective's gradient in the points, which the
-same closed forms and the same Simpson rule give exactly.
+same closed forms and the same Simpson rule give exactly.  A tabulated
+objective creases at mesh lines, so there the search also tries the knots
+near each point wherever the steps stop.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ SEP_TOL = 1e-6  # minimum spacing kept between optimized points
 PLACEMENT_CAP = 128  # most points one placement places: one evaluation, value and gradient, is O(k^3)
 RESTART_CAP = 256    # most restarts one placement runs: they run serially, each a full quasi-Newton search
 FEASIBLE_BISECTIONS = 20  # halvings that locate an infeasible restart's first feasible point
-DESCENT_STEPS = 200       # most quasi-Newton steps one restart takes
+DESCENT_STEPS = 200       # most steps one descent takes (a restart may descend the floor, then the rate)
 GRADIENT_TOL = 1e-8       # a restart ends once its projected gradient step moves no point further
 ROUNDING = 4.0 * float(np.finfo(float).eps)   # relative change below a value's rounding
 
@@ -394,14 +396,13 @@ class PlacementResult:
     solver: str        # "exact" (Gauss-Markov min_delta_min) or "search"
     objective_calls: int   # evaluations, each a value with its gradient ("search") or a value ("exact")
     restart_values: tuple[float, ...]   # each restart's final value; empty for "exact"
-    restart_iterations: tuple[int, ...] = ()   # each restart's quasi-Newton steps; empty for "exact"
+    restart_iterations: tuple[int, ...] = ()   # each restart's steps, knot moves included; empty for "exact"
     restart_gradient_norms: tuple[float, ...] = ()   # each restart's final projected-gradient norm; nan at inf
 
 
 def _placement_objective(field: FieldModel, objective):
-    """(fn, reported name): fn(pts) is the floor of the points, or their rate at delta, inf wherever
-    that raises a package error; fn(pts, gradient=True) is (that value, its gradient in the points),
-    both from one reduction, with the gradient None at inf.
+    """(fn, reported name): fn(pts) is (the floor of the points, or their rate at delta, its gradient
+    in the points), both from one reduction; a rate is (inf, None) wherever that raises a package error.
 
     Moving a_i alone moves Sigma_A and M as ``_field_slopes`` says.  An eigenvalue lambda of
     M x = lambda Sigma_A x with x^T Sigma_A x = 1, the spectrum of S with x = L^{-T} v, moves by
@@ -412,32 +413,28 @@ def _placement_objective(field: FieldModel, objective):
     """
     name, delta = _objective(objective)
 
-    def evaluate(pts, gradient):
+    def evaluate(pts):
         floor, s, _, mass, l = _field_reduce(field, pts)
-        if delta is None:
-            value = floor
-        else:
+        if delta is not None:
             spec = _spectrum(floor, s)
-            value = spec.rate(delta)
-        if not gradient:
-            return value
+            rate = spec.rate(delta)
         lam, vec = np.linalg.eigh(s)
         if delta is None:
-            weight = -np.ones(lam.size)
+            value, weight = floor, -np.ones(lam.size)
         else:
-            alpha = spec.level(delta - floor)
+            value, alpha = rate, spec.level(delta - floor)
             weight = (1.0 / np.maximum(lam, alpha) - 1.0 / alpha) / (2.0 * math.log(2.0))   # 0 below alpha
         x = np.linalg.solve(l.T, vec)
         g, h = _field_slopes(field, np.asarray(pts), mass)
         return value, 2.0 * (x * weight * (h @ x - (g @ x) * lam)).sum(axis=1)
 
-    def fn(pts, gradient=False):
+    def fn(pts):
         try:
-            return evaluate(pts, gradient)
+            return evaluate(pts)
         except SrdfKitError:
             if delta is None:
                 raise
-            return (math.inf, None) if gradient else math.inf
+            return math.inf, None
 
     return fn, name
 
@@ -462,7 +459,37 @@ def _project(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(np.clip(fit, lo, hi - SEP_TOL * (x.size - 1)) + steps, lo, hi)
 
 
-def _descend(evaluate, x: np.ndarray, value: float, grad: np.ndarray, lo: float, hi: float):
+def _scan(evaluate, x: np.ndarray, value: float, lo: float, hi: float, knots: np.ndarray):
+    """Move each point in turn to the lowest of the mesh ``knots`` within two cells of it and
+    between its neighbours, or of the dips between adjacent ones, where that is lower than the
+    value: (x, value, grad) after the moves, or None when no point moved.  A dip is the least
+    point of the parabola through the value and slope (the cell's, to the right) at a knot and the
+    value at the next knot, where that lies between them."""
+    moved = None
+    for i in range(x.size):
+        left = x[i - 1] + SEP_TOL if i > 0 else lo
+        right = x[i + 1] - SEP_TOL if i < x.size - 1 else hi
+
+        def at(a):
+            trial = x.copy()
+            trial[i] = a
+            return (trial, *evaluate(trial))
+
+        near = (np.abs(knots - x[i]) <= 2.0 * (knots[1] - knots[0])) & (knots >= left) & (knots <= right)
+        probes = [at(a) for a in knots[near]]
+        for (a, fa, ga), (b, fb, _) in zip(probes[:-1], probes[1:]):
+            if fa < math.inf and fb < math.inf:
+                h = b[i] - a[i]
+                curve = (fb - fa - ga[i] * h) / (h * h)
+                if curve > 0.0 and 0.0 < -ga[i] < 2.0 * curve * h:
+                    probes.append(at(a[i] - ga[i] / (2.0 * curve)))
+        for trial, trial_value, trial_grad in probes:
+            if trial_value < value:
+                x, value, moved = trial, trial_value, (trial, trial_value, trial_grad)
+    return moved
+
+
+def _descend(evaluate, x: np.ndarray, value: float, grad: np.ndarray, lo: float, hi: float, knots=None):
     """Projected BFGS from x, where evaluate(x) = (value, grad), on ordered points in [lo, hi]:
     (x, value, grad, accepted steps, final projected-gradient norm).
 
@@ -472,35 +499,44 @@ def _descend(evaluate, x: np.ndarray, value: float, grad: np.ndarray, lo: float,
     first a multiple of the identity that moves no point more than a tenth of the equispaced gap,
     then s^T y / y^T y times it, updated by BFGS; a pair with s^T y <= 0 is skipped.  A direction
     whose first-order decrease falls to the value's rounding, or its step to rounding, before a
-    trial is taken goes back to the first H, and there ends the search.  So does a projected gradient step that moves no
-    point more than GRADIENT_TOL, or DESCENT_STEPS steps.
+    trial is taken goes back to the first H, and there the search stops.  So does a projected
+    gradient step that moves no point more than GRADIENT_TOL.  Where it stops, a scan over mesh
+    ``knots`` (``_scan``), if given, that moves a point is a step, and the search goes on from
+    there with the first H; otherwise it ends.  It ends at DESCENT_STEPS steps in any case.
     """
     inverse = None
     steps = 0
     while True:
         norm = float(np.abs(_project(x - grad, lo, hi) - x).max(initial=0.0))
-        if norm <= GRADIENT_TOL or steps == DESCENT_STEPS:
+        if steps == DESCENT_STEPS:
             return x, value, grad, steps, norm
-        if inverse is None:
-            scale = (x.size + 1) * float(np.abs(grad).max())
-            direction = -grad * (min(1.0, 0.1 / scale) if scale > 0.0 else 1.0)
-        else:
-            direction = -(inverse @ grad)
-        t = 1.0
-        while True:
-            trial = _project(x + t * direction, lo, hi)
-            decrease = -float(grad @ (trial - x))
-            if t < ROUNDING or not decrease > ROUNDING * abs(value):
-                trial = None
-                break
-            trial_value, trial_grad = evaluate(trial)
-            if trial_value < value and trial_value <= value - 1e-4 * decrease:
-                break
-            t *= 0.5
-        if trial is None:
+        trial = None
+        if norm > GRADIENT_TOL:
             if inverse is None:
+                scale = (x.size + 1) * float(np.abs(grad).max())
+                direction = -grad * (min(1.0, 0.1 / scale) if scale > 0.0 else 1.0)
+            else:
+                direction = -(inverse @ grad)
+            t = 1.0
+            while True:
+                trial = _project(x + t * direction, lo, hi)
+                decrease = -float(grad @ (trial - x))
+                if t < ROUNDING or not decrease > ROUNDING * abs(value):
+                    trial = None
+                    break
+                trial_value, trial_grad = evaluate(trial)
+                if trial_value < value and trial_value <= value - 1e-4 * decrease:
+                    break
+                t *= 0.5
+        if trial is None:
+            if inverse is not None:
+                inverse = None
+                continue
+            moved = None if knots is None else _scan(evaluate, x, value, lo, hi, knots)
+            if moved is None:
                 return x, value, grad, steps, norm
-            inverse = None
+            x, value, grad = moved
+            steps += 1
             continue
         s, y = trial - x, trial_grad - grad
         sy = float(s @ y)
@@ -527,7 +563,11 @@ def optimize_placement(
     (``_gm_optimal_points``), and ``restarts`` and ``seed`` go unused.
     Otherwise each restart runs a projected quasi-Newton search (``_descend``)
     on the analytic gradient of the objective (``_placement_objective``),
-    keeping points sorted and separated by SEP_TOL.  Restart 0 starts from the
+    keeping points sorted and separated by SEP_TOL.  On a tabulated field the
+    objective creases at mesh lines and can dip inside any cell, so where the
+    search stops, each point in turn also tries the knots near it and the dips
+    between them (``_scan``), and the search goes on from any that scores
+    lower.  Restart 0 starts from the
     equispaced layout or, for a free Gauss-Markov field, from the exact floor
     optimum when that scores lower; the rest start from sorted uniform draws
     on deterministic per-restart streams.  A draw that is infeasible (its
@@ -538,10 +578,14 @@ def optimize_placement(
     linearly and the floor, a sum of convex functions of the gaps, is convex
     and least at the optimum, so it does not rise and the feasible points
     form its final stretch.  A tabulated field has no known optimum, so its
-    anchor is restart 0's result, and a draw stays infeasible when that is.
+    anchor is restart 0's result.  Where that is infeasible too, and for an
+    infeasible restart 0, a tabulated start first descends the floor, which
+    is finite there and has a gradient, and the rate search starts where that
+    ends; it stays infeasible if the floor's minimum there does.
     With ``pin_endpoints`` the first and last points are fixed at 0 and 1
     and only the interior moves.  The result counts the evaluations and
-    keeps each restart's final value, step count and projected-gradient norm.
+    keeps each restart's final value, step count (the floor's steps and the
+    knot moves included) and projected-gradient norm.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
@@ -557,25 +601,39 @@ def optimize_placement(
     gauss_markov = field.integrals == "closed-form"
     if gauss_markov and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
-        return PlacementResult(points=pts, value=float(obj_fn(pts)), objective=obj_name,
+        # the objective's value, without the gradient it would compute beside it
+        return PlacementResult(points=pts, value=field_min_distortion(field, pts), objective=obj_name,
                                restarts=restarts, solver="exact", objective_calls=1, restart_values=())
     calls = 0
     # the search moves the free points only: all k, or the interior between the pinned ends
     lo, hi = (SEP_TOL, 1.0 - SEP_TOL) if pin_endpoints else (0.0, 1.0)
+    knots = None if gauss_markov else np.linspace(0.0, 1.0, field.kernel.mesh_n)
 
     def placed(x):
         return np.concatenate([[0.0], x, [1.0]]) if pin_endpoints else x
 
-    def evaluate(x):
-        nonlocal calls
-        calls += 1
-        value, grad = obj_fn(tuple(placed(x)), gradient=True)
-        return value, (grad[1:-1] if pin_endpoints and grad is not None else grad)
+    def counted(fn):
+        def evaluate(x):
+            nonlocal calls
+            calls += 1
+            value, grad = fn(tuple(placed(x)))
+            return value, (grad[1:-1] if pin_endpoints and grad is not None else grad)
+        return evaluate
+
+    def or_inf(evaluate):
+        # a point the search moves to, where a floor that raises a package error is only a bad point
+        def trial(x):
+            try:
+                return evaluate(x)
+            except SrdfKitError:
+                return math.inf, None
+        return trial
+
+    evaluate = counted(obj_fn)
+    floor_or_inf = or_inf(counted(_placement_objective(field, "min_delta_min")[0]))
 
     def first_feasible(start, anchor):
         target, value, grad = anchor
-        if value == math.inf:
-            return start, value, grad
         lo_t, hi_t = 0.0, 1.0
         for _ in range(FEASIBLE_BISECTIONS):
             mid = 0.5 * (lo_t + hi_t)
@@ -585,6 +643,13 @@ def optimize_placement(
             else:
                 hi_t, value, grad = mid, mid_value, mid_grad
         return (target if hi_t == 1.0 else start + hi_t * (target - start)), value, grad
+
+    def lower_the_floor(x):
+        floor, grad = floor_or_inf(x)
+        if floor == math.inf:
+            return x, floor, grad, 0
+        x, _, _, steps, _ = _descend(floor_or_inf, x, floor, grad, lo, hi, knots)
+        return (x, *evaluate(x), steps)
 
     anchor = None
     outcomes = []
@@ -605,16 +670,20 @@ def optimize_placement(
             else:
                 x = np.sort(rng.uniform(0.0, 1.0, size=k))
             value, grad = evaluate(x)
-            if value == math.inf:
-                if anchor is None and gauss_markov:
-                    target = _gm_optimal_points(field.kernel.p, k, pin_endpoints)
-                    target = target[1:-1] if pin_endpoints else target
-                    anchor = (target, *evaluate(target))
-                x, value, grad = first_feasible(x, anchor)
+            if value == math.inf and gauss_markov and anchor is None:
+                target = _gm_optimal_points(field.kernel.p, k, pin_endpoints)
+                target = target[1:-1] if pin_endpoints else target
+                anchor = (target, *evaluate(target))
+        steps = 0
+        if value == math.inf and anchor is not None and anchor[1] < math.inf:
+            x, value, grad = first_feasible(x, anchor)
+        elif value == math.inf and not gauss_markov:
+            x, value, grad, steps = lower_the_floor(x)
         if value == math.inf:
-            outcomes.append((x, value, grad, 0, math.nan))
+            outcomes.append((x, value, grad, steps, math.nan))
         else:
-            outcomes.append(_descend(evaluate, x, value, grad, lo, hi))
+            x, value, grad, more, norm = _descend(or_inf(evaluate), x, value, grad, lo, hi, knots)
+            outcomes.append((x, value, grad, steps + more, norm))
         if r == 0 and not gauss_markov:
             anchor = outcomes[0][:3]
     best_x, best_val = outcomes[0][:2]

@@ -336,7 +336,14 @@ class TestPlacement:
         assert res.points[0] == 0.0 and res.points[-1] == 1.0
         assert res.value <= field_srdf(fm, (0.0, 0.5, 1.0), 0.5).rate_bits
 
-    def test_search_reports_calls_and_restart_values(self, monkeypatch):
+    @pytest.mark.parametrize("p, delta, seed, sweeps", [
+        # the shape of the benchmark's largest min_rate_at placement, where Brent's coordinate
+        # sweeps made 220 objective calls, and golden-section line searches before them 933
+        (0.4577, 0.5642, 649339510, 0.6007010436237611),
+        # that placement itself, where the sweeps made 235
+        (0.40161032030812766, 0.48550868554251103, 1552545901, 0.856539370367007),
+    ], ids=["shape", "benchmark"])
+    def test_search_reports_calls_and_restart_values(self, monkeypatch, p, delta, seed, sweeps):
         calls = 0
         original = srdf_kit.field._field_reduce
 
@@ -346,13 +353,10 @@ class TestPlacement:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(srdf_kit.field, "_field_reduce", counted)
-        # the benchmark's largest min_rate_at placement, where Brent's coordinate sweeps made
-        # 235 objective calls, and golden-section line searches before them 933
-        res = optimize_placement(gm_field(0.40161032030812766), 4, ("min_rate_at", 0.48550868554251103),
-                                 restarts=2, pin_endpoints=True, seed=1552545901)
+        res = optimize_placement(gm_field(p), 4, ("min_rate_at", delta), restarts=2, pin_endpoints=True, seed=seed)
         # one reduction per evaluation, each a value with its gradient
         assert res.objective_calls == calls <= 60
-        assert res.value <= 0.856539370367007   # the sweeps' value
+        assert res.value <= sweeps   # the sweeps' value
         assert len(res.restart_values) == 2 and res.value == min(res.restart_values)
         assert len(res.restart_iterations) == 2 and all(n >= 1 for n in res.restart_iterations)
         assert len(res.restart_gradient_norms) == 2 and max(res.restart_gradient_norms) < 1e-6
@@ -391,6 +395,22 @@ class TestPlacement:
         # each random restart begins at its segment's first feasible point, not at the optimum
         margins = [delta - field_min_distortion(fm, (0.0, x, 1.0)) for x, _, _ in searches[1:]]
         assert all(0.0 < m < 1e-6 for m in margins), margins
+
+    def test_tabulated_search_leaves_an_infeasible_equispaced_start(self):
+        # delta is 0.9 of the floor at the equispaced (0, 0.5, 1): restart 0 starts infeasible, and
+        # with no finite result to bisect toward, the random draws of seed 0 as well.  Brent's
+        # sweeps stayed at inf from all three of those starts and placed (0, 0.445, 1), at
+        # 13.839299980527095, only from seed 1's third.  Descending the floor first reaches the
+        # feasible set from every one of them
+        lag = np.abs(np.linspace(0.0, 1.0, 9)[:, None] - np.linspace(0.0, 1.0, 9)[None, :])
+        fm = FieldModel(TabulatedKernel(0.456 * 0.31 ** lag + 0.544 * 0.757 ** lag))
+        delta = 0.9 * field_min_distortion(fm, (0.0, 0.5, 1.0))
+        with pytest.raises(InfeasibleDistortion):
+            field_srdf(fm, (0.0, 0.5, 1.0), delta)
+        for restarts in (1, 3):
+            res = optimize_placement(fm, 3, ("min_rate_at", delta), restarts=restarts, pin_endpoints=True, seed=0)
+            assert max(res.restart_values) <= 13.839299980527095
+            assert min(abs(res.points[1] - 0.445), abs(res.points[1] - 0.555)) < 1e-3
 
     def test_placement_cap_is_checked_before_anything_is_built(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -505,16 +525,27 @@ class TestDescend:
         assert abs(x[0] - 0.3) <= 1e-12 and len(calls) <= 4
 
     @pytest.mark.parametrize("edge", [0.3, 0.6])
-    @pytest.mark.parametrize("x0", [0.1, 0.9])
-    def test_stays_finite_where_the_function_is_infinite(self, edge, x0):
+    @pytest.mark.parametrize("x0", [0.001, 0.3])
+    def test_does_not_step_into_the_infinite_region(self, edge, x0):
         # infinite left of the edge, as min_rate_at is where a layout's floor passes delta; a start
-        # there has no gradient, so it begins at the edge's right when x0 is left of it
-        start = max(x0, edge + 1e-3)
+        # there has no gradient (the placement first descends the floor from it), so this one
+        # starts x0 right of the edge
         evaluate, _ = self.line(lambda x: math.inf if x < edge else (x - 0.5) ** 2, lambda x: 2.0 * (x - 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, value, _, _, _ = self.descend(evaluate, start)
+            x, value, _, _, _ = self.descend(evaluate, edge + x0)
         assert math.isfinite(value) and abs(x[0] - max(edge, 0.5)) <= 1e-6
+
+    @pytest.mark.parametrize("knots", [None, np.linspace(0.0, 1.0, 9)])
+    def test_knots_lead_out_of_a_higher_valley(self, knots):
+        # valleys at 0.3 (value 0.01) and 0.55 (value 0) with a step between them: the gradient steps
+        # stop at 0.3, where the knot 0.5, two cells away, scores lower and leads to 0.55
+        evaluate, _ = self.line(lambda x: (x - 0.3) ** 2 + 0.01 if x < 0.45 else (x - 0.55) ** 2,
+                                lambda x: 2.0 * (x - 0.3) if x < 0.45 else 2.0 * (x - 0.55))
+        x = np.array([0.25])
+        x, value, _, steps, _ = _descend(evaluate, x, *evaluate(x), 0.0, 1.0, knots)
+        want = 0.3 if knots is None else 0.55
+        assert abs(x[0] - want) <= 1e-8 and steps >= (1 if knots is None else 2)   # a knot move is a step
 
     @pytest.mark.parametrize("n, pinned", [(2, False), (5, False), (3, True), (6, True)])
     def test_points_pulled_together_stay_ordered_and_apart(self, n, pinned):
