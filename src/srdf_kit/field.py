@@ -18,6 +18,7 @@ near each point wherever the steps stop.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ QUAD_POINTS_DEFAULT = 2048
 SEP_TOL = 1e-6  # minimum spacing kept between optimized points
 PLACEMENT_CAP = 128  # most points one placement places: one evaluation, value and gradient, is O(k^3)
 RESTART_CAP = 256    # most restarts one placement runs: they run serially, each a full quasi-Newton search
-FEASIBLE_BISECTIONS = 20  # halvings that locate an infeasible restart's first feasible point
 DESCENT_STEPS = 200       # most steps one descent takes (a restart may descend the floor, then the rate)
 GRADIENT_TOL = 1e-8       # a restart ends once its projected gradient step moves no point further
 ROUNDING = 4.0 * float(np.finfo(float).eps)   # relative change below a value's rounding
@@ -53,9 +53,16 @@ class GaussMarkovKernel:
 
 @dataclass(frozen=True)
 class TabulatedKernel:
-    """Kernel given by an N x N mesh on the uniform grid s_i = i/(N-1), bilinear in between."""
+    """Kernel given by an N x N mesh on the uniform grid s_i = i/(N-1), bilinear in between.
+
+    The per-cell Simpson rule over [0, 1] (``_mesh_simpson``), its ``nodes`` and
+    ``weights``, and the integrated variance it gives are built once, here.
+    """
 
     values: np.ndarray
+    nodes: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
+    weights: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
+    variance: float = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -66,8 +73,11 @@ class TabulatedKernel:
         scale = max(1e-300, float(np.max(np.abs(vals))))
         if np.max(np.abs(vals - vals.T)) > 1e-9 * scale:
             raise DomainError("mesh must be symmetric")
-        object.__setattr__(self, "values", 0.5 * (vals + vals.T))
-        self.values.setflags(write=False)
+        u, w = _mesh_simpson(vals.shape[0])
+        for name, array in (("values", 0.5 * (vals + vals.T)), ("nodes", u), ("weights", w)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "variance", float(w @ self.corr(u, u)))
 
     @property
     def mesh_n(self) -> int:
@@ -211,8 +221,9 @@ def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
     return p ** gap * (gap + (np.expm1(two_lp * lo) + np.expm1(two_lp * (1.0 - hi))) / two_lp)
 
 
-def _field_slopes(field: FieldModel, pts: np.ndarray, mass: np.ndarray):
-    """(G, H) at checked points ``pts`` with cross mass ``mass``: moving a_i alone moves Sigma_A along
+def _field_slopes(field: FieldModel, pts: np.ndarray, mass: np.ndarray, corr):
+    """(G, H) at checked points ``pts`` with cross mass ``mass`` and, on a tabulated field, kernel
+    values ``corr`` between the Simpson nodes and the points: moving a_i alone moves Sigma_A along
     e_i G_i^T + G_i e_i^T and M along e_i H_i^T + H_i e_i^T, with G_ij = d r(a_i, a_j) / d a_i
     (half that on the diagonal, where both arguments move) and H_ij the integral over [0, 1] of
     d r(a_i, u) / d a_i * r(u, a_j) du.
@@ -226,8 +237,7 @@ def _field_slopes(field: FieldModel, pts: np.ndarray, mass: np.ndarray):
     """
     kernel = field.kernel
     if field.integrals == "mesh-simpson":
-        u, w = _mesh_simpson(kernel.mesh_n)
-        h = (kernel.slope(pts[None, :], u[:, None]) * w[:, None]).T @ kernel.corr(u[:, None], pts[None, :])
+        h = (kernel.slope(pts[None, :], kernel.nodes[:, None]) * kernel.weights[:, None]).T @ corr
         return kernel.slope(pts[:, None], pts[None, :]), h
     two_lp = 2.0 * math.log(kernel.p)
     gap = pts[:, None] - pts[None, :]
@@ -239,32 +249,34 @@ def _field_slopes(field: FieldModel, pts: np.ndarray, mass: np.ndarray):
 
 
 def _field_block(field: FieldModel, points):
-    """(Sigma_A, M, integrated variance, L) of the field sampled at ``points``, Sigma_A = L L^T.
+    """(Sigma_A, M, integrated variance, L, C) of the field sampled at ``points``, Sigma_A = L L^T.
 
     M = integral of c(u) c(u)^T du is the cross mass, with c(u) the kernel
     between u and the samples.  A Gauss-Markov field has unit variance and M
-    in closed form; a tabulated one takes both from the per-cell Simpson rule,
-    exact for its integrands.  The points are checked once and Sigma_A is
-    validated once; L is the factor its pivot check computed.
+    in closed form, and C is None; a tabulated one takes both from the kernel's
+    per-cell Simpson rule, exact for its integrands, and C holds c at its nodes.
+    The points are checked once and Sigma_A is validated once; L is the factor
+    its pivot check computed.
     """
     pts = np.asarray(_as_field_points(points).points)
     sigma_a, l = _gram_factor(field, pts)
+    kernel = field.kernel
     if field.integrals == "closed-form":
-        return sigma_a, _gm_cross_mass(field.kernel.p, pts), 1.0, l
-    u, w = _mesh_simpson(field.kernel.mesh_n)
-    c = field.kernel.corr(u[:, None], pts[None, :])
-    return sigma_a, (c * w[:, None]).T @ c, float(w @ field.kernel.corr(u, u)), l
+        return sigma_a, _gm_cross_mass(kernel.p, pts), 1.0, l, None
+    c = kernel.corr(kernel.nodes[:, None], pts[None, :])
+    return sigma_a, (c * kernel.weights[:, None]).T @ c, kernel.variance, l, c
 
 
 def _field_reduce(field: FieldModel, points):
-    """(floor, S, variance, M, L) of the field sampled at ``points``: with Sigma_A = L L^T and
+    """(floor, S, variance, M, L, C) of the field sampled at ``points``: with Sigma_A = L L^T and
     weight G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
     left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S.
     One validated factor serves both solves, so a placement evaluation costs one
-    Cholesky factor and, for a rate, one ``eigvalsh``, besides its gradient's."""
-    _, m_mat, variance, l = _field_block(field, points)
+    Cholesky factor and, for a rate, one ``eigvalsh``, besides its gradient's; M and C go on to
+    ``_field_slopes``."""
+    _, m_mat, variance, l, c = _field_block(field, points)
     s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
-    return max(0.0, variance - float(s.trace())), s, variance, m_mat, l
+    return max(0.0, variance - float(s.trace())), s, variance, m_mat, l, c
 
 
 def field_min_distortion(field: FieldModel, points) -> float:
@@ -274,10 +286,7 @@ def field_min_distortion(field: FieldModel, points) -> float:
 
 def field_max_distortion(field: FieldModel) -> float:
     """Integrated variance of the field; the zero-rate distortion."""
-    if field.integrals == "closed-form":
-        return 1.0
-    u, w = _mesh_simpson(field.kernel.mesh_n)
-    return float(w @ field.kernel.corr(u, u))
+    return 1.0 if field.integrals == "closed-form" else field.kernel.variance
 
 
 def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
@@ -402,7 +411,7 @@ class PlacementResult:
 
 def _placement_objective(field: FieldModel, objective):
     """(fn, reported name): fn(pts) is (the floor of the points, or their rate at delta, its gradient
-    in the points), both from one reduction; a rate is (inf, None) wherever that raises a package error.
+    in the points), both from one reduction, or (inf, None) wherever that raises a package error.
 
     Moving a_i alone moves Sigma_A and M as ``_field_slopes`` says.  An eigenvalue lambda of
     M x = lambda Sigma_A x with x^T Sigma_A x = 1, the spectrum of S with x = L^{-T} v, moves by
@@ -414,7 +423,7 @@ def _placement_objective(field: FieldModel, objective):
     name, delta = _objective(objective)
 
     def evaluate(pts):
-        floor, s, _, mass, l = _field_reduce(field, pts)
+        floor, s, _, mass, l, corr = _field_reduce(field, pts)
         if delta is not None:
             spec = _spectrum(floor, s)
             rate = spec.rate(delta)
@@ -425,15 +434,13 @@ def _placement_objective(field: FieldModel, objective):
             value, alpha = rate, spec.level(delta - floor)
             weight = (1.0 / np.maximum(lam, alpha) - 1.0 / alpha) / (2.0 * math.log(2.0))   # 0 below alpha
         x = np.linalg.solve(l.T, vec)
-        g, h = _field_slopes(field, np.asarray(pts), mass)
+        g, h = _field_slopes(field, np.asarray(pts), mass, corr)
         return value, 2.0 * (x * weight * (h @ x - (g @ x) * lam)).sum(axis=1)
 
     def fn(pts):
         try:
             return evaluate(pts)
         except SrdfKitError:
-            if delta is None:
-                raise
             return math.inf, None
 
     return fn, name
@@ -567,25 +574,21 @@ def optimize_placement(
     objective creases at mesh lines and can dip inside any cell, so where the
     search stops, each point in turn also tries the knots near it and the dips
     between them (``_scan``), and the search goes on from any that scores
-    lower.  Restart 0 starts from the
-    equispaced layout or, for a free Gauss-Markov field, from the exact floor
-    optimum when that scores lower; the rest start from sorted uniform draws
-    on deterministic per-restart streams.  A draw that is infeasible (its
-    floor at or above the target distortion, objective inf) moves first to
-    the first feasible point on the segment to an anchor, which bisection
-    locates to 2^-FEASIBLE_BISECTIONS of its length.  On a Gauss-Markov field
-    the anchor is the exact floor optimum: along the segment the gaps change
-    linearly and the floor, a sum of convex functions of the gaps, is convex
-    and least at the optimum, so it does not rise and the feasible points
-    form its final stretch.  A tabulated field has no known optimum, so its
-    anchor is restart 0's result.  Where that is infeasible too, and for an
-    infeasible restart 0, a tabulated start first descends the floor, which
-    is finite there and has a gradient, and the rate search starts where that
-    ends; it stays infeasible if the floor's minimum there does.
+    lower.  Restart 0 starts from the equispaced layout, the rest from sorted
+    uniform draws on deterministic per-restart streams.  A point set where
+    the objective raises a package error, a singular Gram matrix or a target
+    distortion at or below its floor, scores inf.  A rate search whose start
+    scores inf first descends the floor, which is finite wherever the Gram
+    matrix is not singular and has a gradient there, and searches the rate
+    from where that ends.  A Gauss-Markov floor is a sum of convex functions
+    of the gaps, so that descent reaches its least value, and the restart
+    stays infeasible only if no layout meets the target.  A tabulated kernel
+    has rank at most its N mesh knots, so more than N points are refused.
     With ``pin_endpoints`` the first and last points are fixed at 0 and 1
     and only the interior moves.  The result counts the evaluations and
-    keeps each restart's final value, step count (the floor's steps and the
-    knot moves included) and projected-gradient norm.
+    keeps each restart's final value (inf where it never met a finite one),
+    step count (the floor's steps and the knot moves included) and
+    projected-gradient norm.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
@@ -597,8 +600,11 @@ def optimize_placement(
         raise DomainError(f"need at least one restart, got restarts={restarts}")
     if restarts > RESTART_CAP:
         raise GridTooLarge(f"restarts = {restarts} exceeds the restart cap {RESTART_CAP}")
-    obj_fn, obj_name = _placement_objective(field, objective)
     gauss_markov = field.integrals == "closed-form"
+    if not gauss_markov and k > field.kernel.mesh_n:
+        raise DomainError(f"k = {k} points exceed the {field.kernel.mesh_n} mesh knots: the bilinear kernel's "
+                          f"Gram matrix has rank at most {field.kernel.mesh_n}, so it would be singular")
+    obj_fn, obj_name = _placement_objective(field, objective)
     if gauss_markov and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
         # the objective's value, without the gradient it would compute beside it
@@ -620,47 +626,17 @@ def optimize_placement(
             return value, (grad[1:-1] if pin_endpoints and grad is not None else grad)
         return evaluate
 
-    def or_inf(evaluate):
-        # a point the search moves to, where a floor that raises a package error is only a bad point
-        def trial(x):
-            try:
-                return evaluate(x)
-            except SrdfKitError:
-                return math.inf, None
-        return trial
+    def search(fn, x, value, grad):
+        if value == math.inf:
+            return x, value, grad, 0, math.nan
+        return _descend(fn, x, value, grad, lo, hi, knots)
 
     evaluate = counted(obj_fn)
-    floor_or_inf = or_inf(counted(_placement_objective(field, "min_delta_min")[0]))
-
-    def first_feasible(start, anchor):
-        target, value, grad = anchor
-        lo_t, hi_t = 0.0, 1.0
-        for _ in range(FEASIBLE_BISECTIONS):
-            mid = 0.5 * (lo_t + hi_t)
-            mid_value, mid_grad = evaluate(start + mid * (target - start))
-            if mid_value == math.inf:
-                lo_t = mid
-            else:
-                hi_t, value, grad = mid, mid_value, mid_grad
-        return (target if hi_t == 1.0 else start + hi_t * (target - start)), value, grad
-
-    def lower_the_floor(x):
-        floor, grad = floor_or_inf(x)
-        if floor == math.inf:
-            return x, floor, grad, 0
-        x, _, _, steps, _ = _descend(floor_or_inf, x, floor, grad, lo, hi, knots)
-        return (x, *evaluate(x), steps)
-
-    anchor = None
+    floor = counted(_placement_objective(field, "min_delta_min")[0])
     outcomes = []
     for r in range(restarts):
         if r == 0:
-            layouts = [np.linspace(0.0, 1.0, k) if pin_endpoints else (np.arange(k) + 0.5) / k]
-            if gauss_markov and not pin_endpoints:
-                # an equispaced start can sit on the infeasible plateau of min_rate_at
-                layouts.append(_gm_optimal_points(field.kernel.p, k, False))
-            starts = [a[1:-1] if pin_endpoints else a for a in layouts]
-            x, (value, grad) = min(((a, evaluate(a)) for a in starts), key=lambda start: start[1][0])
+            x = np.linspace(0.0, 1.0, k)[1:-1] if pin_endpoints else (np.arange(k) + 0.5) / k
         else:
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
@@ -669,29 +645,16 @@ def optimize_placement(
                 x = np.sort(rng.uniform(SEP_TOL, 1.0 - SEP_TOL, size=k - 2))
             else:
                 x = np.sort(rng.uniform(0.0, 1.0, size=k))
-            value, grad = evaluate(x)
-            if value == math.inf and gauss_markov and anchor is None:
-                target = _gm_optimal_points(field.kernel.p, k, pin_endpoints)
-                target = target[1:-1] if pin_endpoints else target
-                anchor = (target, *evaluate(target))
+        value, grad = evaluate(x)
         steps = 0
-        if value == math.inf and anchor is not None and anchor[1] < math.inf:
-            x, value, grad = first_feasible(x, anchor)
-        elif value == math.inf and not gauss_markov:
-            x, value, grad, steps = lower_the_floor(x)
-        if value == math.inf:
-            outcomes.append((x, value, grad, steps, math.nan))
-        else:
-            x, value, grad, more, norm = _descend(or_inf(evaluate), x, value, grad, lo, hi, knots)
-            outcomes.append((x, value, grad, steps + more, norm))
-        if r == 0 and not gauss_markov:
-            anchor = outcomes[0][:3]
-    best_x, best_val = outcomes[0][:2]
-    for x, val, *_ in outcomes[1:]:
-        if val < best_val:
-            best_x, best_val = x, val
+        if value == math.inf and obj_name != "min_delta_min":
+            x, _, _, steps, _ = search(floor, x, *floor(x))
+            value, grad = evaluate(x)
+        x, value, _, more, norm = search(evaluate, x, value, grad)
+        outcomes.append((x, value, steps + more, norm))
+    best_x, best_val = min(outcomes, key=lambda o: o[1])[:2]
     return PlacementResult(points=tuple(float(a) for a in placed(best_x)), value=float(best_val),
                            objective=obj_name, restarts=restarts, solver="search", objective_calls=calls,
                            restart_values=tuple(float(o[1]) for o in outcomes),
-                           restart_iterations=tuple(o[3] for o in outcomes),
-                           restart_gradient_norms=tuple(o[4] for o in outcomes))
+                           restart_iterations=tuple(o[2] for o in outcomes),
+                           restart_gradient_norms=tuple(o[3] for o in outcomes))

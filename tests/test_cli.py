@@ -574,6 +574,24 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("block", ["{k: 6}", "{k: 6, objective: min_rate_at, delta: 0.3}"],
+                             ids=["min_delta_min", "min_rate_at"])
+    def test_more_points_than_mesh_knots_are_refused_before_any_evaluation(self, tmp_path, capsys, monkeypatch,
+                                                                          block):
+        # a bilinear kernel's Gram matrix has rank at most the mesh's knot count
+        calls = []
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", lambda *args: calls.append(args))
+        write_mesh(tmp_path / "mesh.csv", 5)
+        cfg = tmp_path / "place.yaml"
+        cfg.write_text(f"field:\n  kernel: {{type: tabulated, mesh_csv: mesh.csv}}\nplacement: {block}\n",
+                       encoding="utf-8")
+        assert run("place", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [field.domain_error]"), err
+        assert "5 mesh knots" in err and "rank at most 5" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "points.csv").exists()
+        assert calls == []
+
     @pytest.mark.parametrize("task", ["srdf", "distrate"])
     @pytest.mark.parametrize("bounds", ["min: .nan, max: 2.0", "min: 0.5, max: .inf"])
     def test_non_finite_grid_bounds(self, tmp_path, capsys, task, bounds):

@@ -372,15 +372,15 @@ class TestPlacement:
         assert res.value == pytest.approx(8.87, abs=5e-3)
 
     @pytest.mark.parametrize("kind", ["gauss-markov", "tabulated"])
-    def test_infeasible_random_restarts_start_from_the_first_feasible_point(self, monkeypatch, kind):
-        # delta sits just above the floor 0.32392 of the pinned optimum (0, 0.5, 1); the random
-        # draws of restarts 1 and 2 lie above delta, where a search would stay at inf.  A
-        # Gauss-Markov draw moves toward that optimum, a tabulated one toward restart 0's result
+    def test_infeasible_starts_descend_the_floor_then_the_rate(self, monkeypatch, kind):
+        # delta sits just above the floor 0.32392 of the pinned optimum (0, 0.5, 1), restart 0's
+        # start; the random draws of restarts 1 and 2 lie above delta, where the rate is inf.  Each
+        # descends the floor, finite there, and searches the rate from where that ends
         searches = []
 
         def recorded(evaluate, x, value, *args):
             found = _descend(evaluate, x, value, *args)
-            searches.append((x[0], value, found[1]))
+            searches.append((x[0], value, found[0][0]))
             return found
 
         monkeypatch.setattr(srdf_kit.field, "_descend", recorded)
@@ -391,10 +391,12 @@ class TestPlacement:
         assert all(math.isfinite(v) for v in res.restart_values)
         if kind == "gauss-markov":
             assert res.restart_values == pytest.approx([9.70394352] * 3, rel=1e-8)
-        assert len(searches) == 3 and all(math.isfinite(start) and found <= start for _, start, found in searches)
-        # each random restart begins at its segment's first feasible point, not at the optimum
-        margins = [delta - field_min_distortion(fm, (0.0, x, 1.0)) for x, _, _ in searches[1:]]
-        assert all(0.0 < m < 1e-6 for m in margins), margins
+        floors = [field_min_distortion(fm, (0.0, x, 1.0)) for x, _, _ in searches]
+        assert len(searches) == 5 and [i for i, f in enumerate(floors) if f >= delta] == [1, 3]
+        for i in (1, 3):
+            # the first descent from an infeasible start is the floor's; the rate's starts where it ends
+            assert searches[i][1] == floors[i]
+            assert searches[i + 1][0] == searches[i][2] and math.isfinite(searches[i + 1][1])
 
     def test_tabulated_search_leaves_an_infeasible_equispaced_start(self):
         # delta is 0.9 of the floor at the equispaced (0, 0.5, 1): restart 0 starts infeasible, and
@@ -411,6 +413,15 @@ class TestPlacement:
             res = optimize_placement(fm, 3, ("min_rate_at", delta), restarts=restarts, pin_endpoints=True, seed=0)
             assert max(res.restart_values) <= 13.839299980527095
             assert min(abs(res.points[1] - 0.445), abs(res.points[1] - 0.555)) < 1e-3
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_singular_random_start_scores_inf(self, seed):
+        # one random draw of each seed has a singular Gram matrix: seed 1's Cholesky fails, seed 2's
+        # smallest pivot is 6e-15.  That restart scores inf, and the others place as before
+        res = optimize_placement(FieldModel(TabulatedKernel(half_lag_mesh(5))), 3, "min_delta_min",
+                                 restarts=8, seed=seed)
+        assert res.value == pytest.approx(0.019056018386265, rel=1e-9)
+        assert sum(v == math.inf for v in res.restart_values) == 1
 
     def test_placement_cap_is_checked_before_anything_is_built(self, monkeypatch):
         def unreachable(*args, **kwargs):

@@ -445,8 +445,8 @@ def test_free_rate_placement_beats_both_start_layouts(p, k, slack, restarts, see
 @CLI_PROPERTY
 @given(st.floats(0.05, 0.95), st.integers(2, 4), st.booleans(), st.floats(1e-3, 0.05), seeds)
 def test_every_gauss_markov_restart_ends_feasible(p, k, pin, slack, seed):
-    # just above the lowest floor most random draws are infeasible; each moves to the segment's
-    # first feasible point, toward the floor optimum, before its search
+    # just above the lowest floor most random draws are infeasible; each descends the floor, a
+    # convex function of the gaps, which reaches the feasible set before the rate is searched
     field = FieldModel(GaussMarkovKernel(p))
     floor = field_min_distortion(field, tuple(_gm_optimal_points(p, k, pin)))
     delta = floor + slack * (1.0 - floor)
@@ -606,6 +606,23 @@ def test_search_ends_at_or_below_every_restart_0_start(seed, kind, pinned, rate)
     assert all(res.value <= fn(tuple(s))[0] for s in starts)
     assert len(res.restart_iterations) == len(res.restart_gradient_norms) == res.restarts
     assert fn(res.points)[0] == res.value
+
+
+@PROPERTY
+@given(seeds, st.booleans(), st.booleans())
+def test_tabulated_placement_raises_no_package_error(seed, pinned, rate):
+    # up to one point per mesh knot: random draws can put three points in one cell, or a pinned
+    # end and two points in its cell, where the Gram matrix is singular and the start scores inf
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 20))
+    field = FieldModel(tabulated_field(rng, n, 1)[0])
+    k = int(rng.integers(2 if pinned else 1, n + 1))
+    objective = ("min_rate_at", float(rng.uniform(0.01, 0.5)) * field_max_distortion(field)) if rate else "min_delta_min"
+    res = optimize_placement(field, k, objective, restarts=int(rng.integers(1, 4)), pin_endpoints=pinned, seed=seed)
+    assert res.value == min(res.restart_values)
+    if math.isfinite(res.value):
+        points = np.array(res.points)
+        validate_covariance(field.kernel.corr(points[:, None], points[None, :]))
 
 
 @PROPERTY
