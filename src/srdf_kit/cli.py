@@ -4,14 +4,17 @@ Every task reads one YAML config and writes its artifacts into the output
 directory: curves as CSV (comma separated, 9 significant digits, LF, UTF-8)
 and a JSON summary carrying the feasible range, spectrum, and tool/seed
 metadata.  Numbers in configs and outputs use 1-based component labels.
+A family's ``box`` is a list of [lo, hi] pairs under either template (one
+pair for ``fixed-var-corr``); a ``sim`` block takes the fields of SimConfig.
 
-Exit codes: 0 on success, 2 when inputs fail validation, 3 when a numerical
-procedure fails.
+Exit codes: 0 on success; on a package error, 3 when it is numerical (a
+procedure failed on valid inputs) and 2 for any other.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -23,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
+from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError
 from .field import (
     QUAD_POINTS_DEFAULT,
     FieldModel,
@@ -48,18 +51,6 @@ from .universal import (
     nonbayes_curve,
     nonbayes_spectra,
     project_family,
-)
-
-TASKS = (
-    "srdf",
-    "distrate",
-    "gmf-srdf",
-    "optimize-set",
-    "place",
-    "usrdf-bayes",
-    "usrdf-nonbayes",
-    "simulate",
-    "usim",
 )
 
 GRID_CAP = 100_000  # most points a curve's grid may hold; checked before the grid is built
@@ -120,27 +111,24 @@ def _seed(value):
     return value
 
 
-def _holds_bool(values) -> bool:
-    return isinstance(values, bool) or isinstance(values, list) and any(map(_holds_bool, values))
+def _holds(values, kind) -> bool:
+    return isinstance(values, kind) or isinstance(values, list) and any(_holds(v, kind) for v in values)
 
 
-def _number(value, what: str) -> float:
-    """One entry of a config list as a float; YAML true/false are not numbers here."""
-    if isinstance(value, bool):
-        raise ConfigParse(f"{what} must be numbers, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigParse(f"{what} must be numbers: {exc}") from exc
-
-
-def _floats(values, what: str) -> np.ndarray:
-    if _holds_bool(values):
+def _floats(values, what: str, ndim: int | None = None) -> np.ndarray:
+    """A config list as a float array, with ``ndim`` axes when given.  YAML true/false are not numbers
+    here, nor is null where ``ndim`` is given: a matrix reads it as NaN and refuses it as non-finite."""
+    if _holds(values, bool):
         raise ConfigParse(f"{what} must be numeric, got true or false")
+    if ndim is not None and _holds(values, type(None)):
+        raise ConfigParse(f"{what} must be numeric, got null")
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigParse(f"{what} must be numeric and rectangular: {exc}") from exc
+    if ndim is not None and array.ndim != ndim:
+        raise ConfigParse(f"{what} must be a list nested {ndim} deep, got shape {array.shape}")
+    return array
 
 
 def _load_config(path: Path) -> dict:
@@ -223,10 +211,7 @@ def _parse_field(cfg: dict, base: Path) -> FieldModel:
 
 
 def _parse_points(cfg: dict) -> FieldSamplingSet:
-    block = _need(cfg, "points")
-    if not isinstance(block, (list, tuple)):
-        raise ConfigParse("'points' must be a list of positions in [0, 1]")
-    return FieldSamplingSet(tuple(_number(p, "'points'") for p in block))
+    return FieldSamplingSet(_floats(_need(cfg, "points"), "'points'", 1).tolist())
 
 
 def _parse_family(cfg: dict, base: Path):
@@ -238,38 +223,32 @@ def _parse_family(cfg: dict, base: Path):
     if prior is not None and prior != "uniform":
         raise ConfigParse("config priors support 'uniform' or omit for none")
     grid_res = _scalar(block, "grid_res", int, GRID_RES_DEFAULT)
+    if template not in ("fixed-var-corr", "affine"):
+        raise ConfigParse(f"unknown family template {template!r}")
+    if "box" not in block:
+        raise ConfigParse(f"{template} family needs 'box' as a list of [lo, hi] pairs")
+    # an empty box reaches the family, which refuses it by its count of directions
+    box = np.empty((0, 2)) if block["box"] == [] else _floats(block["box"], "'box'", 2)
+    if box.shape[1] != 2:
+        raise ConfigParse(f"'box' must be a list of [lo, hi] pairs, got shape {box.shape}")
     if template == "fixed-var-corr":
-        try:
-            [[lo, hi]] = block["box"]   # one [lo, hi] pair: the family has one parameter
-            return fixed_var_corr_family(
-                sigma2=_scalar(block, "sigma2", float),
-                r_lo=_number(lo, "'box'"),
-                r_hi=_number(hi, "'box'"),
-                prior=prior,
-                grid_res=grid_res,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigParse(f"fixed-var-corr family needs sigma2 and box [[lo, hi]]: {exc}") from exc
-    if template == "affine":
-        base_mat = _load_matrix(block, base, "base", "base_csv")
-        dirs = block.get("directions")
-        if not isinstance(dirs, list) or not dirs:
-            raise ConfigParse("affine family needs a list of 'directions' matrices")
-        box = block.get("box")
-        if not isinstance(box, list):
-            raise ConfigParse("affine family needs 'box' as a list of [lo, hi] pairs")
-        try:
-            bounds = [(_number(lo, "'box'"), _number(hi, "'box'")) for lo, hi in box]
-        except (TypeError, ValueError) as exc:
-            raise ConfigParse(f"affine family needs 'box' as a list of numeric [lo, hi] pairs: {exc}") from exc
-        return affine_family(
-            base=base_mat,
-            directions=[_floats(d, "affine 'directions'") for d in dirs],
-            box=bounds,
-            prior=prior,
-            grid_res=grid_res,
+        if len(box) != 1:
+            raise ConfigParse(f"fixed-var-corr family has one parameter, so 'box' must be one pair, got {len(box)}")
+        [[r_lo, r_hi]] = box.tolist()
+        return fixed_var_corr_family(
+            sigma2=_scalar(block, "sigma2", float), r_lo=r_lo, r_hi=r_hi, prior=prior, grid_res=grid_res
         )
-    raise ConfigParse(f"unknown family template {template!r}")
+    base_mat = _load_matrix(block, base, "base", "base_csv")
+    dirs = block.get("directions")
+    if not isinstance(dirs, list) or not dirs:
+        raise ConfigParse("affine family needs a list of 'directions' matrices")
+    return affine_family(
+        base=base_mat,
+        directions=[_floats(d, "affine 'directions'") for d in dirs],
+        box=box.tolist(),
+        prior=prior,
+        grid_res=grid_res,
+    )
 
 
 def _parse_objective(block: dict):
@@ -290,11 +269,7 @@ def _parse_sim(cfg: dict, seed_override: int | None) -> SimConfig:
     block = _need(cfg, "sim")
     if not isinstance(block, dict):
         raise ConfigParse("'sim' must be a mapping")
-    allowed = {
-        "n", "rate_bits", "train_blocks", "eval_blocks", "seed",
-        "lbg_iters", "grid_delta", "est_length", "trace",
-    }
-    unknown = set(block) - allowed
+    unknown = set(block) - {f.name for f in dataclasses.fields(SimConfig)}
     if unknown:
         raise ConfigParse(f"unknown sim keys: {sorted(unknown)}")
     kinds = dict.fromkeys(("n", "train_blocks", "eval_blocks", "seed", "lbg_iters", "est_length"), int)
@@ -319,50 +294,31 @@ def _meta(task: str, seed) -> dict:
     return {"task": task, "tool": "srdf-kit", "version": __version__, "seed": seed}
 
 
-def _run_known_law(cfg, base, out, args, task: str):
-    """``srdf`` and ``distrate``: one spectrum, then the whole grid through it."""
-    model = _parse_model(cfg, base)
-    ss = _parse_sampling(cfg)
-    grid = _parse_grid(cfg)
-    spec = srdf_spectrum(model, ss)
-    delta_max = max_distortion(model)
-    if task == "srdf":
+def _run_curve(cfg, base, out, args):
+    """``srdf``, ``distrate`` and ``gmf-srdf``: one spectrum, then the whole grid through it."""
+    if args.task == "gmf-srdf":
+        fm = _parse_field(cfg, base)
+        pts = _parse_points(cfg)
+        grid = _parse_grid(cfg)
+        spec, delta_max = field_srdf_spectrum(fm, pts), field_max_distortion(fm)
+        summary = {"points_sampled": list(pts.points), "gram": field_gram(fm, pts).tolist(),
+                   "integrals": fm.integrals}
+    else:
+        model = _parse_model(cfg, base)
+        ss = _parse_sampling(cfg)
+        grid = _parse_grid(cfg)
+        spec, delta_max = srdf_spectrum(model, ss), max_distortion(model)
+        summary = {"m": model.m, "sampling": list(ss.indices), "points": len(grid)}
+    if args.task == "distrate":
+        _write_csv(out / "curve.csv", ["rate_bits", "delta"], "%.9g,%.9g", [grid, spec.distortion(grid)])
+    else:
         rates = _rate_curve(spec.rate(grid), grid, spec.delta_min, delta_max).rate_bits
         _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [grid, rates])
-    else:
-        _write_csv(out / "curve.csv", ["rate_bits", "delta"], "%.9g,%.9g", [grid, spec.distortion(grid)])
-    summary = _meta(task, args.seed)
     summary.update(
-        {
-            "m": model.m,
-            "sampling": list(ss.indices),
-            "delta_min": spec.delta_min,
-            "delta_max": delta_max,
-            "eigenvalues": [float(x) for x in spec.lambdas],
-            "points": len(grid),
-        }
-    )
-    _write_json(out / "summary.json", summary)
-
-
-def _run_gmf_srdf(cfg, base, out, args):
-    fm = _parse_field(cfg, base)
-    pts = _parse_points(cfg)
-    deltas = _parse_grid(cfg)
-    spec = field_srdf_spectrum(fm, pts)
-    delta_max = field_max_distortion(fm)
-    rates = _rate_curve(spec.rate(deltas), deltas, spec.delta_min, delta_max).rate_bits
-    _write_csv(out / "curve.csv", ["delta", "rate_bits"], "%.9g,%.9g", [deltas, rates])
-    summary = _meta("gmf-srdf", args.seed)
-    summary.update(
-        {
-            "points_sampled": list(pts.points),
-            "delta_min": spec.delta_min,
-            "delta_max": delta_max,
-            "eigenvalues": [float(x) for x in spec.lambdas],
-            "gram": [[float(v) for v in row] for row in field_gram(fm, pts)],
-            "integrals": fm.integrals,
-        }
+        _meta(args.task, args.seed),
+        delta_min=spec.delta_min,
+        delta_max=delta_max,
+        eigenvalues=[float(x) for x in spec.lambdas],
     )
     _write_json(out / "summary.json", summary)
 
@@ -431,11 +387,12 @@ def _run_place(cfg, base, out, args):
     _write_json(out / "summary.json", summary)
 
 
-def _run_usrdf(cfg, base, out, args, bayes: bool):
+def _run_usrdf(cfg, base, out, args):
     family = _parse_family(cfg, base)
     ss = _parse_sampling(cfg)
     deltas = _parse_grid(cfg)
     part = project_family(family, ss)
+    bayes = args.task == "usrdf-bayes"
     if bayes:
         spectra = atom_spectra(part)
         curve = bayes_curve(spectra, part.weights, deltas)
@@ -450,8 +407,7 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
             "%.9g,%d,%.9g",
             [np.repeat(deltas, alloc.shape[1]), np.tile(np.arange(alloc.shape[1]), len(deltas)), alloc.ravel()],
         )
-    task = "usrdf-bayes" if bayes else "usrdf-nonbayes"
-    summary = _meta(task, args.seed)
+    summary = _meta(args.task, args.seed)
     summary.update(
         {
             "sampling": list(ss.indices),
@@ -465,10 +421,14 @@ def _run_usrdf(cfg, base, out, args, bayes: bool):
     _write_json(out / "summary.json", summary)
 
 
-def _write_sim_outputs(report, out, task, seed):
-    payload = _meta(task, seed)
-    payload["report"] = report.to_dict()
-    _write_json(out / "report.json", payload)
+def _run_sim(cfg, base, out, args):
+    """``simulate`` and ``usim``: the two-step scheme on a known law or on a family."""
+    parse, scheme = (_parse_model, two_step_code) if args.task == "simulate" else (_parse_family, universal_two_step)
+    source = parse(cfg, base)
+    ss = _parse_sampling(cfg)
+    sim = _parse_sim(cfg, args.seed)
+    report = scheme(source, ss, sim)
+    _write_json(out / "report.json", {**_meta(args.task, sim.seed), "report": report.to_dict()})
     trace = report.block_trace
     if trace is not None:
         _write_csv(
@@ -479,33 +439,18 @@ def _write_sim_outputs(report, out, task, seed):
         )
 
 
-def _run_simulate(cfg, base, out, args):
-    model = _parse_model(cfg, base)
-    ss = _parse_sampling(cfg)
-    sim = _parse_sim(cfg, args.seed)
-    report = two_step_code(model, ss, sim)
-    _write_sim_outputs(report, out, "simulate", sim.seed)
-
-
-def _run_usim(cfg, base, out, args):
-    family = _parse_family(cfg, base)
-    ss = _parse_sampling(cfg)
-    sim = _parse_sim(cfg, args.seed)
-    report = universal_two_step(family, ss, sim)
-    _write_sim_outputs(report, out, "usim", sim.seed)
-
-
 _HANDLERS = {
-    "srdf": lambda cfg, base, out, args: _run_known_law(cfg, base, out, args, "srdf"),
-    "distrate": lambda cfg, base, out, args: _run_known_law(cfg, base, out, args, "distrate"),
-    "gmf-srdf": _run_gmf_srdf,
+    "srdf": _run_curve,
+    "distrate": _run_curve,
+    "gmf-srdf": _run_curve,
     "optimize-set": _run_optimize_set,
     "place": _run_place,
-    "usrdf-bayes": lambda cfg, base, out, args: _run_usrdf(cfg, base, out, args, True),
-    "usrdf-nonbayes": lambda cfg, base, out, args: _run_usrdf(cfg, base, out, args, False),
-    "simulate": _run_simulate,
-    "usim": _run_usim,
+    "usrdf-bayes": _run_usrdf,
+    "usrdf-nonbayes": _run_usrdf,
+    "simulate": _run_sim,
+    "usim": _run_sim,
 }
+TASKS = tuple(_HANDLERS)
 
 
 @functools.cache
@@ -533,15 +478,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.task](cfg, config_path.parent, out, args)
-    except ValidationError as exc:
+    except SrdfKitError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
-    except SrdfKitError as exc:  # base-class fallback, treated as validation
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
     print(f"wrote {out.absolute()}")
     return 0
 

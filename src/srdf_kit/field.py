@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooLarge, SrdfKitError
+from .errors import BudgetOutOfRange, DomainError, GridTooLarge, SrdfKitError
 from .model import _objective, _validated_factor
 from .srdf import RateCurve, Spectrum, _rate_curve, _spectrum
 
@@ -583,12 +583,13 @@ def optimize_placement(
     from where that ends.  A Gauss-Markov floor is a sum of convex functions
     of the gaps, so that descent reaches its least value, and the restart
     stays infeasible only if no layout meets the target.  A tabulated kernel
-    has rank at most its N mesh knots, so more than N points are refused.
-    With ``pin_endpoints`` the first and last points are fixed at 0 and 1
-    and only the interior moves.  The result counts the evaluations and
-    keeps each restart's final value (inf where it never met a finite one),
-    step count (the floor's steps and the knot moves included) and
-    projected-gradient norm.
+    has rank at most its N mesh knots, so more than N points are refused, and
+    a target distortion that is not finite is refused as ``best_fixed_set``
+    refuses it, both before any evaluation.  With ``pin_endpoints`` the first
+    and last points are fixed at 0 and 1 and only the interior moves.  The
+    result counts the evaluations and keeps each restart's final value (inf
+    where it never met a finite one), step count (the floor's steps and the
+    knot moves included) and projected-gradient norm.
     """
     if k < 1:
         raise DomainError(f"need at least one point, got k={k}")
@@ -605,6 +606,9 @@ def optimize_placement(
         raise DomainError(f"k = {k} points exceed the {field.kernel.mesh_n} mesh knots: the bilinear kernel's "
                           f"Gram matrix has rank at most {field.kernel.mesh_n}, so it would be singular")
     obj_fn, obj_name = _placement_objective(field, objective)
+    delta = _objective(objective)[1]
+    if delta is not None and not math.isfinite(delta):
+        raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
     if gauss_markov and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
         # the objective's value, without the gradient it would compute beside it

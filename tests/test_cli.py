@@ -33,6 +33,8 @@ MODEL = "model:\n  sigma: [[1.0, 0.5], [0.5, 1.0]]\n"
 FIELD = "field:\n  kernel: {type: gauss-markov, p: 0.5}\n"
 GRID = "grid: {min: 1.0, max: 1.5, count: 2}\n"
 FAMILY = "family: {template: fixed-var-corr, sigma2: 1.0, box: [[0.2, 0.8]], prior: uniform, grid_res: 3}\nsampling: [1]\n"
+AFFINE = ("family: {template: affine, base: [[1.0, 0.3], [0.3, 1.0]], directions: [[[1.0, 0.0], [0.0, 0.0]]],"
+          " box: [[0.0, 0.4]], prior: uniform, grid_res: 3}\nsampling: [1]\n")
 
 
 def run(task, config, out, extra=()):
@@ -738,6 +740,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [cli.config_parse]"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task,config", [
+        pytest.param("gmf-srdf", f"{FIELD}points: [[0.2], [0.8]]\n{GRID}", id="points-nested"),
+        pytest.param("gmf-srdf", f"{FIELD}points: 0.5\n{GRID}", id="points-scalar"),
+        pytest.param("gmf-srdf", f"{FIELD}points: [0.5, null]\n{GRID}", id="points-null"),
+        pytest.param("usrdf-bayes", AFFINE.replace("[[0.0, 0.4]]", "[[0.0]]") + GRID, id="affine.box-short-pair"),
+        pytest.param("usrdf-bayes", AFFINE.replace("[[0.0, 0.4]]", "[0.0, 0.4]") + GRID, id="affine.box-flat"),
+        pytest.param("usrdf-bayes", AFFINE.replace("[[0.0, 0.4]]", "[[null, 0.4]]") + GRID, id="affine.box-null"),
+        pytest.param("usrdf-bayes", AFFINE.replace(" box: [[0.0, 0.4]],", "") + GRID, id="affine.box-missing"),
+        pytest.param("usrdf-bayes", FAMILY.replace(" box: [[0.2, 0.8]],", "") + GRID, id="family.box-missing"),
+        pytest.param("usrdf-bayes", FAMILY.replace("[[0.2, 0.8]]", "[[0.2, null]]") + GRID, id="family.box-null"),
+        pytest.param("simulate", f"{MODEL}sampling: [1]\nsim: {{bogus: 1}}\n", id="sim.unknown-key"),
+    ])
+    def test_malformed_point_list_box_or_sim_key_is_config_parse(self, tmp_path, capsys, task, config):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]"), err
+        assert "Traceback" not in err
+
+    def test_empty_affine_box_is_refused_by_the_family(self, tmp_path, capsys):
+        # no pair at all is a well-formed box, and the family names its count against the directions
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text(AFFINE.replace("[[0.0, 0.4]]", "[]") + GRID, encoding="utf-8")
+        assert run("usrdf-bayes", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [universal.unsupported_family]: got 1 direction matrices for a 0-dimensional box")
 
     @pytest.mark.parametrize(
         "task,config",

@@ -8,6 +8,7 @@ import pytest
 
 import srdf_kit.field
 from srdf_kit import (
+    BudgetOutOfRange,
     DomainError,
     FieldModel,
     FieldSamplingSet,
@@ -438,6 +439,20 @@ class TestPlacement:
         monkeypatch.setattr(srdf_kit.field, "_field_reduce", lambda *args: calls.append(args))
         with pytest.raises(GridTooLarge, match="restart cap"):
             optimize_placement(gm_field(0.5, quad_points=256), 2, objective, restarts=restarts)
+        assert calls == []
+
+    @pytest.mark.parametrize("kernel", ["gauss-markov", "tabulated"])
+    @pytest.mark.parametrize("pin_endpoints", [False, True])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_target_is_refused_before_any_objective_call(self, monkeypatch, kernel, pin_endpoints,
+                                                                    delta):
+        # it used to be searched: every restart scored inf, as did the result
+        calls = []
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", lambda *args: calls.append(args))
+        field = gm_field(0.5) if kernel == "gauss-markov" else FieldModel(TabulatedKernel(half_lag_mesh(9)))
+        with pytest.raises(BudgetOutOfRange, match="distortion must be finite") as caught:
+            optimize_placement(field, 3, ("min_rate_at", delta), restarts=4, pin_endpoints=pin_endpoints)
+        assert caught.value.code == "srdf.budget_out_of_range"
         assert calls == []
 
     def test_restart_cap_admits_the_cap(self, monkeypatch):
