@@ -14,7 +14,6 @@ procedure failed on valid inputs) and 2 for any other.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -40,7 +39,7 @@ from .field import (
 )
 from .model import CovarianceModel, SamplingSet
 from .setopt import best_fixed_set
-from .simulate import SimConfig, two_step_code, universal_two_step
+from .simulate import _FIELD_KINDS, SimConfig, two_step_code, universal_two_step
 from .srdf import _rate_curve, max_distortion, srdf_spectrum
 from .universal import (
     GRID_RES_DEFAULT,
@@ -116,11 +115,11 @@ def _holds(values, kind) -> bool:
 
 
 def _floats(values, what: str, ndim: int | None = None) -> np.ndarray:
-    """A config list as a float array, with ``ndim`` axes when given.  YAML true/false are not numbers
-    here, nor is null where ``ndim`` is given: a matrix reads it as NaN and refuses it as non-finite."""
+    """A config list as a float array, with ``ndim`` axes when given.  YAML true/false and null are
+    not numbers here."""
     if _holds(values, bool):
         raise ConfigParse(f"{what} must be numeric, got true or false")
-    if ndim is not None and _holds(values, type(None)):
+    if _holds(values, type(None)):
         raise ConfigParse(f"{what} must be numeric, got null")
     try:
         array = np.asarray(values, dtype=float)
@@ -269,16 +268,14 @@ def _parse_sim(cfg: dict, seed_override: int | None) -> SimConfig:
     block = _need(cfg, "sim")
     if not isinstance(block, dict):
         raise ConfigParse("'sim' must be a mapping")
-    unknown = set(block) - {f.name for f in dataclasses.fields(SimConfig)}
+    unknown = set(block) - set(_FIELD_KINDS)
     if unknown:
         raise ConfigParse(f"unknown sim keys: {sorted(unknown)}")
-    kinds = dict.fromkeys(("n", "train_blocks", "eval_blocks", "seed", "lbg_iters", "est_length"), int)
-    kinds["trace"] = bool
-    for key in ("rate_bits", "grid_delta"):   # kept as written, so a report echoes the config
-        if isinstance(block.get(key), bool):
+    for key, kind in _FIELD_KINDS.items():
+        if kind is float and isinstance(block.get(key), bool):   # a float is kept as written, so a report echoes it
             raise ConfigParse(f"'{key}' must be a number, got {block[key]!r}")
     merged = {
-        key: _scalar(block, key, kinds[key]) if key in kinds and value is not None else value
+        key: value if value is None or _FIELD_KINDS[key] is float else _scalar(block, key, _FIELD_KINDS[key])
         for key, value in block.items()
     }
     if seed_override is not None:

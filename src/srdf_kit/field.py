@@ -2,12 +2,13 @@
 
 The sampled covariance is the kernel Gram matrix, the weight matrix and the
 estimation floor become kernel integrals, and the rate distortion function is
-the same reverse waterfill as in the finite case.  Both kernels give these
-integrals exactly.  For the Gauss-Markov kernel each cross-mass entry is a
-closed form in its two points, and its floor-minimizing placement is solved
-exactly.  A tabulated kernel is bilinear, so for a fixed sample it
-is linear in u inside each mesh cell and the integrands are quadratic there:
-Simpson's rule with one panel per mesh cell is exact wherever the samples lie.
+the same reverse waterfill as in the finite case.  Each kernel owns these
+integrals (see ``FieldModel``) and gives them exactly.  For the Gauss-Markov
+kernel each cross-mass entry is a closed form in its two points, and its
+floor-minimizing placement is solved exactly.  A tabulated kernel is
+bilinear, so for a fixed sample it is linear in u inside each mesh cell and
+the integrands are quadratic there: Simpson's rule with one panel per mesh
+cell is exact wherever the samples lie.
 Every other placement is searched by projected quasi-Newton steps on the
 ordered points, driven by the objective's gradient in the points, which the
 same closed forms and the same Simpson rule give exactly.  A tabulated
@@ -39,9 +40,11 @@ ROUNDING = 4.0 * float(np.finfo(float).eps)   # relative change below a value's 
 
 @dataclass(frozen=True)
 class GaussMarkovKernel:
-    """Unit-variance kernel r(s, u) = p^|s - u| with 0 < p < 1."""
+    """Unit-variance kernel r(s, u) = p^|s - u| with 0 < p < 1, its field integrals in closed form."""
 
     p: float
+    integrals = "closed-form"
+    variance = 1.0   # the integrated variance over [0, 1]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
@@ -50,15 +53,43 @@ class GaussMarkovKernel:
     def corr(self, s, u) -> np.ndarray:
         return self.p ** np.abs(np.asarray(s, dtype=float) - np.asarray(u, dtype=float))
 
+    def mass(self, pts: np.ndarray):
+        """(M, None): M_ij = integral over [0, 1] of p^(|u - a_i| + |u - a_j|) du for points a, exactly.
+
+        With a = min(a_i, a_j), b = max(a_i, a_j) and l = ln p the integrand is
+        p^(b-a) times p^(2(a-u)) left of a, 1 between a and b and p^(2(u-b))
+        right of b, so M_ij = p^(b-a) [(b - a) + (expm1(2la) + expm1(2l(1-b))) / (2l)].
+        """
+        lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
+        two_lp = 2.0 * math.log(self.p)
+        gap = hi - lo
+        return self.p ** gap * (gap + (np.expm1(two_lp * lo) + np.expm1(two_lp * (1.0 - hi))) / two_lp), None
+
+    def slopes(self, pts: np.ndarray, mass: np.ndarray, corr=None):
+        """(G, H) as ``FieldModel`` defines them: G_ij = sgn l p^|a_i - a_j| with sgn = sign(a_i - a_j)
+        and l = ln p, and H the derivative of ``mass``'s closed form in a_i alone, sgn l M_ij +
+        p^(b-a) expm1(2la) when a_i = a < b and sgn l M_ij - p^(b-a) expm1(2l(1-b)) when a_i = b > a;
+        on the diagonal, half the derivative of M_ii, (expm1(2la) - expm1(2l(1-a))) / 2, is the
+        mean of the two."""
+        two_lp = 2.0 * math.log(self.p)
+        gap = pts[:, None] - pts[None, :]
+        side = np.sign(gap)
+        decay = self.p ** np.abs(gap)
+        # a_i is the left point a wherever 1 - sgn > 0 and the right point b wherever 1 + sgn > 0
+        ends = (1.0 - side) * np.expm1(two_lp * pts)[:, None] - (1.0 + side) * np.expm1(two_lp * (1.0 - pts))[:, None]
+        return 0.5 * two_lp * side * decay, 0.5 * (two_lp * side * mass + decay * ends)
+
 
 @dataclass(frozen=True)
 class TabulatedKernel:
     """Kernel given by an N x N mesh on the uniform grid s_i = i/(N-1), bilinear in between.
 
-    The per-cell Simpson rule over [0, 1] (``_mesh_simpson``), its ``nodes`` and
-    ``weights``, and the integrated variance it gives are built once, here.
+    Its field integrals come from the per-cell Simpson rule over [0, 1]
+    (``_mesh_simpson``), exact for its integrands; the rule's ``nodes`` and
+    ``weights``, and the integrated variance it gives, are built once, here.
     """
 
+    integrals = "mesh-simpson"
     values: np.ndarray
     nodes: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
     weights: np.ndarray = dataclasses.field(init=False, compare=False, repr=False)
@@ -109,6 +140,17 @@ class TabulatedKernel:
         v = self.values
         return (self.mesh_n - 1) * ((v[i0 + 1, j0] - v[i0, j0]) * (1 - tu) + (v[i0 + 1, j0 + 1] - v[i0, j0 + 1]) * tu)
 
+    def mass(self, pts: np.ndarray):
+        """(M, C): C holds the kernel between the Simpson nodes and the points, and M = C^T W C."""
+        c = self.corr(self.nodes[:, None], pts[None, :])
+        return (c * self.weights[:, None]).T @ c, c
+
+    def slopes(self, pts: np.ndarray, mass: np.ndarray, corr: np.ndarray):
+        """(G, H) as ``FieldModel`` defines them, from ``slope``: linear in u inside each mesh cell like
+        the kernel, so the per-cell Simpson rule is exact for H too; ``corr`` is ``mass``'s C."""
+        h = (self.slope(pts[None, :], self.nodes[:, None]) * self.weights[:, None]).T @ corr
+        return self.slope(pts[:, None], pts[None, :]), h
+
     @classmethod
     def from_mesh_csv(cls, path) -> "TabulatedKernel":
         """Read the mesh format: a header line with N, then N*N rows ``i,j,value``."""
@@ -147,6 +189,14 @@ class TabulatedKernel:
 class FieldModel:
     """A field on [0, 1].
 
+    The kernel owns the field integrals: ``integrals`` says how they are
+    evaluated, ``variance`` is the integrated variance, ``mass(pts)`` is (M, C)
+    with M the integral of c(u) c(u)^T, c(u) the kernel between u and the
+    points, and C what ``slopes`` needs besides, and ``slopes(pts, M, C)`` is
+    (G, H): moving a_i alone moves Sigma_A along e_i G_i^T + G_i e_i^T and M
+    along e_i H_i^T + H_i e_i^T, with G_ij = d r(a_i, a_j) / d a_i (half that on
+    the diagonal) and H_ij the integral of d r(a_i, u) / d a_i * r(u, a_j).
+
     Every field integral is exact, so ``quad_points`` sets nothing any more.
     It is still accepted and checked, so that configs and callers that pass
     it, positionally included, keep working.
@@ -162,7 +212,7 @@ class FieldModel:
     @property
     def integrals(self) -> str:
         """How the field integrals are evaluated: "closed-form" or "mesh-simpson"."""
-        return "closed-form" if isinstance(self.kernel, GaussMarkovKernel) else "mesh-simpson"
+        return self.kernel.integrals
 
 
 @dataclass(frozen=True)
@@ -208,75 +258,18 @@ def _gram_factor(field: FieldModel, pts: np.ndarray):
     return _validated_factor(field.kernel.corr(pts[:, None], pts[None, :]))
 
 
-def _gm_cross_mass(p: float, pts: np.ndarray) -> np.ndarray:
-    """M_ij = integral over [0, 1] of p^(|u - a_i| + |u - a_j|) du for points a, exactly.
-
-    With a = min(a_i, a_j), b = max(a_i, a_j) and l = ln p the integrand is
-    p^(b-a) times p^(2(a-u)) left of a, 1 between a and b and p^(2(u-b))
-    right of b, so M_ij = p^(b-a) [(b - a) + (expm1(2la) + expm1(2l(1-b))) / (2l)].
-    """
-    lo, hi = np.minimum.outer(pts, pts), np.maximum.outer(pts, pts)
-    two_lp = 2.0 * math.log(p)
-    gap = hi - lo
-    return p ** gap * (gap + (np.expm1(two_lp * lo) + np.expm1(two_lp * (1.0 - hi))) / two_lp)
-
-
-def _field_slopes(field: FieldModel, pts: np.ndarray, mass: np.ndarray, corr):
-    """(G, H) at checked points ``pts`` with cross mass ``mass`` and, on a tabulated field, kernel
-    values ``corr`` between the Simpson nodes and the points: moving a_i alone moves Sigma_A along
-    e_i G_i^T + G_i e_i^T and M along e_i H_i^T + H_i e_i^T, with G_ij = d r(a_i, a_j) / d a_i
-    (half that on the diagonal, where both arguments move) and H_ij the integral over [0, 1] of
-    d r(a_i, u) / d a_i * r(u, a_j) du.
-
-    Gauss-Markov: G_ij = sgn l p^|a_i - a_j| with sgn = sign(a_i - a_j) and l = ln p, and H is the
-    derivative of ``_gm_cross_mass``'s closed form in a_i alone, sgn l M_ij + p^(b-a) expm1(2la) when
-    a_i = a < b and sgn l M_ij - p^(b-a) expm1(2l(1-b)) when a_i = b > a; on the diagonal, half the
-    derivative of M_ii, (expm1(2la) - expm1(2l(1-a))) / 2, is the mean of the two.  Tabulated: the
-    slopes are linear in u inside each mesh cell like the kernel, so the per-cell Simpson rule is
-    exact for H too.
-    """
-    kernel = field.kernel
-    if field.integrals == "mesh-simpson":
-        h = (kernel.slope(pts[None, :], kernel.nodes[:, None]) * kernel.weights[:, None]).T @ corr
-        return kernel.slope(pts[:, None], pts[None, :]), h
-    two_lp = 2.0 * math.log(kernel.p)
-    gap = pts[:, None] - pts[None, :]
-    side = np.sign(gap)
-    decay = kernel.p ** np.abs(gap)
-    # a_i is the left point a wherever 1 - sgn > 0 and the right point b wherever 1 + sgn > 0
-    ends = (1.0 - side) * np.expm1(two_lp * pts)[:, None] - (1.0 + side) * np.expm1(two_lp * (1.0 - pts))[:, None]
-    return 0.5 * two_lp * side * decay, 0.5 * (two_lp * side * mass + decay * ends)
-
-
-def _field_block(field: FieldModel, points):
-    """(Sigma_A, M, integrated variance, L, C) of the field sampled at ``points``, Sigma_A = L L^T.
-
-    M = integral of c(u) c(u)^T du is the cross mass, with c(u) the kernel
-    between u and the samples.  A Gauss-Markov field has unit variance and M
-    in closed form, and C is None; a tabulated one takes both from the kernel's
-    per-cell Simpson rule, exact for its integrands, and C holds c at its nodes.
-    The points are checked once and Sigma_A is validated once; L is the factor
-    its pivot check computed.
-    """
-    pts = np.asarray(_as_field_points(points).points)
-    sigma_a, l = _gram_factor(field, pts)
-    kernel = field.kernel
-    if field.integrals == "closed-form":
-        return sigma_a, _gm_cross_mass(kernel.p, pts), 1.0, l, None
-    c = kernel.corr(kernel.nodes[:, None], pts[None, :])
-    return sigma_a, (c * kernel.weights[:, None]).T @ c, kernel.variance, l, c
-
-
 def _field_reduce(field: FieldModel, points):
-    """(floor, S, variance, M, L, C) of the field sampled at ``points``: with Sigma_A = L L^T and
-    weight G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the floor
-    left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S.
-    One validated factor serves both solves, so a placement evaluation costs one
-    Cholesky factor and, for a rate, one ``eigvalsh``, besides its gradient's; M and C go on to
-    ``_field_slopes``."""
-    _, m_mat, variance, l, c = _field_block(field, points)
+    """(floor, S, M, L, C) of the field sampled at ``points``, (M, C) from ``kernel.mass``: with
+    Sigma_A = L L^T and weight G = Sigma_A^{-1} M Sigma_A^{-1}, S = L^T G L = L^{-1} M L^{-T}, and the
+    floor left after the linear estimate is variance - tr(Sigma_A^{-1} M) = variance - tr S.  The
+    points are checked once and Sigma_A validated once, and the factor its pivot check computed
+    serves both solves, so a placement evaluation costs one Cholesky factor and, for a rate, one
+    ``eigvalsh``, besides its gradient's; M and C go on to ``kernel.slopes``."""
+    pts = np.asarray(_as_field_points(points).points)
+    l = _gram_factor(field, pts)[1]
+    m_mat, c = field.kernel.mass(pts)
     s = np.linalg.solve(l, np.linalg.solve(l, m_mat).T)
-    return max(0.0, variance - float(s.trace())), s, variance, m_mat, l, c
+    return max(0.0, field.kernel.variance - float(s.trace())), s, m_mat, l, c
 
 
 def field_min_distortion(field: FieldModel, points) -> float:
@@ -286,7 +279,7 @@ def field_min_distortion(field: FieldModel, points) -> float:
 
 def field_max_distortion(field: FieldModel) -> float:
     """Integrated variance of the field; the zero-rate distortion."""
-    return 1.0 if field.integrals == "closed-form" else field.kernel.variance
+    return field.kernel.variance
 
 
 def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
@@ -296,8 +289,8 @@ def field_srdf_spectrum(field: FieldModel, points) -> Spectrum:
 
 def field_srdf(field: FieldModel, points, delta) -> RateCurve:
     """Rate distortion function of the field sampled at ``points``, at ``delta`` (a float or an array)."""
-    floor, s, variance = _field_reduce(field, points)[:3]   # variance is field_max_distortion's value
-    return _rate_curve(_spectrum(floor, s).rate(delta), delta, floor, variance)
+    floor, s = _field_reduce(field, points)[:2]
+    return _rate_curve(_spectrum(floor, s).rate(delta), delta, floor, field.kernel.variance)
 
 
 def gm_segment_explained(p: float, length: float) -> float:
@@ -413,7 +406,7 @@ def _placement_objective(field: FieldModel, objective):
     """(fn, reported name): fn(pts) is (the floor of the points, or their rate at delta, its gradient
     in the points), both from one reduction, or (inf, None) wherever that raises a package error.
 
-    Moving a_i alone moves Sigma_A and M as ``_field_slopes`` says.  An eigenvalue lambda of
+    Moving a_i alone moves Sigma_A and M as the kernel's ``slopes`` say.  An eigenvalue lambda of
     M x = lambda Sigma_A x with x^T Sigma_A x = 1, the spectrum of S with x = L^{-T} v, moves by
     x^T (dM - lambda dSigma_A) x = 2 x_i ((H x)_i - lambda (G x)_i) (Magnus & Neudecker, Matrix
     Differential Calculus, ch. 8).  The floor is the variance less the sum of the eigenvalues.  At
@@ -423,7 +416,7 @@ def _placement_objective(field: FieldModel, objective):
     name, delta = _objective(objective)
 
     def evaluate(pts):
-        floor, s, _, mass, l, corr = _field_reduce(field, pts)
+        floor, s, mass, l, corr = _field_reduce(field, pts)
         if delta is not None:
             spec = _spectrum(floor, s)
             rate = spec.rate(delta)
@@ -434,7 +427,7 @@ def _placement_objective(field: FieldModel, objective):
             value, alpha = rate, spec.level(delta - floor)
             weight = (1.0 / np.maximum(lam, alpha) - 1.0 / alpha) / (2.0 * math.log(2.0))   # 0 below alpha
         x = np.linalg.solve(l.T, vec)
-        g, h = _field_slopes(field, np.asarray(pts), mass, corr)
+        g, h = field.kernel.slopes(np.asarray(pts), mass, corr)
         return value, 2.0 * (x * weight * (h @ x - (g @ x) * lam)).sum(axis=1)
 
     def fn(pts):
@@ -601,7 +594,7 @@ def optimize_placement(
         raise DomainError(f"need at least one restart, got restarts={restarts}")
     if restarts > RESTART_CAP:
         raise GridTooLarge(f"restarts = {restarts} exceeds the restart cap {RESTART_CAP}")
-    gauss_markov = field.integrals == "closed-form"
+    gauss_markov = isinstance(field.kernel, GaussMarkovKernel)   # the exact solver, no mesh rank, no knots
     if not gauss_markov and k > field.kernel.mesh_n:
         raise DomainError(f"k = {k} points exceed the {field.kernel.mesh_n} mesh knots: the bilinear kernel's "
                           f"Gram matrix has rank at most {field.kernel.mesh_n}, so it would be singular")

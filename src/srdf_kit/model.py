@@ -1,5 +1,8 @@
 """Covariance models and sampling-subset bookkeeping.
 
+Which covariances are valid, and the error an invalid one raises, is
+decided by one checker, ``_checked``.
+
 Component labels are 1-based at the API surface (components are numbered
 1..m everywhere a user sees them); all array indexing below converts to
 0-based once, at construction time.
@@ -7,6 +10,7 @@ Component labels are 1-based at the API surface (components are numbered
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -34,9 +38,8 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
     That entry must stay at most FLOAT_MAX / (2 m), so that neither the
     symmetrization nor the trace overflows, whatever their rounding.
     Positive definiteness requires every Cholesky pivot to clear a floor
-    scaled to the mean variance.  Each check runs once over the whole stack,
-    with the operations a single matrix gets, so a matrix passes in a stack
-    exactly when it passes alone.  If any fails, the first failing one, in C
+    scaled to the mean variance.  ``_checked`` runs these checks and raises
+    their errors; if a matrix of a stack fails, the first failing one, in C
     order, raises the error it raises alone.
 
     Returns the symmetrized copy.
@@ -44,74 +47,69 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
     return _validated_factor(raw)[0]
 
 
+def _checked(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(symmetrized copy, Cholesky factor) of one m x m matrix ``sigma``, or the error of the first
+    check it fails: non-finite, zero, overflow, asymmetric, Cholesky, pivot."""
+    m = sigma.shape[0]
+    scale = np.abs(sigma).max()   # NaN or inf wherever an entry is
+    if not math.isfinite(scale):
+        raise NotPositiveDefinite("covariance has a non-finite entry")
+    if scale == 0.0:
+        raise NotPositiveDefinite("covariance is identically zero")
+    limit = FLOAT_MAX / (2 * m)
+    if scale > limit:
+        raise ValidationError(
+            f"max |entry| = {scale:.3e} exceeds {limit:.3e}:"
+            f" symmetrizing or tracing a {m}x{m} covariance overflows"
+        )
+    sigma_t = sigma.T
+    skew = np.abs(sigma - sigma_t).max()
+    if skew > SYM_TOL * scale:
+        raise NotSymmetric(f"max |sigma - sigma^T| = {skew:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
+    sym = 0.5 * (sigma + sigma_t)
+    try:
+        chol = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
+    pivot = (chol.diagonal() ** 2).min()
+    pivot_floor = PD_TOL * sym.trace() / m
+    if pivot <= pivot_floor:
+        raise NotPositiveDefinite(f"smallest Cholesky pivot {pivot:.3e} is below the floor {pivot_floor:.3e}")
+    return sym, chol
+
+
 def _validated_factor(raw) -> tuple[np.ndarray, np.ndarray]:
     """(symmetrized copy, Cholesky factor) of ``raw`` once it passes ``validate_covariance``'s checks.
 
     The pivot check needs the factor anyway, so a caller that solves with the
-    matrix takes it from here instead of factoring again.  A lone matrix first
-    runs the same checks, in the same order and with the same floats, without
-    the stack bookkeeping; one that fails any of them goes on to the stack
-    path, which raises its error.
+    matrix takes it from here instead of factoring again.  A stack runs each
+    check once over all its matrices, with the operations ``_checked`` gives
+    one, and hands them to ``_checked`` in C order only where some fails.
     """
     sigma = np.asarray(raw, dtype=float)
-    if sigma.ndim == 2 and sigma.shape[0] == sigma.shape[1] > 0:
-        scale = np.abs(sigma).max()
-        if 0.0 < scale <= FLOAT_MAX / (2 * sigma.shape[0]):   # a NaN or infinite entry makes the max NaN or inf
-            sigma_t = sigma.T
-            if np.abs(sigma - sigma_t).max() <= SYM_TOL * scale:
-                sym = 0.5 * (sigma + sigma_t)
-                try:
-                    chol = np.linalg.cholesky(sym)
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    if (chol.diagonal() ** 2).min() > PD_TOL * sym.trace() / sigma.shape[0]:
-                        return sym, chol
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise NotSquare(f"covariance must be square, got shape {sigma.shape[-2:]}")
     m = sigma.shape[-1]
     if m == 0:
         raise NotSquare("covariance must be nonempty")
+    if sigma.ndim == 2:
+        return _checked(sigma)
     sigma_t = np.swapaxes(sigma, -1, -2)
-    limit = FLOAT_MAX / (2 * m)
     with np.errstate(invalid="ignore", over="ignore"):   # a non-finite or oversized matrix fails first
-        nonfinite = ~np.isfinite(sigma).all(axis=(-2, -1))
         scale = np.max(np.abs(sigma), axis=(-2, -1))
-        skew = np.max(np.abs(sigma - sigma_t), axis=(-2, -1))
-        asymmetric = skew > SYM_TOL * scale
-        sigma = 0.5 * (sigma + sigma_t)
-        pivot_floor = PD_TOL * np.trace(sigma, axis1=-2, axis2=-1) / m
+        bad = ~np.isfinite(sigma).all(axis=(-2, -1)) | (scale == 0.0) | (scale > FLOAT_MAX / (2 * m))
+        bad |= np.max(np.abs(sigma - sigma_t), axis=(-2, -1)) > SYM_TOL * scale
+        sym = 0.5 * (sigma + sigma_t)
+        pivot_floor = PD_TOL * np.trace(sym, axis1=-2, axis2=-1) / m
     try:
-        chol = np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        pivots = None   # some matrix has no factor; each is factored alone below
+        pass   # some matrix has no factor
     else:
-        pivots = np.min(np.diagonal(chol, axis1=-2, axis2=-1) ** 2, axis=-1)
-        if not (nonfinite | (scale == 0.0) | (scale > limit) | asymmetric | (pivots <= pivot_floor)).any():
-            return sigma, chol
-    for i in np.ndindex(nonfinite.shape):
-        if nonfinite[i]:
-            raise NotPositiveDefinite("covariance has a non-finite entry")
-        if scale[i] == 0.0:
-            raise NotPositiveDefinite("covariance is identically zero")
-        if scale[i] > limit:
-            raise ValidationError(
-                f"max |entry| = {scale[i]:.3e} exceeds {limit:.3e}:"
-                f" symmetrizing or tracing a {m}x{m} covariance overflows"
-            )
-        if asymmetric[i]:
-            raise NotSymmetric(f"max |sigma - sigma^T| = {skew[i]:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
-        if pivots is None:
-            try:
-                pivot = np.min(np.diag(np.linalg.cholesky(sigma[i])) ** 2)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
-        else:
-            pivot = pivots[i]
-        if pivot <= pivot_floor[i]:
-            raise NotPositiveDefinite(
-                f"smallest Cholesky pivot {pivot:.3e} is below the floor {pivot_floor[i]:.3e}"
-            )
+        if not (bad | (np.min(np.diagonal(chol, axis1=-2, axis2=-1) ** 2, axis=-1) <= pivot_floor)).any():
+            return sym, chol
+    for i in np.ndindex(sigma.shape[:-2]):
+        _checked(sigma[i])
     raise AssertionError("unreachable: some matrix failed a check")
 
 

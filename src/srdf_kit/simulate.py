@@ -68,8 +68,6 @@ _STREAM_EVAL = 2
 _STREAM_INIT = 3
 _STREAM_TRIAL = 4
 
-_FLOAT_FIELDS = ("rate_bits", "grid_delta")
-
 
 def _check_draw(what: str, floats: int) -> None:
     if floats > DRAW_CAP:
@@ -153,8 +151,9 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
-            if name == "trace" or value is None or (isinstance(value, int) and name not in _FLOAT_FIELDS):
+        for name, kind in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if kind is bool or value is None or (kind is int and isinstance(value, int)):
                 continue   # an integer field is exact at any size and meets its caps by value
             if not abs(value) <= sys.float_info.max:   # also false for NaN; no float() of a huge int
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -191,6 +190,11 @@ class SimConfig:
                 f" (codebook size {j})"
             )
         return self.train_blocks
+
+
+# each SimConfig field's kind, read from its annotation: int, float or bool ("int | None" is an int or None)
+_FIELD_KINDS = {f.name: {"int": int, "float": float, "bool": bool}[f.type.partition(" ")[0]]
+                for f in fields(SimConfig)}
 
 
 @dataclass(frozen=True)

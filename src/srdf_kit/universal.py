@@ -24,6 +24,7 @@ from .errors import (
     GridTooLarge,
     InfeasibleDistortion,
     NoPrior,
+    NotPositiveDefinite,
     NotSquare,
     UnboundedBox,
     UnsupportedFamily,
@@ -384,8 +385,11 @@ def affine_family(
         )
     if any(d.shape != base.shape for d in dirs):
         raise DimensionMismatch(f"every direction matrix must have the base's shape {base.shape}")
+    finite = np.isfinite(base).all() and all(np.isfinite(d).all() for d in dirs)
 
     def cov_at(tau):
+        if not finite:   # refused as its nodes would be, after the box's checks, before 0 * inf warns at one
+            raise NotPositiveDefinite("covariance has a non-finite entry")
         s = base.copy()
         for t, d in zip(tau, dirs):
             s = s + t * d

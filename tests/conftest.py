@@ -26,7 +26,7 @@ from srdf_kit import (
     as_sampling_set,
     ml_cov_estimate,
 )
-from srdf_kit.field import _gm_cross_mass, _mesh_simpson
+from srdf_kit.field import _mesh_simpson
 from srdf_kit.model import PD_TOL, SYM_TOL
 from srdf_kit.simulate import _STREAM_TRIAL, _rng
 from srdf_kit.universal import ATOM_TOL
@@ -341,7 +341,7 @@ def reference_field_reduce(field, points):
     pts = np.asarray(FieldSamplingSet(points).points)
     sigma_a = reference_validate_covariance(field.kernel.corr(pts[:, None], pts[None, :]))
     if isinstance(field.kernel, GaussMarkovKernel):
-        m_mat, variance = _gm_cross_mass(field.kernel.p, pts), 1.0
+        m_mat, variance = field.kernel.mass(pts)[0], 1.0
     else:
         u, w = _mesh_simpson(field.kernel.mesh_n)
         c = field.kernel.corr(u[:, None], pts[None, :])

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -768,6 +769,46 @@ class TestExitCodes:
         assert run("usrdf-bayes", cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error [universal.unsupported_family]: got 1 direction matrices for a 0-dimensional box")
+
+    @pytest.mark.parametrize("task,config", [
+        pytest.param("srdf", f"model:\n  sigma: [[1.0, null], [0.5, 1.0]]\nsampling: [1]\n{GRID}", id="model.sigma"),
+        pytest.param("usrdf-bayes", AFFINE.replace("base: [[1.0,", "base: [[null,") + GRID, id="affine.base"),
+        pytest.param("usrdf-bayes", AFFINE.replace("directions: [[[1.0,", "directions: [[[null,") + GRID,
+                     id="affine.directions"),
+    ])
+    def test_null_matrix_entry_is_config_parse(self, tmp_path, capsys, task, config):
+        # a null in a matrix was read as NaN and refused as model.not_positive_definite, unlike one in a list
+        cfg = tmp_path / "null.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli.config_parse]") and "got null" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [".inf", "-.inf"])
+    def test_non_finite_affine_direction_is_refused_without_a_warning(self, tmp_path, capsys, entry):
+        # the box holds 0, and the node there formed 0 * inf, which warned before the node was refused
+        cfg = tmp_path / "direction.yaml"
+        cfg.write_text(AFFINE.replace("directions: [[[1.0,", f"directions: [[[{entry},") + GRID, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("usrdf-bayes", cfg, tmp_path / "out") == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err == "error [model.not_positive_definite]: covariance has a non-finite entry\n", err
+
+    @pytest.mark.parametrize("key,value", [
+        pytest.param(f.name, value, id=f"{f.name}={value!r}")
+        for f in dataclasses.fields(srdf_kit.SimConfig)
+        # a number for the bool field; true for a number field, and a fraction for an int one
+        for value in ((1,) if f.type == "bool" else (True, 2.5) if f.type.startswith("int") else (True,))
+    ])
+    def test_sim_value_of_the_wrong_kind_is_config_parse(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text(f"{MODEL}sampling: [1]\nsim: {{{key}: {json.dumps(value)}}}\n", encoding="utf-8")
+        assert run("simulate", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [cli.config_parse]: '{key}' must be"), err
 
     @pytest.mark.parametrize(
         "task,config",

@@ -32,7 +32,6 @@ from srdf_kit.field import (
     RESTART_CAP,
     SEP_TOL,
     _descend,
-    _gm_cross_mass,
     _gm_optimal_points,
     _project,
 )
@@ -183,7 +182,7 @@ class TestSegments:
         pts = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 1000))
         tracemalloc.start()
         try:
-            mass = _gm_cross_mass(0.3, pts)
+            mass = GaussMarkovKernel(0.3).mass(pts)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

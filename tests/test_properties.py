@@ -54,8 +54,7 @@ from srdf_kit import simulate, universal
 from srdf_kit.model import PD_TOL, _blocks, _validated_factor
 from srdf_kit.universal import ATOM_TOL
 from srdf_kit.cli import main
-from srdf_kit.field import (SEP_TOL, _field_block, _gm_cross_mass, _gm_optimal_points, _mesh_simpson,
-                            _placement_objective)
+from srdf_kit.field import SEP_TOL, _gm_optimal_points, _mesh_simpson, _placement_objective, field_gram
 from srdf_kit.srdf import _lift, _weight
 from srdf_kit.universal import bayes_curve
 
@@ -350,7 +349,7 @@ def test_cross_mass_matches_fine_quadrature(seed, tabulated):
         knots = points
     field = FieldModel(kernel)
     mass, variance = knot_simpson(kernel, points, knots)
-    np.testing.assert_allclose(_field_block(field, points)[1], mass, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(kernel.mass(np.asarray(points))[0], mass, rtol=1e-9, atol=0.0)
     assert field_max_distortion(field) == pytest.approx(variance, rel=1e-9)
 
 
@@ -463,7 +462,7 @@ def test_gm_cross_mass_matches_segment_sum(seed):
     pts = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 13))))
     if rng.uniform() < 0.3:
         pts[0], pts[-1] = 0.0, 1.0
-    mass = _gm_cross_mass(p, pts)
+    mass = GaussMarkovKernel(p).mass(pts)[0]
     np.testing.assert_allclose(mass, reference_gm_cross_mass(p, pts), rtol=1e-13, atol=0.0)
     assert np.array_equal(mass, mass.T)
 
@@ -472,7 +471,7 @@ def pinned_three_point_rates(p, delta, middle):
     """min_rate_at objective of (0, a, 1) for every a in ``middle``, as one stack; inf below the floor."""
     pts = np.stack([np.zeros_like(middle), middle, np.ones_like(middle)], axis=-1)
     sigma = p ** np.abs(pts[:, :, None] - pts[:, None, :])
-    mass = np.array([_gm_cross_mass(p, row) for row in pts])
+    mass = np.array([GaussMarkovKernel(p).mass(row)[0] for row in pts])
     lift = np.linalg.solve(sigma, mass)
     floors = 1.0 - np.trace(lift, axis1=1, axis2=2)
     g = np.linalg.solve(sigma, np.swapaxes(lift, 1, 2))
@@ -670,7 +669,7 @@ def test_cholesky_reduction_matches_the_symmetric_root_reference(seed, tabulated
         points = field_points(rng, int(rng.integers(1, 7)), gap=1e-3)
     field = FieldModel(kernel)
     spec = field_srdf_spectrum(field, points)
-    floor, lam = reference_field(*_field_block(field, points)[:3])
+    floor, lam = reference_field(field_gram(field, points), kernel.mass(np.asarray(points))[0], kernel.variance)
     assert abs(spec.delta_min - floor) <= 1e-12 * field_max_distortion(field)
     assert np.max(np.abs(spec.lambdas - lam)) <= 1e-11 * lam[0]
 

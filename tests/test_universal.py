@@ -9,6 +9,7 @@ from srdf_kit import (
     DimensionMismatch,
     InfeasibleDistortion,
     NoPrior,
+    NotPositiveDefinite,
     ParamFamily,
     Spectrum,
     UnboundedBox,
@@ -100,6 +101,18 @@ class TestFamilyGrid:
     def test_direction_shape_must_match_base(self):
         with pytest.raises(DimensionMismatch):
             affine_family(BASE, [np.eye(3)], [(0.0, 0.4)], prior="uniform", grid_res=3)
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf])
+    def test_non_finite_direction_is_refused_without_a_warning(self, entry):
+        # the box holds 0, and the node there formed 0 * inf, which warned before the node was refused
+        direction = np.array([[entry, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotPositiveDefinite) as raised:
+                affine_family(BASE, [E2, direction], [(0.0, 0.4), (-0.4, 0.4)], prior="uniform", grid_res=3)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert raised.value.code == "model.not_positive_definite"
+        assert str(raised.value) == "covariance has a non-finite entry"
 
     def test_no_prior_means_no_weights(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
