@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetOutOfRange, DomainError, GridTooLarge, SrdfKitError
+from .errors import DomainError, GridTooLarge, SrdfKitError
 from .model import _objective, _validated_factor
 from .srdf import RateCurve, Spectrum, _rate_curve, _spectrum
 
@@ -599,9 +599,6 @@ def optimize_placement(
         raise DomainError(f"k = {k} points exceed the {field.kernel.mesh_n} mesh knots: the bilinear kernel's "
                           f"Gram matrix has rank at most {field.kernel.mesh_n}, so it would be singular")
     obj_fn, obj_name = _placement_objective(field, objective)
-    delta = _objective(objective)[1]
-    if delta is not None and not math.isfinite(delta):
-        raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
     if gauss_markov and obj_name == "min_delta_min":
         pts = tuple(float(a) for a in _gm_optimal_points(field.kernel.p, k, pin_endpoints))
         # the objective's value, without the gradient it would compute beside it

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetOutOfRange,
     IndexOutOfRange,
     NotPositiveDefinite,
     NotSquare,
@@ -138,13 +139,15 @@ class SamplingSet:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        message = f"component labels must be integers, got {self.indices}"
         try:
             labels = tuple(self.indices)
-            if any(isinstance(i, bool) for i in labels):   # operator.index passes true/false as 1/0
-                raise TypeError("true/false is not a component label")
-            object.__setattr__(self, "indices", tuple(operator.index(i) for i in labels))
+            indices = tuple(operator.index(i) for i in labels)
         except TypeError as exc:
-            raise IndexOutOfRange(f"component labels must be integers, got {self.indices}") from exc
+            raise IndexOutOfRange(message) from exc
+        if any(isinstance(i, bool) for i in labels):   # operator.index passes true/false as 1/0
+            raise IndexOutOfRange(message)
+        object.__setattr__(self, "indices", indices)
         if len(self.indices) == 0:
             raise IndexOutOfRange("sampling set must be nonempty")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
@@ -176,12 +179,17 @@ def _objective(objective) -> tuple[str, float | None]:
     """(reported name, target distortion or None) of a sampling-set search objective.
 
     ``"min_delta_min"`` asks for the lowest estimation floor and
-    ``("min_rate_at", delta)`` for the lowest rate at distortion delta.
+    ``("min_rate_at", delta)`` for the lowest rate at distortion delta, which must be finite.
     """
     if objective == "min_delta_min":
         return "min_delta_min", None
     if isinstance(objective, tuple) and len(objective) == 2 and objective[0] == "min_rate_at":
-        delta = float(objective[1])
+        try:
+            delta = float(objective[1])
+        except (TypeError, ValueError) as exc:
+            raise BudgetOutOfRange(f"distortion must be a number, got {objective[1]!r}") from exc
+        if not math.isfinite(delta):
+            raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
         return f"min_rate_at:{delta:.9g}", delta
     raise ValidationError(f"unknown objective {objective!r}")
 

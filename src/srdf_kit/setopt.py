@@ -72,7 +72,7 @@ def best_fixed_set(model: CovarianceModel, k: int, objective="min_delta_min") ->
         spec = _block_spectrum(*blocks)
         floors[part] = spec.delta_min
         values[part] = math.inf
-        feasible = ~(delta <= spec.delta_min)   # a NaN delta goes on to rate's finiteness check
+        feasible = delta > spec.delta_min
         if feasible.any():
             values[part][feasible] = Spectrum(spec.delta_min[feasible], spec.lambdas[feasible]).rate(delta)
     subsets += 1

@@ -203,10 +203,25 @@ class MeanCI:
     half_width_95: float
 
 
+def _unit(x) -> float:
+    """The power of two, at most 2^1000, that brings the largest |entry| of ``x`` into [0.5, 1).
+
+    Scaling by it is exact, so a statistic of the scaled entries, scaled
+    back, has the bits of the unscaled one wherever neither overflows nor
+    underflows, and a sum of squares of the scaled entries cannot overflow.
+    """
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(x))))[1], -1000))
+
+
 def _mean_ci(values: np.ndarray) -> MeanCI:
+    """Mean and 95% half-width; the sample deviation is ``np.std(..., ddof=1)``'s, step for step, of the
+    values in ``_unit``s, formed in place in their one scaled copy."""
     values = np.asarray(values, dtype=float)
-    hw = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
-    return MeanCI(mean=float(np.mean(values)), half_width_95=hw)
+    unit = _unit(values)
+    dev = values * unit
+    dev -= np.mean(dev)
+    std = math.sqrt(float(np.sum(np.square(dev, out=dev))) / (len(values) - 1))
+    return MeanCI(mean=float(np.mean(values)), half_width_95=1.96 * std / math.sqrt(len(values)) / unit)
 
 
 @dataclass(frozen=True)
@@ -256,6 +271,8 @@ def ml_cov_estimate(x_a: np.ndarray) -> np.ndarray:
     x = np.asarray(x_a, dtype=float)
     if x.ndim < 2:
         raise DimensionMismatch(f"expected a (..., k, n) stack of blocks, got shape {x.shape}")
+    if x.shape[-1] == 0:
+        raise DimensionMismatch(f"a block needs at least one slot, got shape {x.shape}")
     return x @ np.swapaxes(x, -1, -2) / x.shape[-1]
 
 
@@ -443,6 +460,8 @@ def build_code(
     stream: tuple = (),
 ) -> TrainedCode:
     """Train a codebook for blocks of N(0, sigma_a) under the metric g."""
+    if min(n, j, lbg_iters) < 1:
+        raise ValidationError(f"n, j and lbg_iters must be >= 1, got n={n}, j={j}, lbg_iters={lbg_iters}")
     if j > CODEBOOK_CAP:
         raise CodebookTooLarge(f"codebook size {j} exceeds the cap {CODEBOOK_CAP}")
     if train_blocks < j:
@@ -599,6 +618,10 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
     nodes_n = len(family.nodes)
     chols = np.linalg.cholesky(family.node_sigmas)
     node_block = family.node_sigmas[np.ix_(np.arange(nodes_n), a, a)]
+    # the distances are taken in the units of the largest sampled entry, so no square overflows or underflows
+    unit = _unit(node_block)
+    node_block *= unit
+    reps = reps * unit
     trials = cfg.eval_blocks
     sel = np.empty(trials, dtype=np.int64)
     hits = np.empty(trials, dtype=bool)
@@ -627,9 +650,9 @@ def _usim_trials(family: ParamFamily, a, ac, cfg: SimConfig, codes, lifts, reps)
         del z  # the heap keeps a chunk's peak, so free each array once it is used
         x_a, x_ac = x[:, a], x[:, ac]
         del x
-        th = ml_cov_estimate(x_a)
+        th = ml_cov_estimate(x_a) * unit
         s = sel[part] = np.argmin(np.linalg.norm(reps - th[:, None], axis=(2, 3)), axis=1)
-        hits[part] = np.linalg.norm(th - node_block[nodes], axis=(1, 2)) <= 2.0 * cfg.grid_delta
+        hits[part] = np.linalg.norm(th - node_block[nodes], axis=(1, 2)) <= 2.0 * cfg.grid_delta * unit
         y_a = np.empty_like(x_a)
         # (trial, block, component, slot); splitting the slot axis alone keeps the reshape a view
         # of y_a in any layout (x[:, a] is laid out component-major)
@@ -711,10 +734,11 @@ def universal_two_step(family: ParamFamily, sampled, cfg: SimConfig) -> SimRepor
     hit_rate = float(np.mean(hits))
     bad_mass = 1.0 - hit_rate
     overhead = math.log2(atoms) / cfg.est_length if atoms > 1 else 0.0
+    unit = _unit(total_t)
     return _report(
         cfg, part.weights, spectra, codes, (total_t, weighted_t, lift_t), overhead,
         kind="universal", estimator_hit_rate=hit_rate, universal_overhead_bits=overhead, grid_size=atoms,
         bad_event_mass=bad_mass,
         bad_event_mse=float(np.sum(total_t[~hits])) / cfg.eval_blocks,
-        bad_event_mse_cap=math.sqrt(bad_mass * float(np.mean(total_t ** 2))),
+        bad_event_mse_cap=math.sqrt(bad_mass * float(np.mean((total_t * unit) ** 2))) / unit,
     )

@@ -23,8 +23,10 @@ from .errors import (
     BudgetOutOfRange,
     DimensionMismatch,
     EigenFailure,
+    IndexOutOfRange,
     InfeasibleDistortion,
     SingularSigmaA,
+    ValidationError,
 )
 from .model import CovarianceModel, _blocks, as_sampling_set
 
@@ -266,20 +268,29 @@ def correlation_model(sigmas, corr) -> CovarianceModel:
     """Build a covariance from per-component deviations and a correlation matrix."""
     s = np.asarray(sigmas, dtype=float)
     r = np.asarray(corr, dtype=float)
-    if s.ndim != 1 or np.min(s) <= 0.0:
-        raise ValueError(f"deviations must be positive, got {s}")
+    if s.ndim != 1 or s.size == 0 or not np.all(s > 0.0):
+        raise ValidationError(f"deviations must be a nonempty vector of positive numbers, got {s}")
     if r.shape != (s.size, s.size):
         raise DimensionMismatch(f"correlation must be {s.size}x{s.size}, got {r.shape}")
     if np.max(np.abs(np.diag(r) - 1.0)) > 1e-12:
-        raise ValueError("correlation matrix must have unit diagonal")
+        raise ValidationError("correlation matrix must have unit diagonal")
     return CovarianceModel(r * np.outer(s, s))
+
+
+def _single_site(sigmas, corr, j):
+    """(deviations, correlations, 0-based j) of a single-site closed form, once j labels one of its m components."""
+    s = np.asarray(sigmas, dtype=float)
+    r = np.asarray(corr, dtype=float)
+    if s.ndim != 1 or r.shape != (s.size, s.size):
+        raise DimensionMismatch(f"need m deviations and an m x m correlation, got shapes {s.shape} and {r.shape}")
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 1 <= j <= s.size:
+        raise IndexOutOfRange(f"component label j={j!r} must be an integer within 1..{s.size}")
+    return s, r, int(j) - 1
 
 
 def single_site_min_distortion(sigmas, corr, j: int) -> float:
     """Estimation floor when only component j (1-based) is sampled."""
-    s = np.asarray(sigmas, dtype=float)
-    r = np.asarray(corr, dtype=float)
-    jj = j - 1
+    s, r, jj = _single_site(sigmas, corr, j)
     others = [i for i in range(s.size) if i != jj]
     return float(sum(s[i] ** 2 * (1.0 - r[i, jj] ** 2) for i in others))
 
@@ -291,9 +302,7 @@ def single_site_srdf(sigmas, corr, j: int, delta: float) -> float:
     sigma_j^2 + sum_{i != j} r_ij^2 sigma_i^2, so the curve is a plain log
     ratio over the distortion left above the floor.
     """
-    s = np.asarray(sigmas, dtype=float)
-    r = np.asarray(corr, dtype=float)
-    jj = j - 1
+    s, r, jj = _single_site(sigmas, corr, j)
     dmin = single_site_min_distortion(sigmas, corr, j)
     if delta <= dmin:
         raise InfeasibleDistortion(f"delta {delta} is at or below the floor {dmin}")

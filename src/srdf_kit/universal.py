@@ -24,7 +24,6 @@ from .errors import (
     GridTooLarge,
     InfeasibleDistortion,
     NoPrior,
-    NotPositiveDefinite,
     NotSquare,
     UnboundedBox,
     UnsupportedFamily,
@@ -42,18 +41,20 @@ SWEEP_CHUNK_FLOATS = 2 ** 18   # most entries one block of candidate-pair differ
 class ParamFamily:
     """A compact parameter box mapped to covariance matrices, with an optional prior.
 
-    ``cov_at`` maps a parameter vector to an m x m covariance.  The box is
-    materialized on a uniform grid of ``grid_res`` nodes per dimension
-    (``nodes``, one row each, with their covariances ``node_sigmas``); the
-    prior is projected to normalized node weights ``node_weights``
-    (trapezoid cells, None without a prior), so a callable density should
-    already integrate to one over the box.
+    The box is materialized on a uniform grid of ``grid_res`` nodes per
+    dimension (``nodes``, an (N, d) array, one row each), and ``cov_at`` maps
+    that whole array in one call to the (N, m, m) stack of their covariances
+    ``node_sigmas``; m is read from the stack (``m``).  The prior is projected
+    to normalized node weights ``node_weights`` (trapezoid cells, None
+    without a prior): a callable ``prior(nodes)`` gives the N node densities
+    in one call, and should already integrate to one over the box.  Both
+    templates, ``fixed_var_corr_family`` and ``affine_family``, map their
+    nodes by one affine map, base + sum_d t_d D_d.
     """
 
     box: tuple[tuple[float, float], ...]
-    cov_at: object
-    m: int
-    prior: object = None          # None | "uniform" | callable density
+    cov_at: object                # (N, d) nodes -> (N, m, m) covariances
+    prior: object = None          # None | "uniform" | callable density, (N, d) nodes -> (N,)
     grid_res: int = GRID_RES_DEFAULT
     template: tuple = ()          # optional structural tag, e.g. ("fixed_var_corr", sigma2)
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -79,22 +80,18 @@ class ParamFamily:
                 f"grid_res^dim = {self.grid_res ** len(box)} exceeds the node cap {NODE_CAP}"
             )
         nodes, weights = _materialize(box, self.prior, self.grid_res)
-        raws = [self.cov_at(tuple(t)) for t in nodes]
-        try:
-            sigmas = np.stack(raws)
-        except ValueError:   # nodes of differing shapes: the first to fail alone raises, else the first not m x m
-            for raw in raws:
-                validate_covariance(raw)
-            shape = next(np.shape(raw) for raw in raws if np.shape(raw) != (self.m, self.m))
-            raise EmptyGrid(f"cov_at returned {'x'.join(map(str, shape))}, expected m={self.m}") from None
-        if sigmas.ndim != 3:   # a node that is not one matrix, and every node has its shape
-            raise NotSquare(f"covariance must be square, got shape {sigmas.shape[1:]}")
-        sigmas = validate_covariance(sigmas)
-        if sigmas.shape[1] != self.m:
-            raise EmptyGrid(f"cov_at returned {sigmas.shape[1]}x{sigmas.shape[1]}, expected m={self.m}")
+        sigmas = np.asarray(self.cov_at(nodes), dtype=float)
+        if sigmas.ndim != 3 or len(sigmas) != len(nodes):
+            raise DimensionMismatch(
+                f"cov_at must map {len(nodes)} nodes to a ({len(nodes)}, m, m) stack, got shape {sigmas.shape}"
+            )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "node_weights", weights)
-        object.__setattr__(self, "node_sigmas", sigmas)
+        object.__setattr__(self, "node_sigmas", validate_covariance(sigmas))
+
+    @property
+    def m(self) -> int:
+        return self.node_sigmas.shape[1]
 
 
 def _materialize(box, prior, grid_res):
@@ -116,7 +113,9 @@ def _materialize(box, prior, grid_res):
     if prior == "uniform":
         raw = vol.copy()
     elif callable(prior):
-        dens = np.array([float(prior(tuple(t))) for t in nodes])
+        dens = np.asarray(prior(nodes), dtype=float)
+        if dens.shape != (len(nodes),):
+            raise NoPrior(f"prior density must give one value per node, {len(nodes)}, got shape {dens.shape}")
         if not (np.isfinite(dens).all() and np.min(dens) >= 0.0):
             raise NoPrior("prior density must be finite and nonnegative")
         raw = dens * vol
@@ -352,18 +351,13 @@ def fixed_var_corr_family(
     """Two exchangeable components with fixed variance and correlation in [r_lo, r_hi]."""
     if sigma2 <= 0.0:
         raise UnsupportedFamily(f"variance must be positive, got {sigma2}")
-
-    def cov_at(tau):
-        r = tau[0]
-        return sigma2 * np.array([[1.0, r], [r, 1.0]])
-
+    s = float(sigma2)
     return ParamFamily(
         box=((r_lo, r_hi),),
-        cov_at=cov_at,
-        m=2,
+        cov_at=_affine_map(np.array([[s, 0.0], [0.0, s]]), [np.array([[0.0, s], [s, 0.0]])]),
         prior=prior,
         grid_res=grid_res,
-        template=("fixed_var_corr", float(sigma2)),
+        template=("fixed_var_corr", s),
     )
 
 
@@ -385,20 +379,20 @@ def affine_family(
         )
     if any(d.shape != base.shape for d in dirs):
         raise DimensionMismatch(f"every direction matrix must have the base's shape {base.shape}")
-    finite = np.isfinite(base).all() and all(np.isfinite(d).all() for d in dirs)
+    return ParamFamily(box=tuple(box), cov_at=_affine_map(base, dirs), prior=prior, grid_res=grid_res)
 
-    def cov_at(tau):
-        if not finite:   # refused as its nodes would be, after the box's checks, before 0 * inf warns at one
-            raise NotPositiveDefinite("covariance has a non-finite entry")
-        s = base.copy()
-        for t, d in zip(tau, dirs):
-            s = s + t * d
+
+def _affine_map(base: np.ndarray, dirs):
+    """The node map (N, d) nodes -> (N, m, m) stack of base + sum_d t_d * dirs[d], summed in direction order.
+
+    An entry that overflows, or meets 0 * inf, is left non-finite without a
+    warning, and ``validate_covariance`` refuses its node.
+    """
+    def cov_at(nodes):
+        s = np.repeat(base[None], len(nodes), axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, d in zip(np.asarray(nodes, dtype=float).T, dirs):
+                s = s + t[:, None, None] * d
         return s
 
-    return ParamFamily(
-        box=tuple(box),
-        cov_at=cov_at,
-        m=base.shape[0],
-        prior=prior,
-        grid_res=grid_res,
-    )
+    return cov_at

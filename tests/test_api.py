@@ -1,5 +1,6 @@
 """The public surface: what ``srdf_kit`` exports is exactly what it imports, and what its rate queries return."""
 
+import ast
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import srdf_kit
+import srdf_kit.errors
 from srdf_kit import cli
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -91,3 +93,24 @@ def test_the_rate_is_zero_at_delta_max_when_the_modes_are_small_beside_the_floor
         hi = rate(law, [1], 1e9).delta_max
         assert rate(law, [1], hi).rate_bits == 0.0
         assert rate(law, [1], np.array([hi, 2.0 * hi])).rate_bits.tolist() == [0.0, 0.0]
+
+
+def test_every_raise_names_a_package_error():
+    # a bare ValueError or IndexError from a public helper is a traceback to a CLI user, not an exit code
+    errors = {name for name, obj in vars(srdf_kit.errors).items() if inspect.isclass(obj)}
+    stray = []
+    for path in sorted(Path(srdf_kit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:   # a bare raise re-raises what was caught
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in errors:
+                continue
+            if (isinstance(exc, ast.Name) and exc.id == "AssertionError" and isinstance(node.exc, ast.Call)
+                    and ast.literal_eval(node.exc.args[0]).startswith("unreachable")):
+                continue
+            # an exception object caught earlier, named or held in a container: not a class of any kind
+            if not isinstance(node.exc, ast.Call) and not (isinstance(exc, ast.Name) and exc.id[:1].isupper()):
+                continue
+            stray.append(f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc)}")
+    assert stray == []

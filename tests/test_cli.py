@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import dataclasses
+import functools
 import importlib
+import io
 import json
 import math
 import os
@@ -797,6 +800,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error [model.not_positive_definite]: covariance has a non-finite entry\n", err
 
+    @pytest.mark.parametrize("family", [
+        "{template: affine, base: [[1.0, 0.0], [0.0, 1.0]], directions: [[[1.0e+308, 0.0], [0.0, 0.0]]],"
+        " box: [[0.0, 10.0]], prior: uniform, grid_res: 3}",
+        "{template: fixed-var-corr, sigma2: .inf, box: [[-0.5, 0.5]], prior: uniform, grid_res: 3}",
+        "{template: fixed-var-corr, sigma2: 1.0e+182, box: [[0.2, 1.0e+308]], prior: uniform, grid_res: 3}",
+    ], ids=["affine-overflow", "corr-inf-times-zero", "corr-overflow"])
+    @pytest.mark.parametrize("task", ["usrdf-bayes", "usrdf-nonbayes", "usim"])
+    def test_a_node_that_overflows_is_refused_without_a_warning(self, tmp_path, capsys, family, task):
+        # t * D overflowed, or met 0 * inf, and warned before the node was refused
+        cfg = tmp_path / "family.yaml"
+        cfg.write_text(f"family: {family}\nsampling: [1]\n{GRID}", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == "error [model.not_positive_definite]: covariance has a non-finite entry\n", err
+
     @pytest.mark.parametrize("key,value", [
         pytest.param(f.name, value, id=f"{f.name}={value!r}")
         for f in dataclasses.fields(srdf_kit.SimConfig)
@@ -1133,3 +1153,121 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Small Monte Carlo sizes, chosen as test data: the harness asks how a run ends, not how well it codes,
+# and 400 grid nodes at these sizes still train in well under a second
+MUTATION_SIM = {"n": 1, "rate_bits": 1.0, "eval_blocks": 8, "est_length": 4, "train_blocks": 40, "lbg_iters": 2,
+                "seed": 3}
+MUTATION_GRID = {"min": 1.0, "max": 1.9, "count": 3}
+AFFINE_FAMILY = {"template": "affine", "base": [[1.0, 0.3], [0.3, 1.0]], "directions": [[[1.0, 0.0], [0.0, 0.0]]],
+                 "box": [[0.0, 0.4]], "prior": "uniform", "grid_res": 3}
+
+
+def mutation_cases():
+    """{name: (task, config)}: the shipped fixed-var-corr configs and one affine family through every family
+    task, and the shipped simulate config, each with the small sim sizes and a short grid."""
+    cases = {}
+    families = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))["family"]
+                for path in sorted(CONFIGS.glob("corr_family_*.yaml"))}
+    for name, family in {**families, "affine": AFFINE_FAMILY}.items():
+        for task in ("usrdf-bayes", "usrdf-nonbayes", "usim"):
+            cases[f"{name}:{task}"] = (task, {"family": family, "sampling": [1], "grid": MUTATION_GRID,
+                                              "sim": MUTATION_SIM})
+    model = yaml.safe_load((CONFIGS / "two_step_sim.yaml").read_text(encoding="utf-8"))
+    cases["two_step_sim:simulate"] = ("simulate", {**model, "sim": MUTATION_SIM})
+    return cases
+
+
+MUTATION_CASES = mutation_cases()
+
+
+def numeric_paths(tree, path=()):
+    """Paths to every number of ``tree`` and to every list that holds one, in document order."""
+    if isinstance(tree, (bool, str)):
+        return []
+    if isinstance(tree, (int, float)):
+        return [path]
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    below = [p for key, value in items for p in numeric_paths(value, path + (key,))]
+    return ([path] if isinstance(tree, list) and below else []) + below
+
+
+def mutated(tree, path, mutation):
+    """``tree`` with the subtree at ``path`` set to a value, or each of its numbers scaled by 10^k or negated."""
+    if path:
+        copy = dict(tree) if isinstance(tree, dict) else list(tree)
+        copy[path[0]] = mutated(tree[path[0]], path[1:], mutation)
+        return copy
+    if mutation[0] == "value":
+        return mutation[1]
+    if isinstance(tree, list):
+        return [mutated(value, (), mutation) for value in tree]
+    return tree * 10.0 ** mutation[1] if mutation[0] == "scale" else -tree
+
+
+SCALINGS = st.integers(-300, 300).map(lambda k: ("scale", k)) | st.just(("negate",))
+MUTATIONS = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0, 5e-324]).map(
+    lambda x: ("value", x)) | SCALINGS
+GRID_RES_VALUES = st.sampled_from([0, 1, 2, 400, 10 ** 6]).map(lambda x: ("value", x))
+
+
+@st.composite
+def family_mutations(draw):
+    """(case name, [(path, mutation), ...]): one to three mutations of the case's family or model block;
+    a list keeps its shape, so that every path stays a path."""
+    name = draw(st.sampled_from(sorted(MUTATION_CASES)))
+    block = "model" if name.endswith(":simulate") else "family"
+    tree = MUTATION_CASES[name][1][block]
+    edits = []
+    for path in draw(st.lists(st.sampled_from(numeric_paths(tree, (block,))), min_size=1, max_size=3)):
+        leaf = functools.reduce(lambda sub, key: sub[key], path[1:], tree)
+        kind = SCALINGS if isinstance(leaf, list) else GRID_RES_VALUES if path[-1] == "grid_res" else MUTATIONS
+        edits.append((path, draw(kind)))
+    return name, edits
+
+
+def finite_artifacts(out: Path) -> list[str]:
+    """Every number in the CSV and JSON files under ``out`` that is not finite, as "file: value"."""
+    bad = []
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=lambda token: bad.append(f"{path.name}: {token}"))
+        else:
+            cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+            bad += [f"{path.name}: {cell}" for cell in cells if not math.isfinite(float(cell))]
+    return bad
+
+
+class TestFamilyMutations:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(family_mutations())
+    # each run that warned before it was refused, or wrote Infinity into its report
+    @example(("corr_family_bayes:usrdf-bayes", [(("family", "sigma2"), ("value", math.inf)),
+                                                (("family", "box", 0), ("value", [-0.5, 0.5])),
+                                                (("family", "grid_res"), ("value", 3))]))
+    @example(("corr_family_bayes:usrdf-bayes", [(("family", "sigma2"), ("value", 1e182)),
+                                                (("family", "box", 0, 1), ("value", 1e308))]))
+    @example(("affine:usrdf-bayes", [(("family", "directions", 0, 0, 0), ("value", 1e308)),
+                                     (("family", "box", 0, 1), ("value", 10.0))]))
+    @example(("two_step_sim:simulate", [(("model", "sigma"), ("value", [[1e186, 5e185], [5e185, 1e186]]))]))
+    @example(("corr_family_usim:usim", [(("family", "sigma2"), ("scale", 186))]))
+    @example(("affine:usim", [(("family", "base"), ("scale", 180)), (("family", "directions"), ("scale", 180))]))
+    def test_every_run_ends_in_an_exit_code_without_a_warning(self, case):
+        name, edits = case
+        task, cfg = MUTATION_CASES[name]
+        for path, mutation in edits:
+            cfg = mutated(cfg, path, mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.yaml"
+            config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = run(task, config, Path(tmp) / "out")
+            assert code in (0, 2, 3)
+            if code:
+                assert err.getvalue().startswith("error ["), err.getvalue()
+            else:
+                assert finite_artifacts(Path(tmp) / "out") == []

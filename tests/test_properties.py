@@ -6,6 +6,7 @@ Every test is derandomized, so a run draws the same examples each time.
 import dataclasses
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 from itertools import combinations
 
 from srdf_kit import (
+    BudgetOutOfRange,
     CovarianceModel,
-    EmptyGrid,
+    DimensionMismatch,
     FieldModel,
     GaussMarkovKernel,
     InfeasibleDistortion,
+    NumericalError,
     ParamFamily,
     Spectrum,
     SrdfKitError,
@@ -737,6 +740,10 @@ def test_field_objective_is_bit_identical_to_the_frozen_chain(seed, kind, layout
     assert outcome(lambda: field_srdf_spectrum(field, points).rate(delta)) == want
     assert outcome(lambda: field_min_distortion(field, points)) == outcome(
         lambda: reference_field_reduce(field, points)[0])
+    if not math.isfinite(delta):   # a placement target that is not finite is refused before any objective
+        with pytest.raises(BudgetOutOfRange, match=f"distortion must be finite, got {delta}"):
+            _placement_objective(field, ("min_rate_at", delta))
+        return
     # the placement objective: the same rate, infinite wherever the chain raises a package error
     objective = _placement_objective(field, ("min_rate_at", delta))[0]
     infinite = ("ok", np.float64(math.inf).tobytes())
@@ -961,9 +968,13 @@ def bad_node(kind, rng, good):
     return np.eye(m + 1)   # wrong_m
 
 
-@pytest.mark.parametrize("first", BAD_NODES + (None,))
+# one map gives the whole stack, so it cannot mix shapes, and m is read from it: no wrong_m node
+STACK_BAD_NODES = tuple(kind for kind in BAD_NODES if kind != "wrong_m")
+
+
+@pytest.mark.parametrize("first", STACK_BAD_NODES + (None,))
 @settings(derandomize=True, deadline=None, max_examples=15)
-@given(seeds, st.integers(2, 5), st.integers(1, 40), st.sampled_from(BAD_NODES + (None,)))
+@given(seeds, st.integers(2, 5), st.integers(1, 40), st.sampled_from(STACK_BAD_NODES + (None,)))
 def test_stacked_validation_raises_what_the_node_loop_raises(first, seed, m, nodes, second):
     # up to two bad nodes at random positions: the stack raises the first one's own error
     rng = np.random.default_rng(seed)
@@ -976,16 +987,13 @@ def test_stacked_validation_raises_what_the_node_loop_raises(first, seed, m, nod
     grid = np.linspace(0.0, 1.0, nodes)
     by_node = {float(t): s for t, s in zip(grid, matrices)}
     cov_at = lambda tau: by_node[tau[0]]   # noqa: E731
+    stacked = lambda nodes: np.stack([cov_at(t) for t in nodes])   # noqa: E731
     want = outcome(lambda: reference_node_sigmas(cov_at, grid[:, None], m))
-    got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=cov_at, m=m, grid_res=nodes).node_sigmas)
+    got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=stacked, grid_res=nodes).node_sigmas)
     assert got == want
-    if first == "wrong_m" and second in ("wrong_m", None):
-        # valid nodes of two shapes, or of one wrong shape: a package error naming the first wrong one
-        assert want[0] is EmptyGrid and want[2].startswith("cov_at returned ")
-    if first != "wrong_m" and second != "wrong_m":
-        # the same stack, with two leading axes, straight through validate_covariance
-        stack = np.stack(matrices).reshape(1, nodes, m, m)
-        assert outcome(lambda: validate_covariance(stack).reshape(-1, m, m)) == want
+    # the same stack, with two leading axes, straight through validate_covariance
+    stack = np.stack(matrices).reshape(1, nodes, m, m)
+    assert outcome(lambda: validate_covariance(stack).reshape(-1, m, m)) == want
 
 
 @pytest.mark.parametrize("kind", BAD_NODES + (None,))
@@ -1009,11 +1017,68 @@ def test_a_lone_matrix_raises_what_the_reference_raises(kind, seed, m):
         assert chol.tobytes() == np.linalg.cholesky(sigma).tobytes()
 
 
-def test_a_wrong_m_on_every_node_is_empty_grid():
-    want = outcome(lambda: reference_node_sigmas(lambda tau: np.eye(3), np.zeros((4, 1)), 2))
-    assert want[0] is EmptyGrid
-    assert outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=lambda tau: np.eye(3), m=2, grid_res=4)
-                   .node_sigmas) == want
+def template_and_reference(seed, kind, log_c):
+    """(family built by its template, per-node map the template once ran, box, grid_res, m) of ``kind``.
+
+    Drawn from ``seed``, with every entry scaled by 10^log_c, so the largest scales overflow some nodes.
+    """
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** log_c
+    if kind == "fixed-var-corr":
+        sigma2, r_lo = c * rng.uniform(0.1, 3.0), rng.uniform(-0.9, 0.5)
+        box, grid_res = [(r_lo, r_lo + rng.uniform(0.0, 0.4))], int(rng.integers(1, 12))
+        build = lambda: fixed_var_corr_family(sigma2, *box[0], prior="uniform", grid_res=grid_res)  # noqa: E731
+        return build, lambda tau: sigma2 * np.array([[1.0, tau[0]], [tau[0], 1.0]]), box, grid_res, 2
+    m, dims = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    a = rng.standard_normal((m, m + 2))
+    with np.errstate(over="ignore"):
+        base = c * (a @ a.T / (m + 2) + 0.2 * np.eye(m))
+        dirs = [c * 0.1 * (d + d.T) for d in rng.standard_normal((dims, m, m))]
+    box, grid_res = [(lo, lo + rng.uniform(0.0, 1.0)) for lo in rng.uniform(-1.0, 0.5, dims)], int(rng.integers(1, 6))
+
+    def node(tau):   # the affine template's own map, node by node
+        s = base.copy()
+        for t, d in zip(tau, dirs):
+            s = s + t * d
+        return s
+
+    return lambda: affine_family(base, dirs, box, prior="uniform", grid_res=grid_res), node, box, grid_res, m
+
+
+@PROPERTY
+@given(seeds, st.sampled_from(("fixed-var-corr", "affine")), st.floats(-300.0, 308.0))
+def test_template_node_sigmas_are_the_node_by_node_ones(seed, kind, log_c):
+    # one affine map over the whole grid gives each node the bytes the per-node map gave it, or its error
+    build, node, box, grid_res, m = template_and_reference(seed, kind, log_c)
+    axes = np.meshgrid(*[np.linspace(lo, hi, grid_res) for lo, hi in box], indexing="ij")
+    nodes = np.stack([x.ravel() for x in axes], axis=1)
+    with mock.patch.object(universal, "ParamFamily", lambda **family: family):
+        cov_at = build()["cov_at"]   # the map the template hands its family
+    with np.errstate(over="ignore", invalid="ignore"):   # the per-node map warns where a node overflows
+        raw = np.stack([node(tuple(t)) for t in nodes])
+        want = outcome(lambda: reference_node_sigmas(node, nodes, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cov_at(nodes).tobytes() == raw.tobytes()
+        got = outcome(lambda: build().node_sigmas)
+    if log_c <= 300.0:
+        assert got == want
+    else:   # past the reference's checks, which predate the overflow refusal: still a package error
+        assert got[0] == "ok" or issubclass(got[0], SrdfKitError)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (5, 2, 2), (2, 2), (4, 2, 2, 1), (4, 4), ()],
+                         ids=["fewer-nodes", "more-nodes", "one-matrix", "4-d", "2-d", "scalar"])
+def test_a_map_of_the_wrong_shape_is_one_package_error(shape):
+    # four nodes: a map that does not give one m x m matrix per node is refused by its shape, exit 2
+    def cov_at(nodes):
+        assert nodes.shape == (4, 1)
+        return np.ones(shape)
+
+    got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=cov_at, grid_res=4))
+    assert got == (DimensionMismatch, "model.dimension_mismatch",
+                   f"cov_at must map 4 nodes to a (4, m, m) stack, got shape {shape}")
+    assert not issubclass(DimensionMismatch, NumericalError)   # the CLI exits 2 on it
 
 
 def grouping_family(rng, kind):

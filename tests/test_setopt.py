@@ -5,8 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import srdf_kit.field
 import srdf_kit.setopt
 from srdf_kit import (
+    BudgetOutOfRange,
     CovarianceModel,
     FieldModel,
     GaussMarkovKernel,
@@ -151,3 +153,15 @@ class TestObjectiveFormat:
     )
     def test_every_search_labels_an_objective_alike(self, search, objective, label):
         assert search(objective).objective == label
+
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, "1.5e"])
+    def test_a_target_that_is_not_finite_is_refused_before_any_block(self, monkeypatch, search, delta):
+        # -inf rated all 20 subsets inf with no error; NaN and inf were refused only after one gather
+        calls = []
+        monkeypatch.setattr(srdf_kit.setopt, "_blocks", lambda *args: calls.append(args))
+        monkeypatch.setattr(srdf_kit.field, "_field_reduce", lambda *args: calls.append(args))
+        with pytest.raises(BudgetOutOfRange, match="distortion must be") as caught:
+            search(("min_rate_at", delta))
+        assert caught.value.code == "srdf.budget_out_of_range"
+        assert calls == []

@@ -149,6 +149,20 @@ class TestBuildingBlocks:
         with pytest.raises(DimensionMismatch):
             ml_cov_estimate(x[0])
 
+    def test_no_slots_is_a_dimension_mismatch(self):
+        # the estimate divided by zero slots: a warning and NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="at least one slot"):
+                ml_cov_estimate(np.zeros((3, 2, 0)))
+
+    @pytest.mark.parametrize("n,j,lbg_iters", [(0, 2, 5), (1, 0, 5), (1, -2, 5), (1, 2, 0)])
+    def test_a_size_below_one_is_a_validation_error(self, n, j, lbg_iters):
+        # numpy's ValueError came out for n or j below 1, and lbg_iters = 0 gave an untrained code
+        with pytest.raises(ValidationError, match="must be >= 1") as caught:
+            build_code(np.eye(1), np.eye(1), n=n, j=j, train_blocks=400, lbg_iters=lbg_iters, seed=1)
+        assert type(caught.value) is ValidationError
+
     def test_codewords_encode_to_themselves(self):
         g = np.array([[2.0, 0.4], [0.4, 1.0]])
         code = build_code(np.eye(2), g, n=2, j=8, train_blocks=400, lbg_iters=40, seed=1)
@@ -394,6 +408,45 @@ class TestUniversalTwoStep:
             else:
                 with pytest.raises(GridTooLarge, match="atom cap 3"):
                     universal_two_step(fam, [1], cfg)
+
+
+def finite_numbers(value):
+    """Whether every number in a report dict (nested dicts, lists and tuples) is finite."""
+    if isinstance(value, dict):
+        return all(finite_numbers(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestLargeScales:
+    # a sum of squares of entries near 1e186 overflowed: half-widths, the bad-event cap and the
+    # atom distances were inf, and every trial picked atom 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("driver", ["fixed", "universal"])
+    def test_every_number_in_the_report_is_finite(self, driver):
+        cfg = SimConfig(n=1, rate_bits=2.0, eval_blocks=200, est_length=64, seed=7)
+        if driver == "fixed":
+            report = two_step_code(CovarianceModel(np.array([[1e186, 5e185], [5e185, 1e186]])), [1], cfg)
+        else:
+            report = universal_two_step(fixed_var_corr_family(1e186, 0.2, 0.8, grid_res=9), [1], cfg)
+            assert 0.0 < report.bad_event_mse_cap < math.inf
+        assert 0.0 < report.total_mse.half_width_95 < math.inf
+        assert finite_numbers(report.to_dict())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [4.0 ** 300, 4.0 ** -300])
+    def test_atom_choices_do_not_depend_on_the_family_scale(self, monkeypatch, c):
+        picks = []
+        trials = simulate._usim_trials
+        monkeypatch.setattr(simulate, "_usim_trials", lambda *args: picks.append(trials(*args)) or picks[-1])
+        cfg = SimConfig(n=1, rate_bits=2.0, eval_blocks=200, est_length=64, seed=11)
+        for scale in (1.0, c):
+            family = affine_family(scale * np.array([[1.0, 0.3], [0.3, 1.0]]), [scale * np.diag([1.0, 0.0])],
+                                   [(0.0, 1.0)], prior="uniform", grid_res=5)
+            assert finite_numbers(universal_two_step(family, [1], cfg).to_dict())
+        assert len(np.unique(picks[0][0])) == 5
+        assert np.array_equal(picks[1][0], picks[0][0])
 
 
 FIXED_SOURCE = CovarianceModel(np.array([[1.0, 0.6], [0.6, 1.5]]))

@@ -6,13 +6,16 @@ import pytest
 from srdf_kit import (
     BudgetOutOfRange,
     CovarianceModel,
+    DimensionMismatch,
     EigenFailure,
     FieldModel,
     GaussMarkovKernel,
+    IndexOutOfRange,
     InfeasibleDistortion,
     SingularSigmaA,
     Spectrum,
     TabulatedKernel,
+    ValidationError,
     best_fixed_set,
     correlation_model,
     distortion_rate,
@@ -309,6 +312,30 @@ class TestSingleSiteClosedForm:
     def test_correlation_model_requires_unit_diagonal(self):
         with pytest.raises(Exception):
             correlation_model(np.array([1.0, 1.0]), np.array([[1.0, 0.2], [0.2, 0.9]]))
+
+    @pytest.mark.parametrize("sigmas", [[], [1.0, 0.0], [1.0, -1.0], [[1.0, 1.0]], 1.0])
+    def test_deviations_that_are_not_a_positive_vector_are_a_validation_error(self, sigmas):
+        # numpy's "zero-size array" ValueError, or a bare ValueError, came out before
+        with pytest.raises(ValidationError, match="deviations must be a nonempty vector") as caught:
+            correlation_model(sigmas, np.eye(2))
+        assert type(caught.value) is ValidationError
+
+    @pytest.mark.parametrize("j", [0, -1, 3, 1.0, True])
+    @pytest.mark.parametrize("closed_form", ["floor", "rate"])
+    def test_a_label_outside_1_to_m_is_refused(self, j, closed_form):
+        # j = 0 read index -1 and counted the last component twice: 0.792 bits instead of 0.368
+        corr = [[1.0, 0.5], [0.5, 1.0]]
+        with pytest.raises(IndexOutOfRange, match="must be an integer within 1..2"):
+            if closed_form == "floor":
+                single_site_min_distortion([1.0, 1.0], corr, j)
+            else:
+                single_site_srdf([1.0, 1.0], corr, j, 1.5)
+        assert single_site_srdf([1.0, 1.0], corr, 1, 1.5) == single_site_srdf([1.0, 1.0], corr, 2, 1.5)
+        assert single_site_srdf([1.0, 1.0], corr, 1, 1.5) == pytest.approx(0.5 * math.log2(1.25 / 0.75))
+
+    def test_a_correlation_of_another_size_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            single_site_srdf([1.0, 1.0], np.eye(3), 1, 1.5)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_general_solver(self, seed):

@@ -76,26 +76,28 @@ class TestFamilyGrid:
         fam = affine_family(BASE, [E1, E2], [(0.0, 0.4), (0.0, 0.4)], prior="uniform", grid_res=3)
         assert len(fam.nodes) == 9
         assert fam.m == 2
-        got = fam.cov_at((0.4, 0.0))
-        assert np.allclose(got, BASE + 0.4 * E1)
+        got = fam.cov_at(np.array([[0.4, 0.0]]))
+        assert got.shape == (1, 2, 2)
+        assert np.allclose(got[0], BASE + 0.4 * E1)
 
     @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
     def test_bad_prior_density_is_no_prior(self, density):
         with pytest.raises(NoPrior):
-            affine_family(BASE, [E1], [(0.0, 0.4)], prior=lambda tau: density, grid_res=3)
+            affine_family(BASE, [E1], [(0.0, 0.4)], prior=lambda nodes: np.full(len(nodes), density),
+                          grid_res=3)
 
     @pytest.mark.parametrize("box", [[(0.0, math.inf)], [(-math.inf, 0.0)], [(math.nan, 0.4)],
                                      [(-1e308, 1e308)], [(-1e200, 1e200), (-1e200, 1e200)]],
                              ids=["inf", "minus-inf", "nan", "width-overflows", "volume-overflows"])
     def test_unbounded_box_is_refused_before_any_node(self, box):
         # such a box used to leave every node weight NaN, with warnings and no error
-        def cov_at(tau):
+        def cov_at(nodes):
             raise AssertionError("a node was built")
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnboundedBox) as caught:
-                ParamFamily(box=tuple(box), cov_at=cov_at, m=2, prior="uniform")
+                ParamFamily(box=tuple(box), cov_at=cov_at, prior="uniform")
         assert caught.value.code == "universal.unbounded_box"
 
     def test_direction_shape_must_match_base(self):
@@ -113,6 +115,40 @@ class TestFamilyGrid:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert raised.value.code == "model.not_positive_definite"
         assert str(raised.value) == "covariance has a non-finite entry"
+
+    @pytest.mark.parametrize("build", [
+        lambda: affine_family(np.eye(2), [[[1e308, 0.0], [0.0, 0.0]]], [(0.0, 10.0)], grid_res=3),
+        lambda: fixed_var_corr_family(math.inf, -0.5, 0.5, grid_res=3),
+        lambda: fixed_var_corr_family(1e182, 0.2, 1e308, grid_res=3),
+    ], ids=["affine-overflow", "corr-inf-times-zero", "corr-overflow"])
+    def test_a_node_that_overflows_is_refused_without_a_warning(self, build):
+        # t * D overflowed, or met 0 * inf, and warned before the node was refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite) as raised:
+                build()
+        assert raised.value.code == "model.not_positive_definite"
+        assert str(raised.value) == "covariance has a non-finite entry"
+
+    def test_the_node_map_and_the_prior_run_once_on_the_whole_grid(self):
+        calls = []
+
+        def cov_at(nodes):
+            calls.append(("cov_at", nodes.shape))
+            return BASE + nodes[:, 0, None, None] * E1 + nodes[:, 1, None, None] * E2
+
+        def prior(nodes):
+            calls.append(("prior", nodes.shape))
+            return 1.0 + nodes[:, 0]
+
+        fam = ParamFamily(box=((0.0, 0.4), (0.0, 0.2)), cov_at=cov_at, prior=prior, grid_res=5)
+        assert calls == [("prior", (25, 2)), ("cov_at", (25, 2))]
+        assert fam.m == 2 and fam.node_sigmas.shape == (25, 2, 2)
+        assert fam.node_weights[-1] / fam.node_weights[0] == pytest.approx(1.4)
+
+    def test_a_prior_that_does_not_give_one_density_per_node_is_no_prior(self):
+        with pytest.raises(NoPrior, match="one value per node"):
+            affine_family(BASE, [E1], [(0.0, 0.4)], prior=lambda nodes: 1.0, grid_res=3)
 
     def test_no_prior_means_no_weights(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
