@@ -37,7 +37,9 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
     Symmetry is judged relative to the matrix's largest absolute entry, then
     the matrix is symmetrized exactly so downstream algebra sees 0 skew.
     That entry must stay at most FLOAT_MAX / (2 m), so that neither the
-    symmetrization nor the trace overflows, whatever their rounding.
+    symmetrization nor the trace overflows, whatever their rounding, and at
+    least m times the smallest normal float, so that the mean variance of a
+    positive definite matrix, which the pivot floor is scaled to, is normal.
     Positive definiteness requires every Cholesky pivot to clear a floor
     scaled to the mean variance.  ``_checked`` runs these checks and raises
     their errors; if a matrix of a stack fails, the first failing one, in C
@@ -50,13 +52,19 @@ def validate_covariance(raw: np.ndarray) -> np.ndarray:
 
 def _checked(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(symmetrized copy, Cholesky factor) of one m x m matrix ``sigma``, or the error of the first
-    check it fails: non-finite, zero, overflow, asymmetric, Cholesky, pivot."""
+    check it fails: non-finite, zero, subnormal, overflow, asymmetric, Cholesky, pivot."""
     m = sigma.shape[0]
     scale = np.abs(sigma).max()   # NaN or inf wherever an entry is
     if not math.isfinite(scale):
         raise NotPositiveDefinite("covariance has a non-finite entry")
     if scale == 0.0:
         raise NotPositiveDefinite("covariance is identically zero")
+    least = m * np.finfo(float).tiny
+    if scale < least:
+        raise ValidationError(
+            f"max |entry| = {scale:.3e} is below {least:.3e}:"
+            f" the pivot floor of a {m}x{m} covariance underflows"
+        )
     limit = FLOAT_MAX / (2 * m)
     if scale > limit:
         raise ValidationError(
@@ -98,7 +106,8 @@ def _validated_factor(raw) -> tuple[np.ndarray, np.ndarray]:
     sigma_t = np.swapaxes(sigma, -1, -2)
     with np.errstate(invalid="ignore", over="ignore"):   # a non-finite or oversized matrix fails first
         scale = np.max(np.abs(sigma), axis=(-2, -1))
-        bad = ~np.isfinite(sigma).all(axis=(-2, -1)) | (scale == 0.0) | (scale > FLOAT_MAX / (2 * m))
+        bad = ~np.isfinite(sigma).all(axis=(-2, -1)) | (scale < m * np.finfo(float).tiny)
+        bad |= scale > FLOAT_MAX / (2 * m)
         bad |= np.max(np.abs(sigma - sigma_t), axis=(-2, -1)) > SYM_TOL * scale
         sym = 0.5 * (sigma + sigma_t)
         pivot_floor = PD_TOL * np.trace(sym, axis1=-2, axis2=-1) / m

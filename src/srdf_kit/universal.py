@@ -37,33 +37,45 @@ NODE_CAP = 100_000
 SWEEP_CHUNK_FLOATS = 2 ** 18   # most entries one block of candidate-pair differences holds (2 MB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamFamily:
-    """A compact parameter box mapped to covariance matrices, with an optional prior.
+    """The affine family sigma(tau) = base + sum_d tau_d directions[d] over a compact box, with an optional prior.
 
-    The box is materialized on a uniform grid of ``grid_res`` nodes per
-    dimension (``nodes``, an (N, d) array, one row each), and ``cov_at`` maps
-    that whole array in one call to the (N, m, m) stack of their covariances
-    ``node_sigmas``; m is read from the stack (``m``).  The prior is projected
-    to normalized node weights ``node_weights`` (trapezoid cells, None
-    without a prior): a callable ``prior(nodes)`` gives the N node densities
-    in one call, and should already integrate to one over the box.  Both
-    templates, ``fixed_var_corr_family`` and ``affine_family``, map their
-    nodes by one affine map, base + sum_d t_d D_d.
+    ``directions`` is read as a (d, m, m) stack, one direction per box
+    dimension, each of the base's shape.  The box is materialized on a
+    uniform grid of ``grid_res`` nodes per dimension (``nodes``, an (N, d)
+    array, one row each), and ``node_sigmas`` is the (N, m, m) stack of their
+    covariances, base + sum_d t_d D_d summed in direction order; an entry
+    that overflows, or meets 0 * inf, is left non-finite without a warning,
+    and validation refuses its node.  The prior is projected to normalized
+    node weights ``node_weights`` (trapezoid cells, None without a prior): a
+    callable ``prior(nodes)`` gives the N node densities in one call, and
+    should already integrate to one over the box.  Arrays cannot be hashed,
+    so two families are equal only when they are the same object.
     """
 
+    base: np.ndarray
+    directions: np.ndarray
     box: tuple[tuple[float, float], ...]
-    cov_at: object                # (N, d) nodes -> (N, m, m) covariances
     prior: object = None          # None | "uniform" | callable density, (N, d) nodes -> (N,)
     grid_res: int = GRID_RES_DEFAULT
-    template: tuple = ()          # optional structural tag, e.g. ("fixed_var_corr", sigma2)
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    node_weights: np.ndarray | None = field(init=False, repr=False, compare=False)
-    node_sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+    node_weights: np.ndarray | None = field(init=False, repr=False)
+    node_sigmas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        base = np.asarray(self.base, dtype=float)
+        if base.ndim != 2 or base.shape[0] != base.shape[1]:
+            raise NotSquare(f"base must be a square matrix, got shape {base.shape}")
+        dirs = [np.asarray(d, dtype=float) for d in self.directions]
+        if len(dirs) != len(self.box):
+            raise UnsupportedFamily(
+                f"got {len(dirs)} direction matrices for a {len(self.box)}-dimensional box"
+            )
+        if any(d.shape != base.shape for d in dirs):
+            raise DimensionMismatch(f"every direction matrix must have the base's shape {base.shape}")
+        dirs = np.array(dirs).reshape(len(dirs), *base.shape)
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        object.__setattr__(self, "box", box)
         if len(box) == 0:
             raise EmptyGrid("parameter box must have at least one dimension")
         # a bound or a volume past the float range makes every node weight NaN
@@ -80,14 +92,13 @@ class ParamFamily:
                 f"grid_res^dim = {self.grid_res ** len(box)} exceeds the node cap {NODE_CAP}"
             )
         nodes, weights = _materialize(box, self.prior, self.grid_res)
-        sigmas = np.asarray(self.cov_at(nodes), dtype=float)
-        if sigmas.ndim != 3 or len(sigmas) != len(nodes):
-            raise DimensionMismatch(
-                f"cov_at must map {len(nodes)} nodes to a ({len(nodes)}, m, m) stack, got shape {sigmas.shape}"
-            )
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "node_weights", weights)
-        object.__setattr__(self, "node_sigmas", validate_covariance(sigmas))
+        sigmas = np.repeat(base[None], len(nodes), axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, d in zip(nodes.T, dirs):
+                sigmas = sigmas + t[:, None, None] * d
+        for name, value in (("base", base), ("directions", dirs), ("box", box), ("nodes", nodes),
+                            ("node_weights", weights), ("node_sigmas", validate_covariance(sigmas))):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -306,22 +317,26 @@ def nonbayes_spectra(family: ParamFamily, part: AmbiguityPartition) -> Spectrum:
     """One spectrum per atom, stacked; the worst-case curve is their largest rate.
 
     Supported exactly when every atom is a single member (each atom then has
-    its own known spectrum), or for the fixed-variance single correlation
-    family, whose worst member is the least correlated one: a single mode
-    sigma2 (1 + r_lo^2) above the floor sigma2 (1 - r_lo^2).
+    its own known spectrum), or for the fixed-variance correlation family,
+    recognized from its matrices: one direction, base sigma2 I and direction
+    sigma2 off the diagonal, both equal exactly.  Sampled at one component,
+    a member of correlation r has the floor sigma2 (1 - r^2) and one mode
+    sigma2 (1 + r^2), so its rate at delta < 2 sigma2,
+    1/2 log2(sigma2 (1 + r^2) / (delta - sigma2 (1 - r^2))), falls as r^2
+    grows: the worst member is the box's correlation nearest 0.
     """
     if all(len(nodes) == 1 for nodes in part.members):
         return atom_spectra(part)
-    if family.template and family.template[0] == "fixed_var_corr":
-        sigma2 = float(family.template[1])
-        if family.m != 2 or part.sampled.k != 1:
+    sigma2 = family.base[0, 0]
+    if (len(family.directions) == 1 and np.array_equal(family.base, sigma2 * np.eye(2))
+            and np.array_equal(family.directions[0], [[0.0, sigma2], [sigma2, 0.0]])):
+        if part.sampled.k != 1:
             raise UnsupportedFamily(
                 "the fixed-variance correlation family supports m=2 with one sampled component"
             )
-        r_lo = family.box[0][0]
-        if r_lo <= 0.0:
-            raise UnsupportedFamily("the closed form needs strictly positive correlations")
-        return Spectrum(np.array([sigma2 * (1.0 - r_lo ** 2)]), np.array([[sigma2 * (1.0 + r_lo ** 2)]]))
+        [(r_lo, r_hi)] = family.box
+        r = min(max(0.0, r_lo), r_hi)
+        return Spectrum(np.array([sigma2 * (1.0 - r ** 2)]), np.array([[sigma2 * (1.0 + r ** 2)]]))
     raise UnsupportedFamily(
         "worst-case curve is implemented for all-singleton atoms or the fixed-variance"
         " correlation family only"
@@ -348,17 +363,13 @@ def fixed_var_corr_family(
     prior="uniform",
     grid_res: int = GRID_RES_DEFAULT,
 ) -> ParamFamily:
-    """Two exchangeable components with fixed variance and correlation in [r_lo, r_hi]."""
+    """Two exchangeable components with fixed variance and correlation in [r_lo, r_hi]:
+    base sigma2 I and one direction with sigma2 off the diagonal."""
     if sigma2 <= 0.0:
         raise UnsupportedFamily(f"variance must be positive, got {sigma2}")
     s = float(sigma2)
-    return ParamFamily(
-        box=((r_lo, r_hi),),
-        cov_at=_affine_map(np.array([[s, 0.0], [0.0, s]]), [np.array([[0.0, s], [s, 0.0]])]),
-        prior=prior,
-        grid_res=grid_res,
-        template=("fixed_var_corr", s),
-    )
+    return ParamFamily(np.array([[s, 0.0], [0.0, s]]), [np.array([[0.0, s], [s, 0.0]])], ((r_lo, r_hi),),
+                       prior, grid_res)
 
 
 def affine_family(
@@ -369,30 +380,4 @@ def affine_family(
     grid_res: int = GRID_RES_DEFAULT,
 ) -> ParamFamily:
     """Family sigma(tau) = base + sum_d tau_d * directions[d]; every node must stay PD."""
-    base = np.asarray(base, dtype=float)
-    if base.ndim != 2 or base.shape[0] != base.shape[1]:
-        raise NotSquare(f"base must be a square matrix, got shape {base.shape}")
-    dirs = [np.asarray(d, dtype=float) for d in directions]
-    if len(dirs) != len(box):
-        raise UnsupportedFamily(
-            f"got {len(dirs)} direction matrices for a {len(box)}-dimensional box"
-        )
-    if any(d.shape != base.shape for d in dirs):
-        raise DimensionMismatch(f"every direction matrix must have the base's shape {base.shape}")
-    return ParamFamily(box=tuple(box), cov_at=_affine_map(base, dirs), prior=prior, grid_res=grid_res)
-
-
-def _affine_map(base: np.ndarray, dirs):
-    """The node map (N, d) nodes -> (N, m, m) stack of base + sum_d t_d * dirs[d], summed in direction order.
-
-    An entry that overflows, or meets 0 * inf, is left non-finite without a
-    warning, and ``validate_covariance`` refuses its node.
-    """
-    def cov_at(nodes):
-        s = np.repeat(base[None], len(nodes), axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, d in zip(np.asarray(nodes, dtype=float).T, dirs):
-                s = s + t[:, None, None] * d
-        return s
-
-    return cov_at
+    return ParamFamily(base, directions, box, prior, grid_res)

@@ -22,6 +22,7 @@ from srdf_kit import (
     NotSquare,
     NotSymmetric,
     SingularSigmaA,
+    ValidationError,
     affine_family,
     as_sampling_set,
     ml_cov_estimate,
@@ -240,7 +241,8 @@ def reference_assign(x, cb):
 
 
 def reference_validate_covariance(raw):
-    """One matrix through the per-matrix checks ``validate_covariance`` ran before it took stacks, verbatim."""
+    """One matrix through the per-matrix checks ``validate_covariance`` ran before it took stacks, verbatim,
+    with the floor on the largest entry that came after them."""
     sigma = np.asarray(raw, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise NotSquare(f"covariance must be square, got shape {sigma.shape}")
@@ -252,6 +254,11 @@ def reference_validate_covariance(raw):
     scale = np.max(np.abs(sigma))
     if scale == 0.0:
         raise NotPositiveDefinite("covariance is identically zero")
+    least = m * np.finfo(float).tiny
+    if scale < least:
+        raise ValidationError(
+            f"max |entry| = {scale:.3e} is below {least:.3e}: the pivot floor of a {m}x{m} covariance underflows"
+        )
     skew = np.max(np.abs(sigma - sigma.T))
     if skew > SYM_TOL * scale:
         raise NotSymmetric(f"max |sigma - sigma^T| = {skew:.3e} exceeds {SYM_TOL:.0e} * max|entry|")
@@ -269,17 +276,9 @@ def reference_validate_covariance(raw):
     return sigma
 
 
-def reference_node_sigmas(cov_at, nodes, m):
-    """Node covariances as ``ParamFamily`` built them before it validated a stack: node by node.
-
-    Every node is validated first; then the first node that is not m x m, if
-    any, raises EmptyGrid, whether or not the nodes share one shape.
-    """
-    sigmas = [reference_validate_covariance(cov_at(tuple(t))) for t in nodes]
-    for sigma in sigmas:
-        if sigma.shape != (m, m):
-            raise EmptyGrid(f"cov_at returned {sigma.shape[0]}x{sigma.shape[1]}, expected m={m}")
-    return np.stack(sigmas)
+def reference_node_sigmas(cov_at, nodes):
+    """Node covariances as ``ParamFamily`` built them before it validated a stack: node by node."""
+    return np.stack([reference_validate_covariance(cov_at(tuple(t))) for t in nodes])
 
 
 def _reference_scalar(x):

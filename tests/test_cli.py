@@ -36,6 +36,9 @@ GOLDEN = Path(__file__).parent / "golden"
 MODEL = "model:\n  sigma: [[1.0, 0.5], [0.5, 1.0]]\n"
 FIELD = "field:\n  kernel: {type: gauss-markov, p: 0.5}\n"
 GRID = "grid: {min: 1.0, max: 1.5, count: 2}\n"
+# the fixed-var-corr family of sigma2 1 on [0.2, 0.8], spelled as an affine one
+AFFINE_CORR_FAMILY = {"template": "affine", "base": [[1.0, 0.0], [0.0, 1.0]], "directions": [[[0.0, 1.0], [1.0, 0.0]]],
+                      "box": [[0.2, 0.8]]}
 FAMILY = "family: {template: fixed-var-corr, sigma2: 1.0, box: [[0.2, 0.8]], prior: uniform, grid_res: 3}\nsampling: [1]\n"
 AFFINE = ("family: {template: affine, base: [[1.0, 0.3], [0.3, 1.0]], directions: [[[1.0, 0.0], [0.0, 0.0]]],"
           " box: [[0.0, 0.4]], prior: uniform, grid_res: 3}\nsampling: [1]\n")
@@ -128,6 +131,16 @@ class TestArtifacts:
     def test_nonbayes_matches_golden(self, tmp_path):
         assert run("usrdf-nonbayes", CONFIGS / "corr_family_nonbayes.yaml", tmp_path) == 0
         got = (tmp_path / "curve.csv").read_bytes()
+        assert got == (GOLDEN / "corr_family_nonbayes_curve.csv").read_bytes()
+
+    def test_affine_spelling_of_the_correlation_family_matches_the_nonbayes_golden(self, tmp_path):
+        # the worst-case closed form is read from the matrices, not from the template that built them
+        cfg = yaml.safe_load((CONFIGS / "corr_family_nonbayes.yaml").read_text(encoding="utf-8"))
+        cfg["family"] = {**AFFINE_CORR_FAMILY, "prior": "uniform", "grid_res": 33}
+        config = tmp_path / "affine.yaml"
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run("usrdf-nonbayes", config, tmp_path / "out") == 0
+        got = (tmp_path / "out" / "curve.csv").read_bytes()
         assert got == (GOLDEN / "corr_family_nonbayes_curve.csv").read_bytes()
 
     def test_optimize_set_outputs(self, tmp_path):
@@ -817,6 +830,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error [model.not_positive_definite]: covariance has a non-finite entry\n", err
 
+    @pytest.mark.parametrize("task, sigma2, box, grid_res", [
+        ("usrdf-bayes", "5.0e-324", "[[-0.4, 0.4]]", 33), ("usrdf-bayes", "5.0e-324", "[[0.0, 0.2]]", 33),
+        ("usim", "5.0e-324", "[[0.2, 0.8]]", 1), ("usrdf-bayes", "1.0e-316", "[[0.1, 0.9]]", 9),
+    ])
+    def test_a_subnormal_family_is_validation(self, tmp_path, capsys, task, sigma2, box, grid_res):
+        # its pivot floor underflowed to 0, so it passed validation and failed later, exit 3
+        cfg = tmp_path / "family.yaml"
+        cfg.write_text(f"family: {{template: fixed-var-corr, sigma2: {sigma2}, box: {box}, prior: uniform,"
+                       f" grid_res: {grid_res}}}\nsampling: [1]\n{GRID}sim: {json.dumps(MUTATION_SIM)}\n",
+                       encoding="utf-8")
+        assert run(task, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [validation]: max |entry| = {float(sigma2):.3e} is below 4.450e-308"), err
+
     @pytest.mark.parametrize("key,value", [
         pytest.param(f.name, value, id=f"{f.name}={value!r}")
         for f in dataclasses.fields(srdf_kit.SimConfig)
@@ -1166,7 +1193,8 @@ AFFINE_FAMILY = {"template": "affine", "base": [[1.0, 0.3], [0.3, 1.0]], "direct
 
 def mutation_cases():
     """{name: (task, config)}: the shipped fixed-var-corr configs and one affine family through every family
-    task, and the shipped simulate config, each with the small sim sizes and a short grid."""
+    task, the affine spelling of the correlation family through the worst case, and the shipped simulate
+    config, each with the small sim sizes and a short grid."""
     cases = {}
     families = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))["family"]
                 for path in sorted(CONFIGS.glob("corr_family_*.yaml"))}
@@ -1174,6 +1202,9 @@ def mutation_cases():
         for task in ("usrdf-bayes", "usrdf-nonbayes", "usim"):
             cases[f"{name}:{task}"] = (task, {"family": family, "sampling": [1], "grid": MUTATION_GRID,
                                               "sim": MUTATION_SIM})
+    # the correlation family spelled as an affine one, which takes the worst-case closed form too
+    cases["affine_corr:usrdf-nonbayes"] = ("usrdf-nonbayes", {
+        "family": {**AFFINE_CORR_FAMILY, "prior": "uniform", "grid_res": 3}, "sampling": [1], "grid": MUTATION_GRID})
     model = yaml.safe_load((CONFIGS / "two_step_sim.yaml").read_text(encoding="utf-8"))
     cases["two_step_sim:simulate"] = ("simulate", {**model, "sim": MUTATION_SIM})
     return cases
@@ -1254,6 +1285,13 @@ class TestFamilyMutations:
     @example(("two_step_sim:simulate", [(("model", "sigma"), ("value", [[1e186, 5e185], [5e185, 1e186]]))]))
     @example(("corr_family_usim:usim", [(("family", "sigma2"), ("scale", 186))]))
     @example(("affine:usim", [(("family", "base"), ("scale", 180)), (("family", "directions"), ("scale", 180))]))
+    # each subnormal family that passed validation and then failed as a numerical error
+    @example(("corr_family_bayes:usrdf-bayes", [(("family", "sigma2"), ("value", 5e-324)),
+                                                (("family", "box", 0), ("value", [-0.4, 0.4]))]))
+    @example(("corr_family_bayes:usrdf-bayes", [(("family", "sigma2"), ("value", 5e-324)),
+                                                (("family", "box", 0), ("value", [0.0, 0.2]))]))
+    @example(("corr_family_usim:usim", [(("family", "sigma2"), ("value", 5e-324)),
+                                        (("family", "grid_res"), ("value", 1))]))
     def test_every_run_ends_in_an_exit_code_without_a_warning(self, case):
         name, edits = case
         task, cfg = MUTATION_CASES[name]

@@ -21,12 +21,9 @@ from itertools import combinations
 from srdf_kit import (
     BudgetOutOfRange,
     CovarianceModel,
-    DimensionMismatch,
     FieldModel,
     GaussMarkovKernel,
     InfeasibleDistortion,
-    NumericalError,
-    ParamFamily,
     Spectrum,
     SrdfKitError,
     TabulatedKernel,
@@ -968,7 +965,7 @@ def bad_node(kind, rng, good):
     return np.eye(m + 1)   # wrong_m
 
 
-# one map gives the whole stack, so it cannot mix shapes, and m is read from it: no wrong_m node
+# a stack holds matrices of one shape: no wrong_m node
 STACK_BAD_NODES = tuple(kind for kind in BAD_NODES if kind != "wrong_m")
 
 
@@ -986,12 +983,8 @@ def test_stacked_validation_raises_what_the_node_loop_raises(first, seed, m, nod
             matrices[at] = bad_node(kind, rng, matrices[at])
     grid = np.linspace(0.0, 1.0, nodes)
     by_node = {float(t): s for t, s in zip(grid, matrices)}
-    cov_at = lambda tau: by_node[tau[0]]   # noqa: E731
-    stacked = lambda nodes: np.stack([cov_at(t) for t in nodes])   # noqa: E731
-    want = outcome(lambda: reference_node_sigmas(cov_at, grid[:, None], m))
-    got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=stacked, grid_res=nodes).node_sigmas)
-    assert got == want
-    # the same stack, with two leading axes, straight through validate_covariance
+    want = outcome(lambda: reference_node_sigmas(lambda tau: by_node[tau[0]], grid[:, None]))
+    # the stack, with two leading axes, straight through validate_covariance
     stack = np.stack(matrices).reshape(1, nodes, m, m)
     assert outcome(lambda: validate_covariance(stack).reshape(-1, m, m)) == want
 
@@ -1018,7 +1011,7 @@ def test_a_lone_matrix_raises_what_the_reference_raises(kind, seed, m):
 
 
 def template_and_reference(seed, kind, log_c):
-    """(family built by its template, per-node map the template once ran, box, grid_res, m) of ``kind``.
+    """(family built by its template, per-node map the template once ran, box, grid_res) of ``kind``.
 
     Drawn from ``seed``, with every entry scaled by 10^log_c, so the largest scales overflow some nodes.
     """
@@ -1028,7 +1021,7 @@ def template_and_reference(seed, kind, log_c):
         sigma2, r_lo = c * rng.uniform(0.1, 3.0), rng.uniform(-0.9, 0.5)
         box, grid_res = [(r_lo, r_lo + rng.uniform(0.0, 0.4))], int(rng.integers(1, 12))
         build = lambda: fixed_var_corr_family(sigma2, *box[0], prior="uniform", grid_res=grid_res)  # noqa: E731
-        return build, lambda tau: sigma2 * np.array([[1.0, tau[0]], [tau[0], 1.0]]), box, grid_res, 2
+        return build, lambda tau: sigma2 * np.array([[1.0, tau[0]], [tau[0], 1.0]]), box, grid_res
     m, dims = int(rng.integers(1, 5)), int(rng.integers(1, 3))
     a = rng.standard_normal((m, m + 2))
     with np.errstate(over="ignore"):
@@ -1042,43 +1035,26 @@ def template_and_reference(seed, kind, log_c):
             s = s + t * d
         return s
 
-    return lambda: affine_family(base, dirs, box, prior="uniform", grid_res=grid_res), node, box, grid_res, m
+    return lambda: affine_family(base, dirs, box, prior="uniform", grid_res=grid_res), node, box, grid_res
 
 
 @PROPERTY
 @given(seeds, st.sampled_from(("fixed-var-corr", "affine")), st.floats(-300.0, 308.0))
 def test_template_node_sigmas_are_the_node_by_node_ones(seed, kind, log_c):
-    # one affine map over the whole grid gives each node the bytes the per-node map gave it, or its error
-    build, node, box, grid_res, m = template_and_reference(seed, kind, log_c)
+    # the family's one affine map over the whole grid gives each node the bytes the per-node map gave it,
+    # or its error
+    build, node, box, grid_res = template_and_reference(seed, kind, log_c)
     axes = np.meshgrid(*[np.linspace(lo, hi, grid_res) for lo, hi in box], indexing="ij")
     nodes = np.stack([x.ravel() for x in axes], axis=1)
-    with mock.patch.object(universal, "ParamFamily", lambda **family: family):
-        cov_at = build()["cov_at"]   # the map the template hands its family
     with np.errstate(over="ignore", invalid="ignore"):   # the per-node map warns where a node overflows
-        raw = np.stack([node(tuple(t)) for t in nodes])
-        want = outcome(lambda: reference_node_sigmas(node, nodes, m))
+        want = outcome(lambda: reference_node_sigmas(node, nodes))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cov_at(nodes).tobytes() == raw.tobytes()
         got = outcome(lambda: build().node_sigmas)
     if log_c <= 300.0:
         assert got == want
     else:   # past the reference's checks, which predate the overflow refusal: still a package error
         assert got[0] == "ok" or issubclass(got[0], SrdfKitError)
-
-
-@pytest.mark.parametrize("shape", [(3, 2, 2), (5, 2, 2), (2, 2), (4, 2, 2, 1), (4, 4), ()],
-                         ids=["fewer-nodes", "more-nodes", "one-matrix", "4-d", "2-d", "scalar"])
-def test_a_map_of_the_wrong_shape_is_one_package_error(shape):
-    # four nodes: a map that does not give one m x m matrix per node is refused by its shape, exit 2
-    def cov_at(nodes):
-        assert nodes.shape == (4, 1)
-        return np.ones(shape)
-
-    got = outcome(lambda: ParamFamily(box=((0.0, 1.0),), cov_at=cov_at, grid_res=4))
-    assert got == (DimensionMismatch, "model.dimension_mismatch",
-                   f"cov_at must map 4 nodes to a (4, m, m) stack, got shape {shape}")
-    assert not issubclass(DimensionMismatch, NumericalError)   # the CLI exits 2 on it
 
 
 def grouping_family(rng, kind):
@@ -1169,10 +1145,12 @@ def test_sweep_compares_few_pairs(monkeypatch, kind):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("c", [1e-316, 1e-12, 1e-9, 1.0, 1e11, 1e12])
+@pytest.mark.parametrize("c", [2.0 * np.finfo(float).tiny, 1e-12, 1e-9, 1.0, 1e11, 1e12])
 def test_atoms_of_a_scaled_family_are_the_family_atoms(c):
     # an absolute radius merged all nine atoms at 1e-9, and its int64 keys overflowed at 1e11;
-    # a radius scaled by the largest entry underflowed to 0 at 1e-316, and its keys divided by it
+    # a radius scaled by the largest entry underflowed to 0 at 1e-316, and its keys divided by it.
+    # 1e-316 is refused now (see test_cli's subnormal cases): 2 x the smallest normal float is the
+    # smallest scale a 2 x 2 covariance may have
     assert len(project_family(fixed_var_corr_family(c, 0.1, 0.9, grid_res=9), [1, 2]).members) == 9
 
 
@@ -1189,7 +1167,7 @@ def scaled_family(seed, kind, c):
         family = fixed_var_corr_family(c * sigma2, r_lo, r_lo + rng.uniform(0.1, 0.5), grid_res=9)
         return family, [1, 2] if kind == "corr-pair" else [1]
     family, sampled = multi_atom_family(rng, int(rng.integers(1, 4))) if kind == "multi" else singleton_family(rng)
-    return dataclasses.replace(family, cov_at=lambda tau: c * family.cov_at(tau)), sampled
+    return dataclasses.replace(family, base=c * family.base, directions=c * family.directions), sampled
 
 
 @PROPERTY

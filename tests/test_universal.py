@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,9 +78,8 @@ class TestFamilyGrid:
         fam = affine_family(BASE, [E1, E2], [(0.0, 0.4), (0.0, 0.4)], prior="uniform", grid_res=3)
         assert len(fam.nodes) == 9
         assert fam.m == 2
-        got = fam.cov_at(np.array([[0.4, 0.0]]))
-        assert got.shape == (1, 2, 2)
-        assert np.allclose(got[0], BASE + 0.4 * E1)
+        assert fam.node_sigmas.shape == (9, 2, 2)
+        assert np.allclose(fam.node_sigmas[6], BASE + 0.4 * E1)   # the node (0.4, 0.0)
 
     @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
     def test_bad_prior_density_is_no_prior(self, density):
@@ -91,14 +92,12 @@ class TestFamilyGrid:
                              ids=["inf", "minus-inf", "nan", "width-overflows", "volume-overflows"])
     def test_unbounded_box_is_refused_before_any_node(self, box):
         # such a box used to leave every node weight NaN, with warnings and no error
-        def cov_at(nodes):
-            raise AssertionError("a node was built")
-
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch("srdf_kit.universal.validate_covariance") as validate:
             warnings.simplefilter("error")
             with pytest.raises(UnboundedBox) as caught:
-                ParamFamily(box=tuple(box), cov_at=cov_at, prior="uniform")
+                ParamFamily(BASE, [E1] * len(box), box, prior="uniform")
         assert caught.value.code == "universal.unbounded_box"
+        validate.assert_not_called()
 
     def test_direction_shape_must_match_base(self):
         with pytest.raises(DimensionMismatch):
@@ -130,19 +129,15 @@ class TestFamilyGrid:
         assert raised.value.code == "model.not_positive_definite"
         assert str(raised.value) == "covariance has a non-finite entry"
 
-    def test_the_node_map_and_the_prior_run_once_on_the_whole_grid(self):
+    def test_the_prior_runs_once_on_the_whole_grid(self):
         calls = []
 
-        def cov_at(nodes):
-            calls.append(("cov_at", nodes.shape))
-            return BASE + nodes[:, 0, None, None] * E1 + nodes[:, 1, None, None] * E2
-
         def prior(nodes):
-            calls.append(("prior", nodes.shape))
+            calls.append(nodes.shape)
             return 1.0 + nodes[:, 0]
 
-        fam = ParamFamily(box=((0.0, 0.4), (0.0, 0.2)), cov_at=cov_at, prior=prior, grid_res=5)
-        assert calls == [("prior", (25, 2)), ("cov_at", (25, 2))]
+        fam = ParamFamily(BASE, [E1, E2], ((0.0, 0.4), (0.0, 0.2)), prior=prior, grid_res=5)
+        assert calls == [(25, 2)]
         assert fam.m == 2 and fam.node_sigmas.shape == (25, 2, 2)
         assert fam.node_weights[-1] / fam.node_weights[0] == pytest.approx(1.4)
 
@@ -153,6 +148,11 @@ class TestFamilyGrid:
     def test_no_prior_means_no_weights(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior=None, grid_res=5)
         assert fam.node_weights is None
+
+    def test_a_family_is_its_base_directions_box_prior_and_grid(self):
+        # no node-map callable and no structural tag: the matrices are the family
+        fields = [f.name for f in dataclasses.fields(ParamFamily) if f.init]
+        assert fields == ["base", "directions", "box", "prior", "grid_res"]
 
 
 class TestAtoms:
@@ -312,6 +312,43 @@ class TestNonBayesCurve:
         fam = affine_family(BASE, [E2], [(0.0, 0.5)], prior="uniform", grid_res=5)
         with pytest.raises(UnsupportedFamily):
             nonbayes_usrdf(fam, [1], 1.2)
+
+    @pytest.mark.parametrize("base, direction", [
+        ([[1.0, 0.5], [0.5, 3.0]], np.zeros((2, 2))),
+        (2.0 * np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
+    ], ids=["constant", "direction-off-the-variance"])
+    def test_multi_member_atom_outside_the_correlation_family_rejected(self, base, direction):
+        # one atom of five members whose matrices are not sigma2 I plus sigma2 off the diagonal
+        fam = ParamFamily(base, [direction], ((0.2, 0.8),), prior="uniform", grid_res=5)
+        assert project_family(fam, [1]).members == ((0, 1, 2, 3, 4),)
+        with pytest.raises(UnsupportedFamily):
+            nonbayes_usrdf(fam, [1], 1.2)
+
+    @pytest.mark.parametrize("sigma2, r_lo, r_hi", [(1.0, 0.2, 0.8), (2.5, -0.7, 0.4), (1e-200, -0.3, -0.1)])
+    def test_the_affine_spelling_of_the_correlation_family_has_its_worst_case(self, sigma2, r_lo, r_hi):
+        # the closed form is read from the matrices, so the affine spelling takes it too, to the byte
+        fam = affine_family(sigma2 * np.eye(2), [sigma2 * np.array([[0.0, 1.0], [1.0, 0.0]])], [(r_lo, r_hi)],
+                            prior="uniform", grid_res=9)
+        want = fixed_var_corr_family(sigma2, r_lo, r_hi, grid_res=9)
+        deltas = sigma2 * np.linspace(1.05, 2.2, 13)
+        assert fam.node_sigmas.tobytes() == want.node_sigmas.tobytes()
+        assert nonbayes_usrdf(fam, [1], deltas).rate_bits.tobytes() == \
+            nonbayes_usrdf(want, [1], deltas).rate_bits.tobytes()
+
+    @pytest.mark.parametrize("r_lo, r_hi", [(-0.5, 0.5), (-0.9, 0.1), (0.0, 0.6), (-0.6, -0.2), (0.3, 0.3),
+                                            (-0.4, -0.4)])
+    def test_correlation_worst_case_covers_every_box(self, r_lo, r_hi):
+        # a member's rate falls as r^2 grows, so the worst is the box's correlation nearest 0:
+        # on [-0.5, 0.5] at delta 1.5 that is r = 0, at 0.5 bits, and delta 1 is infeasible
+        fam = fixed_var_corr_family(1.0, r_lo, r_hi, grid_res=9)
+        members = np.concatenate((np.linspace(r_lo, r_hi, 2001), [0.0] if r_lo <= 0.0 <= r_hi else []))
+        for delta in (1.0, 1.05, 1.3, 1.5, 1.95):
+            if delta <= 1.0 - min(members ** 2):
+                with pytest.raises(InfeasibleDistortion):
+                    nonbayes_usrdf(fam, [2], delta)
+                continue
+            worst = np.max(0.5 * np.log2((1.0 + members ** 2) / (delta - (1.0 - members ** 2))))
+            assert nonbayes_usrdf(fam, [2], delta).rate_bits == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 class TestRefinement:
