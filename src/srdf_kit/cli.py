@@ -25,35 +25,24 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError
-from .field import (
-    QUAD_POINTS_DEFAULT,
-    FieldModel,
-    FieldSamplingSet,
-    GaussMarkovKernel,
-    TabulatedKernel,
-    field_gram,
-    field_max_distortion,
-    field_srdf_spectrum,
-    optimize_placement,
-)
+from .errors import ConfigParse, GridTooLarge, InfeasibleDistortion, NumericalError, SrdfKitError, ValidationError
 from .model import CovarianceModel, SamplingSet
-from .setopt import best_fixed_set
-from .simulate import _FIELD_KINDS, SimConfig, two_step_code, universal_two_step
 from .srdf import _rate_curve, max_distortion, srdf_spectrum
-from .universal import (
-    GRID_RES_DEFAULT,
-    affine_family,
-    atom_spectra,
-    bayes_curve,
-    fixed_var_corr_family,
-    nonbayes_curve,
-    nonbayes_spectra,
-    project_family,
-)
+
+# Each front end (field, setopt, universal, simulate) is imported by the parse helpers and runners
+# that use it, so a task compiles only its own.
 
 GRID_CAP = 100_000  # most points a curve's grid may hold; checked before the grid is built
 CSV_BLOCK_ROWS = 512   # rows formatted by one "%"; bounds the Python objects and text one block holds
+
+
+def _create(path: Path):
+    """``path`` opened for writing as UTF-8 text with LF line ends; a path that cannot be opened is a
+    ValidationError naming it."""
+    try:
+        return open(path, "w", newline="\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_csv(path: Path, header: list[str], template: str, columns) -> None:
@@ -67,7 +56,7 @@ def _write_csv(path: Path, header: list[str], template: str, columns) -> None:
     """
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     row = template + "\n"
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = np.hstack([c[lo : lo + CSV_BLOCK_ROWS].astype(object) for c in columns])
@@ -75,7 +64,7 @@ def _write_csv(path: Path, header: list[str], template: str, columns) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")
 
@@ -190,7 +179,9 @@ def _parse_grid(cfg: dict, key: str = "grid") -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _parse_field(cfg: dict, base: Path) -> FieldModel:
+def _parse_field(cfg: dict, base: Path):
+    from .field import QUAD_POINTS_DEFAULT, FieldModel, GaussMarkovKernel, TabulatedKernel
+
     block = _need(cfg, "field")
     if not isinstance(block, dict) or "kernel" not in block:
         raise ConfigParse("'field' must be a mapping with a 'kernel' block")
@@ -209,11 +200,15 @@ def _parse_field(cfg: dict, base: Path) -> FieldModel:
     return FieldModel(kernel=kernel, quad_points=_scalar(block, "quad_points", int, QUAD_POINTS_DEFAULT))
 
 
-def _parse_points(cfg: dict) -> FieldSamplingSet:
+def _parse_points(cfg: dict):
+    from .field import FieldSamplingSet
+
     return FieldSamplingSet(_floats(_need(cfg, "points"), "'points'", 1).tolist())
 
 
 def _parse_family(cfg: dict, base: Path):
+    from .universal import GRID_RES_DEFAULT, affine_family, fixed_var_corr_family
+
     block = _need(cfg, "family")
     if not isinstance(block, dict) or "template" not in block:
         raise ConfigParse("'family' must be a mapping with a 'template'")
@@ -264,7 +259,9 @@ def _parse_objective(block: dict):
     raise ConfigParse(f"unknown objective {name!r}")
 
 
-def _parse_sim(cfg: dict, seed_override: int | None) -> SimConfig:
+def _parse_sim(cfg: dict, seed_override: int | None):
+    from .simulate import _FIELD_KINDS, SimConfig
+
     block = _need(cfg, "sim")
     if not isinstance(block, dict):
         raise ConfigParse("'sim' must be a mapping")
@@ -294,6 +291,8 @@ def _meta(task: str, seed) -> dict:
 def _run_curve(cfg, base, out, args):
     """``srdf``, ``distrate`` and ``gmf-srdf``: one spectrum, then the whole grid through it."""
     if args.task == "gmf-srdf":
+        from .field import field_gram, field_max_distortion, field_srdf_spectrum
+
         fm = _parse_field(cfg, base)
         pts = _parse_points(cfg)
         grid = _parse_grid(cfg)
@@ -321,6 +320,8 @@ def _run_curve(cfg, base, out, args):
 
 
 def _run_optimize_set(cfg, base, out, args):
+    from .setopt import best_fixed_set
+
     model = _parse_model(cfg, base)
     block = _need(cfg, "search")
     if not isinstance(block, dict) or "k" not in block:
@@ -349,6 +350,8 @@ def _run_optimize_set(cfg, base, out, args):
 
 
 def _run_place(cfg, base, out, args):
+    from .field import optimize_placement
+
     fm = _parse_field(cfg, base)
     block = _need(cfg, "placement")
     if not isinstance(block, dict) or "k" not in block:
@@ -385,6 +388,8 @@ def _run_place(cfg, base, out, args):
 
 
 def _run_usrdf(cfg, base, out, args):
+    from .universal import atom_spectra, bayes_curve, nonbayes_curve, nonbayes_spectra, project_family
+
     family = _parse_family(cfg, base)
     ss = _parse_sampling(cfg)
     deltas = _parse_grid(cfg)
@@ -420,6 +425,8 @@ def _run_usrdf(cfg, base, out, args):
 
 def _run_sim(cfg, base, out, args):
     """``simulate`` and ``usim``: the two-step scheme on a known law or on a family."""
+    from .simulate import two_step_code, universal_two_step
+
     parse, scheme = (_parse_model, two_step_code) if args.task == "simulate" else (_parse_family, universal_two_step)
     source = parse(cfg, base)
     ss = _parse_sampling(cfg)
@@ -473,7 +480,10 @@ def main(argv=None) -> int:
         config_path = Path(args.config)
         cfg = _load_config(config_path)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file at the path or above it
+            raise ValidationError(f"cannot create the output directory {out}: {exc.strerror}") from exc
         _HANDLERS[args.task](cfg, config_path.parent, out, args)
     except SrdfKitError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

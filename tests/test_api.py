@@ -1,6 +1,7 @@
 """The public surface: what ``srdf_kit`` exports is exactly what it imports, and what its rate queries return."""
 
 import ast
+import importlib
 import inspect
 import json
 import math
@@ -26,11 +27,30 @@ def test_every_exported_name_resolves():
 
 
 def test_every_imported_class_and_function_is_exported():
+    for name in srdf_kit.__all__:   # a front end's names enter the namespace on first access
+        getattr(srdf_kit, name)
     public = {
         name for name, obj in vars(srdf_kit).items()
         if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
     }
     assert sorted(public - set(srdf_kit.__all__)) == []
+
+
+def test_the_package_srdf_stays_the_function():
+    # the submodule of the same name loads with the package, so importing it again binds nothing
+    core = importlib.import_module("srdf_kit.srdf")
+    assert inspect.isfunction(srdf_kit.srdf) and srdf_kit.srdf is core.srdf
+
+
+@pytest.mark.parametrize("module", ["errors", "model", "field", "universal", "setopt", "simulate"])
+def test_each_module_attribute_is_its_submodule(module):
+    assert getattr(srdf_kit, module) is importlib.import_module(f"srdf_kit.{module}")
+
+
+def test_dir_lists_every_export(monkeypatch):
+    for name in srdf_kit.__all__:   # as in a fresh import, where no front-end name has been looked up
+        monkeypatch.delitem(vars(srdf_kit), name, raising=False)
+    assert set(srdf_kit.__all__) <= set(dir(srdf_kit))
 
 
 def test_removed_names_stay_removed():
@@ -100,11 +120,17 @@ def test_every_raise_names_a_package_error():
     errors = {name for name, obj in vars(srdf_kit.errors).items() if inspect.isclass(obj)}
     stray = []
     for path in sorted(Path(srdf_kit.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # PEP 562: the package's module __getattr__ reports a name it does not export by AttributeError
+        lookup = [node for fn in tree.body if path.name == "__init__.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name == "__getattr__" for node in ast.walk(fn)]
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:   # a bare raise re-raises what was caught
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id in errors:
+                continue
+            if isinstance(exc, ast.Name) and exc.id == "AttributeError" and node in lookup:
                 continue
             if (isinstance(exc, ast.Name) and exc.id == "AssertionError" and isinstance(node.exc, ast.Call)
                     and ast.literal_eval(node.exc.args[0]).startswith("unreachable")):

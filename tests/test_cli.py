@@ -1012,6 +1012,17 @@ class TestExitCodes:
         )
         assert run("usrdf-bayes", cfg, tmp_path) == 2
 
+    @pytest.mark.parametrize("out, blocked", [("file", "file"), ("file/out", "file/out"), ("out", "out/summary.json")],
+                             ids=["a file", "under a file", "summary.json is a directory"])
+    def test_unwritable_out_is_validation(self, tmp_path, capsys, out, blocked):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        if blocked.endswith("summary.json"):
+            (tmp_path / blocked).mkdir(parents=True)
+        assert run("srdf", CONFIGS / "three_component_srdf.yaml", tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]"), err
+        assert str(tmp_path / blocked) in err and "Traceback" not in err
+
 
 SCRIPT = "srdf-kit"
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -1155,6 +1166,26 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("task, config, front_ends", [
+        ("srdf", "three_component_srdf.yaml", []),
+        ("gmf-srdf", "exp_field_srdf.yaml", ["field"]),
+        ("optimize-set", "subset_search.yaml", ["setopt"]),
+        ("usrdf-bayes", "corr_family_bayes.yaml", ["universal"]),
+        ("usim", "corr_family_usim.yaml", ["simulate", "universal"]),   # simulate imports universal
+    ])
+    def test_a_task_imports_only_its_front_ends(self, tmp_path, task, config, front_ends):
+        # the package and the CLI load the core alone; a task then loads the front ends it runs
+        probe = ("import sys, srdf_kit.cli, srdf_kit\n"
+                 "def loaded(): print(sorted(m[9:] for m in sys.modules if m.startswith('srdf_kit.')))\n"
+                 "loaded(); code = srdf_kit.cli.main(sys.argv[1:]); loaded(); sys.exit(code)")
+        argv = [task, "--config", str(CONFIGS / config), "--out", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        core = ["cli", "errors", "model", "srdf"]
+        assert lines[0] == str(core)
+        assert lines[-1] == str(sorted(core + front_ends))
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
