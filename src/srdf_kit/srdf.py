@@ -81,10 +81,7 @@ class Spectrum:
     leading axes stack independent spectra, such as one per ambiguity atom,
     with ``delta_min`` of the stack's shape.  ``rate`` and ``distortion``
     broadcast their argument against the stack, so one call evaluates a whole
-    grid, and a scalar argument on a single spectrum returns a float.  A
-    single spectrum is built, and rated at a float distortion, without the
-    stack's broadcasting but with the same float operations in the same
-    order, so both ways give the same bits.
+    grid, and a scalar argument on a single spectrum returns a float.
 
     Both directions of the reverse waterfill (Cover & Thomas, Elements of
     Information Theory, section 10.3) are exact.  Forward, keeping the t
@@ -100,22 +97,13 @@ class Spectrum:
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim == 1 and isinstance(self.delta_min, float):
-            asc = lam.copy()
-            asc.sort()
-            # sorting puts the smallest entry first and any NaN last
-            ok = lam.size > 0 and asc[0] > 0.0 and asc[-1] < math.inf
-            delta_min = float(self.delta_min)
-        else:
-            asc = np.sort(np.atleast_1d(lam), axis=-1)
-            ok = asc.shape[-1] > 0 and (asc[..., 0] > 0.0).all() and (asc[..., -1] < math.inf).all()
-            delta_min = _scalar(np.asarray(self.delta_min, dtype=float))
-        if not ok:
+        asc = np.sort(np.atleast_1d(np.asarray(self.lambdas, dtype=float)), axis=-1)
+        # sorting puts the smallest entry first and any NaN last
+        if not (asc.shape[-1] > 0 and (asc[..., 0] > 0.0).all() and (asc[..., -1] < math.inf).all()):
             raise EigenFailure(f"eigenvalues must be finite and positive, got {self.lambdas}")
         lam = asc[..., ::-1].copy()
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "delta_min", delta_min)
+        object.__setattr__(self, "delta_min", _scalar(np.asarray(self.delta_min, dtype=float)))
         object.__setattr__(self, "total", _scalar(lam.sum(axis=-1)))
 
     @cached_property
@@ -143,14 +131,6 @@ class Spectrum:
 
     def rate(self, delta):
         """Bits needed for total distortion ``delta``; zero from delta_max on."""
-        if isinstance(delta, float) and isinstance(self.delta_min, float) and self.lambdas.ndim == 1:
-            budget = delta - self.delta_min
-            if 0.0 < budget < math.inf:   # else the stack path below raises
-                if budget >= self.total * (1.0 - 1e-12):
-                    return 0.0
-                kept, left = self._forward
-                alpha = ((budget - kept) / left).max()
-                return float(0.5 * np.log2(np.maximum(self.lambdas / alpha, 1.0)).sum())
         budget = np.asarray(delta, dtype=float) - self.delta_min
         if not np.isfinite(budget).all():
             raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
@@ -169,7 +149,8 @@ class Spectrum:
         if not np.isfinite(r).all() or (r < 0.0).any():
             raise BudgetOutOfRange(f"rate must be finite and nonnegative, got {rate_bits}")
         logs, count = self._inverse
-        alpha = np.exp2(((logs - 2.0 * r[..., None]) / count).max(axis=-1))
+        # capped, so that a huge rate cannot overflow: from the cap on, the floor is returned below
+        alpha = np.exp2(((logs - 2.0 * np.minimum(r, RATE_CAP_BITS)[..., None]) / count).max(axis=-1))
         weighted = np.minimum(alpha[..., None], self.lambdas).sum(axis=-1)
         weighted = np.where(r == 0.0, self.total, np.where(r >= RATE_CAP_BITS, 0.0, weighted))
         return _scalar(self.delta_min + weighted)

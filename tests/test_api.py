@@ -140,3 +140,29 @@ def test_every_raise_names_a_package_error():
                 continue
             stray.append(f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc)}")
     assert stray == []
+
+
+def test_every_private_helper_is_used():
+    # a module-level private name that no code in the package loads is a dead helper; strings do not count
+    defined, loaded = {}, set()
+    for path in sorted(Path(srdf_kit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                names = []
+            defined |= {name: f"{path.name}:{node.lineno}" for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    assert len(defined) > 50
+    assert sorted(f"{where}: {name}" for name, where in defined.items() if name not in loaded) == []

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import srdf_kit
 from srdf_kit import cli
 from srdf_kit.cli import _write_csv, main
+from srdf_kit.srdf import RATE_CAP_BITS
 
 from conftest import knot_simpson, reference_optimize_set_table
 
@@ -85,6 +86,21 @@ class TestArtifacts:
         lines = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "rate_bits,delta"
         assert len(lines) == 18
+
+    def test_distrate_at_huge_rates_reads_the_floor_without_overflow(self, tmp_path):
+        # 2 * rate overflowed before the cap was applied, from both the CLI and the inverse waterfill
+        cfg = yaml.safe_load((CONFIGS / "three_component_distrate.yaml").read_text(encoding="utf-8"))
+        cfg["grid"]["max"] = 1.0e308
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            assert run("distrate", config, tmp_path / "out") == 0
+            assert srdf_kit.waterfill_inverse([1.0, 2.0], 1e308) == 0.0
+        floor = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))["delta_min"]
+        rows = np.loadtxt(tmp_path / "out" / "curve.csv", delimiter=",", skiprows=1)
+        capped = rows[rows[:, 0] >= RATE_CAP_BITS]
+        assert len(capped) == 16 and (capped[:, 1] == float(f"{floor:.9g}")).all()
 
     def test_gmf_outputs(self, tmp_path):
         assert run("gmf-srdf", CONFIGS / "exp_field_srdf.yaml", tmp_path) == 0
@@ -1224,8 +1240,9 @@ AFFINE_FAMILY = {"template": "affine", "base": [[1.0, 0.3], [0.3, 1.0]], "direct
 
 def mutation_cases():
     """{name: (task, config)}: the shipped fixed-var-corr configs and one affine family through every family
-    task, the affine spelling of the correlation family through the worst case, and the shipped simulate
-    config, each with the small sim sizes and a short grid."""
+    task, the affine spelling of the correlation family through the worst case, the shipped simulate config,
+    each with the small sim sizes and a short grid, and the shipped configs of the other five tasks, the
+    subset search's covariance inlined."""
     cases = {}
     families = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))["family"]
                 for path in sorted(CONFIGS.glob("corr_family_*.yaml"))}
@@ -1238,6 +1255,13 @@ def mutation_cases():
         "family": {**AFFINE_CORR_FAMILY, "prior": "uniform", "grid_res": 3}, "sampling": [1], "grid": MUTATION_GRID})
     model = yaml.safe_load((CONFIGS / "two_step_sim.yaml").read_text(encoding="utf-8"))
     cases["two_step_sim:simulate"] = ("simulate", {**model, "sim": MUTATION_SIM})
+    for stem, task in (("three_component_srdf", "srdf"), ("three_component_distrate", "distrate"),
+                       ("exp_field_srdf", "gmf-srdf"), ("exp_field_place", "place"),
+                       ("subset_search", "optimize-set")):
+        cfg = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text(encoding="utf-8"))
+        if "sigma_csv" in cfg.get("model", {}):
+            cfg["model"] = {"sigma": np.loadtxt(CONFIGS / cfg["model"]["sigma_csv"], delimiter=",").tolist()}
+        cases[f"{stem}:{task}"] = (task, cfg)
     return cases
 
 
@@ -1271,40 +1295,48 @@ def mutated(tree, path, mutation):
 SCALINGS = st.integers(-300, 300).map(lambda k: ("scale", k)) | st.just(("negate",))
 MUTATIONS = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0, 5e-324]).map(
     lambda x: ("value", x)) | SCALINGS
-GRID_RES_VALUES = st.sampled_from([0, 1, 2, 400, 10 ** 6]).map(lambda x: ("value", x))
+# the integer sizes and seeds, drawn whole: a float there is refused before anything runs
+SIZE_KEYS = {"grid_res", "k", "restarts", "count", "quad_points", "seed"}
+SIZES = st.sampled_from([0, 1, 2, 400, 10 ** 6]).map(lambda x: ("value", x))
+MUTATED_BLOCKS = ("model", "family", "grid", "field", "points", "placement", "search")
 
 
 @st.composite
-def family_mutations(draw):
-    """(case name, [(path, mutation), ...]): one to three mutations of the case's family or model block;
-    a list keeps its shape, so that every path stays a path."""
+def config_mutations(draw):
+    """(case name, [(path, mutation), ...]): one to three mutations of the numbers in the case's model,
+    family, grid, field, points, placement and search blocks; a list keeps its shape, so that every path
+    stays a path."""
     name = draw(st.sampled_from(sorted(MUTATION_CASES)))
-    block = "model" if name.endswith(":simulate") else "family"
-    tree = MUTATION_CASES[name][1][block]
+    cfg = MUTATION_CASES[name][1]
+    tree = {block: cfg[block] for block in MUTATED_BLOCKS if block in cfg}
     edits = []
-    for path in draw(st.lists(st.sampled_from(numeric_paths(tree, (block,))), min_size=1, max_size=3)):
-        leaf = functools.reduce(lambda sub, key: sub[key], path[1:], tree)
-        kind = SCALINGS if isinstance(leaf, list) else GRID_RES_VALUES if path[-1] == "grid_res" else MUTATIONS
+    for path in draw(st.lists(st.sampled_from(numeric_paths(tree)), min_size=1, max_size=3)):
+        leaf = functools.reduce(lambda sub, key: sub[key], path, tree)
+        kind = SCALINGS if isinstance(leaf, list) else SIZES if path[-1] in SIZE_KEYS else MUTATIONS
         edits.append((path, draw(kind)))
     return name, edits
 
 
 def finite_artifacts(out: Path) -> list[str]:
-    """Every number in the CSV and JSON files under ``out`` that is not finite, as "file: value"."""
+    """Every number in the CSV and JSON files under ``out`` that is not finite, as "file: value"; a subset's
+    labels are space-separated, and ``table.csv`` writes an infeasible subset's rate as inf."""
     bad = []
     for path in sorted(out.iterdir()):
         text = path.read_text(encoding="utf-8")
         if path.suffix == ".json":
             json.loads(text, parse_constant=lambda token: bad.append(f"{path.name}: {token}"))
-        else:
-            cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+            continue
+        for line in text.splitlines()[1:]:
+            cells = line.replace(" ", ",").split(",")
+            if path.name == "table.csv" and cells[-1] == "inf":
+                cells.pop()
             bad += [f"{path.name}: {cell}" for cell in cells if not math.isfinite(float(cell))]
     return bad
 
 
 class TestFamilyMutations:
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(family_mutations())
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(config_mutations())
     # each run that warned before it was refused, or wrote Infinity into its report
     @example(("corr_family_bayes:usrdf-bayes", [(("family", "sigma2"), ("value", math.inf)),
                                                 (("family", "box", 0), ("value", [-0.5, 0.5])),
@@ -1323,6 +1355,10 @@ class TestFamilyMutations:
                                                 (("family", "box", 0), ("value", [0.0, 0.2]))]))
     @example(("corr_family_usim:usim", [(("family", "sigma2"), ("value", 5e-324)),
                                         (("family", "grid_res"), ("value", 1))]))
+    # a subnormal model, refused by the same check
+    @example(("three_component_srdf:srdf", [(("model", "sigma"), ("value", (np.eye(3) * 5e-324).tolist()))]))
+    # a huge rate overflowed in the inverse waterfill
+    @example(("three_component_distrate:distrate", [(("grid", "max"), ("value", 1e308))]))
     def test_every_run_ends_in_an_exit_code_without_a_warning(self, case):
         name, edits = case
         task, cfg = MUTATION_CASES[name]

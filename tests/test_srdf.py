@@ -36,66 +36,38 @@ from srdf_kit.srdf import _block_spectrum, _lift, _reduce, _weight
 from conftest import random_model
 
 
-def brute_force_rate(lams, budget):
-    """Allocation minimizer by pairwise-exchange descent.
+def duality_gaps(lams, budget, sol):
+    """(budget, rate, dual) gaps of a waterfill solution, computed in plain numpy without ``Spectrum``.
 
-    Independent of the water-filling solver: start from the proportional
-    allocation, then repeatedly move distortion between pairs by ternary
-    search on the exact two-mode rate.  The objective is convex and
-    separable, so pairwise exchanges reach the global minimum.
+    The allocation d = min(alpha, lambda) must spend ``budget`` (the first gap is relative to it), the reported
+    rate must be sum 1/2 log2(lambda / d), and the Lagrange dual at mu = 1 / (2 ln 2 alpha),
+    sum_{lambda > alpha} [1/2 log2(lambda / alpha) + mu alpha] + sum_{lambda <= alpha} mu lambda - mu budget,
+    must meet that rate.  By weak duality (Boyd & Vandenberghe, Convex Optimization, chapter 5) the dual lies
+    below the rate of every allocation that spends the budget, so a rate that meets it is the minimum.
     """
     lams = np.asarray(lams, dtype=float)
-    k = len(lams)
-    d = np.minimum(lams, budget * lams / np.sum(lams))
-    d *= budget / np.sum(d)
-    d = np.minimum(d, lams)
-
-    def rate_pair(di, dj, li, lj):
-        ri = 0.5 * math.log2(li / di) if di < li else 0.0
-        rj = 0.5 * math.log2(lj / dj) if dj < lj else 0.0
-        return ri + rj
-
-    stall = 0
-    for _ in range(200):
-        moved = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                s = d[i] + d[j]
-                lo = max(1e-18, s - lams[j])
-                hi = min(lams[i], s - 1e-18)
-                if lo >= hi:
-                    continue
-                a, b = lo, hi
-                for _ in range(90):
-                    m1 = a + (b - a) / 3.0
-                    m2 = b - (b - a) / 3.0
-                    if rate_pair(m1, s - m1, lams[i], lams[j]) <= rate_pair(
-                        m2, s - m2, lams[i], lams[j]
-                    ):
-                        b = m2
-                    else:
-                        a = m1
-                best = 0.5 * (a + b)
-                moved = max(moved, abs(best - d[i]))
-                d[i], d[j] = best, s - best
-        if moved < 1e-13:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-    return float(sum(0.5 * math.log2(l / x) for l, x in zip(lams, d) if x < l))
+    d = np.minimum(sol.alpha, lams)
+    above = lams > sol.alpha
+    mu = 1.0 / (2.0 * math.log(2.0) * sol.alpha)
+    primal = np.sum(0.5 * np.log2(lams[above] / d[above]))
+    dual = np.sum(0.5 * np.log2(lams[above] / sol.alpha) + mu * sol.alpha) + np.sum(mu * lams[~above]) - mu * budget
+    return abs(np.sum(d) - budget) / budget, abs(sol.rate_bits - primal), abs(sol.rate_bits - dual)
 
 
 class TestWaterfill:
-    def test_matches_brute_force(self):
+    def test_is_certified_optimal_by_duality(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
+        cases = []
+        for _ in range(2000):
             k = int(rng.integers(1, 7))
             lams = np.sort(rng.uniform(0.05, 5.0, size=k))[::-1]
-            budget = float(rng.uniform(0.05, 0.95)) * float(np.sum(lams))
-            sol = waterfill(lams, budget)
-            assert abs(sol.rate_bits - brute_force_rate(lams, budget)) < 1e-6
+            cases.append((lams, float(rng.uniform(0.05, 0.95)) * float(np.sum(lams))))
+        cases += [(np.array([2.5]), 0.7), (np.array([2.5]), 2.5)]                  # k = 1, inside and at the total
+        cases += [(np.full(k, 1.5), f * 1.5 * k) for k in (2, 5) for f in (0.1, 0.6, 1.0)]   # equal modes
+        cases += [(lams, float(np.sum(lams))) for lams in (np.array([4.0, 1.0]), rng.uniform(0.05, 5.0, size=6))]
+        for lams, budget in cases:
+            spent, primal, dual = duality_gaps(lams, budget, waterfill(lams, budget))
+            assert spent < 1e-12 and primal < 1e-12 and dual < 1e-12, (lams, budget)
 
     def test_two_mode_known_case(self):
         # lambdas {4, 1}, budget 2: water level 1 keeps the small mode whole
