@@ -14,10 +14,13 @@ procedure failed on valid inputs) and 2 for any other.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import operator
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -36,13 +39,30 @@ GRID_CAP = 100_000  # most points a curve's grid may hold; checked before the gr
 CSV_BLOCK_ROWS = 512   # rows formatted by one "%"; bounds the Python objects and text one block holds
 
 
+@contextlib.contextmanager
 def _create(path: Path):
     """``path`` opened for writing as UTF-8 text with LF line ends; a path that cannot be opened is a
-    ValidationError naming it."""
+    ValidationError naming it.
+
+    An existing file is written over in place and then cut to the bytes written, so it ends as a fresh
+    file would, even when the write fails midway.  Truncating it on open instead would free its blocks
+    first, which costs several times the write on a filesystem that discards freed blocks.  A file that
+    is not regular, such as a link to /dev/null, is never cut.
+    """
     try:
-        return open(path, "w", newline="\n", encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+    with open(fd, "w", newline="\n", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:   # a flush that fails still leaves only what reached the file
+                st = os.fstat(fd)
+                if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                    os.ftruncate(fd, end)
 
 
 def _write_csv(path: Path, header: list[str], template: str, columns) -> None:

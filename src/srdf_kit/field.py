@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, SrdfKitError
-from .model import _objective, _validated_factor
+from .model import FLOAT_MAX, _objective, _validated_factor
 from .srdf import RateCurve, Spectrum, _rate_curve, _spectrum
 
 QUAD_POINTS_DEFAULT = 2048
@@ -102,6 +102,11 @@ class TabulatedKernel:
         if not np.all(np.isfinite(vals)):
             raise DomainError("mesh values must be finite")
         scale = max(1e-300, float(np.max(np.abs(vals))))
+        # the field integrals are Simpson sums of products of two values, or of a value and a slope of at
+        # most 2 (N - 1) times the largest, with weights summing to 1; past this bound they could overflow
+        limit = math.sqrt(FLOAT_MAX / (2 * vals.shape[0]))
+        if scale > limit:
+            raise DomainError(f"mesh max |value| = {scale:.3e} exceeds {limit:.3e}: the field integrals would overflow")
         if np.max(np.abs(vals - vals.T)) > 1e-9 * scale:
             raise DomainError("mesh must be symmetric")
         u, w = _mesh_simpson(vals.shape[0])
@@ -418,13 +423,11 @@ def _placement_objective(field: FieldModel, objective):
     def evaluate(pts):
         floor, s, mass, l, corr = _field_reduce(field, pts)
         if delta is not None:
-            spec = _spectrum(floor, s)
-            rate = spec.rate(delta)
+            value, alpha = _spectrum(floor, s)._rate_level(delta)
         lam, vec = np.linalg.eigh(s)
         if delta is None:
             value, weight = floor, -np.ones(lam.size)
         else:
-            value, alpha = rate, spec.level(delta - floor)
             weight = (1.0 / np.maximum(lam, alpha) - 1.0 / alpha) / (2.0 * math.log(2.0))   # 0 below alpha
         x = np.linalg.solve(l.T, vec)
         g, h = field.kernel.slopes(np.asarray(pts), mass, corr)

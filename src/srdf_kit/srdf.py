@@ -131,6 +131,10 @@ class Spectrum:
 
     def rate(self, delta):
         """Bits needed for total distortion ``delta``; zero from delta_max on."""
+        return self._rate_level(delta)[0]
+
+    def _rate_level(self, delta):
+        """(``rate(delta)``, the water level it is solved at), from one solve."""
         budget = np.asarray(delta, dtype=float) - self.delta_min
         if not np.isfinite(budget).all():
             raise BudgetOutOfRange(f"distortion must be finite, got {delta}")
@@ -139,9 +143,9 @@ class Spectrum:
                 f"delta {np.min(delta)} is at or below the estimation floor {np.max(self.delta_min)};"
                 " feasible range is open at the floor"
             )
-        alpha = np.asarray(self.level(budget))[..., None]
-        bits = 0.5 * np.log2(np.maximum(self.lambdas / alpha, 1.0)).sum(axis=-1)
-        return _scalar(np.where(budget >= self.total * (1.0 - 1e-12), 0.0, bits))
+        alpha = self.level(budget)
+        bits = 0.5 * np.log2(np.maximum(self.lambdas / np.asarray(alpha)[..., None], 1.0)).sum(axis=-1)
+        return _scalar(np.where(budget >= self.total * (1.0 - 1e-12), 0.0, bits)), alpha
 
     def distortion(self, rate_bits):
         """Total distortion at ``rate_bits``, the floor from RATE_CAP_BITS on; inverse of ``rate``."""

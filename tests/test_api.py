@@ -142,6 +142,36 @@ def test_every_raise_names_a_package_error():
     assert stray == []
 
 
+def test_every_file_is_written_through_create():
+    # cli._create writes over an existing artifact in place and trims it: a writer beside it, or a
+    # truncating open anywhere, would bring back the truncation it avoids
+    stray, writer = [], []
+    for path in sorted(Path(srdf_kit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        create = [node for fn in tree.body if path.name == "cli.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_create" for node in ast.walk(fn)]
+        writer += create
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "O_TRUNC") or (
+                    isinstance(node, ast.Name) and node.id == "O_TRUNC"):
+                stray.append(f"{path.name}:{node.lineno}: O_TRUNC")
+            if not isinstance(node, ast.Call) or node in create:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("write_text", "write_bytes", "savetxt", "save", "savez", "savez_compressed", "tofile"):
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif name == "open":
+                # os.open writes by its flags; builtin and io.open take the mode second, Path.open first
+                where = ast.unparse(func)
+                args = node.args[1:] if where in ("open", "io.open") else node.args
+                mode = None if where == "os.open" else (
+                    [k.value for k in node.keywords if k.arg == "mode"] or args[:1] or [ast.Constant("r")])[0]
+                if not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                    stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert writer and stray == []
+
+
 def test_every_private_helper_is_used():
     # a module-level private name that no code in the package loads is a dead helper; strings do not count
     defined, loaded = {}, set()

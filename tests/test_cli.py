@@ -383,6 +383,79 @@ class TestDeterminism:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def shipped_config(stem: str) -> dict:
+    """The shipped config ``stem``, its covariance inlined where it names a CSV, so that a copy runs anywhere."""
+    cfg = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text(encoding="utf-8"))
+    if "sigma_csv" in cfg.get("model", {}):
+        cfg["model"] = {"sigma": np.loadtxt(CONFIGS / cfg["model"]["sigma_csv"], delimiter=",").tolist()}
+    return cfg
+
+
+RERUN_SIM = {"n": 1, "rate_bits": 1.0, "est_length": 4, "train_blocks": 40, "lbg_iters": 2, "trace": True, "seed": 3}
+# edits to each task's shipped config that make its artifacts long, and short
+RERUN_SIZES = {
+    "long": {"grid": {"count": 200}, "search": {"k": 2, "objective": "min_delta_min"}, "placement": {"k": 12},
+             "sim": {**RERUN_SIM, "eval_blocks": 40}},
+    "short": {"grid": {"count": 5}, "search": {"k": 1, "objective": "min_delta_min"}, "placement": {"k": 2},
+              "sim": {**RERUN_SIM, "eval_blocks": 3}},
+}
+
+
+class TestRerunInPlace:
+    """A rerun into an existing ``--out`` writes over each artifact in place and trims it, so every file
+    must end with a fresh run's bytes whether the old one was longer or shorter."""
+
+    @pytest.mark.parametrize("task,config", [
+        ("srdf", "three_component_srdf"), ("distrate", "three_component_distrate"), ("gmf-srdf", "exp_field_srdf"),
+        ("optimize-set", "subset_search"), ("place", "exp_field_place"), ("usrdf-bayes", "corr_family_bayes"),
+        ("usrdf-nonbayes", "corr_family_nonbayes"), ("simulate", "two_step_sim"), ("usim", "corr_family_usim"),
+    ])
+    @pytest.mark.parametrize("first,then", [("long", "short"), ("short", "long")],
+                             ids=["long then short", "short then long"])
+    def test_a_rerun_writes_a_fresh_runs_bytes(self, tmp_path, task, config, first, then):
+        configs = {}
+        for size, edits in RERUN_SIZES.items():
+            cfg = shipped_config(config)
+            cfg.update((block, {**cfg[block], **edit}) for block, edit in edits.items() if block in cfg)
+            configs[size] = tmp_path / f"{size}.yaml"
+            configs[size].write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert run(task, configs[first], rerun) == 0
+        old = {path.name: path.stat().st_size for path in rerun.iterdir()}
+        assert run(task, configs[then], rerun) == 0
+        assert run(task, configs[then], fresh) == 0
+        names = sorted(old)
+        assert sorted(path.name for path in fresh.iterdir()) == sorted(path.name for path in rerun.iterdir()) == names
+        for name in names:
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+        # some artifact really changed length in the direction the case names
+        new = {name: (fresh / name).stat().st_size for name in names}
+        assert any(new[name] < old[name] if then == "short" else new[name] > old[name] for name in names)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_an_artifact_linked_to_dev_null_is_written_and_left_alone(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("curve.csv", "summary.json"):
+            (out / name).symlink_to("/dev/null")
+        assert run("srdf", CONFIGS / "three_component_srdf.yaml", out) == 0
+        assert all((out / name).is_symlink() for name in ("curve.csv", "summary.json"))
+        assert Path("/dev/null").is_char_device() and Path("/dev/null").read_bytes() == b""
+
+    @pytest.mark.parametrize("write, want", [
+        (lambda path: cli._write_json(path, {"x": object()}), b""),
+        # the second block of rows fails to format, after the first was handed to the file
+        (lambda path: _write_csv(path, ["n"], "%d", [np.array([1] * cli.CSV_BLOCK_ROWS + ["x"], dtype=object)]),
+         b"n\n" + b"1\n" * cli.CSV_BLOCK_ROWS),
+    ], ids=["json", "csv"])
+    def test_a_write_that_fails_midway_leaves_only_what_it_wrote(self, tmp_path, write, want):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old, longer artifact\n" * 1000)
+        with pytest.raises(TypeError):
+            write(path)
+        assert path.read_bytes() == want
+
+
 # one shipped config per task
 TASK_CONFIGS = [
     ("srdf", "three_component_srdf.yaml"),
@@ -1258,14 +1331,16 @@ def mutation_cases():
     for stem, task in (("three_component_srdf", "srdf"), ("three_component_distrate", "distrate"),
                        ("exp_field_srdf", "gmf-srdf"), ("exp_field_place", "place"),
                        ("subset_search", "optimize-set")):
-        cfg = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text(encoding="utf-8"))
-        if "sigma_csv" in cfg.get("model", {}):
-            cfg["model"] = {"sigma": np.loadtxt(CONFIGS / cfg["model"]["sigma_csv"], delimiter=",").tolist()}
-        cases[f"{stem}:{task}"] = (task, cfg)
+        cases[f"{stem}:{task}"] = (task, shipped_config(stem))
     return cases
 
 
 MUTATION_CASES = mutation_cases()
+# the shipped field curve on a tabulated kernel, p^|s-u| on a 5-knot mesh; the test writes the mesh beside the
+# config as mesh.csv, from its upper triangle (row i from column i on), so that a mutation keeps it symmetric
+MESH_CASES = {"tabulated_mesh:gmf-srdf": ("gmf-srdf", {
+    **shipped_config("exp_field_srdf"), "field": {"kernel": {"type": "tabulated", "mesh_csv": "mesh.csv"}},
+    "mesh": [[0.5 ** ((j - i) / 4) for j in range(i, 5)] for i in range(5)]})}
 
 
 def numeric_paths(tree, path=()):
@@ -1298,16 +1373,16 @@ MUTATIONS = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, 
 # the integer sizes and seeds, drawn whole: a float there is refused before anything runs
 SIZE_KEYS = {"grid_res", "k", "restarts", "count", "quad_points", "seed"}
 SIZES = st.sampled_from([0, 1, 2, 400, 10 ** 6]).map(lambda x: ("value", x))
-MUTATED_BLOCKS = ("model", "family", "grid", "field", "points", "placement", "search")
+MUTATED_BLOCKS = ("model", "family", "grid", "field", "points", "placement", "search", "mesh")
 
 
 @st.composite
-def config_mutations(draw):
-    """(case name, [(path, mutation), ...]): one to three mutations of the numbers in the case's model,
-    family, grid, field, points, placement and search blocks; a list keeps its shape, so that every path
-    stays a path."""
-    name = draw(st.sampled_from(sorted(MUTATION_CASES)))
-    cfg = MUTATION_CASES[name][1]
+def config_mutations(draw, cases=MUTATION_CASES):
+    """(case name, [(path, mutation), ...]): one to three mutations of the numbers in the model, family,
+    grid, field, points, placement, search and mesh blocks of one of ``cases``; a list keeps its shape, so
+    that every path stays a path."""
+    name = draw(st.sampled_from(sorted(cases)))
+    cfg = cases[name][1]
     tree = {block: cfg[block] for block in MUTATED_BLOCKS if block in cfg}
     edits = []
     for path in draw(st.lists(st.sampled_from(numeric_paths(tree)), min_size=1, max_size=3)):
@@ -1360,12 +1435,29 @@ class TestFamilyMutations:
     # a huge rate overflowed in the inverse waterfill
     @example(("three_component_distrate:distrate", [(("grid", "max"), ("value", 1e308))]))
     def test_every_run_ends_in_an_exit_code_without_a_warning(self, case):
+        self.check_run(MUTATION_CASES, case)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(config_mutations(MESH_CASES))
+    # a huge mesh value overflowed symmetrizing the mesh, and a huge mesh the field integrals
+    @example(("tabulated_mesh:gmf-srdf", [(("mesh", 0, 0), ("value", 1e308))]))
+    @example(("tabulated_mesh:gmf-srdf", [(("mesh",), ("scale", 160))]))
+    def test_every_tabulated_field_run_ends_in_an_exit_code_without_a_warning(self, case):
+        self.check_run(MESH_CASES, case)
+
+    @staticmethod
+    def check_run(cases, case):
         name, edits = case
-        task, cfg = MUTATION_CASES[name]
+        task, cfg = cases[name]
         for path, mutation in edits:
             cfg = mutated(cfg, path, mutation)
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.yaml"
+            if "mesh" in cfg:   # mirrored from its upper triangle
+                upper, n = cfg["mesh"], len(cfg["mesh"])
+                rows = [f"{i},{j},{upper[min(i, j)][abs(i - j)]!r}" for i in range(n) for j in range(n)]
+                (Path(tmp) / "mesh.csv").write_text("\n".join([str(n), *rows]) + "\n", encoding="utf-8")
+                cfg = {key: value for key, value in cfg.items() if key != "mesh"}
             config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
             err = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
