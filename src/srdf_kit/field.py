@@ -101,10 +101,16 @@ class TabulatedKernel:
             raise DomainError(f"mesh must be square with N >= 2, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("mesh values must be finite")
-        scale = max(1e-300, float(np.max(np.abs(vals))))
+        scale = float(np.max(np.abs(vals)))
         # the field integrals are Simpson sums of products of two values, or of a value and a slope of at
-        # most 2 (N - 1) times the largest, with weights summing to 1; past this bound they could overflow
-        limit = math.sqrt(FLOAT_MAX / (2 * vals.shape[0]))
+        # most 2 (N - 1) times the largest, with weights from 1 / (6 (N - 1)) up, summing to 1; past the
+        # upper bound they could overflow, and below the lower one a weighted product of two values at the
+        # largest value's scale is subnormal, and the integrals lose their digits
+        n = vals.shape[0]
+        least = math.sqrt(6 * (n - 1) * np.finfo(float).tiny)
+        if scale < least:
+            raise DomainError(f"mesh max |value| = {scale:.3e} is below {least:.3e}: the field integrals underflow")
+        limit = math.sqrt(FLOAT_MAX / (2 * n))
         if scale > limit:
             raise DomainError(f"mesh max |value| = {scale:.3e} exceeds {limit:.3e}: the field integrals would overflow")
         if np.max(np.abs(vals - vals.T)) > 1e-9 * scale:

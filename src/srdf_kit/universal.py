@@ -32,9 +32,7 @@ from .model import SamplingSet, _blocks, as_sampling_set, validate_covariance
 from .srdf import RATE_CAP_BITS, RateCurve, Spectrum, _block_spectrum, _rate_curve
 
 GRID_RES_DEFAULT = 33
-ATOM_TOL = 1e-8          # max-norm radius for "same sampled block", in units of the largest sampled entry
 NODE_CAP = 100_000
-SWEEP_CHUNK_FLOATS = 2 ** 18   # most entries one block of candidate-pair differences holds (2 MB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,56 +146,44 @@ class AmbiguityPartition:
 
     sampled: SamplingSet              # the sampling set the atoms were found for
     members: tuple[tuple[int, ...], ...]   # each atom's node indices into the family grid, ascending
-    sigma: np.ndarray                 # (atoms, m, m): covariance averaged over each atom's members, symmetrized
+    sigma: np.ndarray                 # (atoms, m, m): covariance averaged over each atom's members, exactly symmetric
     weights: np.ndarray | None        # (atoms,): prior mass of each atom, None when the family has no prior
 
 
 def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
     """Split the family grid into ambiguity atoms of the sampling set.
 
-    The sampled blocks are first divided by their largest absolute entry
-    over the grid, so scaling the family leaves its atoms as they were, and
-    ATOM_TOL is the merge radius in those units.  Nodes are collapsed by
-    rounding each entry to a quarter of the radius (same bucket implies
-    distance well inside it; the keys stay within 4 / ATOM_TOL, inside
-    int64), then buckets within the radius in max-norm are merged, by sort
-    and sweep: the bucket representatives are sorted along the entry that
-    spreads widest, and each is compared only with the buckets behind it
-    within twice the radius on that entry (twice, so that no rounding of the
-    window's end drops a close pair); the exact max-norm test then decides.
-    Union-find over the close pairs gives each node its atom, and one stable
-    argsort of the nodes by atom gives every atom's members, ascending, with
-    no scan of the grid per atom.  Each atom carries its members' covariance
-    averaged once, prior-weighted or, without a prior, uniformly; the sum
-    runs member by member, so every entry is rounded alike and a block of the
-    average is the average of that block.  Atoms are ordered by their lowest
-    member node, so the split is deterministic.
+    A node's sampled block is B_AA + sum_d t_d (D_d)_AA.  A direction is
+    *seen* when its sampled block (D_d)_AA has a nonzero entry and the node
+    coordinates along it are not all equal, and *hidden* otherwise: a hidden
+    direction adds the same block to every node.  When the seen blocks are
+    linearly independent, two nodes have the same sampled block exactly when
+    their coordinates on the seen axes are equal, so those coordinates name
+    the atoms.  When they are dependent (``np.linalg.matrix_rank`` at its
+    default tolerance, of the blocks each divided by its largest absolute
+    entry, falls short of their count), the sampled block stays fixed along
+    oblique fibres of the box, which the grid does not follow, and the family
+    is refused.  Each atom carries its members' covariance averaged once,
+    prior-weighted or, without a prior, uniformly; the sum runs member by
+    member, so every entry is rounded alike, the average is as symmetric as
+    the members, and a block of the average is the average of that block.
+    Atoms are ordered by their lowest member node, and each atom's members
+    ascend, so the split is deterministic.
     """
     ss = as_sampling_set(sampled)
     ss.complement(family.m)   # refuses a label above m before any index is read
     a = ss.zero_based()
-    blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
-    flat = blocks.reshape(len(blocks), -1)
-    unit = flat / np.abs(flat).max()   # entries at most 1, so no scale underflows or overflows a key
-    keys = np.round(unit * (4.0 / ATOM_TOL)).astype(np.int64)
-    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    reps = unit[first_idx]
-    parent = list(range(len(reps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in _sweep(reps):
-        close = np.max(np.abs(reps[j] - reps[i]), axis=1) <= ATOM_TOL
-        for bi, bj in zip(i[close].tolist(), j[close].tolist()):
-            ri, rj = find(bi), find(bj)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    node_root = np.array([find(b) for b in range(len(reps))])[inverse.ravel()]
+    dims = len(family.box)
+    blocks = family.directions[np.ix_(np.arange(dims), a, a)].reshape(dims, -1)
+    seen = [d for d, (t, block) in enumerate(zip(family.nodes.T, blocks)) if block.any() and t.min() < t.max()]
+    unit = blocks[seen] / np.abs(blocks[seen]).max(axis=1, keepdims=True)   # so no block's scale hides another
+    if np.linalg.matrix_rank(unit) < len(seen):
+        raise UnsupportedFamily(
+            f"directions {[d + 1 for d in seen]} move the sampled block of components {list(ss.indices)}"
+            " along linearly dependent directions, so its atoms are oblique fibres of the box, which the"
+            " grid does not follow; such families are not supported"
+        )
+    node_root = np.unique(family.nodes[:, seen], axis=0, return_inverse=True)[1].ravel()   # a root per seen point
     by_root = np.argsort(node_root, kind="stable")   # atom by atom, each atom's nodes ascending
     sorted_root = node_root[by_root]
     bounds = np.flatnonzero(sorted_root[1:] != sorted_root[:-1]) + 1
@@ -214,35 +200,10 @@ def project_family(family: ParamFamily, sampled) -> AmbiguityPartition:
             w = weights[nodes]
             wsum = atom_weights[i] = float(np.sum(w))
             member_w = w / wsum if wsum > 0 else np.full(len(nodes), 1.0 / len(nodes))
-            s = np.sum(member_w[:, None, None] * family.node_sigmas[nodes], axis=0)
+            sigma[i] = np.sum(member_w[:, None, None] * family.node_sigmas[nodes], axis=0)
         else:
-            s = family.node_sigmas[nodes].mean(axis=0)
-        sigma[i] = 0.5 * (s + s.T)
+            sigma[i] = family.node_sigmas[nodes].mean(axis=0)
     return AmbiguityPartition(ss, tuple(members), sigma, atom_weights)
-
-
-def _sweep(reps: np.ndarray):
-    """Candidate pairs for merging the rows of ``reps``, in blocks (i, j) of row-index arrays.
-
-    Rows are sorted along the column that spreads widest, and each row is
-    paired with every row after it in that order whose entry lies within
-    2 * ATOM_TOL of its own; a pair outside that window is farther apart
-    than ATOM_TOL.  A block holds about SWEEP_CHUNK_FLOATS entries of the
-    rows' differences, and at least one row's window.
-    """
-    axis = int(np.argmax(reps.max(axis=0) - reps.min(axis=0)))
-    order = np.argsort(reps[:, axis], kind="stable")
-    x = reps[order, axis]
-    counts = np.searchsorted(x, x + 2.0 * ATOM_TOL, side="right") - np.arange(len(x)) - 1
-    fullest = int(counts.max())
-    if fullest == 0:   # no row has another in its window
-        return
-    step = max(1, SWEEP_CHUNK_FLOATS // reps.shape[1] // fullest)
-    for lo in range(0, len(x), step):
-        n = counts[lo : lo + step]
-        p = np.repeat(np.arange(lo, lo + len(n)), n)
-        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(n) - n, n)
-        yield order[p], order[q]
 
 
 def atom_spectra(part: AmbiguityPartition) -> Spectrum:

@@ -10,11 +10,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from srdf_kit import (
-    AmbiguityPartition,
     BudgetOutOfRange,
     CovarianceModel,
     EigenFailure,
-    EmptyGrid,
     FieldSamplingSet,
     GaussMarkovKernel,
     InfeasibleDistortion,
@@ -24,13 +22,11 @@ from srdf_kit import (
     SingularSigmaA,
     ValidationError,
     affine_family,
-    as_sampling_set,
     ml_cov_estimate,
 )
 from srdf_kit.field import _mesh_simpson
 from srdf_kit.model import PD_TOL, SYM_TOL
 from srdf_kit.simulate import _STREAM_TRIAL, _rng
-from srdf_kit.universal import ATOM_TOL
 
 
 @pytest.fixture(autouse=True)
@@ -373,62 +369,3 @@ def reference_vector_rate(sigma, sampled, delta):
     return reference_rate(floor, _reference_eigvalsh(s), delta)
 
 
-def reference_project_family(family, sampled):
-    """Ambiguity atoms as ``project_family`` found them before sort and sweep, verbatim
-    but for the units: sampled blocks divided by their largest absolute entry.
-
-    Every bucket is compared with every later one, and every atom scans all
-    nodes for its members.  The atoms are returned as one ``AmbiguityPartition``
-    table, their averaged covariances stacked in atom order.
-    """
-    ss = as_sampling_set(sampled)
-    ss.complement(family.m)   # refuses a label above m before any index is read
-    a = ss.zero_based()
-    if len(family.nodes) == 0:
-        raise EmptyGrid("family grid is empty")
-    blocks = family.node_sigmas[np.ix_(np.arange(len(family.nodes)), a, a)]
-    flat = blocks.reshape(len(blocks), -1)
-    unit = flat / np.abs(flat).max()
-    keys = np.round(unit * (4.0 / ATOM_TOL)).astype(np.int64)
-    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    reps = unit[first_idx]
-    n_buckets = len(first_idx)
-    parent = list(range(n_buckets))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n_buckets):
-        close = np.max(np.abs(reps[i + 1:] - reps[i]), axis=1) <= ATOM_TOL
-        for j in np.flatnonzero(close):
-            ri, rj = find(i), find(int(i + 1 + j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    bucket_root = np.array([find(b) for b in range(n_buckets)])
-    node_root = bucket_root[inverse]
-    weights = family.node_weights
-    atoms = []
-    for root in sorted(set(node_root.tolist()), key=lambda r: int(np.min(np.flatnonzero(node_root == r)))):
-        members = np.flatnonzero(node_root == root)
-        if weights is not None:
-            w = weights[members]
-            wsum = float(np.sum(w))
-            member_w = w / wsum if wsum > 0 else np.full(len(members), 1.0 / len(members))
-            sigma = np.sum(member_w[:, None, None] * family.node_sigmas[members], axis=0)
-            atom_weight = wsum
-        else:
-            sigma = family.node_sigmas[members].mean(axis=0)
-            atom_weight = None
-        sigma = 0.5 * (sigma + sigma.T)
-        atoms.append((tuple(int(i) for i in members), sigma, atom_weight))
-    members, sigmas, atom_weights = zip(*atoms)
-    return AmbiguityPartition(
-        sampled=ss,
-        members=members,
-        sigma=np.stack(sigmas),
-        weights=None if weights is None else np.array(atom_weights),
-    )

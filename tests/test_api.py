@@ -58,6 +58,9 @@ def test_removed_names_stay_removed():
                  "BlockPartition", "partition"):
         assert name not in srdf_kit.__all__
         assert not hasattr(srdf_kit, name)
+    # the tolerance merge of ambiguity atoms: atoms are read off the family's directions
+    for name in ("ATOM_TOL", "SWEEP_CHUNK_FLOATS", "_sweep"):
+        assert not hasattr(srdf_kit, name) and not hasattr(srdf_kit.universal, name)
 
 
 def test_readme_quick_start_runs(capsys):

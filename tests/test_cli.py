@@ -432,6 +432,26 @@ class TestRerunInPlace:
         new = {name: (fresh / name).stat().st_size for name in names}
         assert any(new[name] < old[name] if then == "short" else new[name] > old[name] for name in names)
 
+    @pytest.mark.parametrize("first, then, stale", [
+        (("simulate", "two_step_sim", True), ("simulate", "two_step_sim", False), "trace.csv"),
+        (("usrdf-bayes", "corr_family_bayes", None), ("usrdf-nonbayes", "corr_family_nonbayes", None),
+         "allocation.csv"),
+    ], ids=["trace", "allocation"])
+    def test_a_file_the_rerun_does_not_write_is_left_as_it_was(self, tmp_path, first, then, stale):
+        # the default --out is the working directory, so a rerun deletes nothing it did not write
+        def run_into_out(task, config, trace):
+            cfg = shipped_config(config)
+            if trace is not None:
+                cfg["sim"] = {**RERUN_SIM, "eval_blocks": 3, "trace": trace}
+            path = tmp_path / "config.yaml"
+            path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+            assert run(task, path, tmp_path / "out") == 0
+
+        run_into_out(*first)
+        before = (tmp_path / "out" / stale).read_bytes()
+        run_into_out(*then)
+        assert (tmp_path / "out" / stale).read_bytes() == before
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_an_artifact_linked_to_dev_null_is_written_and_left_alone(self, tmp_path):
         out = tmp_path / "out"
@@ -729,6 +749,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [universal.unbounded_box]"), err
         assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("task", ["usrdf-bayes", "usrdf-nonbayes", "usim"])
+    @pytest.mark.parametrize("c", [1.0, 1.001, 1.05, math.sqrt(2.0)])
+    def test_a_family_of_oblique_fibres_is_refused_without_a_warning(self, tmp_path, capsys, task, c):
+        # the grid used to answer from coincidences: at c = 1.001 every node was its own atom, 0.021 bits low
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(task, oblique_config(tmp_path, c), tmp_path / "out") == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error [universal.unsupported_family]: directions [1, 2]"), err
+        assert "oblique fibres" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("task, path", [("usrdf-bayes", ("atoms",)), ("usim", ("report", "grid_size"))])
+    def test_an_unseen_second_direction_gives_one_atom_per_grid_value(self, tmp_path, task, path):
+        assert run(task, oblique_config(tmp_path, 0.0), tmp_path / "out") == 0
+        name = "summary.json" if task == "usrdf-bayes" else "report.json"
+        report = json.loads((tmp_path / "out" / name).read_text(encoding="utf-8"))
+        assert functools.reduce(lambda tree, key: tree[key], path, report) == 5
 
     @pytest.mark.parametrize("entry", ["1.7e+308", "-1.0e+308"])
     def test_covariance_whose_sums_overflow_is_refused_without_a_warning(self, tmp_path, capsys, entry):
@@ -1311,6 +1350,21 @@ AFFINE_FAMILY = {"template": "affine", "base": [[1.0, 0.3], [0.3, 1.0]], "direct
                  "box": [[0.0, 0.4]], "prior": "uniform", "grid_res": 3}
 
 
+def oblique_family(c):
+    """The family config base [[2, .5], [.5, 1]] + t1 [[1, 0], [0, 0]] + t2 [[c, .3], [.3, 0]] on [0, 1]^2, 5 x 5
+    nodes: sampled at [1], its sampled block stays fixed along the lines t1 + c t2 = const."""
+    return {"template": "affine", "base": [[2.0, 0.5], [0.5, 1.0]],
+            "directions": [[[1.0, 0.0], [0.0, 0.0]], [[c, 0.3], [0.3, 0.0]]], "box": [[0.0, 1.0], [0.0, 1.0]],
+            "prior": "uniform", "grid_res": 5}
+
+
+def oblique_config(tmp_path, c):
+    path = tmp_path / "oblique.yaml"
+    path.write_text(yaml.safe_dump({"family": oblique_family(c), "sampling": [1], "grid": MUTATION_GRID,
+                                    "sim": MUTATION_SIM}), encoding="utf-8")
+    return path
+
+
 def mutation_cases():
     """{name: (task, config)}: the shipped fixed-var-corr configs and one affine family through every family
     task, the affine spelling of the correlation family through the worst case, the shipped simulate config,
@@ -1423,6 +1477,10 @@ class TestFamilyMutations:
     @example(("two_step_sim:simulate", [(("model", "sigma"), ("value", [[1e186, 5e185], [5e185, 1e186]]))]))
     @example(("corr_family_usim:usim", [(("family", "sigma2"), ("scale", 186))]))
     @example(("affine:usim", [(("family", "base"), ("scale", 180)), (("family", "directions"), ("scale", 180))]))
+    # the oblique family at c = 1.001, whose grid gave every node its own atom, as if the parameter were known
+    @example(("affine:usrdf-bayes", [(("family",), ("value", oblique_family(1.001)))]))
+    @example(("affine:usrdf-nonbayes", [(("family",), ("value", oblique_family(1.001)))]))
+    @example(("affine:usim", [(("family",), ("value", oblique_family(1.001)))]))
     # each subnormal family that passed validation and then failed as a numerical error
     @example(("corr_family_bayes:usrdf-bayes", [(("family", "sigma2"), ("value", 5e-324)),
                                                 (("family", "box", 0), ("value", [-0.4, 0.4]))]))
@@ -1442,6 +1500,9 @@ class TestFamilyMutations:
     # a huge mesh value overflowed symmetrizing the mesh, and a huge mesh the field integrals
     @example(("tabulated_mesh:gmf-srdf", [(("mesh", 0, 0), ("value", 1e308))]))
     @example(("tabulated_mesh:gmf-srdf", [(("mesh",), ("scale", 160))]))
+    # a tiny mesh lost the integrals' digits: 9.5% off at 1e-160, eigen_failure (exit 3) at 1e-180
+    @example(("tabulated_mesh:gmf-srdf", [(("mesh",), ("scale", -160))]))
+    @example(("tabulated_mesh:gmf-srdf", [(("mesh",), ("scale", -180))]))
     def test_every_tabulated_field_run_ends_in_an_exit_code_without_a_warning(self, case):
         self.check_run(MESH_CASES, case)
 

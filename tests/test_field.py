@@ -92,6 +92,20 @@ class TestKernels:
         with pytest.raises(DomainError, match="finite"):
             TabulatedKernel(vals)
 
+    @pytest.mark.parametrize("scale", [1e-154, 1e-160, 1e-180])
+    def test_tabulated_rejects_a_mesh_too_small_for_its_integrals(self, scale):
+        # the bound is sqrt(6 (N - 1) tiny), 7.3e-154 for 5 knots; at 1e-160 the second eigenvalue read
+        # 9.5% high, and at 1e-180 both rounded to 0 and failed as eigen_failure
+        with pytest.raises(DomainError, match="underflow"):
+            TabulatedKernel(half_lag_mesh(5) * scale)
+
+    def test_tabulated_mesh_just_above_the_smallest_scale_keeps_its_spectrum(self):
+        mesh = half_lag_mesh(5)
+        want = field_srdf_spectrum(FieldModel(TabulatedKernel(mesh)), [0.25, 0.5])
+        got = field_srdf_spectrum(FieldModel(TabulatedKernel(mesh * 1e-153)), [0.25, 0.5])
+        np.testing.assert_allclose(got.lambdas, want.lambdas * 1e-153, rtol=1e-12, atol=0.0)
+        assert got.delta_min == pytest.approx(want.delta_min * 1e-153, rel=1e-12, abs=0.0)
+
     def test_mesh_csv_round_trip(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 5)
         vals = 0.7 ** np.abs(grid[:, None] - grid[None, :])

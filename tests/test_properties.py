@@ -7,6 +7,7 @@ import dataclasses
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +28,7 @@ from srdf_kit import (
     Spectrum,
     SrdfKitError,
     TabulatedKernel,
+    UnsupportedFamily,
     affine_family,
     atom_spectra,
     bayes_usrdf,
@@ -50,9 +52,8 @@ from srdf_kit import (
     validate_covariance,
     waterfill,
 )
-from srdf_kit import simulate, universal
+from srdf_kit import simulate
 from srdf_kit.model import PD_TOL, _blocks, _validated_factor
-from srdf_kit.universal import ATOM_TOL
 from srdf_kit.cli import main
 from srdf_kit.field import SEP_TOL, _gm_optimal_points, _mesh_simpson, _placement_objective, field_gram
 from srdf_kit.srdf import _lift, _weight
@@ -68,7 +69,6 @@ from conftest import (
     reference_field_reduce,
     reference_gm_cross_mass,
     reference_node_sigmas,
-    reference_project_family,
     reference_spectrum,
     reference_validate_covariance,
     reference_vector_rate,
@@ -1057,100 +1057,111 @@ def test_template_node_sigmas_are_the_node_by_node_ones(seed, kind, log_c):
         assert got[0] == "ok" or issubclass(got[0], SrdfKitError)
 
 
-def grouping_family(rng, kind):
-    """(family, sampling set) of ``kind``, whose ambiguity atoms stress the bucket merge.
+def exact_atom_family(rng):
+    """(family, sampling set): a random affine family of 1-3 directions, each of a random kind.
 
-    "lattice": one or two axes that move sampled entries by 0.5-2 x the merge
-    radius (ATOM_TOL times the largest sampled entry) per grid step, so
-    buckets sit on and around it; "chain": steps below the radius, so buckets
-    chain into atoms much wider than it, beside an axis that keeps atoms apart; "one_atom": only unsampled entries
-    move; "one_node": grid_res 1; "random": random directions down to 1e-9.
+    "moving": sampled entries that are small multiples of 1/8, so that sums
+    and rank are exact in floats; "hidden": only unsampled entries move;
+    "copy": an earlier direction's sampled block times +-2^j, which makes the
+    seen blocks dependent unless that direction is hidden; "faint": a moving
+    block times 2^-40, far below 1e-8 of the sampled scale.  A box side is
+    degenerate a quarter of the time and the grid is a single node a tenth of
+    it, each of which hides every direction along it.
     """
     m = int(rng.integers(2, 5))
-    k = int(rng.integers(1, m))
-    sampled = sorted(int(i) + 1 for i in rng.choice(m, size=k, replace=False))
-    a = rng.standard_normal((m, m + 2))
-    base = a @ a.T / (m + 2) + np.eye(m)
-    s0 = np.asarray(sampled) - 1
-    unsampled = np.setdiff1d(np.arange(m), s0)
+    k = int(rng.integers(1, m + 1))
+    a = np.sort(rng.choice(m, size=k, replace=False))
+    sampled = [int(i) + 1 for i in a]
+    mask = np.zeros((m, m), dtype=bool)
+    mask[np.ix_(a, a)] = True
+    g = rng.standard_normal((m, m + 2))
+    base = g @ g.T / (m + 2) + (2.0 * m) * np.eye(m)   # outweighs any three directions over a box in [-1, 1]
 
-    def sym(i, j, size):
-        d = np.zeros((m, m))
-        d[i, j] += size
-        d[j, i] = d[i, j]
-        return d
+    def sym(d):
+        return np.triu(d) + np.triu(d, 1).T
 
-    axes = int(rng.integers(1, 3))
-    grid_res = int(rng.integers(2, 13 if axes == 2 else 60))
-    step = 1.0 / (grid_res - 1)
-    # the merge radius over a grid step; the lattice and chain directions move the scale by under 2e-6 of itself
-    per_step = ATOM_TOL * np.abs(base[np.ix_(s0, s0)]).max() / step
-    if kind == "lattice":
-        dirs = [sym(rng.choice(s0), rng.choice(s0), rng.uniform(0.5, 2.0) * per_step) for _ in range(axes)]
-    elif kind == "chain":
-        dirs = [sym(s0[0], s0[-1], rng.uniform(0.2, 0.9) * per_step)]
-        if axes == 2:
-            dirs.append(sym(s0[0], s0[0], rng.uniform(0.01, 0.3)))
-    elif kind == "one_atom":
-        dirs = [sym(unsampled[0], rng.choice(m), rng.uniform(0.01, 0.2)) for _ in range(axes)]
-    elif kind == "one_node":
-        dirs, grid_res = [sym(s0[0], s0[0], 0.1)] * axes, 1
-    else:
-        dirs = [sym(*rng.integers(0, m, 2), 10.0 ** rng.uniform(-9, -1)) for _ in range(axes)]
+    dims = int(rng.integers(1, 4))
+    dirs = []
+    for _ in range(dims):
+        kind = rng.choice(["moving", "hidden", "copy", "faint"] if dirs else ["moving", "hidden", "faint"])
+        unsampled = sym(np.where(mask, 0.0, rng.uniform(-0.5, 0.5, (m, m))))
+        moving = sym(np.where(mask, rng.integers(-4, 5, (m, m)) / 8.0, 0.0)) + unsampled
+        if kind == "hidden":
+            dirs.append(unsampled)
+        elif kind == "copy":
+            earlier = dirs[int(rng.integers(len(dirs)))]
+            dirs.append(np.where(mask, earlier * rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-2, 3)), unsampled))
+        else:
+            dirs.append(moving * (2.0 ** -40 if kind == "faint" else 1.0))
+    box = []
+    for _ in range(dims):
+        lo = float(rng.uniform(-1.0, 1.0))
+        box.append((lo, lo if rng.uniform() < 0.25 else float(rng.uniform(lo, 1.0))))
+    grid_res = 1 if rng.uniform() < 0.1 else int(rng.integers(2, (20, 8, 5)[dims - 1]))
     prior = "uniform" if rng.uniform() < 0.6 else None
-    return affine_family(base, dirs, [(0.0, 1.0)] * axes, prior=prior, grid_res=grid_res), sampled
+    return affine_family(base, dirs, box, prior=prior, grid_res=grid_res), sampled
+
+
+def exact_rank(rows):
+    """Rank of a list of rows of Fractions, by Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_atoms(family, sampled):
+    """(atoms or None, atoms the grid cannot follow): nodes grouped by their sampled block, summed in exact
+    arithmetic of the float base, directions and node coordinates, atoms in order of their lowest node."""
+    a = np.asarray(sampled) - 1
+    base = [Fraction(x) for x in family.base[np.ix_(a, a)].ravel()]
+    dirs = [[Fraction(x) for x in d[np.ix_(a, a)].ravel()] for d in family.directions]
+    seen = [d for t, d in zip(family.nodes.T, dirs) if any(d) and len(set(t.tolist())) > 1]
+    atoms = {}
+    for n, t in enumerate(family.nodes.tolist()):
+        block = list(base)
+        for td, d in zip(t, dirs):
+            block = [x + Fraction(td) * y for x, y in zip(block, d)]
+        atoms.setdefault(tuple(block), []).append(n)
+    return tuple(tuple(nodes) for nodes in atoms.values()), exact_rank(seen) < len(seen)
 
 
 @PROPERTY
-@given(seeds, st.sampled_from(("lattice", "chain", "one_atom", "one_node", "random")),
-       st.sampled_from((1, 7, None)))
-def test_sort_and_sweep_finds_the_all_pairs_atoms(seed, kind, chunk):
-    family, sampled = grouping_family(np.random.default_rng(seed), kind)
-    want = reference_project_family(family, sampled)
-    with mock.patch.object(universal, "SWEEP_CHUNK_FLOATS", chunk or universal.SWEEP_CHUNK_FLOATS):
-        got = project_family(family, sampled)
-    assert got.sampled == want.sampled
-    assert got.members == want.members
-    assert (got.weights is None) == (want.weights is None)
-    if want.weights is not None:
-        assert got.weights.tobytes() == want.weights.tobytes()
-    assert got.sigma.shape == want.sigma.shape
-    assert got.sigma.tobytes() == want.sigma.tobytes()
-
-
-@pytest.mark.parametrize("kind", ["separated", "fixed_variance", "lattice"])
-def test_sweep_compares_few_pairs(monkeypatch, kind):
-    # the all-pairs merge made n (n - 1) / 2 comparisons for n buckets
-    if kind == "separated":   # 2000 nodes, each its own atom
-        family, sampled = affine_family(np.eye(2), [np.diag([1.0, 0.0])], [(0.0, 1.0)], grid_res=2000), [1]
-    elif kind == "fixed_variance":   # the sampled variances never move, only their covariance
-        family, sampled = fixed_var_corr_family(1.0, -0.5, 0.5, prior=None, grid_res=2000), [1, 2]
-    else:   # 60 x 60 nodes, atoms 1e-3 apart on each axis
-        family = affine_family(2.0 * np.eye(2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [(0.0, 0.059)] * 2,
-                               grid_res=60)
-        sampled = [1, 2]
-    compared = []
-    sweep = universal._sweep
-
-    def counted(reps):
-        for i, j in sweep(reps):
-            compared.append(len(i))
-            yield i, j
-
-    monkeypatch.setattr(universal, "_sweep", counted)
-    n = len(family.nodes)
-    assert len(project_family(family, sampled).members) == n
-    # one window per row: only nodes equal along the swept entry share one
-    assert sum(compared) <= (0 if kind != "lattice" else n * 60)
+@given(seeds)
+def test_atoms_are_the_nodes_of_equal_exact_sampled_blocks(seed):
+    family, sampled = exact_atom_family(np.random.default_rng(seed))
+    want, oblique = exact_atoms(family, sampled)
+    if oblique:
+        with pytest.raises(UnsupportedFamily):
+            project_family(family, sampled)
+        return
+    part = project_family(family, sampled)
+    assert part.members == want
+    for nodes, sigma in zip(part.members, part.sigma):
+        members = family.node_sigmas[list(nodes)]
+        if part.weights is None:
+            assert sigma.tobytes() == members.mean(axis=0).tobytes()
+        else:
+            want_sigma = np.average(members, axis=0, weights=family.node_weights[list(nodes)])
+            np.testing.assert_allclose(sigma, want_sigma, rtol=1e-12, atol=0.0)
+    if part.weights is not None:
+        assert part.weights.tobytes() == np.array([family.node_weights[list(n)].sum() for n in want]).tobytes()
+    # the member-by-member average is as symmetric as its members, with no symmetrizing pass
+    assert part.sigma.tobytes() == np.swapaxes(part.sigma, 1, 2).copy().tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("c", [2.0 * np.finfo(float).tiny, 1e-12, 1e-9, 1.0, 1e11, 1e12])
 def test_atoms_of_a_scaled_family_are_the_family_atoms(c):
-    # an absolute radius merged all nine atoms at 1e-9, and its int64 keys overflowed at 1e11;
-    # a radius scaled by the largest entry underflowed to 0 at 1e-316, and its keys divided by it.
-    # 1e-316 is refused now (see test_cli's subnormal cases): 2 x the smallest normal float is the
-    # smallest scale a 2 x 2 covariance may have
+    # down to 2 x the smallest normal float, the smallest scale a 2 x 2 covariance may have
+    # (1e-316 is refused, see test_cli's subnormal cases)
     assert len(project_family(fixed_var_corr_family(c, 0.1, 0.9, grid_res=9), [1, 2]).members) == 9
 
 

@@ -182,10 +182,16 @@ class TestAtoms:
         assert part.members == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         assert part.weights.sum() == pytest.approx(1.0)
 
-    def test_near_duplicates_merge(self):
+    def test_near_duplicates_split(self):
+        # a seen direction splits its grid values however little it moves the sampled block
         fam = affine_family(BASE, [E1], [(0.0, 1e-9)], prior="uniform", grid_res=2)
         part = project_family(fam, [1])
-        assert part.members == ((0, 1),)
+        assert part.members == ((0,), (1,))
+
+    def test_independent_directions_far_apart_in_scale_split(self):
+        # each block is scaled to a largest entry of 1 before the rank, so the strong one cannot hide the faint one
+        fam = affine_family(2.0 * np.eye(2), [E1, [[0.0, 1e-300], [1e-300, 0.0]]], [(0.0, 1.0)] * 2, grid_res=3)
+        assert project_family(fam, [1, 2]).members == tuple((i,) for i in range(9))
 
     def test_atom_data_floor_below_members(self):
         fam = fixed_var_corr_family(1.0, 0.2, 0.8, prior="uniform", grid_res=9)
