@@ -31,9 +31,15 @@ of the reproductions, so no transposed copy of a block is made.
 
 The LBG assignment step, which training and encoding share, finds each row's
 nearest codeword.  A scalar code (n k = 1) looks only at the two levels that
-bracket the row in sorted order, O(log J) per row; any other code scores
-every codeword over row tiles of ASSIGN_TILE_FLOATS scores, formed in place.
-Both return what one full scan returns, bit for bit (see ``_assign``).
+bracket the row in sorted order, O(log J) per row, except for the rows whose
+next level out beyond the bracket lies closer than 1e-6 of the largest level
+to it; those rows, and every row of any other code, score every codeword over
+row tiles of ASSIGN_TILE_FLOATS scores, formed in place.  The codebook is
+scaled by -2 once per call rather than each tile of scores, and the Lloyd
+loop forms its training rows' squared norms and magnitude bound once per run
+rather than once per iteration.  Both paths return what one full scan
+returns, bit for bit, wherever no product of a row entry and a codeword entry
+is subnormal or overflows (see ``_assign``).
 """
 
 from __future__ import annotations
@@ -276,45 +282,103 @@ def ml_cov_estimate(x_a: np.ndarray) -> np.ndarray:
     return x @ np.swapaxes(x, -1, -2) / x.shape[-1]
 
 
-def _scalar_levels(x: np.ndarray, cb: np.ndarray):
-    """(sorted distinct levels, first codeword index of each) of a scalar codebook, or None.
+def _rows_bounded(x: np.ndarray) -> bool:
+    """Whether x has rows and every entry lies below 1e150 in magnitude (false for NaN too)."""
+    return bool(len(x)) and bool(-1e150 < x.min() and x.max() < 1e150)
+
+
+def _scalar_levels(x: np.ndarray, cb: np.ndarray, bounded: bool | None = None):
+    """(sorted distinct levels, first codeword index of each, rescan) of a scalar codebook, or None.
 
     None, so that ``_assign`` scans every codeword, unless the codebook has one
-    coordinate, x has rows, every row and level is below 1e150 in magnitude,
-    the largest |level| M is above 1e-150 and distinct levels lie at least
-    1e-6 M apart.  ``np.unique`` keeps the first index of equal levels, the one
-    ``argmin`` returns.
+    coordinate, every row of x and every level is below 1e150 in magnitude
+    (``bounded`` is ``_rows_bounded(x)``, computed here when not given), the
+    largest |level| M is above 1e-150 and not every two adjacent distinct
+    levels lie closer than 1e-6 M.  ``np.unique`` keeps the first index of
+    equal levels, the one ``argmin`` returns.
+
+    A row at ``np.searchsorted`` position h brackets levels h - 1 and h (the
+    end level alone beyond either end), so the next levels out are h - 2 and
+    h + 1.  ``rescan[h]`` is True when either lies closer than 1e-6 M to its
+    bracket level, and ``rescan`` is None when no two levels do.
     """
-    if cb.shape[1] != 1 or not len(x):
+    if cb.shape[1] != 1 or not (_rows_bounded(x) if bounded is None else bounded):
         return None
     levels, first = np.unique(cb[:, 0], return_index=True)
     span = float(np.max(np.abs(levels)))
-    if not (1e-150 < span < 1e150 and -1e150 < x.min() and x.max() < 1e150):   # false for NaN too
+    if not 1e-150 < span < 1e150:   # false for NaN too
         return None
-    if np.any(np.diff(levels) < 1e-6 * span):
+    close = np.diff(levels) < 1e-6 * span
+    if not close.any():
+        return levels, first, None
+    if close.all():   # then nearly every row would go to the scan
         return None
-    return levels, first
+    gap = np.zeros(len(levels) + 3, dtype=bool)   # gap[i + 2]: levels i and i + 1 lie close
+    gap[2:-2] = close
+    return levels, first, gap[:-2] | gap[2:]
 
 
-def _assign(x: np.ndarray, cb: np.ndarray):
+def _scan(x: np.ndarray, cb_sq: np.ndarray, m2cb: np.ndarray, x_sq=None):
+    """(index, score + x.x) of the first lowest score cb_sq + x.m2cb of each row of x, over row tiles.
+
+    ``m2cb`` is the codebook times -2; ``x_sq``, if given, holds x.x for every
+    row, which is otherwise formed per tile.  See ``_assign``.
+    """
+    j = len(cb_sq)
+    out_i = np.empty(len(x), dtype=np.int64)
+    out_d = np.empty(len(x))
+    step = max(_TILE_ROW_MULTIPLE, ASSIGN_TILE_FLOATS // j // _TILE_ROW_MULTIPLE * _TILE_ROW_MULTIPLE)
+    rows = min(step + 1, len(x))
+    tile = np.empty((rows, j))
+    flat = np.arange(0, tile.size, j)   # flat position of each tile row's first score
+    pos = np.empty(rows, dtype=np.int64)
+    sq = np.empty(rows) if x_sq is None else None
+    s = 0
+    while s < len(x):
+        e = s + step + (len(x) - s == step + 1)
+        xx = x[s:e]
+        n = len(xx)
+        part = np.matmul(xx, m2cb.T, out=tile[:n])
+        part += cb_sq
+        idx = np.argmin(part, axis=1, out=pos[:n])
+        out_i[s:e] = idx
+        idx += flat[:n]
+        part.take(idx, out=out_d[s:e], mode="clip")   # unbuffered; every index is in range
+        out_d[s:e] += np.einsum("nd,nd->n", xx, xx, out=sq[:n]) if x_sq is None else x_sq[s:e]
+        s = e
+    return out_i, out_d
+
+
+def _assign(x: np.ndarray, cb: np.ndarray, x_sq=None, bounded: bool | None = None):
     """Nearest codeword per row of x; returns (indices, squared distances).
 
-    Each codeword c scores c.c - 2 x.c; a row takes the first lowest score,
-    plus x.x clamped at 0, as its squared distance.
+    Each codeword c scores c.c + x.(-2 c); a row takes the first lowest score,
+    plus x.x clamped at 0, as its squared distance.  The codebook is scaled by
+    -2 once per call, and x.(-2 c) equals -2 (x.c), the score c.c - 2 x.c of a
+    full scan, bit for bit, wherever no product of an entry of x and one of c
+    is subnormal or overflows: scaling by a power of two is exact away from
+    those.  x.x is ``x_sq`` when the caller gives it (the Lloyd loop forms it
+    once per run for its fixed training rows, as it does the row bound
+    ``bounded`` of ``_scalar_levels``); otherwise it is formed per tile of rows.
 
     Scalar codes look only at the two levels that bracket the row in sorted
     order (``np.searchsorted``): the nearest level of a scalar quantizer is one
-    of them (Lloyd 1982), so a row costs O(log J) instead of O(J).  The result
-    is the full scan's, bit for bit, because no other level can win by
-    rounding.  With u = 2^-53, the score of a level c is computed within
-    2u (c^2 + 2|x c|) of its exact value, so two scores differ from their exact
-    difference by at most 20u M^2 for |x| <= 2M and 10u |x| M beyond, M being
-    the largest |level|.  A level c' beyond the nearer bracket level b scores
-    (b - c')(2x - b - c') more, exactly, which is at least D^2 for |x| <= 2M
-    and D |x| beyond, D being the smallest gap between distinct levels.  So
-    D >= 1e-6 M leaves a margin of over 400; ``_scalar_levels`` also bounds
-    the magnitudes so that nothing overflows or underflows to matter, and
-    sends every other case to the scan.
+    of them (Lloyd 1982), so a row costs O(log J) instead of O(J).  The two are
+    scored as the scan scores them, so the result is the full scan's, bit for
+    bit, unless a level beyond the bracket wins by rounding.  With u = 2^-53,
+    the score of a level c is computed within 2u (c^2 + 2|x c|) of its exact
+    value, so two scores differ from their exact difference by at most
+    20u M^2 for |x| <= 2M and 10u |x| M beyond, M being the largest |level|.
+    A level c' beyond the nearer bracket level b scores (b - c')(2x - b - c')
+    more, exactly, which is at least g^2 for |x| <= 2M and g |x| beyond, g
+    being the gap between the bracket level on the side of c' and the next
+    level out.  So g >= 1e-6 M leaves a margin of over 400.  A row whose
+    bracket has a next level out closer than that is scored by the scan
+    instead; the other rows keep their bracket, and a one-coordinate product
+    is the same per row whichever rows the scan is given.  ``_scalar_levels``
+    also bounds the magnitudes so that nothing overflows or underflows to
+    matter, and sends every other case, and a codebook whose adjacent levels
+    all lie close, to the scan.
 
     The scan forms its scores in place, over row tiles of ASSIGN_TILE_FLOATS
     scores.  OpenBLAS may round a row's dot products by the row's place in its
@@ -325,39 +389,32 @@ def _assign(x: np.ndarray, cb: np.ndarray):
     matrix-vector path, which rounds otherwise too, so the last tile absorbs it.
     """
     cb_sq = np.einsum("jd,jd->j", cb, cb)
-    out_i = np.empty(len(x), dtype=np.int64)
-    out_d = np.empty(len(x))
-    scalar = _scalar_levels(x, cb)
-    if scalar is not None:
-        levels, first = scalar
-        sq, top = cb_sq[first], len(levels) - 1
+    m2cb = -2.0 * cb
+    scalar = _scalar_levels(x, cb, bounded)
+    if scalar is None:
+        out_i, out_d = _scan(x, cb_sq, m2cb, x_sq)
+    else:
+        levels, first, rescan = scalar
+        sq, m2, top = cb_sq[first], m2cb[first, 0], len(levels) - 1
+        out_i = np.empty(len(x), dtype=np.int64)
+        out_d = np.empty(len(x))
         step = ASSIGN_TILE_FLOATS // 2   # two candidate scores per row
         for s in range(0, len(x), step):
             xs = x[s:s + step, 0]
             hi = np.searchsorted(levels, xs)   # levels[hi - 1] < x <= levels[hi]
+            near = None if rescan is None else rescan[hi]
             lo = np.maximum(hi - 1, 0)
             np.minimum(hi, top, out=hi)
-            score_lo = sq[lo] - 2.0 * (xs * levels[lo])
-            score_hi = sq[hi] - 2.0 * (xs * levels[hi])
+            score_lo = sq[lo] + xs * m2[lo]
+            score_hi = sq[hi] + xs * m2[hi]
             lo, hi = first[lo], first[hi]
             up = (score_hi < score_lo) | ((score_hi == score_lo) & (hi < lo))
             out_i[s:s + step] = np.where(up, hi, lo)
-            out_d[s:s + step] = np.where(up, score_hi, score_lo) + xs * xs
-    else:
-        step = max(_TILE_ROW_MULTIPLE, ASSIGN_TILE_FLOATS // len(cb) // _TILE_ROW_MULTIPLE * _TILE_ROW_MULTIPLE)
-        tile = np.empty((min(step + 1, len(x)), len(cb)))
-        s = 0
-        while s < len(x):
-            e = s + step + (len(x) - s == step + 1)
-            xx = x[s:e]
-            part = np.matmul(xx, cb.T, out=tile[:len(xx)])
-            part *= -2.0   # then cb_sq + (-2 x.c), the same IEEE operation as cb_sq - 2 x.c
-            part += cb_sq
-            idx = np.argmin(part, axis=1)
-            out_i[s:e] = idx
-            idx += np.arange(0, part.size, len(cb))   # flat position of each row's chosen score
-            out_d[s:e] = part.take(idx) + np.einsum("nd,nd->n", xx, xx)
-            s = e
+            out_d[s:s + step] = np.where(up, score_hi, score_lo)
+            out_d[s:s + step] += xs * xs if x_sq is None else x_sq[s:s + step]
+            if near is not None and near.any():
+                r = np.flatnonzero(near) + s
+                out_i[r], out_d[r] = _scan(x[r], cb_sq, m2cb, None if x_sq is None else x_sq[r])
     np.maximum(out_d, 0.0, out=out_d)
     return out_i, out_d
 
@@ -397,8 +454,11 @@ def _train_codebook(train_t: np.ndarray, j: int, iters: int, rng: np.random.Gene
     stole = False
     iters_run = 0
     dist = math.inf
+    # the training rows stay fixed, so their norms and their bound are formed once
+    x_sq = np.einsum("nd,nd->n", train_t, train_t)
+    bounded = _rows_bounded(train_t)
     for it in range(iters):
-        assign, d2 = _assign(train_t, cb)
+        assign, d2 = _assign(train_t, cb, x_sq, bounded)
         dist = float(np.mean(d2))
         iters_run = it + 1
         if dist > prev * (1.0 + 1e-9) and not stole:

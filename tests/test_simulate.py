@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,18 +185,76 @@ class TestBuildingBlocks:
 
 
 class TestNearestCodeword:
-    @pytest.mark.parametrize("n, k, j", [(1, 1, 512), (2, 1, 256)])
+    # rows of 1-4 dimensions; J = 200 and 300 lie above 192 and are not multiples of 8
+    @pytest.mark.parametrize("n, k, j", [(1, 1, 512), (2, 1, 256), (2, 1, 200), (3, 1, 300), (2, 2, 64)])
     def test_training_follows_the_full_scan(self, monkeypatch, n, k, j):
-        # a scalar code takes the bracket search, a 2-dimensional one the tiled scan
+        # a scalar code takes the bracket search, any other the tiled scan; the Lloyd loop hands
+        # _assign its rows' norms and bound, formed once per run
         sigma_a = np.array([[1.7]]) if k == 1 else np.array([[1.7, 0.4], [0.4, 0.9]])
         args = (sigma_a, np.eye(k), n, j, 20 * j, 60, 5)
         code = build_code(*args)
         assert (_scalar_levels(code.codebook_whitened, code.codebook_whitened) is None) == (n * k > 1)
-        monkeypatch.setattr(simulate, "_assign", reference_assign)
+        # the reference scans with no row norms or row bound handed in
+        monkeypatch.setattr(simulate, "_assign", lambda x, cb, *hoisted: reference_assign(x, cb))
         ref = build_code(*args)
         assert code.codebook_whitened.tobytes() == ref.codebook_whitened.tobytes()
         assert code.lbg_iterations == ref.lbg_iterations > 1
         assert code.train_distortion == ref.train_distortion
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0 ** 300, 4.0 ** -300])
+    @pytest.mark.parametrize("j", [1, 7, 200, 300])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf at 4^300
+    def test_ties_and_scales_match_the_full_scan(self, dim, j, scale):
+        rng = np.random.default_rng([dim, j])
+        cb = rng.standard_normal((j, dim))
+        cb = cb[rng.integers(0, j, j)] * scale   # duplicate codewords tie; argmin takes the first
+        x = np.concatenate([rng.standard_normal((900, dim)) * scale, cb,
+                            0.5 * (cb[rng.integers(0, j, 300)] + cb[rng.integers(0, j, 300)])])
+        want_idx, want_d2 = reference_assign(x, cb)
+        for hoisted in ((), (np.einsum("nd,nd->n", x, x), simulate._rows_bounded(x))):
+            idx, d2 = _assign(x, cb, *hoisted)
+            assert np.array_equal(idx, want_idx)
+            assert d2.tobytes() == want_d2.tobytes()   # NaN where 4^300 overflows, in the same places
+
+    def test_a_close_pair_rescans_only_the_rows_beside_it(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        levels = np.linspace(-3.0, 3.0, 512)
+        p = 300
+        levels[p + 1] = levels[p] + 1e-7 * 3.0   # the one pair closer than 1e-6 of the largest level
+        cb = levels[rng.permutation(512), None]
+        x = np.concatenate([rng.standard_normal(20000), levels, 0.5 * (levels[1:] + levels[:-1]),
+                            levels[p - 1:p + 3] + 1e-9])[:, None]
+        scanned = []
+        scan = simulate._scan
+        monkeypatch.setattr(simulate, "_scan", lambda rows, *args: scanned.append(rows.copy()) or scan(rows, *args))
+        idx, d2 = _assign(x, cb)
+        # rows in (levels[p - 1], levels[p]] and (levels[p + 1], levels[p + 2]]: their bracket's next
+        # level out is one of the pair; rows between the two keep their bracket, which holds both
+        h = np.searchsorted(levels, x[:, 0])
+        beside = (h == p) | (h == p + 2)
+        assert 0 < beside.sum() and (h == p + 1).any()
+        assert np.concatenate(scanned).tobytes() == x[beside].tobytes()
+        want_idx, want_d2 = reference_assign(x, cb)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(d2, want_d2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_close_levels_among_wide_ones_match_the_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        j = int(rng.integers(50, 600))
+        gaps = rng.uniform(0.01, 1.0, j)
+        gaps[rng.random(j) < 0.3] = 1e-9   # far below 1e-6 of the largest level, some in runs
+        levels = np.cumsum(gaps) - rng.uniform(0, j)
+        cb = levels[rng.permutation(j), None]
+        x = np.concatenate([rng.uniform(levels[0] - 1.0, levels[-1] + 1.0, 5000), levels,
+                            0.5 * (levels[1:] + levels[:-1])])[:, None]
+        assert _scalar_levels(x, cb)[2].any()   # the bracket search runs, and some rows rescan
+        with mock.patch.object(simulate, "ASSIGN_TILE_FLOATS", 2 ** 10):
+            idx, d2 = _assign(x, cb)
+        want_idx, want_d2 = reference_assign(x, cb)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(d2, want_d2)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_a_lone_last_row_joins_the_tile_before_it(self, monkeypatch, dim):
