@@ -36,10 +36,10 @@ next level out beyond the bracket lies closer than 1e-6 of the largest level
 to it; those rows, and every row of any other code, score every codeword over
 row tiles of ASSIGN_TILE_FLOATS scores, formed in place.  The codebook is
 scaled by -2 once per call rather than each tile of scores, and the Lloyd
-loop forms its training rows' squared norms and magnitude bound once per run
-rather than once per iteration.  Both paths return what one full scan
-returns, bit for bit, wherever no product of a row entry and a codeword entry
-is subnormal or overflows (see ``_assign``).
+loop forms its training rows' squared norms once per run rather than once
+per iteration.  Both paths return what one full scan returns, bit for bit,
+wherever no product of a row entry and a codeword entry is subnormal or
+overflows (see ``_assign``).
 """
 
 from __future__ import annotations
@@ -282,40 +282,49 @@ def ml_cov_estimate(x_a: np.ndarray) -> np.ndarray:
     return x @ np.swapaxes(x, -1, -2) / x.shape[-1]
 
 
-def _rows_bounded(x: np.ndarray) -> bool:
-    """Whether x has rows and every entry lies below 1e150 in magnitude (false for NaN too)."""
-    return bool(len(x)) and bool(-1e150 < x.min() and x.max() < 1e150)
-
-
-def _scalar_levels(x: np.ndarray, cb: np.ndarray, bounded: bool | None = None):
+def _scalar_levels(x: np.ndarray, cb: np.ndarray):
     """(sorted distinct levels, first codeword index of each, rescan) of a scalar codebook, or None.
 
     None, so that ``_assign`` scans every codeword, unless the codebook has one
-    coordinate, every row of x and every level is below 1e150 in magnitude
-    (``bounded`` is ``_rows_bounded(x)``, computed here when not given), the
-    largest |level| M is above 1e-150 and not every two adjacent distinct
-    levels lie closer than 1e-6 M.  ``np.unique`` keeps the first index of
-    equal levels, the one ``argmin`` returns.
+    coordinate, x has rows, every row and level is below 1e150 in magnitude
+    and the largest |level| M is above 1e-150.  ``np.unique`` keeps the first
+    index of equal levels, the one ``argmin`` returns.
 
     A row at ``np.searchsorted`` position h brackets levels h - 1 and h (the
     end level alone beyond either end), so the next levels out are h - 2 and
     h + 1.  ``rescan[h]`` is True when either lies closer than 1e-6 M to its
     bracket level, and ``rescan`` is None when no two levels do.
     """
-    if cb.shape[1] != 1 or not (_rows_bounded(x) if bounded is None else bounded):
+    if cb.shape[1] != 1 or not len(x):
         return None
     levels, first = np.unique(cb[:, 0], return_index=True)
     span = float(np.max(np.abs(levels)))
-    if not 1e-150 < span < 1e150:   # false for NaN too
+    if not (1e-150 < span < 1e150 and -1e150 < x.min() and x.max() < 1e150):   # false for NaN too
         return None
     close = np.diff(levels) < 1e-6 * span
     if not close.any():
         return levels, first, None
-    if close.all():   # then nearly every row would go to the scan
-        return None
     gap = np.zeros(len(levels) + 3, dtype=bool)   # gap[i + 2]: levels i and i + 1 lie close
     gap[2:-2] = close
     return levels, first, gap[:-2] | gap[2:]
+
+
+def _bracket(xs: np.ndarray, levels, first, sq, m2, rescan):
+    """(index, score, near) of the better of the two levels that bracket each entry of xs.
+
+    ``sq`` and ``m2`` hold c.c and -2 c of each level, ``rescan`` is the mask
+    of ``_scalar_levels``, and ``near`` marks the entries whose bracket it
+    flags (None with it).  See ``_assign``.
+    """
+    hi = np.searchsorted(levels, xs)   # levels[hi - 1] < x <= levels[hi]
+    near = None if rescan is None else rescan[hi]
+    lo = np.maximum(hi - 1, 0)
+    np.minimum(hi, len(levels) - 1, out=hi)
+    score_lo = sq[lo] + xs * m2[lo]
+    score_hi = sq[hi] + xs * m2[hi]
+    lo, hi = first[lo], first[hi]
+    up = (score_hi < score_lo) | ((score_hi == score_lo) & (hi < lo))
+    return np.where(up, hi, lo), np.where(up, score_hi, score_lo), near
 
 
 def _scan(x: np.ndarray, cb_sq: np.ndarray, m2cb: np.ndarray, x_sq=None):
@@ -349,7 +358,7 @@ def _scan(x: np.ndarray, cb_sq: np.ndarray, m2cb: np.ndarray, x_sq=None):
     return out_i, out_d
 
 
-def _assign(x: np.ndarray, cb: np.ndarray, x_sq=None, bounded: bool | None = None):
+def _assign(x: np.ndarray, cb: np.ndarray, x_sq=None):
     """Nearest codeword per row of x; returns (indices, squared distances).
 
     Each codeword c scores c.c + x.(-2 c); a row takes the first lowest score,
@@ -358,8 +367,8 @@ def _assign(x: np.ndarray, cb: np.ndarray, x_sq=None, bounded: bool | None = Non
     full scan, bit for bit, wherever no product of an entry of x and one of c
     is subnormal or overflows: scaling by a power of two is exact away from
     those.  x.x is ``x_sq`` when the caller gives it (the Lloyd loop forms it
-    once per run for its fixed training rows, as it does the row bound
-    ``bounded`` of ``_scalar_levels``); otherwise it is formed per tile of rows.
+    once per run for its fixed training rows); otherwise it is formed per tile
+    of rows.
 
     Scalar codes look only at the two levels that bracket the row in sorted
     order (``np.searchsorted``): the nearest level of a scalar quantizer is one
@@ -374,11 +383,11 @@ def _assign(x: np.ndarray, cb: np.ndarray, x_sq=None, bounded: bool | None = Non
     being the gap between the bracket level on the side of c' and the next
     level out.  So g >= 1e-6 M leaves a margin of over 400.  A row whose
     bracket has a next level out closer than that is scored by the scan
-    instead; the other rows keep their bracket, and a one-coordinate product
-    is the same per row whichever rows the scan is given.  ``_scalar_levels``
-    also bounds the magnitudes so that nothing overflows or underflows to
-    matter, and sends every other case, and a codebook whose adjacent levels
-    all lie close, to the scan.
+    instead, after the bracket tile's temporaries are freed; the other rows
+    keep their bracket, and a one-coordinate product is the same per row
+    whichever rows the scan is given.  ``_scalar_levels`` also bounds the
+    magnitudes so that nothing overflows or underflows to matter, and sends
+    every other case to the scan.
 
     The scan forms its scores in place, over row tiles of ASSIGN_TILE_FLOATS
     scores.  OpenBLAS may round a row's dot products by the row's place in its
@@ -390,31 +399,23 @@ def _assign(x: np.ndarray, cb: np.ndarray, x_sq=None, bounded: bool | None = Non
     """
     cb_sq = np.einsum("jd,jd->j", cb, cb)
     m2cb = -2.0 * cb
-    scalar = _scalar_levels(x, cb, bounded)
+    scalar = _scalar_levels(x, cb)
     if scalar is None:
         out_i, out_d = _scan(x, cb_sq, m2cb, x_sq)
     else:
         levels, first, rescan = scalar
-        sq, m2, top = cb_sq[first], m2cb[first, 0], len(levels) - 1
+        sq, m2 = cb_sq[first], m2cb[first, 0]
         out_i = np.empty(len(x), dtype=np.int64)
         out_d = np.empty(len(x))
         step = ASSIGN_TILE_FLOATS // 2   # two candidate scores per row
         for s in range(0, len(x), step):
             xs = x[s:s + step, 0]
-            hi = np.searchsorted(levels, xs)   # levels[hi - 1] < x <= levels[hi]
-            near = None if rescan is None else rescan[hi]
-            lo = np.maximum(hi - 1, 0)
-            np.minimum(hi, top, out=hi)
-            score_lo = sq[lo] + xs * m2[lo]
-            score_hi = sq[hi] + xs * m2[hi]
-            lo, hi = first[lo], first[hi]
-            up = (score_hi < score_lo) | ((score_hi == score_lo) & (hi < lo))
-            out_i[s:s + step] = np.where(up, hi, lo)
-            out_d[s:s + step] = np.where(up, score_hi, score_lo)
+            out_i[s:s + step], out_d[s:s + step], near = _bracket(xs, levels, first, sq, m2, rescan)
             out_d[s:s + step] += xs * xs if x_sq is None else x_sq[s:s + step]
-            if near is not None and near.any():
+            if near is not None and near.any():   # the bracket's temporaries are gone by now
                 r = np.flatnonzero(near) + s
                 out_i[r], out_d[r] = _scan(x[r], cb_sq, m2cb, None if x_sq is None else x_sq[r])
+                del r   # not held beside the next tile's bracket temporaries
     np.maximum(out_d, 0.0, out=out_d)
     return out_i, out_d
 
@@ -454,11 +455,9 @@ def _train_codebook(train_t: np.ndarray, j: int, iters: int, rng: np.random.Gene
     stole = False
     iters_run = 0
     dist = math.inf
-    # the training rows stay fixed, so their norms and their bound are formed once
-    x_sq = np.einsum("nd,nd->n", train_t, train_t)
-    bounded = _rows_bounded(train_t)
+    x_sq = np.einsum("nd,nd->n", train_t, train_t)   # the training rows stay fixed
     for it in range(iters):
-        assign, d2 = _assign(train_t, cb, x_sq, bounded)
+        assign, d2 = _assign(train_t, cb, x_sq)
         dist = float(np.mean(d2))
         iters_run = it + 1
         if dist > prev * (1.0 + 1e-9) and not stole:

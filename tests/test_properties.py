@@ -885,8 +885,14 @@ def test_nearest_codeword_search_matches_the_full_scan(seed, dim, j, levels, row
     else:
         x = rng.choice([-1e6, 1e6], (n, dim))
     if dim == 1 and n:
-        # spread and duplicated levels take the bracket search, clustered ones the scan
-        assert (simulate._scalar_levels(x, cb) is None) == (levels == "clustered" and j > 1)
+        # every scalar code takes the bracket search; clustered levels lie closer than 1e-6 of the
+        # largest, so every bracket but a two-level code's inner one sends its rows to the scan
+        scalar = simulate._scalar_levels(x, cb)
+        assert scalar is not None
+        rescan = scalar[2]
+        assert (rescan is not None) == (levels == "clustered" and j > 1)
+        if rescan is not None:
+            assert rescan.sum() == len(rescan) - (len(rescan) == 3)
     with mock.patch.object(simulate, "ASSIGN_TILE_FLOATS", 2**tile_log2):
         idx, d2 = simulate._assign(x, cb)
     want_idx, want_d2 = reference_assign(x, cb)

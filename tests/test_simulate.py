@@ -189,12 +189,12 @@ class TestNearestCodeword:
     @pytest.mark.parametrize("n, k, j", [(1, 1, 512), (2, 1, 256), (2, 1, 200), (3, 1, 300), (2, 2, 64)])
     def test_training_follows_the_full_scan(self, monkeypatch, n, k, j):
         # a scalar code takes the bracket search, any other the tiled scan; the Lloyd loop hands
-        # _assign its rows' norms and bound, formed once per run
+        # _assign its rows' norms, formed once per run
         sigma_a = np.array([[1.7]]) if k == 1 else np.array([[1.7, 0.4], [0.4, 0.9]])
         args = (sigma_a, np.eye(k), n, j, 20 * j, 60, 5)
         code = build_code(*args)
         assert (_scalar_levels(code.codebook_whitened, code.codebook_whitened) is None) == (n * k > 1)
-        # the reference scans with no row norms or row bound handed in
+        # the reference scans with no row norms handed in
         monkeypatch.setattr(simulate, "_assign", lambda x, cb, *hoisted: reference_assign(x, cb))
         ref = build_code(*args)
         assert code.codebook_whitened.tobytes() == ref.codebook_whitened.tobytes()
@@ -212,7 +212,7 @@ class TestNearestCodeword:
         x = np.concatenate([rng.standard_normal((900, dim)) * scale, cb,
                             0.5 * (cb[rng.integers(0, j, 300)] + cb[rng.integers(0, j, 300)])])
         want_idx, want_d2 = reference_assign(x, cb)
-        for hoisted in ((), (np.einsum("nd,nd->n", x, x), simulate._rows_bounded(x))):
+        for hoisted in ((), (np.einsum("nd,nd->n", x, x),)):
             idx, d2 = _assign(x, cb, *hoisted)
             assert np.array_equal(idx, want_idx)
             assert d2.tobytes() == want_d2.tobytes()   # NaN where 4^300 overflows, in the same places
@@ -256,6 +256,24 @@ class TestNearestCodeword:
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(d2, want_d2)
 
+    @pytest.mark.parametrize("j", [2, 3, 40])
+    def test_levels_all_close_rescan_the_rows_outside_the_bracket(self, monkeypatch, j):
+        # every next level out is close, so only rows inside a two-level codebook's one gap keep
+        # their bracket; the rest go to the scan and get its answer
+        rng = np.random.default_rng(j)
+        levels = 1.0 + 1e-9 * np.arange(j)
+        cb = levels[rng.permutation(j), None]
+        x = np.concatenate([rng.uniform(1.0 - 1e-8, 1.0 + 1e-8 * j, 3000), levels, [-5.0, 5.0]])[:, None]
+        scanned = []
+        scan = simulate._scan
+        monkeypatch.setattr(simulate, "_scan", lambda rows, *args: scanned.append(rows.copy()) or scan(rows, *args))
+        idx, d2 = _assign(x, cb)
+        inside = np.searchsorted(levels, x[:, 0]) == 1 if j == 2 else np.zeros(len(x), dtype=bool)
+        assert np.concatenate(scanned).tobytes() == x[~inside].tobytes()
+        want_idx, want_d2 = reference_assign(x, cb)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(d2, want_d2)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_a_lone_last_row_joins_the_tile_before_it(self, monkeypatch, dim):
         # numpy multiplies a one-row matrix by its matrix-vector path, which rounds otherwise
@@ -277,6 +295,26 @@ class TestNearestCodeword:
         if dim == 1:
             cb = np.linspace(-3.0, 3.0, j)[rng.permutation(j), None]
             assert _scalar_levels(x, cb) is not None
+        tracemalloc.start()
+        try:
+            idx, d2 = _assign(x, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < idx.nbytes + d2.nbytes + 4 * 8 * ASSIGN_TILE_FLOATS
+        assert np.array_equal(idx, reference_assign(x, cb)[0])
+
+    def test_memory_is_bounded_by_the_tile_when_nearly_every_row_rescans(self):
+        # every other pair of 512 levels lies 1e-7 M apart, so each row in a wide gap borders a
+        # close pair and the scan takes a whole bracket tile of rows at once; the full scan peaks
+        # at 200 MB
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2 ** 15, 1))
+        levels = np.linspace(-3.0, 3.0, 512)
+        levels[1::2] = levels[::2] + 3e-7
+        cb = levels[rng.permutation(512), None]
+        rescan = _scalar_levels(x, cb)[2]
+        assert rescan[np.searchsorted(levels, x[:, 0])].mean() > 0.99
         tracemalloc.start()
         try:
             idx, d2 = _assign(x, cb)
